@@ -135,10 +135,6 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-fn parse_profile(s: &str) -> Option<HwProfile> {
-    HwProfile::parse(s)
-}
-
 fn find_call(analyzer: &Analyzer<'_>, name: &str) -> Option<sgx_perf::CallRef> {
     let report = analyzer.analyze();
     report
@@ -487,7 +483,7 @@ fn run() -> Result<ExitCode, String> {
         match opt.as_str() {
             "--profile" => {
                 let v = it.next().ok_or("--profile needs a value")?;
-                profile = parse_profile(v).ok_or_else(|| format!("unknown profile `{v}`"))?;
+                profile = HwProfile::parse(v).ok_or_else(|| format!("unknown profile `{v}`"))?;
             }
             "--edl" => {
                 let v = it.next().ok_or("--edl needs a file")?;

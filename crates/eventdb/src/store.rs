@@ -533,10 +533,18 @@ mod tests {
         fs::remove_file(path).unwrap();
     }
 
+    /// Records a three-frame segmented file and returns its bytes. Each
+    /// call writes its own file: tests run on parallel threads.
     fn segmented_bytes() -> Vec<u8> {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static SEQ: AtomicUsize = AtomicUsize::new(0);
         let dir = std::env::temp_dir().join("eventdb-seg-test");
         fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("seg-{:x}.evdb", std::process::id()));
+        let path = dir.join(format!(
+            "seg-{:x}-{}.evdb",
+            std::process::id(),
+            SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
         let mut w = Store::open_segmented(&path).unwrap();
         let mut ta = Table::new();
         ta.insert(A(1));

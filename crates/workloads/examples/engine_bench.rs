@@ -10,16 +10,17 @@
 //! Gates (tunable via env, both checked at the end):
 //! * `SGXPERF_ENGINE_SPEEDUP_FLOOR` (default 5): fast engine must beat
 //!   legacy by at least this factor on the scheduler-bound ping-pong.
-//! * `SGXPERF_SCALING_FLOOR` (default 0.7): campaign speedup running
+//! * `SGXPERF_SCALING_FLOOR` (default 0.7): `matrix::run` speedup running
 //!   `jobs` workers must reach this fraction of the ideal
 //!   `min(jobs, cores)`.
 
 use std::time::{Duration, Instant};
 
+use sim_core::campaign::CampaignSpec;
 use sim_core::{Clock, HwProfile};
 use sim_threads::{with_engine, Engine, Simulation};
-use workloads::campaign::{self, CampaignConfig, Workload};
-use workloads::switchless_loop;
+use workloads::campaign::matrix::{self, MatrixPlan};
+use workloads::{chaos, switchless_loop};
 
 /// Runs a two-thread yield ping-pong totalling ~`events` scheduling
 /// points on `engine`; returns the wall time.
@@ -116,25 +117,30 @@ fn main() {
     // 3. Campaign core-scaling: the same cell matrix serial vs. fanned
     // out, efficiency measured against the ideal min(jobs, cores).
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let scaling_cfg = |jobs| CampaignConfig {
-        workloads: vec![Workload::Antipatterns, Workload::Switchless],
-        profiles: HwProfile::ALL.to_vec(),
-        seeds: vec![0, 1],
-        jobs,
-        engine: Engine::Fast,
-        verify: false,
+    let spec = CampaignSpec::parse(&format!(
+        "[campaign]\nname = \"engine-scaling\"\n\
+         [matrix]\nworkloads = [\"antipatterns\", \"switchless\"]\n\
+         profiles = [\"unpatched\", \"spectre\", \"l1tf\"]\nseeds = [0]\n\
+         [faults]\nnone = \"\"\nchaos = \"{}\"\n",
+        chaos::random_plan(1),
+    ))
+    .expect("scaling spec");
+    let plan = MatrixPlan::from_spec(spec).expect("scaling plan");
+    let cells = plan.spec.cell_count();
+    let timed_run = |jobs| {
+        let start = Instant::now();
+        matrix::run(&plan, Engine::Fast, jobs, None, false).expect("scaling campaign");
+        start.elapsed()
     };
-    let serial = campaign::run(&scaling_cfg(1), None);
-    let fanned = campaign::run(&scaling_cfg(cores), None);
-    let ideal = cores.min(fanned.jobs) as f64;
-    let campaign_speedup = serial.wall.as_secs_f64() / fanned.wall.as_secs_f64().max(1e-9);
+    let serial_wall = timed_run(1);
+    let parallel_wall = timed_run(cores);
+    let ideal = cores as f64;
+    let campaign_speedup = serial_wall.as_secs_f64() / parallel_wall.as_secs_f64().max(1e-9);
     let efficiency = campaign_speedup / ideal;
     println!(
-        "campaign ({} cells): serial {} ms, {} job(s) {} ms — {:.2}x of ideal {:.0}x ({:.0}% efficiency)",
-        serial.outcomes.len(),
-        serial.wall.as_millis(),
-        fanned.jobs,
-        fanned.wall.as_millis(),
+        "campaign ({cells} cells): serial {} ms, {cores} job(s) {} ms — {:.2}x of ideal {:.0}x ({:.0}% efficiency)",
+        serial_wall.as_millis(),
+        parallel_wall.as_millis(),
         campaign_speedup,
         ideal,
         efficiency * 100.0,
@@ -147,7 +153,7 @@ fn main() {
          \"speedup\": {:.2}\n  }},\n  \
          \"workload\": {{\n    \"name\": \"switchless_loop\", \"requests\": {wl_requests},\n    \
          \"legacy_wall_ms\": {}, \"fast_wall_ms\": {}, \"speedup\": {:.2}\n  }},\n  \
-         \"campaign\": {{\n    \"cells\": {}, \"cores\": {cores}, \"jobs\": {},\n    \
+         \"campaign\": {{\n    \"cells\": {cells}, \"cores\": {cores}, \"jobs\": {cores},\n    \
          \"serial_wall_ms\": {}, \"parallel_wall_ms\": {},\n    \
          \"ideal\": {:.0}, \"speedup\": {:.2}, \"efficiency\": {:.2}\n  }},\n  \
          \"floors\": {{\"speedup_min\": {speedup_floor}, \"efficiency_min\": {scaling_floor}}}\n}}\n",
@@ -159,10 +165,8 @@ fn main() {
         wl_legacy.as_millis(),
         wl_fast.as_millis(),
         wl_speedup,
-        serial.outcomes.len(),
-        fanned.jobs,
-        serial.wall.as_millis(),
-        fanned.wall.as_millis(),
+        serial_wall.as_millis(),
+        parallel_wall.as_millis(),
         ideal,
         campaign_speedup,
         efficiency,

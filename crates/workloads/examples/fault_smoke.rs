@@ -22,14 +22,13 @@ const CANNED_SPEC: &str = "seed=11;aex-storm@call=5:count=4;evict-storm@t=1ms;\
 
 fn main() {
     let mut args = std::env::args().skip(1);
-    let profile = match args.next().as_deref() {
-        Some("unpatched") => HwProfile::Unpatched,
-        Some("spectre") => HwProfile::Spectre,
-        Some("l1tf") | Some("foreshadow") => HwProfile::Foreshadow,
-        other => {
-            panic!("usage: fault_smoke <unpatched|spectre|l1tf> [<fault-spec>] (got {other:?})")
-        }
-    };
+    let name = args.next();
+    let profile = name
+        .as_deref()
+        .and_then(HwProfile::parse)
+        .unwrap_or_else(|| {
+            panic!("usage: fault_smoke <unpatched|spectre|l1tf> [<fault-spec>] (got {name:?})")
+        });
     let spec = args.next().unwrap_or_else(|| CANNED_SPEC.to_string());
     let plan = FaultPlan::parse(&spec).expect("fault spec");
     println!("profile: {profile:?}");

@@ -17,14 +17,6 @@
 use sim_core::HwProfile;
 use workloads::fleet::{self, FleetRunConfig};
 
-fn profile_label(p: HwProfile) -> &'static str {
-    match p {
-        HwProfile::Unpatched => "unpatched",
-        HwProfile::Spectre => "spectre",
-        HwProfile::Foreshadow => "l1tf",
-    }
-}
-
 fn main() {
     let mut args = std::env::args().skip(1);
     let dir = std::path::PathBuf::from(args.next().unwrap_or_else(|| {
@@ -38,19 +30,10 @@ fn main() {
     };
     let profiles: Vec<HwProfile> = {
         let named: Vec<HwProfile> = args
-            .map(|p| match p.as_str() {
-                "unpatched" => HwProfile::Unpatched,
-                "spectre" => HwProfile::Spectre,
-                "l1tf" | "foreshadow" => HwProfile::Foreshadow,
-                other => panic!("unknown profile `{other}`"),
-            })
+            .map(|p| HwProfile::parse(&p).unwrap_or_else(|| panic!("unknown profile `{p}`")))
             .collect();
         if named.is_empty() {
-            vec![
-                HwProfile::Unpatched,
-                HwProfile::Spectre,
-                HwProfile::Foreshadow,
-            ]
+            HwProfile::ALL.to_vec()
         } else {
             named
         }
@@ -65,7 +48,7 @@ fn main() {
         cfg.epc_pages()
     );
     for profile in profiles {
-        let label = profile_label(profile);
+        let label = profile.file_label();
         let a = fleet::run(profile, &cfg, None).expect("fleet run 1");
         let b = fleet::run(profile, &cfg, None).expect("fleet run 2");
 

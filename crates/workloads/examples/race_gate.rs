@@ -28,12 +28,9 @@ fn main() {
         args.next()
             .unwrap_or_else(|| panic!("usage: race_gate <output-dir> [unpatched|spectre|l1tf]")),
     );
-    let profile = match args.next().as_deref() {
-        None | Some("unpatched") => HwProfile::Unpatched,
-        Some("spectre") => HwProfile::Spectre,
-        Some("l1tf") | Some("foreshadow") => HwProfile::Foreshadow,
-        Some(other) => panic!("unknown profile `{other}`"),
-    };
+    let profile = args.next().map_or(HwProfile::Unpatched, |p| {
+        HwProfile::parse(&p).unwrap_or_else(|| panic!("unknown profile `{p}`"))
+    });
     std::fs::create_dir_all(&dir).expect("create output dir");
 
     let racy = record(profile, |h| {

@@ -45,7 +45,7 @@ use std::sync::{mpsc, Mutex};
 use std::time::Duration;
 
 use sgx_perf::analysis::diff::{DiffConfig, TraceDiff, Verdict, REGRESSION_EXIT_CODE};
-use sgx_perf::{Logger, LoggerConfig, TraceDb};
+use sgx_perf::{json, Logger, LoggerConfig, TraceDb};
 use sim_core::campaign::{CampaignSpec, CellCoord, SwitchlessAxis};
 use sim_core::fault::{fmt_duration, FaultPlan};
 use sim_threads::{
@@ -144,31 +144,19 @@ impl MatrixPlan {
     #[must_use]
     pub fn run_cell(&self, c: &CellCoord, attempt: u32) -> Vec<u8> {
         let plan = self.effective_plan(c);
-        let workers = match c.switchless {
-            SwitchlessAxis::Off => None,
-            SwitchlessAxis::On { workers } => Some(workers as usize),
+        let stressor_cfg = StressorConfig {
+            seed: c.seed,
+            switchless_workers: match c.switchless {
+                SwitchlessAxis::Off => None,
+                SwitchlessAxis::On { workers } => Some(workers as usize),
+            },
+            attempt,
         };
         match self.workloads[c.workload] {
-            Workload::Stress(s) => stressors::trace(
-                s,
-                c.profile,
-                plan.as_ref(),
-                &StressorConfig {
-                    seed: c.seed,
-                    switchless_workers: workers,
-                    attempt,
-                },
-            ),
-            Workload::Fixture(f) => stressors::fixture_trace(
-                f,
-                c.profile,
-                plan.as_ref(),
-                &StressorConfig {
-                    seed: c.seed,
-                    switchless_workers: workers,
-                    attempt,
-                },
-            ),
+            Workload::Stress(s) => stressors::trace(s, c.profile, plan.as_ref(), &stressor_cfg),
+            Workload::Fixture(f) => {
+                stressors::fixture_trace(f, c.profile, plan.as_ref(), &stressor_cfg)
+            }
             Workload::Antipatterns => chaos::antipatterns_trace(c.profile, plan.as_ref()),
             Workload::Switchless => chaos::switchless_trace(c.profile, plan.as_ref()),
             Workload::Supervisor => {
@@ -497,7 +485,7 @@ impl MatrixRun {
                  \"plan\": \"{}\", \"switchless\": \"{}\", \"seed\": {}, \
                  \"baseline_index\": {}, \"file\": \"{}\", \"bytes\": {}, \
                  \"fault_rows\": {}, \"verdict\": \"{}\", \"speedup\": {:.3}, \
-                 \"outcome\": \"{}\", \"detail\": \"{}\", \"attempts\": {}, \
+                 \"outcome\": \"{}\", \"detail\": {}, \"attempts\": {}, \
                  \"flaky\": {}}}{}\n",
                 c.coord.index,
                 spec.workloads[c.coord.workload],
@@ -512,7 +500,7 @@ impl MatrixRun {
                 c.verdict.label(),
                 c.speedup,
                 c.outcome.label(),
-                json_escape(c.outcome.detail()),
+                json::string(c.outcome.detail()),
                 c.attempts,
                 c.flaky,
                 comma,
@@ -535,23 +523,6 @@ fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x100_0000_01b3);
     }
     h
-}
-
-/// Minimal JSON string escaping (panic messages can carry anything).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Extracts and unescapes the string value of `"key": "..."` from one
@@ -625,12 +596,12 @@ fn render_manifest(spec_checksum: u64, entries: &[ManifestEntry]) -> String {
         let comma = if i + 1 == entries.len() { "" } else { "," };
         out.push_str(&format!(
             "    {{\"index\": {}, \"file\": \"{}\", \"outcome\": \"{}\", \
-             \"detail\": \"{}\", \"attempts\": {}, \"flaky\": {}, \
+             \"detail\": {}, \"attempts\": {}, \"flaky\": {}, \
              \"bytes\": {}, \"checksum\": \"{:016x}\"}}{}\n",
             e.index,
             e.file,
             e.outcome.label(),
-            json_escape(e.outcome.detail()),
+            json::string(e.outcome.detail()),
             e.attempts,
             e.flaky,
             e.bytes,
@@ -978,38 +949,27 @@ pub fn run(
         .iter()
         .map(|coord| {
             let r = &results[coord.index];
-            let (verdict, speedup, bytes, fault_rows) = match &r.trace {
-                None => (CellVerdict::Failed, 0.0, 0, 0),
-                Some(bytes) if coord.baseline == coord.index => (
-                    CellVerdict::Baseline,
-                    1.0,
-                    bytes.len(),
-                    chaos::fault_rows(bytes),
-                ),
-                Some(bytes) => match results[coord.baseline].trace.as_deref() {
+            let (bytes, fault_rows) = r
+                .trace
+                .as_deref()
+                .map_or((0, 0), |t| (t.len(), chaos::fault_rows(t)));
+            let (verdict, speedup) = match &r.trace {
+                None => (CellVerdict::Failed, 0.0),
+                Some(_) if coord.baseline == coord.index => (CellVerdict::Baseline, 1.0),
+                Some(trace) => match results[coord.baseline].trace.as_deref() {
                     // A healthy cell with a broken baseline cannot be
                     // verdicted — skipped, not failed.
-                    None => (
-                        CellVerdict::Skipped,
-                        0.0,
-                        bytes.len(),
-                        chaos::fault_rows(bytes),
-                    ),
+                    None => (CellVerdict::Skipped, 0.0),
                     Some(base) => {
                         let a = TraceDb::from_bytes(base).expect("baseline trace");
-                        let b = TraceDb::from_bytes(bytes).expect("cell trace");
+                        let b = TraceDb::from_bytes(trace).expect("cell trace");
                         let diff = TraceDiff::compute(&a, &b, diff_config);
                         let verdict = match diff.verdict {
                             Verdict::Improvement => CellVerdict::Improved,
                             Verdict::Neutral => CellVerdict::Neutral,
                             Verdict::Regression => CellVerdict::Regressed,
                         };
-                        (
-                            verdict,
-                            diff.speedup(),
-                            bytes.len(),
-                            chaos::fault_rows(bytes),
-                        )
+                        (verdict, diff.speedup())
                     }
                 },
             };

@@ -1,43 +1,29 @@
-//! Parallel campaign runner: a (workload × profile × seed) matrix of
-//! independent simulation runs fanned out across real cores.
+//! Campaign workloads: the registry of workloads a campaign spec may name,
+//! and the [`matrix`] runner that executes a spec over them.
 //!
-//! Every run in this repo is deterministic — the whole simulation lives on
-//! one virtual clock and (since the coroutine engine) one OS thread — so a
-//! campaign is embarrassingly parallel: each cell is a pure function of
-//! its coordinates, its output path is a pure function of the same
-//! coordinates, and the merged summary is ordered by cell index, making
-//! the campaign's *entire* output byte-stable no matter how many workers
-//! ran it or how they interleaved.
+//! A [`sim_core::CampaignSpec`] names its workloads by label.
+//! [`matrix::MatrixPlan::from_spec`] resolves each label through
+//! [`Workload::parse`], and [`matrix::MatrixPlan::run_cell`] is the one
+//! place a workload becomes trace bytes. A cell's fault plan is never
+//! derived from its seed: it is the plan the spec names under `[faults]`,
+//! with the cell seed folded into the plan's jitter seed.
 //!
-//! Seeds double as fault-plan selectors: seed 0 is the fault-free
-//! baseline, any other seed derives a workload-appropriate deterministic
-//! fault plan (see [`Cell::plan_label`]). With [`CampaignConfig::verify`]
-//! set, every cell is executed a second time on the legacy engine and the
-//! two traces are asserted byte-identical — the differential oracle at
-//! campaign scale.
+//! Every cell is a pure function of its coordinates, so an archive is
+//! byte-stable across runs, worker counts and engines. The cross-engine
+//! check is two runs of the same spec, `--engine fast` and
+//! `--engine legacy`, compared with `diff -rq`.
 
 pub mod matrix;
 
-use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use crate::stressors::{self, Stressor};
 
-use sgx_perf::{Logger, LoggerConfig};
-use sim_core::HwProfile;
-use sim_threads::{with_engine, Engine};
-
-use crate::harness::Harness;
-use crate::stressors::{Stressor, StressorConfig};
-use crate::{chaos, fleet, racy_fixture, stressors, supervisor_loop};
-
-/// A campaign-runnable workload. Each produces serialised trace bytes
-/// from (profile, seed) alone.
+/// A campaign-runnable workload, executed by
+/// [`matrix::MatrixPlan::run_cell`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Workload {
-    /// Classic-path fixture (SISC, SNC, paging) via [`chaos`].
+    /// Classic-path fixture (SISC, SNC, paging) via [`crate::chaos`].
     Antipatterns,
-    /// Switchless request server via [`chaos`].
+    /// Switchless request server via [`crate::chaos`].
     Switchless,
     /// Supervised server with mid-run enclave loss.
     Supervisor,
@@ -91,357 +77,14 @@ impl Workload {
     }
 }
 
-/// Filename-safe hardware profile label (the display labels carry `+`).
-pub fn profile_file_label(profile: HwProfile) -> &'static str {
-    match profile {
-        HwProfile::Unpatched => "unpatched",
-        HwProfile::Spectre => "spectre",
-        HwProfile::Foreshadow => "l1tf",
-    }
-}
-
-/// One point of the campaign matrix.
-#[derive(Debug, Clone, Copy)]
-pub struct Cell {
-    pub workload: Workload,
-    pub profile: HwProfile,
-    /// 0 = fault-free baseline; anything else seeds a deterministic
-    /// workload-appropriate fault plan.
-    pub seed: u64,
-}
-
-impl Cell {
-    /// The deterministic output filename for this cell.
-    pub fn file_name(&self) -> String {
-        format!(
-            "{}-{}-s{}.evdb",
-            self.workload.label(),
-            profile_file_label(self.profile),
-            self.seed
-        )
-    }
-
-    /// Human-readable description of the fault plan this cell's seed
-    /// selects.
-    pub fn plan_label(&self) -> &'static str {
-        if self.seed == 0 {
-            return "none";
-        }
-        match self.workload {
-            Workload::Antipatterns | Workload::Switchless | Workload::Stress(_) => {
-                "random_plan(seed)"
-            }
-            Workload::Supervisor => "loss_plan(seed)",
-            Workload::Racy => "none (seed varies rounds)",
-            Workload::Fleet => "chaos_plan(seed)",
-            Workload::Fixture(_) => "none",
-        }
-    }
-
-    /// Executes this cell on the calling thread's current engine and
-    /// returns the serialised trace.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the underlying workload fails — campaign cells are all
-    /// recoverable configurations, so a failure is a bug.
-    pub fn run(&self) -> Vec<u8> {
-        match self.workload {
-            Workload::Antipatterns => {
-                let plan = (self.seed != 0).then(|| chaos::random_plan(self.seed));
-                chaos::antipatterns_trace(self.profile, plan.as_ref())
-            }
-            Workload::Switchless => {
-                let plan = (self.seed != 0).then(|| chaos::random_plan(self.seed));
-                chaos::switchless_trace(self.profile, plan.as_ref())
-            }
-            Workload::Supervisor => {
-                // Entry counting starts at arming: keep the loss inside
-                // the 24-request run, never on the session-init entry.
-                let plan = (self.seed != 0).then(|| supervisor_loop::loss_plan(2 + self.seed % 16));
-                let harness = Harness::new(self.profile);
-                let logger = Logger::attach(harness.runtime(), LoggerConfig::default());
-                supervisor_loop::run(&harness, 24, plan.as_ref(), None)
-                    .expect("supervisor campaign cell");
-                logger.finish().to_bytes()
-            }
-            Workload::Racy => {
-                let harness = Harness::new(self.profile);
-                let logger = Logger::attach(harness.runtime(), LoggerConfig::with_syncev());
-                let config = racy_fixture::RacyFixtureConfig {
-                    rounds: 4 + self.seed % 4,
-                };
-                racy_fixture::run(&harness, &config).expect("racy campaign cell");
-                logger.finish().to_bytes()
-            }
-            Workload::Fleet => {
-                let cfg = fleet::FleetRunConfig {
-                    seed: 0xF1EE7 ^ self.seed,
-                    ..fleet::FleetRunConfig::tiny()
-                };
-                let plan = (self.seed != 0).then(|| fleet::chaos_plan(&cfg));
-                let run = fleet::run(self.profile, &cfg, plan.as_ref()).expect("fleet cell");
-                run.trace.to_bytes()
-            }
-            Workload::Stress(stressor) => {
-                let plan = (self.seed != 0).then(|| chaos::random_plan(self.seed));
-                stressors::trace(
-                    stressor,
-                    self.profile,
-                    plan.as_ref(),
-                    &StressorConfig {
-                        seed: self.seed,
-                        switchless_workers: None,
-                        attempt: 0,
-                    },
-                )
-            }
-            // Fixtures fail by design; in this unsupervised runner they
-            // simply panic (the matrix runner is the supervised path).
-            Workload::Fixture(fixture) => stressors::fixture_trace(
-                fixture,
-                self.profile,
-                None,
-                &StressorConfig {
-                    seed: self.seed,
-                    switchless_workers: None,
-                    attempt: 0,
-                },
-            ),
-        }
-    }
-}
-
-/// Campaign shape and execution policy.
-#[derive(Debug, Clone)]
-pub struct CampaignConfig {
-    pub workloads: Vec<Workload>,
-    pub profiles: Vec<HwProfile>,
-    pub seeds: Vec<u64>,
-    /// Worker OS threads; cells are independent simulations, one per
-    /// worker at a time.
-    pub jobs: usize,
-    /// Engine every cell runs on.
-    pub engine: Engine,
-    /// Re-run every cell on the legacy engine and assert byte-equality.
-    pub verify: bool,
-}
-
-impl Default for CampaignConfig {
-    fn default() -> Self {
-        CampaignConfig {
-            workloads: Workload::ALL.to_vec(),
-            profiles: HwProfile::ALL.to_vec(),
-            seeds: vec![0, 1],
-            jobs: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            engine: Engine::Fast,
-            verify: false,
-        }
-    }
-}
-
-impl CampaignConfig {
-    /// The full cell matrix, in deterministic (workload, profile, seed)
-    /// order. Cell index in this list is the cell's identity in the
-    /// summary.
-    pub fn cells(&self) -> Vec<Cell> {
-        let mut cells = Vec::new();
-        for &workload in &self.workloads {
-            for &profile in &self.profiles {
-                for &seed in &self.seeds {
-                    cells.push(Cell {
-                        workload,
-                        profile,
-                        seed,
-                    });
-                }
-            }
-        }
-        cells
-    }
-}
-
-/// One completed cell.
-#[derive(Debug, Clone)]
-pub struct CellOutcome {
-    pub index: usize,
-    pub cell: Cell,
-    pub file_name: String,
-    /// Serialised trace size.
-    pub bytes: usize,
-    /// Fault rows recorded in the trace (0 for seed-0 baselines of
-    /// workloads without implicit faults).
-    pub fault_rows: usize,
-    /// `Some(true)` when the legacy cross-check ran and matched.
-    pub verified: Option<bool>,
-    /// Wall-clock time of the (fast-engine) run.
-    pub wall: Duration,
-}
-
-/// A completed campaign.
-#[derive(Debug)]
-pub struct CampaignRun {
-    pub outcomes: Vec<CellOutcome>,
-    pub wall: Duration,
-    pub jobs: usize,
-    pub cores: usize,
-    pub engine: Engine,
-}
-
-impl CampaignRun {
-    /// The merged machine-readable summary, ordered by cell index —
-    /// byte-stable regardless of worker count or interleaving.
-    pub fn summary_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"engine\": \"{}\",\n", self.engine.label()));
-        out.push_str(&format!("  \"jobs\": {},\n", self.jobs));
-        out.push_str(&format!("  \"cores\": {},\n", self.cores));
-        out.push_str(&format!("  \"cells\": {},\n", self.outcomes.len()));
-        out.push_str(&format!("  \"wall_ms\": {},\n", self.wall.as_millis()));
-        out.push_str("  \"results\": [\n");
-        for (i, o) in self.outcomes.iter().enumerate() {
-            let comma = if i + 1 == self.outcomes.len() {
-                ""
-            } else {
-                ","
-            };
-            let verified = match o.verified {
-                Some(v) => v.to_string(),
-                None => "null".to_string(),
-            };
-            out.push_str(&format!(
-                "    {{\"index\": {}, \"workload\": \"{}\", \"profile\": \"{}\", \
-                 \"seed\": {}, \"plan\": \"{}\", \"file\": \"{}\", \"bytes\": {}, \
-                 \"fault_rows\": {}, \"verified\": {}, \"wall_us\": {}}}{}\n",
-                o.index,
-                o.cell.workload.label(),
-                profile_file_label(o.cell.profile),
-                o.cell.seed,
-                o.cell.plan_label(),
-                o.file_name,
-                o.bytes,
-                o.fault_rows,
-                verified,
-                o.wall.as_micros(),
-                comma,
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-}
-
-/// Runs the campaign: claims cells off a shared counter from `jobs`
-/// worker threads, writes each trace to its deterministic path under
-/// `out_dir` (if given) plus a merged `campaign.json` summary.
-///
-/// # Panics
-///
-/// Panics if a cell fails, a verify cross-check diverges, or an output
-/// file cannot be written.
-pub fn run(cfg: &CampaignConfig, out_dir: Option<&Path>) -> CampaignRun {
-    if let Some(dir) = out_dir {
-        std::fs::create_dir_all(dir).expect("create campaign output dir");
-    }
-    let cells = cfg.cells();
-    let jobs = cfg.jobs.max(1);
-    let next = AtomicUsize::new(0);
-    let outcomes: Mutex<Vec<CellOutcome>> = Mutex::new(Vec::with_capacity(cells.len()));
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for _ in 0..jobs.min(cells.len()).max(1) {
-            scope.spawn(|| loop {
-                let index = next.fetch_add(1, Ordering::Relaxed);
-                let Some(cell) = cells.get(index).copied() else {
-                    break;
-                };
-                let cell_start = Instant::now();
-                let bytes = with_engine(cfg.engine, || cell.run());
-                let wall = cell_start.elapsed();
-                let verified = cfg.verify.then(|| {
-                    let oracle = with_engine(Engine::Legacy, || cell.run());
-                    assert_eq!(
-                        oracle,
-                        bytes,
-                        "cell {} diverges between engines",
-                        cell.file_name()
-                    );
-                    true
-                });
-                let file_name = cell.file_name();
-                if let Some(dir) = out_dir {
-                    std::fs::write(dir.join(&file_name), &bytes).expect("write cell trace");
-                }
-                outcomes.lock().unwrap().push(CellOutcome {
-                    index,
-                    cell,
-                    fault_rows: chaos::fault_rows(&bytes),
-                    bytes: bytes.len(),
-                    file_name,
-                    verified,
-                    wall,
-                });
-            });
-        }
-    });
-    let mut outcomes = outcomes.into_inner().unwrap();
-    outcomes.sort_by_key(|o| o.index);
-    let run = CampaignRun {
-        outcomes,
-        wall: start.elapsed(),
-        jobs,
-        cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        engine: cfg.engine,
-    };
-    if let Some(dir) = out_dir {
-        std::fs::write(dir.join("campaign.json"), run.summary_json()).expect("write summary");
-    }
-    run
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn tiny_cfg(jobs: usize, verify: bool) -> CampaignConfig {
-        CampaignConfig {
-            workloads: vec![Workload::Antipatterns, Workload::Switchless],
-            profiles: vec![HwProfile::Unpatched],
-            seeds: vec![0, 7],
-            jobs,
-            engine: Engine::Fast,
-            verify,
-        }
-    }
-
     #[test]
-    fn campaign_outputs_are_deterministic_across_worker_counts() {
-        let serial = run(&tiny_cfg(1, false), None);
-        let fanned = run(&tiny_cfg(4, false), None);
-        assert_eq!(serial.outcomes.len(), 4);
-        for (a, b) in serial.outcomes.iter().zip(&fanned.outcomes) {
-            assert_eq!(a.index, b.index);
-            assert_eq!(a.file_name, b.file_name);
-            assert_eq!(a.bytes, b.bytes);
-            assert_eq!(a.fault_rows, b.fault_rows);
+    fn every_workload_label_parses_back() {
+        for w in Workload::ALL {
+            assert_eq!(Workload::parse(w.label()), Some(w), "{}", w.label());
         }
-        // Chaos seeds must actually inject something.
-        assert!(serial.outcomes.iter().any(|o| o.fault_rows > 0));
-    }
-
-    #[test]
-    fn verify_mode_cross_checks_against_legacy() {
-        let run = run(&tiny_cfg(2, true), None);
-        assert!(run.outcomes.iter().all(|o| o.verified == Some(true)));
-    }
-
-    #[test]
-    fn summary_json_round_trips_cell_identity() {
-        let cfg = tiny_cfg(1, false);
-        let summary = run(&cfg, None).summary_json();
-        for cell in cfg.cells() {
-            assert!(summary.contains(&cell.file_name()), "{summary}");
-        }
-        assert!(summary.contains("\"engine\": \"fast\""));
     }
 }

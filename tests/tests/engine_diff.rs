@@ -9,43 +9,78 @@
 //! exactly, no trace byte can move. Any divergence — an event reordered,
 //! a virtual timestamp shifted, a fault landing on a different call —
 //! fails here with the first differing cell named.
+//!
+//! The matrix runs every cell through `MatrixPlan::run_cell`, the same
+//! code path `sgxperf campaign` archives, so it checks what users run.
 
+use sim_core::campaign::CampaignSpec;
 use sim_core::fault::{FaultKind, FaultPlan, FaultTrigger};
 use sim_core::{HwProfile, Nanos};
 use sim_threads::{with_engine, Engine};
-use workloads::campaign::{Cell, Workload};
-use workloads::chaos;
+use workloads::campaign::matrix::MatrixPlan;
+use workloads::campaign::Workload;
+use workloads::fleet::{self, FleetRunConfig};
+use workloads::{chaos, supervisor_loop};
 
-/// Runs one campaign cell on both engines and asserts byte-equality.
-fn assert_cell_identical(cell: Cell) {
-    let legacy = with_engine(Engine::Legacy, || cell.run());
-    let fast = with_engine(Engine::Fast, || cell.run());
-    assert_eq!(
-        legacy,
-        fast,
-        "engine divergence on {} ({} legacy byte(s) vs {} fast byte(s))",
-        cell.file_name(),
-        legacy.len(),
-        fast.len(),
+/// The seeded plan a workload runs under in the matrix's `chaos` column.
+/// The race fixture stays fault-free.
+fn chaos_plan(workload: Workload) -> Option<FaultPlan> {
+    match workload {
+        Workload::Racy => None,
+        Workload::Supervisor => Some(supervisor_loop::loss_plan(13)),
+        Workload::Fleet => Some(fleet::chaos_plan(&FleetRunConfig::tiny())),
+        _ => Some(chaos::random_plan(11)),
+    }
+}
+
+/// A one-workload spec over every hardware profile with the fault plans
+/// `none` and, where the workload takes one, `chaos`.
+fn spec(workload: Workload) -> MatrixPlan {
+    let profiles: Vec<String> = HwProfile::ALL
+        .iter()
+        .map(|p| format!("\"{}\"", p.file_label()))
+        .collect();
+    let chaos = chaos_plan(workload).map_or(String::new(), |p| format!("chaos = \"{p}\"\n"));
+    let src = format!(
+        "[campaign]\nname = \"engine-diff\"\n\
+         [matrix]\nworkloads = [\"{}\"]\nprofiles = [{}]\nseeds = [1]\n\
+         [faults]\nnone = \"\"\n{chaos}",
+        workload.label(),
+        profiles.join(", "),
     );
+    let spec = CampaignSpec::parse(&src).unwrap_or_else(|e| panic!("{e}\n{src}"));
+    MatrixPlan::from_spec(spec).unwrap_or_else(|e| panic!("{e}\n{src}"))
 }
 
 /// The full matrix: every campaign workload × every hardware profile ×
-/// {fault-free, seeded chaos}. Workload-appropriate plans are derived
-/// from the seed by [`Cell::run`].
+/// {fault-free, seeded chaos}, the race fixture fault-free only.
 #[test]
 fn every_workload_profile_and_plan_is_byte_identical_across_engines() {
+    let mut cells = 0;
     for workload in Workload::ALL {
-        for profile in HwProfile::ALL {
-            for seed in [0u64, 11] {
-                assert_cell_identical(Cell {
-                    workload,
-                    profile,
-                    seed,
-                });
+        let plan = spec(workload);
+        for coord in plan.cells() {
+            let file = plan.file_name(&coord);
+            let legacy = with_engine(Engine::Legacy, || plan.run_cell(&coord, 0));
+            let fast = with_engine(Engine::Fast, || plan.run_cell(&coord, 0));
+            assert_eq!(
+                legacy,
+                fast,
+                "engine divergence on {file} ({} legacy byte(s) vs {} fast byte(s))",
+                legacy.len(),
+                fast.len(),
+            );
+            let faults = chaos::fault_rows(&fast);
+            if plan.spec.plans[coord.plan].0 == "chaos" {
+                assert!(faults > 0, "{file}: chaos plan recorded no fault rows");
+            } else {
+                assert_eq!(faults, 0, "{file}: fault rows without a plan");
             }
+            cells += 1;
         }
     }
+    let profiles = HwProfile::ALL.len();
+    assert_eq!(cells, Workload::ALL.len() * profiles * 2 - profiles);
 }
 
 /// The worker-stall semantics are the sharpest edge the fast engine must
