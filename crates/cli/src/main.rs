@@ -135,15 +135,6 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-fn find_call(analyzer: &Analyzer<'_>, name: &str) -> Option<sgx_perf::CallRef> {
-    let report = analyzer.analyze();
-    report
-        .call_names
-        .iter()
-        .position(|n| n == name)
-        .map(|i| report.call_stats[i].0)
-}
-
 /// `sgxperf lint` — the EDL file replaces the trace as the primary input,
 /// so it is dispatched before the shared trace-loading path.
 ///
@@ -563,9 +554,10 @@ fn run() -> Result<ExitCode, String> {
         }
         "hist" => {
             let name = positional.first().ok_or("hist needs a call name")?;
-            let call =
-                find_call(&analyzer, name).ok_or_else(|| format!("no call named `{name}`"))?;
             let instances = analyzer.instances();
+            let call = instances
+                .call_named(name)
+                .ok_or_else(|| format!("no call named `{name}`"))?;
             let hist = Histogram::of_call(&instances, call, bins)
                 .ok_or_else(|| format!("`{name}` has no recorded executions"))?;
             if json {
@@ -581,9 +573,10 @@ fn run() -> Result<ExitCode, String> {
         }
         "scatter" => {
             let name = positional.first().ok_or("scatter needs a call name")?;
-            let call =
-                find_call(&analyzer, name).ok_or_else(|| format!("no call named `{name}`"))?;
             let instances = analyzer.instances();
+            let call = instances
+                .call_named(name)
+                .ok_or_else(|| format!("no call named `{name}`"))?;
             let points = scatter(&instances, call);
             if json {
                 print!("{}", scatter_json(&points));

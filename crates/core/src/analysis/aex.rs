@@ -9,8 +9,8 @@
 
 use crate::events::{CallKind, CallRef};
 
-use super::parents::Instances;
-use super::{symbol_name, Analyzer};
+use super::parents::{CallInstance, Instances};
+use super::Analyzer;
 
 /// Duration impact of AEXs on one ecall: compares instances that took
 /// AEXs against undisturbed ones.
@@ -60,43 +60,27 @@ pub struct AexBurst {
 /// Computes per-ecall AEX duration impact. Only calls observed both with
 /// and without AEXs are reported (otherwise there is nothing to compare),
 /// sorted by descending slowdown.
-pub fn aex_impact(analyzer: &Analyzer<'_>, instances: &Instances) -> Vec<AexImpact> {
-    use std::collections::BTreeMap;
-    #[derive(Default)]
-    struct Acc {
-        interrupted: Vec<u64>,
-        undisturbed: Vec<u64>,
-        aex_total: u64,
-    }
-    let mut groups: BTreeMap<CallRef, Acc> = BTreeMap::new();
-    for i in &instances.all {
-        if i.call.kind != CallKind::Ecall {
+pub fn aex_impact(instances: &Instances) -> Vec<AexImpact> {
+    let mean =
+        |v: &[&CallInstance]| v.iter().map(|i| i.duration_ns).sum::<u64>() as f64 / v.len() as f64;
+    let mut out = Vec::new();
+    for call in instances.calls().filter(|c| c.kind == CallKind::Ecall) {
+        let (interrupted, undisturbed): (Vec<_>, Vec<_>) =
+            instances.of_call(call).partition(|i| i.aex_count > 0);
+        if interrupted.is_empty() || undisturbed.is_empty() {
             continue;
         }
-        let acc = groups.entry(i.call).or_default();
-        if i.aex_count > 0 {
-            acc.interrupted.push(i.duration_ns);
-            acc.aex_total += i.aex_count;
-        } else {
-            acc.undisturbed.push(i.duration_ns);
-        }
+        let aex_total: u64 = interrupted.iter().map(|i| i.aex_count).sum();
+        out.push(AexImpact {
+            call,
+            name: instances.name(call).into_owned(),
+            interrupted: interrupted.len(),
+            undisturbed: undisturbed.len(),
+            mean_interrupted_ns: mean(&interrupted),
+            mean_undisturbed_ns: mean(&undisturbed),
+            mean_aex: aex_total as f64 / interrupted.len() as f64,
+        });
     }
-    let mut out: Vec<AexImpact> = groups
-        .into_iter()
-        .filter(|(_, acc)| !acc.interrupted.is_empty() && !acc.undisturbed.is_empty())
-        .map(|(call, acc)| {
-            let mean = |v: &[u64]| v.iter().sum::<u64>() as f64 / v.len() as f64;
-            AexImpact {
-                call,
-                name: symbol_name(analyzer.trace(), call),
-                interrupted: acc.interrupted.len(),
-                undisturbed: acc.undisturbed.len(),
-                mean_interrupted_ns: mean(&acc.interrupted),
-                mean_undisturbed_ns: mean(&acc.undisturbed),
-                mean_aex: acc.aex_total as f64 / acc.interrupted.len() as f64,
-            }
-        })
-        .collect();
     out.sort_by(|a, b| {
         b.slowdown()
             .partial_cmp(&a.slowdown())
@@ -168,7 +152,7 @@ mod tests {
             t += 50_000;
         }
         let analyzer = Analyzer::new(&trace, HwProfile::Unpatched.cost_model());
-        let impact = aex_impact(&analyzer, &analyzer.instances());
+        let impact = aex_impact(&analyzer.instances());
         assert_eq!(impact.len(), 1);
         let i = &impact[0];
         assert_eq!(i.interrupted, 5);
@@ -184,7 +168,7 @@ mod tests {
         trace.ecalls.insert(ecall(0, 10_000, 5_000, 0));
         trace.ecalls.insert(ecall(1, 20_000, 5_000, 3));
         let analyzer = Analyzer::new(&trace, HwProfile::Unpatched.cost_model());
-        assert!(aex_impact(&analyzer, &analyzer.instances()).is_empty());
+        assert!(aex_impact(&analyzer.instances()).is_empty());
     }
 
     #[test]

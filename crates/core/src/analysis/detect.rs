@@ -8,7 +8,7 @@ use crate::events::{CallKind, CallRef};
 
 use super::parents::Instances;
 use super::stats::CallStats;
-use super::{symbol_name, Analyzer};
+use super::Analyzer;
 
 /// The problem classes of Table 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -243,7 +243,7 @@ pub fn detect_all(
 ) -> Vec<Detection> {
     let mut out = Vec::new();
     out.extend(detect_move_duplicate(analyzer, call_stats, instances));
-    out.extend(detect_switchless(analyzer, call_stats));
+    out.extend(detect_switchless(analyzer, instances, call_stats));
     out.extend(detect_reorder(analyzer, instances));
     out.extend(detect_merge_batch(analyzer, instances));
     out.extend(detect_ssc(analyzer, instances));
@@ -281,7 +281,7 @@ fn detect_move_duplicate(
             stats.frac_under_5us * 100.0,
             stats.frac_under_10us * 100.0,
         );
-        let name = symbol_name(analyzer.trace(), *call);
+        let name = instances.name(*call).into_owned();
         // Identical-successor ratio decides SISC vs SDSC for ecalls.
         let self_parent = instances
             .of_call(*call)
@@ -340,6 +340,7 @@ fn detect_move_duplicate(
 /// no security evaluation — so it shares the batching priority tier.
 fn detect_switchless(
     analyzer: &Analyzer<'_>,
+    instances: &Instances,
     call_stats: &[(CallRef, CallStats)],
 ) -> Vec<Detection> {
     let w = analyzer.weights();
@@ -359,7 +360,7 @@ fn detect_switchless(
         let total = sim_core::Nanos::from_nanos(saving.as_nanos() * stats.count as u64);
         out.push(Detection {
             target: *call,
-            name: symbol_name(analyzer.trace(), *call),
+            name: instances.name(*call).into_owned(),
             problem: if call.kind == CallKind::Ecall {
                 Problem::Sdsc
             } else {
@@ -426,7 +427,7 @@ fn detect_reorder(analyzer: &Analyzer<'_>, instances: &Instances) -> Vec<Detecti
             + acc.start_20 as f64 / total * w.reorder_beta;
         let score_end = acc.end_10 as f64 / total * w.reorder_alpha
             + acc.end_20 as f64 / total * w.reorder_beta;
-        let name = symbol_name(analyzer.trace(), call);
+        let name = instances.name(call).into_owned();
         if score_start >= w.reorder_gamma {
             out.push(Detection {
                 target: call,
@@ -470,9 +471,7 @@ fn detect_merge_batch(analyzer: &Analyzer<'_>, instances: &Instances) -> Vec<Det
         gap_20: usize,
     }
     let mut pair_stats: BTreeMap<(CallRef, CallRef), Acc> = BTreeMap::new();
-    let mut call_counts: BTreeMap<CallRef, usize> = BTreeMap::new();
     for i in &instances.all {
-        *call_counts.entry(i.call).or_default() += 1;
         let Some(p) = i.indirect_parent else { continue };
         let parent = &instances.all[p];
         let acc = pair_stats.entry((i.call, parent.call)).or_default();
@@ -490,7 +489,7 @@ fn detect_merge_batch(analyzer: &Analyzer<'_>, instances: &Instances) -> Vec<Det
     }
     let mut out = Vec::new();
     for ((child, parent), acc) in pair_stats {
-        let child_total = call_counts[&child];
+        let child_total = instances.of_call(child).len();
         if child_total < w.min_calls {
             continue;
         }
@@ -506,8 +505,8 @@ fn detect_merge_batch(analyzer: &Analyzer<'_>, instances: &Instances) -> Vec<Det
         if score < w.merge_epsilon {
             continue;
         }
-        let child_name = symbol_name(analyzer.trace(), child);
-        let parent_name = symbol_name(analyzer.trace(), parent);
+        let child_name = instances.name(child).into_owned();
+        let parent_name = instances.name(parent).into_owned();
         let evidence = format!(
             "{} of {} executions follow `{}` closely (gap score {:.2})",
             acc.pairs, child_total, parent_name, score
@@ -548,11 +547,7 @@ fn detect_ssc(analyzer: &Analyzer<'_>, instances: &Instances) -> Vec<Detection> 
         let Some(row) = trace.ocalls.get(eventdb::RowId(s.ocall_row as usize)) else {
             continue;
         };
-        let call = CallRef {
-            enclave: row.enclave,
-            kind: CallKind::Ocall,
-            index: row.call_index,
-        };
+        let call = row.call_ref();
         let duration = instances
             .by_row(CallKind::Ocall, s.ocall_row)
             .map(|i| i.duration_ns)
@@ -573,7 +568,7 @@ fn detect_ssc(analyzer: &Analyzer<'_>, instances: &Instances) -> Vec<Detection> 
         }
         out.push(Detection {
             target: call,
-            name: symbol_name(trace, call),
+            name: instances.name(call).into_owned(),
             problem: Problem::Ssc,
             recommendation: Recommendation::HybridSynchronisation,
             evidence: format!(
@@ -897,8 +892,8 @@ mod tests {
             t += 5_200;
         }
         let a = analyzer(&trace);
-        let detections =
-            detect_switchless(&a, &super::super::stats::per_call_stats(&a.instances()));
+        let inst = a.instances();
+        let detections = detect_switchless(&a, &inst, &super::super::stats::per_call_stats(&inst));
         assert_eq!(detections.len(), 1, "{detections:?}");
         let d = &detections[0];
         assert_eq!(d.recommendation, Recommendation::UseSwitchless);
@@ -928,8 +923,8 @@ mod tests {
             t += 5_200;
         }
         let a = analyzer(&trace);
-        let detections =
-            detect_switchless(&a, &super::super::stats::per_call_stats(&a.instances()));
+        let inst = a.instances();
+        let detections = detect_switchless(&a, &inst, &super::super::stats::per_call_stats(&inst));
         assert!(detections.is_empty(), "{detections:?}");
     }
 

@@ -30,13 +30,17 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use sim_core::Nanos;
+use sgx_sdk::SwitchlessEventKind;
+use sim_core::fault::FaultAction;
+use sim_core::{LifecycleStage, Nanos};
 
-use crate::events::CallKind;
+use crate::events::{CallKind, CallRef};
 use crate::json;
 use crate::trace::TraceDb;
 
-use super::symbol_name;
+use super::parents::CallNames;
+use super::report::Totals;
+use super::stats::CallStats;
 
 /// Exit status a CI gate maps a regression verdict to (`sgxperf diff`).
 pub const REGRESSION_EXIT_CODE: u8 = 3;
@@ -245,44 +249,21 @@ struct SideStats {
     windows: Vec<(u64, u64)>,
 }
 
-impl SideStats {
-    fn count(&self) -> usize {
-        self.durations.len()
-    }
-
-    fn total(&self) -> u64 {
-        self.durations.iter().sum()
-    }
-
-    fn mean(&self) -> f64 {
-        if self.durations.is_empty() {
-            0.0
-        } else {
-            self.total() as f64 / self.count() as f64
-        }
-    }
-
-    /// Same nearest-rank definition as `CallStats`.
-    fn percentile(&self, p: f64) -> u64 {
-        let mut sorted = self.durations.clone();
-        sorted.sort_unstable();
-        if sorted.is_empty() {
-            return 0;
-        }
-        let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-        sorted[rank.clamp(1, sorted.len()) - 1]
-    }
-}
-
 /// Synchronous boundary round-trips in a trace: every recorded
 /// ecall/ocall row is one enter/exit pair, *minus* ocalls a switchless
-/// worker served (kind code 1). Worker-served ocalls still appear as
-/// ocall rows — the worker executes the logger's interposed table, so
-/// duration statistics survive — but the calling thread never left the
-/// enclave for them. Worker-served *ecalls* bypass `sgx_ecall` entirely
+/// worker served (`OcallDispatched` events). Worker-served ocalls still
+/// appear as ocall rows — the worker executes the logger's interposed
+/// table, so duration statistics survive — but the calling thread never
+/// left the enclave for them. Worker-served *ecalls* bypass `sgx_ecall` entirely
 /// and produce no row, so only ocall dispatches are subtracted.
 pub fn round_trips(trace: &TraceDb) -> usize {
-    let served_ocalls = trace.switchless.iter().filter(|s| s.kind == 1).count();
+    let served_ocalls = trace
+        .switchless
+        .iter()
+        .filter(|s| {
+            SwitchlessEventKind::from_code(s.kind) == Some(SwitchlessEventKind::OcallDispatched)
+        })
+        .count();
     (trace.ecalls.len() + trace.ocalls.len()).saturating_sub(served_ocalls)
 }
 
@@ -324,11 +305,9 @@ fn recovery_windows(trace: &TraceDb) -> Vec<(u64, u64)> {
     let mut windows = Vec::new();
     let mut open: Option<u64> = None;
     for l in trace.lifecycle.iter() {
-        match l.stage {
-            // 0 = lost.
-            0 => open = open.or(Some(l.time_ns)),
-            // 4 = recovered, 5 = gave up.
-            4 | 5 => {
+        match LifecycleStage::from_code(l.stage) {
+            Some(LifecycleStage::Lost) => open = open.or(Some(l.time_ns)),
+            Some(LifecycleStage::Recovered | LifecycleStage::GaveUp) => {
                 if let Some(start) = open.take() {
                     windows.push((start, l.time_ns));
                 }
@@ -347,33 +326,31 @@ fn recovery_windows(trace: &TraceDb) -> Vec<(u64, u64)> {
 /// call *site* as a developer names it, which is what survives across
 /// two separate runs (enclave ids need not).
 fn per_name(trace: &TraceDb) -> BTreeMap<(CallKind, String), SideStats> {
-    let mut grouped: BTreeMap<(CallKind, String), SideStats> = BTreeMap::new();
-    for e in trace.ecalls.iter() {
-        let name = symbol_name(
-            trace,
-            crate::events::CallRef {
-                enclave: e.enclave,
-                kind: CallKind::Ecall,
-                index: e.call_index,
-            },
-        );
-        let entry = grouped.entry((CallKind::Ecall, name)).or_default();
-        entry.durations.push(e.end_ns.saturating_sub(e.start_ns));
-        entry.aex_total += e.aex_count;
-        entry.windows.push((e.start_ns, e.end_ns));
+    let ecalls = trace
+        .ecalls
+        .iter()
+        .map(|e| (e.call_ref(), e.start_ns, e.end_ns, e.aex_count));
+    let ocalls = trace
+        .ocalls
+        .iter()
+        .map(|o| (o.call_ref(), o.start_ns, o.end_ns, 0));
+    let mut per_call: BTreeMap<CallRef, SideStats> = BTreeMap::new();
+    for (call, start_ns, end_ns, aex_count) in ecalls.chain(ocalls) {
+        let side = per_call.entry(call).or_default();
+        side.durations.push(end_ns.saturating_sub(start_ns));
+        side.aex_total += aex_count;
+        side.windows.push((start_ns, end_ns));
     }
-    for o in trace.ocalls.iter() {
-        let name = symbol_name(
-            trace,
-            crate::events::CallRef {
-                enclave: o.enclave,
-                kind: CallKind::Ocall,
-                index: o.call_index,
-            },
-        );
-        let entry = grouped.entry((CallKind::Ocall, name)).or_default();
-        entry.durations.push(o.end_ns.saturating_sub(o.start_ns));
-        entry.windows.push((o.start_ns, o.end_ns));
+    // Name each call once, then merge the calls that share a name.
+    let names = CallNames::of(trace);
+    let mut grouped: BTreeMap<(CallKind, String), SideStats> = BTreeMap::new();
+    for (call, side) in per_call {
+        let entry = grouped
+            .entry((call.kind, names.get(call).into_owned()))
+            .or_default();
+        entry.durations.extend(side.durations);
+        entry.aex_total += side.aex_total;
+        entry.windows.extend(side.windows);
     }
     grouped
 }
@@ -383,11 +360,11 @@ impl TraceDiff {
     pub fn compute(a: &TraceDb, b: &TraceDb, config: DiffConfig) -> TraceDiff {
         let mut side_a = per_name(a);
         let mut side_b = per_name(b);
-        let injected: Vec<(Option<u32>, u64)> = b
+        let injected: Vec<u64> = b
             .faults
             .iter()
-            .filter(|f| f.action == 0)
-            .map(|f| (f.call_index, f.time_ns))
+            .filter(|f| FaultAction::from_code(f.action) == Some(FaultAction::Injected))
+            .map(|f| f.time_ns)
             .collect();
         let recoveries = recovery_windows(b);
 
@@ -413,12 +390,15 @@ impl TraceDiff {
                 (Some(_), None) => only_in_a.push(format!("{name} ({kind})")),
                 (None, Some(_)) => only_in_b.push(format!("{name} ({kind})")),
                 (Some(sa), Some(sb)) => {
-                    let mean = MetricDelta::new(sa.mean(), sb.mean());
-                    let p50 =
-                        MetricDelta::new(sa.percentile(50.0) as f64, sb.percentile(50.0) as f64);
-                    let p99 =
-                        MetricDelta::new(sa.percentile(99.0) as f64, sb.percentile(99.0) as f64);
-                    let gated = sa.count() >= config.min_count && sb.count() >= config.min_count;
+                    // Only raw durations: the short-call fractions and the
+                    // mean AEX of these stats stay unused.
+                    let ca = CallStats::from_durations(&sa.durations, &[], &[]);
+                    let cb = CallStats::from_durations(&sb.durations, &[], &[]);
+                    let delta = |f: fn(&CallStats) -> f64| MetricDelta::new(f(&ca), f(&cb));
+                    let mean = delta(|c| c.mean_ns);
+                    let p50 = delta(|c| c.median_ns as f64);
+                    let p99 = delta(|c| c.p99_ns as f64);
+                    let gated = ca.count >= config.min_count && cb.count >= config.min_count;
                     let mut flagged = Vec::new();
                     let mut verdict = Verdict::Neutral;
                     if gated {
@@ -442,7 +422,7 @@ impl TraceDiff {
                     }
                     let attributed = injected
                         .iter()
-                        .filter(|(_, t)| sb.windows.iter().any(|(s, e)| t >= s && t <= e))
+                        .filter(|&&t| sb.windows.iter().any(|&(s, e)| t >= s && t <= e))
                         .count();
                     let overlapping = sb
                         .windows
@@ -478,8 +458,8 @@ impl TraceDiff {
                     calls.push(CallDelta {
                         kind,
                         name,
-                        count: MetricDelta::new(sa.count() as f64, sb.count() as f64),
-                        total_ns: MetricDelta::new(sa.total() as f64, sb.total() as f64),
+                        count: delta(|c| c.count as f64),
+                        total_ns: delta(|c| c.total_ns as f64),
                         mean_ns: mean,
                         p50_ns: p50,
                         p99_ns: p99,
@@ -494,68 +474,21 @@ impl TraceDiff {
             }
         }
 
-        let count = |n: usize| n as f64;
+        let (ta, tb) = (Totals::of(a), Totals::of(b));
+        let delta = |f: fn(&Totals) -> usize| MetricDelta::new(f(&ta) as f64, f(&tb) as f64);
         let totals = TotalsDelta {
-            transitions: MetricDelta::new(count(round_trips(a)), count(round_trips(b))),
-            page_outs: MetricDelta::new(
-                count(a.paging.iter().filter(|p| p.out).count()),
-                count(b.paging.iter().filter(|p| p.out).count()),
-            ),
-            page_ins: MetricDelta::new(
-                count(a.paging.iter().filter(|p| !p.out).count()),
-                count(b.paging.iter().filter(|p| !p.out).count()),
-            ),
-            aex_events: MetricDelta::new(count(a.aex.len()), count(b.aex.len())),
-            switchless_dispatched: MetricDelta::new(
-                count(a.switchless.iter().filter(|s| s.kind <= 1).count()),
-                count(b.switchless.iter().filter(|s| s.kind <= 1).count()),
-            ),
-            switchless_fallbacks: MetricDelta::new(
-                count(
-                    a.switchless
-                        .iter()
-                        .filter(|s| s.kind == 2 || s.kind == 3)
-                        .count(),
-                ),
-                count(
-                    b.switchless
-                        .iter()
-                        .filter(|s| s.kind == 2 || s.kind == 3)
-                        .count(),
-                ),
-            ),
-            faults_injected: MetricDelta::new(
-                count(a.faults.iter().filter(|f| f.action == 0).count()),
-                count(b.faults.iter().filter(|f| f.action == 0).count()),
-            ),
-            faults_recovered: MetricDelta::new(
-                count(a.faults.iter().filter(|f| f.action == 2).count()),
-                count(b.faults.iter().filter(|f| f.action == 2).count()),
-            ),
-            faults_gave_up: MetricDelta::new(
-                count(a.faults.iter().filter(|f| f.action == 3).count()),
-                count(b.faults.iter().filter(|f| f.action == 3).count()),
-            ),
-            enclaves_lost: MetricDelta::new(
-                count(a.lifecycle.iter().filter(|l| l.stage == 0).count()),
-                count(b.lifecycle.iter().filter(|l| l.stage == 0).count()),
-            ),
-            restarts: MetricDelta::new(
-                count(a.lifecycle.iter().filter(|l| l.stage == 1).count()),
-                count(b.lifecycle.iter().filter(|l| l.stage == 1).count()),
-            ),
-            recovery_ns: MetricDelta::new(
-                a.lifecycle
-                    .iter()
-                    .filter(|l| l.stage == 4)
-                    .map(|l| l.magnitude)
-                    .sum::<u64>() as f64,
-                b.lifecycle
-                    .iter()
-                    .filter(|l| l.stage == 4)
-                    .map(|l| l.magnitude)
-                    .sum::<u64>() as f64,
-            ),
+            transitions: MetricDelta::new(round_trips(a) as f64, round_trips(b) as f64),
+            page_outs: delta(|t| t.page_outs),
+            page_ins: delta(|t| t.page_ins),
+            aex_events: delta(|t| t.aex_events),
+            switchless_dispatched: delta(|t| t.switchless_dispatched),
+            switchless_fallbacks: delta(|t| t.switchless_fallbacks),
+            faults_injected: delta(|t| t.faults_injected),
+            faults_recovered: delta(|t| t.faults_recovered),
+            faults_gave_up: delta(|t| t.faults_gave_up),
+            enclaves_lost: delta(|t| t.enclaves_lost),
+            restarts: delta(|t| t.restarts),
+            recovery_ns: MetricDelta::new(ta.recovery_ns as f64, tb.recovery_ns as f64),
             wall_ns: MetricDelta::new(wall_ns(a) as f64, wall_ns(b) as f64),
         };
 

@@ -5,10 +5,8 @@
 use std::collections::BTreeMap;
 
 use crate::events::{CallKind, CallRef};
-use crate::trace::TraceDb;
 
 use super::parents::Instances;
-use super::symbol_name;
 
 /// One node of the call graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,12 +44,10 @@ pub struct CallGraph {
 
 impl CallGraph {
     /// Builds the graph from the instance view.
-    pub fn build(trace: &TraceDb, instances: &Instances) -> CallGraph {
-        let mut counts: BTreeMap<CallRef, usize> = BTreeMap::new();
+    pub fn build(instances: &Instances) -> CallGraph {
         let mut direct: BTreeMap<(CallRef, CallRef), usize> = BTreeMap::new();
         let mut indirect: BTreeMap<(CallRef, CallRef), usize> = BTreeMap::new();
         for i in &instances.all {
-            *counts.entry(i.call).or_default() += 1;
             if let Some((kind, row)) = i.direct_parent {
                 if let Some(parent) = instances.by_row(kind, row) {
                     *direct.entry((parent.call, i.call)).or_default() += 1;
@@ -62,12 +58,12 @@ impl CallGraph {
                 *indirect.entry((parent.call, i.call)).or_default() += 1;
             }
         }
-        let nodes = counts
-            .into_iter()
-            .map(|(call, count)| GraphNode {
+        let nodes = instances
+            .calls()
+            .map(|call| GraphNode {
                 call,
-                name: symbol_name(trace, call),
-                count,
+                name: instances.name(call).into_owned(),
+                count: instances.of_call(call).len(),
             })
             .collect();
         let mut edges: Vec<GraphEdge> = direct
@@ -142,6 +138,7 @@ fn node_id(call: CallRef) -> String {
 mod tests {
     use super::*;
     use crate::events::{EcallRow, OcallRow, SymbolRow};
+    use crate::trace::TraceDb;
     use sim_core::HwProfile;
 
     fn sample_trace() -> TraceDb {
@@ -192,7 +189,7 @@ mod tests {
     fn graph_counts_nodes_and_edges() {
         let trace = sample_trace();
         let inst = Instances::build(&trace, &HwProfile::Unpatched.cost_model());
-        let graph = CallGraph::build(&trace, &inst);
+        let graph = CallGraph::build(&inst);
         assert_eq!(graph.nodes.len(), 2);
         let ecall_node = graph
             .nodes
@@ -215,7 +212,7 @@ mod tests {
     fn dot_uses_figure5_conventions() {
         let trace = sample_trace();
         let inst = Instances::build(&trace, &HwProfile::Unpatched.cost_model());
-        let dot = CallGraph::build(&trace, &inst).to_dot();
+        let dot = CallGraph::build(&inst).to_dot();
         assert!(dot.contains("shape=box"), "{dot}");
         assert!(dot.contains("shape=ellipse"), "{dot}");
         assert!(dot.contains("style=dashed"), "{dot}");

@@ -21,7 +21,6 @@ pub mod stats;
 
 use sim_core::CostModel;
 
-use crate::events::CallRef;
 use crate::trace::TraceDb;
 
 pub use detect::{Detection, Priority, Problem, Recommendation};
@@ -179,21 +178,20 @@ impl<'t> Analyzer<'t> {
         let mut detections = detect::detect_all(self, &instances, &call_stats);
         detections.extend(security::analyze(self, &instances));
         detections.sort_by_key(|d| (d.priority, d.target));
-        let mut report = Report::assemble(self.trace, call_stats, detections);
+        let mut report = Report::assemble(self.trace, &instances, call_stats, detections);
         report.lint = self.lint.clone();
         report
     }
 
     /// Builds the call graph (Figure 5).
     pub fn call_graph(&self) -> CallGraph {
-        let instances = self.instances();
-        graph::CallGraph::build(self.trace, &instances)
+        CallGraph::build(&self.instances())
     }
 
     /// Per-ecall AEX duration impact (§4.1.4) — requires AEX counting or
     /// tracing to have been enabled during recording.
     pub fn aex_impact(&self) -> Vec<aex::AexImpact> {
-        aex::aex_impact(self, &self.instances())
+        aex::aex_impact(&self.instances())
     }
 
     /// Per-thread AEX bursts (§4.1.4's "bursts of interruption") —
@@ -206,15 +204,4 @@ impl<'t> Analyzer<'t> {
     pub(crate) fn edl(&self) -> Option<&sgx_edl::InterfaceSpec> {
         self.edl.as_ref()
     }
-}
-
-/// Looks up the recorded symbol name for a call, falling back to a
-/// positional name.
-pub(crate) fn symbol_name(trace: &TraceDb, call: CallRef) -> String {
-    trace
-        .symbols
-        .iter()
-        .find(|s| s.call_ref() == call)
-        .map(|s| s.name.clone())
-        .unwrap_or_else(|| call.to_string())
 }

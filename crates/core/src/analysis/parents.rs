@@ -1,5 +1,5 @@
 //! The flattened call-instance view with direct and indirect parents
-//! (Figure 4).
+//! (Figure 4), grouped per call and named once per trace.
 //!
 //! *Direct* parents are logged by the event logger: an ecall E is the
 //! direct parent of an ocall O iff O was called during E's execution (and
@@ -8,7 +8,9 @@
 //! direct parent** (or, for top-level calls, the previous top-level call of
 //! the same kind on the same thread).
 
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
 
 use sim_core::CostModel;
 
@@ -41,6 +43,43 @@ pub struct CallInstance {
     pub aex_count: u64,
 }
 
+/// The call names of one trace: the first symbol row recorded for a call
+/// names it; a call without one gets its positional name
+/// (`enclave1/ecall#3`). The names are copied once, back to back, into
+/// one buffer, so building the table allocates nothing per symbol.
+#[derive(Debug, Default)]
+pub(crate) struct CallNames {
+    text: String,
+    spans: HashMap<CallRef, Range<usize>>,
+}
+
+impl CallNames {
+    /// Indexes the trace's symbol table.
+    pub(crate) fn of(trace: &TraceDb) -> CallNames {
+        let mut text = String::new();
+        let mut spans = HashMap::with_capacity(trace.symbols.len());
+        for s in trace.symbols.iter() {
+            spans.entry(s.call_ref()).or_insert_with(|| {
+                let start = text.len();
+                text.push_str(&s.name);
+                start..text.len()
+            });
+        }
+        CallNames { text, spans }
+    }
+
+    /// The recorded name, if the trace has a symbol row for the call.
+    pub(crate) fn recorded(&self, call: CallRef) -> Option<&str> {
+        self.spans.get(&call).map(|span| &self.text[span.clone()])
+    }
+
+    /// The recorded name, falling back to the positional one.
+    pub(crate) fn get(&self, call: CallRef) -> Cow<'_, str> {
+        self.recorded(call)
+            .map_or_else(|| Cow::Owned(call.to_string()), Cow::Borrowed)
+    }
+}
+
 /// The instance view over a whole trace.
 #[derive(Debug, Default)]
 pub struct Instances {
@@ -48,22 +87,22 @@ pub struct Instances {
     pub all: Vec<CallInstance>,
     /// Maps (kind, row) to the index in [`Instances::all`].
     index: HashMap<(CallKind, u64), usize>,
+    /// Each call's indexes into [`Instances::all`], in start order.
+    by_call: BTreeMap<CallRef, Vec<usize>>,
+    names: CallNames,
 }
 
 impl Instances {
     /// Builds the view: merges the ecall and ocall tables, sorts by start
-    /// time and resolves indirect parents.
+    /// time, resolves indirect parents, groups the instances per call and
+    /// names the calls.
     pub fn build(trace: &TraceDb, cost: &CostModel) -> Instances {
         let transition = cost.sdk_ecall_overhead().as_nanos();
         let mut all: Vec<CallInstance> = Vec::with_capacity(trace.event_count());
         for (row, e) in trace.ecalls.iter_with_ids() {
             let duration = e.end_ns.saturating_sub(e.start_ns);
             all.push(CallInstance {
-                call: CallRef {
-                    enclave: e.enclave,
-                    kind: CallKind::Ecall,
-                    index: e.call_index,
-                },
+                call: e.call_ref(),
                 row: row.0 as u64,
                 thread: e.thread,
                 start_ns: e.start_ns,
@@ -78,11 +117,7 @@ impl Instances {
         for (row, o) in trace.ocalls.iter_with_ids() {
             let duration = o.end_ns.saturating_sub(o.start_ns);
             all.push(CallInstance {
-                call: CallRef {
-                    enclave: o.enclave,
-                    kind: CallKind::Ocall,
-                    index: o.call_index,
-                },
+                call: o.call_ref(),
                 row: row.0 as u64,
                 thread: o.thread,
                 start_ns: o.start_ns,
@@ -106,15 +141,22 @@ impl Instances {
         // group, link each call to the previous one (Figure 4).
         type GroupKey = (u64, Option<(CallKind, u64)>, CallKind);
         let mut last_in_group: HashMap<GroupKey, usize> = HashMap::new();
+        let mut by_call: BTreeMap<CallRef, Vec<usize>> = BTreeMap::new();
         for (idx, inst) in all.iter_mut().enumerate() {
             let key = (inst.thread, inst.direct_parent, inst.call.kind);
             if let Some(&prev) = last_in_group.get(&key) {
                 inst.indirect_parent = Some(prev);
             }
             last_in_group.insert(key, idx);
+            by_call.entry(inst.call).or_default().push(idx);
         }
 
-        Instances { all, index }
+        Instances {
+            all,
+            index,
+            by_call,
+            names: CallNames::of(trace),
+        }
     }
 
     /// Looks up an instance by its source (kind, row id).
@@ -122,17 +164,26 @@ impl Instances {
         self.index.get(&(kind, row)).map(|&i| &self.all[i])
     }
 
-    /// All instances of one call, in start order.
-    pub fn of_call(&self, call: CallRef) -> impl Iterator<Item = &CallInstance> {
-        self.all.iter().filter(move |i| i.call == call)
+    /// The calls with at least one instance, sorted.
+    pub(crate) fn calls(&self) -> impl Iterator<Item = CallRef> + '_ {
+        self.by_call.keys().copied()
     }
 
-    /// Distinct calls present in the trace, sorted.
-    pub fn distinct_calls(&self) -> Vec<CallRef> {
-        let mut calls: Vec<CallRef> = self.all.iter().map(|i| i.call).collect();
-        calls.sort();
-        calls.dedup();
-        calls
+    /// All instances of one call, in start order.
+    pub fn of_call(&self, call: CallRef) -> impl ExactSizeIterator<Item = &CallInstance> {
+        let group = self.by_call.get(&call).map_or(&[][..], Vec::as_slice);
+        group.iter().map(|&i| &self.all[i])
+    }
+
+    /// The call's name: its first symbol row's, or the positional one.
+    pub(crate) fn name(&self, call: CallRef) -> Cow<'_, str> {
+        self.names.get(call)
+    }
+
+    /// The lowest call with instances that is named `name` — the call a
+    /// name selects when several enclaves share it.
+    pub fn call_named(&self, name: &str) -> Option<CallRef> {
+        self.calls().find(|&call| self.name(call) == name)
     }
 }
 
@@ -260,15 +311,58 @@ mod tests {
         assert_eq!(o.adjusted_ns, 10_000);
     }
 
+    fn symbol(trace: &mut TraceDb, enclave: u32, index: u32, name: &str) {
+        trace.symbols.insert(crate::events::SymbolRow {
+            enclave,
+            kind_is_ecall: true,
+            index,
+            name: name.to_string(),
+            public: true,
+            allowed_ecalls: vec![],
+            user_check_params: vec![],
+        });
+    }
+
+    /// The first symbol row of a call names it, a call without one gets
+    /// its positional name, and a name shared by two enclaves selects the
+    /// lower call.
     #[test]
-    fn distinct_calls_sorted_and_deduped() {
+    fn calls_are_named_once_per_trace() {
+        use crate::analysis::stats::{scatter, Histogram};
         let mut trace = TraceDb::default();
-        trace.ecalls.insert(ecall(0, 1, 0, 1, None));
-        trace.ecalls.insert(ecall(0, 0, 2, 3, None));
-        trace.ecalls.insert(ecall(0, 1, 4, 5, None));
+        symbol(&mut trace, 1, 0, "ecall_first");
+        symbol(&mut trace, 1, 0, "ecall_second");
+        symbol(&mut trace, 2, 0, "ecall_shared");
+        symbol(&mut trace, 1, 2, "ecall_shared");
+        trace.ecalls.insert(ecall(0, 0, 0, 10, None));
+        trace.ecalls.insert(ecall(0, 1, 20, 30, None));
+        for (start, index) in [(40, 2), (60, 2), (80, 2)] {
+            trace.ecalls.insert(ecall(0, index, start, start + 5, None));
+        }
+        let mut other = ecall(0, 0, 50, 57, None);
+        other.enclave = 2;
+        trace.ecalls.insert(other);
         let inst = build(&trace);
-        let calls = inst.distinct_calls();
-        assert_eq!(calls.len(), 2);
-        assert!(calls[0].index < calls[1].index);
+        let call = |enclave, index| CallRef {
+            enclave,
+            kind: CallKind::Ecall,
+            index,
+        };
+
+        assert_eq!(inst.name(call(1, 0)), "ecall_first");
+        assert_eq!(inst.name(call(1, 1)), "enclave1/ecall#1");
+        assert_eq!(CallNames::of(&trace).recorded(call(1, 1)), None);
+
+        // enclave1/ecall#2 sorts before enclave2/ecall#0.
+        let shared = inst.call_named("ecall_shared").unwrap();
+        assert_eq!(shared, call(1, 2));
+        assert_eq!(inst.call_named("ecall_second"), None);
+        let hist = Histogram::of_call(&inst, shared, 4).unwrap();
+        assert_eq!(hist.bins.iter().sum::<u64>(), 3);
+        assert_eq!(scatter(&inst, shared), [(40, 5), (60, 5), (80, 5)]);
+        let of_call: Vec<u64> = inst.of_call(call(2, 0)).map(|i| i.start_ns).collect();
+        assert_eq!(of_call, [50]);
+        let calls: Vec<CallRef> = inst.calls().collect();
+        assert_eq!(calls, [call(1, 0), call(1, 1), call(1, 2), call(2, 0)]);
     }
 }

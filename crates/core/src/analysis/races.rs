@@ -37,6 +37,8 @@ use sim_core::syncev::{SyncOp, EXTERNAL_THREAD};
 use crate::json;
 use crate::trace::TraceDb;
 
+use super::parents::CallNames;
+
 /// Stable finding codes, usable in deny lists and CI greps.
 pub mod codes {
     /// Happens-before data race on a shared cell.
@@ -581,12 +583,7 @@ pub fn analyze(trace: &TraceDb) -> RaceReport {
     }
 
     // Locks held across (non-sync) ocalls: the §3.4 re-entrancy hazard.
-    let sym_names: HashMap<(u32, u32), &str> = trace
-        .symbols
-        .iter()
-        .filter(|s| !s.kind_is_ecall)
-        .map(|s| ((s.enclave, s.index), s.name.as_str()))
-        .collect();
+    let call_names = CallNames::of(trace);
     let mut across: BTreeMap<(u64, String), usize> = BTreeMap::new();
     for (&lock, ivs) in &intervals {
         for &(thread, start, end) in ivs {
@@ -594,10 +591,7 @@ pub fn analyze(trace: &TraceDb) -> RaceReport {
                 if o.thread != thread || o.start_ns < start || o.start_ns >= end {
                     continue;
                 }
-                let name = sym_names
-                    .get(&(o.enclave, o.call_index))
-                    .copied()
-                    .unwrap_or("?");
+                let name = call_names.recorded(o.call_ref()).unwrap_or("?");
                 if sync_ocalls::is_sync_ocall(name) {
                     continue; // the lock's own sleep/wake traffic
                 }
@@ -964,5 +958,51 @@ mod tests {
         assert_eq!(decode_lock_path((3 << 8) | 1), Some(LockPath::Spun(3)));
         assert_eq!(decode_lock_path((2 << 8) | 2), Some(LockPath::Slept(2)));
         assert_eq!(decode_lock_path(7), None);
+    }
+
+    /// Ocalls under a lock are named by their first symbol row; one
+    /// without a row is reported as `?`.
+    #[test]
+    fn ocalls_across_a_lock_use_the_trace_names() {
+        use crate::events::{OcallRow, SymbolRow};
+        let mut trace = TraceDb::default();
+        for name in ["ocall_first", "ocall_second"] {
+            trace.symbols.insert(SymbolRow {
+                enclave: 1,
+                kind_is_ecall: false,
+                index: 1,
+                name: name.to_string(),
+                public: false,
+                allowed_ecalls: vec![],
+                user_check_params: vec![],
+            });
+        }
+        trace
+            .syncev
+            .insert(named(ev(0, SyncOp::LockAcquire, Some(3), None), "m", 100));
+        for (index, start_ns) in [(0u32, 150u64), (1, 160)] {
+            trace.ocalls.insert(OcallRow {
+                thread: 0,
+                enclave: 1,
+                call_index: index,
+                start_ns,
+                end_ns: start_ns + 5,
+                parent_ecall: None,
+                failed: false,
+            });
+        }
+        trace
+            .syncev
+            .insert(named(ev(0, SyncOp::LockRelease, Some(3), None), "m", 200));
+        let report = analyze(&trace);
+        let ocalls: Vec<&str> = report
+            .findings
+            .iter()
+            .filter_map(|f| match &f.kind {
+                RaceKind::LockAcrossOcall { ocall, .. } => Some(ocall.as_str()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(ocalls, ["?", "ocall_first"]);
     }
 }

@@ -2,7 +2,9 @@
 
 use std::fmt;
 
-use sim_core::Nanos;
+use sgx_sdk::SwitchlessEventKind;
+use sim_core::fault::FaultAction;
+use sim_core::{LifecycleStage, Nanos};
 
 use crate::events::{CallKind, CallRef};
 use crate::json::{f64 as json_f64, string as json_string};
@@ -10,8 +12,8 @@ use crate::trace::TraceDb;
 
 use super::detect::Detection;
 use super::fleet::FleetReport;
+use super::parents::Instances;
 use super::stats::CallStats;
-use super::symbol_name;
 
 /// Aggregate counters over a whole trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -94,67 +96,70 @@ pub struct Report {
     pub fleet: FleetReport,
 }
 
-impl Report {
-    pub(crate) fn assemble(
-        trace: &TraceDb,
-        call_stats: Vec<(CallRef, CallStats)>,
-        detections: Vec<Detection>,
-    ) -> Report {
-        let call_names = call_stats
-            .iter()
-            .map(|(call, _)| symbol_name(trace, *call))
-            .collect();
-        let totals = Totals {
+impl Totals {
+    /// Counts a trace's totals. The distinct-call counts need the per-call
+    /// grouping and stay zero here; [`Report`] fills them in.
+    pub(crate) fn of(trace: &TraceDb) -> Totals {
+        let mut t = Totals {
             ecall_events: trace.ecalls.len(),
             ocall_events: trace.ocalls.len(),
-            distinct_ecalls: call_stats
-                .iter()
-                .filter(|(c, _)| c.kind == CallKind::Ecall)
-                .count(),
-            distinct_ocalls: call_stats
-                .iter()
-                .filter(|(c, _)| c.kind == CallKind::Ocall)
-                .count(),
             aex_events: trace.aex.len(),
             page_outs: trace.paging.iter().filter(|p| p.out).count(),
             page_ins: trace.paging.iter().filter(|p| !p.out).count(),
             sync_sleeps: trace.sync.iter().filter(|s| s.sleep).count(),
             sync_wakes: trace.sync.iter().filter(|s| !s.sleep).count(),
             enclaves: trace.enclaves.len(),
-            // Kind codes 0/1 are ecall/ocall dispatches, 2/3 the fallbacks
-            // (worker idle/busy transitions are not call outcomes).
-            switchless_dispatched: trace.switchless.iter().filter(|s| s.kind <= 1).count(),
-            switchless_fallbacks: trace
-                .switchless
-                .iter()
-                .filter(|s| s.kind == 2 || s.kind == 3)
-                .count(),
-            // Action codes: 0 injected, 1 retried, 2 recovered, 3 gave up.
-            faults_injected: trace.faults.iter().filter(|f| f.action == 0).count(),
-            faults_recovered: trace.faults.iter().filter(|f| f.action == 2).count(),
-            faults_gave_up: trace.faults.iter().filter(|f| f.action == 3).count(),
-            // Stage codes: 0 lost, 1 rebuild, 2 replay, 3 retry,
-            // 4 recovered, 5 gave up.
-            enclaves_lost: trace.lifecycle.iter().filter(|l| l.stage == 0).count(),
-            restarts: trace.lifecycle.iter().filter(|l| l.stage == 1).count(),
-            rebuild_ns: trace
-                .lifecycle
-                .iter()
-                .filter(|l| l.stage == 1)
-                .map(|l| l.magnitude)
-                .sum(),
-            replay_ns: trace
-                .lifecycle
-                .iter()
-                .filter(|l| l.stage == 2)
-                .map(|l| l.magnitude)
-                .sum(),
-            recovery_ns: trace
-                .lifecycle
-                .iter()
-                .filter(|l| l.stage == 4)
-                .map(|l| l.magnitude)
-                .sum(),
+            ..Totals::default()
+        };
+        // Worker idle/busy transitions are not call outcomes.
+        for s in trace.switchless.iter() {
+            use SwitchlessEventKind::*;
+            match SwitchlessEventKind::from_code(s.kind) {
+                Some(EcallDispatched | OcallDispatched) => t.switchless_dispatched += 1,
+                Some(EcallFallback | OcallFallback) => t.switchless_fallbacks += 1,
+                _ => {}
+            }
+        }
+        for f in trace.faults.iter() {
+            match FaultAction::from_code(f.action) {
+                Some(FaultAction::Injected) => t.faults_injected += 1,
+                Some(FaultAction::Recovered) => t.faults_recovered += 1,
+                Some(FaultAction::GaveUp) => t.faults_gave_up += 1,
+                _ => {}
+            }
+        }
+        for l in trace.lifecycle.iter() {
+            match LifecycleStage::from_code(l.stage) {
+                Some(LifecycleStage::Lost) => t.enclaves_lost += 1,
+                Some(LifecycleStage::Rebuild) => {
+                    t.restarts += 1;
+                    t.rebuild_ns += l.magnitude;
+                }
+                Some(LifecycleStage::Replay) => t.replay_ns += l.magnitude,
+                Some(LifecycleStage::Recovered) => t.recovery_ns += l.magnitude,
+                _ => {}
+            }
+        }
+        t
+    }
+}
+
+impl Report {
+    pub(crate) fn assemble(
+        trace: &TraceDb,
+        instances: &Instances,
+        call_stats: Vec<(CallRef, CallStats)>,
+        detections: Vec<Detection>,
+    ) -> Report {
+        let call_names = call_stats
+            .iter()
+            .map(|(call, _)| instances.name(*call).into_owned())
+            .collect();
+        let distinct = |kind| call_stats.iter().filter(|(c, _)| c.kind == kind).count();
+        let totals = Totals {
+            distinct_ecalls: distinct(CallKind::Ecall),
+            distinct_ocalls: distinct(CallKind::Ocall),
+            ..Totals::of(trace)
         };
         let mut edge_counts: std::collections::BTreeMap<(u64, u64), usize> =
             std::collections::BTreeMap::new();

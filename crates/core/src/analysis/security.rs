@@ -19,7 +19,7 @@ use crate::events::{CallKind, CallRef};
 
 use super::detect::{Detection, Problem, Recommendation, PRIO_SECURITY};
 use super::parents::Instances;
-use super::{symbol_name, Analyzer};
+use super::Analyzer;
 
 /// Runs the three security checks.
 pub fn analyze(analyzer: &Analyzer<'_>, instances: &Instances) -> Vec<Detection> {
@@ -54,7 +54,7 @@ fn private_candidates(analyzer: &Analyzer<'_>, instances: &Instances) -> Vec<Det
         }
         let allow_from: Vec<String> = parent_ocalls
             .iter()
-            .map(|&o| symbol_name(trace, o))
+            .map(|&o| instances.name(o).into_owned())
             .collect();
         out.push(Detection {
             target: call,
@@ -109,15 +109,13 @@ fn allow_list_minimisation(analyzer: &Analyzer<'_>, instances: &Instances) -> Ve
         }
         let remove: Vec<String> = excess
             .iter()
-            .map(|&i| {
-                symbol_name(
-                    trace,
-                    CallRef {
-                        enclave: call.enclave,
-                        kind: CallKind::Ecall,
-                        index: i,
-                    },
-                )
+            .map(|&index| {
+                let ecall = CallRef {
+                    kind: CallKind::Ecall,
+                    index,
+                    ..call
+                };
+                instances.name(ecall).into_owned()
             })
             .collect();
         out.push(Detection {

@@ -1,11 +1,9 @@
 //! General per-call statistics (§4.3.1): counts, mean, median, standard
 //! deviation, 90th/95th/99th percentiles, histograms and scatter series.
 
-use std::collections::BTreeMap;
-
 use crate::events::CallRef;
 
-use super::parents::Instances;
+use super::parents::{CallInstance, Instances};
 
 /// Summary statistics for one call across all its instances.
 #[derive(Debug, Clone, PartialEq)]
@@ -91,17 +89,19 @@ impl CallStats {
 /// Computes [`CallStats`] for every distinct call in the trace, sorted by
 /// call reference.
 pub fn per_call_stats(instances: &Instances) -> Vec<(CallRef, CallStats)> {
-    type DurationGroups = BTreeMap<CallRef, (Vec<u64>, Vec<u64>, Vec<u64>)>;
-    let mut grouped: DurationGroups = BTreeMap::new();
-    for i in &instances.all {
-        let entry = grouped.entry(i.call).or_default();
-        entry.0.push(i.duration_ns);
-        entry.1.push(i.adjusted_ns);
-        entry.2.push(i.aex_count);
-    }
-    grouped
-        .into_iter()
-        .map(|(call, (dur, adj, aex))| (call, CallStats::from_durations(&dur, &adj, &aex)))
+    instances
+        .calls()
+        .map(|call| {
+            let field = |f: fn(&CallInstance) -> u64| -> Vec<u64> {
+                instances.of_call(call).map(f).collect()
+            };
+            let stats = CallStats::from_durations(
+                &field(|i| i.duration_ns),
+                &field(|i| i.adjusted_ns),
+                &field(|i| i.aex_count),
+            );
+            (call, stats)
+        })
         .collect()
 }
 

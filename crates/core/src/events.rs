@@ -98,6 +98,17 @@ impl Record for EcallRow {
     }
 }
 
+impl EcallRow {
+    /// The [`CallRef`] this row is an execution of.
+    pub fn call_ref(&self) -> CallRef {
+        CallRef {
+            enclave: self.enclave,
+            kind: CallKind::Ecall,
+            index: self.call_index,
+        }
+    }
+}
+
 /// One completed ocall. Timestamps are taken in the logger's generated
 /// call stub, i.e. *outside* the enclave, so — unlike ecalls — the duration
 /// excludes the transition time (§4.1.2).
@@ -141,6 +152,17 @@ impl Record for OcallRow {
             parent_ecall: r.option(|r| r.u64())?,
             failed: r.bool()?,
         })
+    }
+}
+
+impl OcallRow {
+    /// The [`CallRef`] this row is an execution of.
+    pub fn call_ref(&self) -> CallRef {
+        CallRef {
+            enclave: self.enclave,
+            kind: CallKind::Ocall,
+            index: self.call_index,
+        }
     }
 }
 

@@ -32,9 +32,12 @@
 
 use std::collections::BTreeMap;
 
+use sgx_sdk::SwitchlessEventKind;
+use sim_core::fault::FaultAction;
 use sim_core::CostModel;
 
-use crate::analysis::{symbol_name, Instances};
+use crate::analysis::parents::CallNames;
+use crate::analysis::Instances;
 use crate::events::CallKind;
 use crate::json;
 use crate::trace::TraceDb;
@@ -81,6 +84,7 @@ fn thread_lanes(trace: &TraceDb) -> BTreeMap<u64, u64> {
 /// cost model frames the inner `[enclave]` span of each ecall.
 pub fn chrome_trace(trace: &TraceDb, cost: &CostModel) -> String {
     let lanes = thread_lanes(trace);
+    let names = CallNames::of(trace);
     let overhead = cost.sdk_ecall_overhead().as_nanos();
     let mut ev: Vec<String> = Vec::new();
 
@@ -105,20 +109,12 @@ pub fn chrome_trace(trace: &TraceDb, cost: &CostModel) -> String {
     // span — the slice between the enter and exit transitions.
     for (row, e) in trace.ecalls.iter_with_ids() {
         let lane = lanes[&e.thread];
-        let name = symbol_name(
-            trace,
-            crate::events::CallRef {
-                enclave: e.enclave,
-                kind: CallKind::Ecall,
-                index: e.call_index,
-            },
-        );
         let dur = e.end_ns.saturating_sub(e.start_ns);
         ev.push(format!(
             "{{\"name\": {}, \"cat\": \"ecall\", \"ph\": \"X\", \"pid\": 1, \"tid\": {lane}, \
              \"ts\": {}, \"dur\": {}, \
              \"args\": {{\"row\": {}, \"enclave\": {}, \"aex_count\": {}, \"failed\": {}}}}}",
-            json::string(&name),
+            json::string(&names.get(e.call_ref())),
             us(e.start_ns),
             us(dur),
             row.0,
@@ -140,19 +136,11 @@ pub fn chrome_trace(trace: &TraceDb, cost: &CostModel) -> String {
     }
     for (row, o) in trace.ocalls.iter_with_ids() {
         let lane = lanes[&o.thread];
-        let name = symbol_name(
-            trace,
-            crate::events::CallRef {
-                enclave: o.enclave,
-                kind: CallKind::Ocall,
-                index: o.call_index,
-            },
-        );
         ev.push(format!(
             "{{\"name\": {}, \"cat\": \"ocall\", \"ph\": \"X\", \"pid\": 1, \"tid\": {lane}, \
              \"ts\": {}, \"dur\": {}, \
              \"args\": {{\"row\": {}, \"enclave\": {}, \"failed\": {}}}}}",
-            json::string(&name),
+            json::string(&names.get(o.call_ref())),
             us(o.start_ns),
             us(o.end_ns.saturating_sub(o.start_ns)),
             row.0,
@@ -171,10 +159,12 @@ pub fn chrome_trace(trace: &TraceDb, cost: &CostModel) -> String {
         ));
     }
     for s in trace.switchless.iter() {
-        let name = match s.kind {
-            0 => "switchless ecall",
-            1 => "switchless ocall",
-            2 | 3 => "switchless fallback",
+        let name = match SwitchlessEventKind::from_code(s.kind) {
+            Some(SwitchlessEventKind::EcallDispatched) => "switchless ecall",
+            Some(SwitchlessEventKind::OcallDispatched) => "switchless ocall",
+            Some(SwitchlessEventKind::EcallFallback | SwitchlessEventKind::OcallFallback) => {
+                "switchless fallback"
+            }
             _ => "switchless worker",
         };
         ev.push(format!(
@@ -187,10 +177,10 @@ pub fn chrome_trace(trace: &TraceDb, cost: &CostModel) -> String {
         ));
     }
     for f in trace.faults.iter() {
-        let action = match f.action {
-            0 => "injected",
-            1 => "retried",
-            2 => "recovered",
+        let action = match FaultAction::from_code(f.action) {
+            Some(FaultAction::Injected) => "injected",
+            Some(FaultAction::Retried) => "retried",
+            Some(FaultAction::Recovered) => "recovered",
             _ => "gave up",
         };
         ev.push(format!(
@@ -267,18 +257,18 @@ pub fn folded_stacks(trace: &TraceDb, cost: &CostModel) -> String {
     let mut folded: BTreeMap<String, u64> = BTreeMap::new();
     for inst in &instances.all {
         // Stack: walk the direct-parent chain to the top-level call.
-        let mut frames = vec![symbol_name(trace, inst.call)];
+        let mut frames = vec![instances.name(inst.call)];
         let mut cursor = inst.direct_parent;
         while let Some((kind, row)) = cursor {
             match instances.by_row(kind, row) {
                 Some(parent) => {
-                    frames.push(symbol_name(trace, parent.call));
+                    frames.push(instances.name(parent.call));
                     cursor = parent.direct_parent;
                 }
                 None => break,
             }
         }
-        frames.push(format!("thread-{}", inst.thread));
+        frames.push(format!("thread-{}", inst.thread).into());
         frames.reverse();
         let spent = child_time
             .get(&(inst.call.kind, inst.row))

@@ -130,7 +130,7 @@ impl Runtime {
         config: SwitchlessConfig,
     ) -> SdkResult<Arc<Switchless>> {
         let enclave = self.urts.enclave(eid)?;
-        let sw = Arc::new(Switchless::new(&enclave, Arc::clone(&self.urts), config)?);
+        let sw = Arc::new(Switchless::new(&enclave, &self.urts, config)?);
         enclave.set_switchless(Arc::clone(&sw));
         Ok(sw)
     }

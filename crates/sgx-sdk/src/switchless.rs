@@ -36,7 +36,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 
-use sgx_sim::{EnclaveId, ThreadToken};
+use sgx_sim::{EnclaveId, Machine, ThreadToken};
 use sim_core::fault::{FaultAction, FaultEvent, FaultKind};
 use sim_core::sync::Mutex;
 use sim_core::syncev::SyncOp;
@@ -229,7 +229,10 @@ impl RingState {
 /// [`Switchless::spawn_workers`].
 pub struct Switchless {
     enclave: Weak<Enclave>,
-    urts: Arc<Urts>,
+    /// Weak: the runtime owns the enclave, which owns this subsystem, so a
+    /// strong handle would keep the runtime alive forever.
+    urts: Weak<Urts>,
+    machine: Arc<Machine>,
     config: SwitchlessConfig,
     ecall_eligible: Vec<bool>,
     ocall_eligible: Vec<bool>,
@@ -261,7 +264,7 @@ impl Switchless {
     /// `allow()` rules).
     pub(crate) fn new(
         enclave: &Arc<Enclave>,
-        urts: Arc<Urts>,
+        urts: &Arc<Urts>,
         config: SwitchlessConfig,
     ) -> SdkResult<Switchless> {
         let spec = enclave.spec();
@@ -307,7 +310,8 @@ impl Switchless {
         let ring_ids = [bus.alloc_object(), bus.alloc_object()];
         Ok(Switchless {
             enclave: Arc::downgrade(enclave),
-            urts,
+            urts: Arc::downgrade(urts),
+            machine: Arc::clone(urts.machine()),
             config,
             ecall_eligible,
             ocall_eligible,
@@ -338,7 +342,7 @@ impl Switchless {
             CallKind::Ecall => (self.ring_ids[0], "switchless-ecall-ring"),
             CallKind::Ocall => (self.ring_ids[1], "switchless-ocall-ring"),
         };
-        self.urts.machine().sync_bus().emit(
+        self.machine.sync_bus().emit(
             thread.0 as u64,
             op,
             Some(ring),
@@ -464,7 +468,7 @@ impl Switchless {
             self.emit_fallback(kind, index, tcx.token, 0);
             return None;
         }
-        let machine = self.urts.machine();
+        let machine = &self.machine;
         let cm = machine.cost_model();
 
         // Ring-full burst injection: this post attempt finds no free slot
@@ -592,7 +596,7 @@ impl Switchless {
 
     /// Body of one worker logical thread.
     fn worker_loop(&self, ctx: &SimCtx, kind: CallKind, pool_slot: usize) {
-        let machine = Arc::clone(self.urts.machine());
+        let machine = &self.machine;
         let worker_tcx = ThreadCtx::from_sim(ctx);
         loop {
             if self.stop.load(Ordering::SeqCst) {
@@ -709,14 +713,15 @@ impl Switchless {
         data: &mut CallData,
     ) -> SdkResult<()> {
         let enclave = self.enclave()?;
-        let table = self.urts.saved_table(enclave.id())?;
+        let urts = self.urts()?;
+        let table = urts.saved_table(enclave.id())?;
         let entry = table
             .entry(index)
             .ok_or_else(|| SdkError::BadOcall(format!("#{index}")))?
             .clone();
         let mut host = HostCtx {
-            machine: self.urts.machine(),
-            urts: &self.urts,
+            machine: &self.machine,
+            urts: &urts,
             enclave_id: enclave.id(),
             thread: *worker_tcx,
         };
@@ -734,13 +739,14 @@ impl Switchless {
         data: &mut CallData,
     ) -> SdkResult<()> {
         let enclave = self.enclave()?;
+        let urts = self.urts()?;
         let body = enclave.ecall_impl(index)?;
         let tcs_index = enclave.bind_tcs(worker_tcx.token)?;
         enclave.push_frame(worker_tcx.token, Frame::Ecall(index));
         let result = {
             let mut ectx = EcallCtx {
                 enclave: &enclave,
-                urts: &self.urts,
+                urts: &urts,
                 thread: *worker_tcx,
                 tcs_index,
             };
@@ -754,6 +760,12 @@ impl Switchless {
         self.enclave
             .upgrade()
             .ok_or_else(|| SdkError::Interface("switchless enclave torn down".to_string()))
+    }
+
+    fn urts(&self) -> SdkResult<Arc<Urts>> {
+        self.urts
+            .upgrade()
+            .ok_or_else(|| SdkError::Interface("switchless runtime torn down".to_string()))
     }
 
     fn enclave_id(&self) -> EnclaveId {
@@ -774,12 +786,14 @@ impl Switchless {
             thread,
             worker: None,
             spins,
-            time: self.urts.machine().clock().now(),
+            time: self.machine.clock().now(),
         });
     }
 
     fn emit(&self, event: SwitchlessEvent) {
-        self.urts.notify_switchless(&event);
+        if let Some(urts) = self.urts.upgrade() {
+            urts.notify_switchless(&event);
+        }
     }
 }
 
@@ -1198,5 +1212,29 @@ mod tests {
             assert_eq!(SwitchlessEventKind::from_code(kind.code()), Some(kind));
         }
         assert_eq!(SwitchlessEventKind::from_code(6), None);
+    }
+
+    /// Enabling switchless must not tie the runtime into a reference
+    /// cycle: once the last handle is gone, the `Urts` is freed, as it is
+    /// after a plain synchronous run.
+    #[test]
+    fn dropping_the_runtime_frees_a_switchless_urts() {
+        for config in [
+            None,
+            Some(SwitchlessConfig {
+                untrusted_workers: 1,
+                ..SwitchlessConfig::default()
+            }),
+        ] {
+            let fx = fixture(true);
+            let switchless = config.is_some();
+            drive(&fx, config, 4);
+            let urts = Arc::downgrade(fx.runtime.urts());
+            drop(fx);
+            assert!(
+                urts.upgrade().is_none(),
+                "switchless={switchless}: the Urts outlived its runtime"
+            );
+        }
     }
 }
