@@ -47,6 +47,7 @@
 //! or corrupt cells. The summary (stdout) is byte-stable: times and
 //! engine/worker info go to stderr only.
 
+use std::io::{ErrorKind, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -130,6 +131,20 @@ fn print_usage() {
     eprintln!("{text}");
 }
 
+/// Writes command output to stdout. A reader that went away
+/// (`sgxperf … | head`) is not an error: the output stops there and the
+/// command keeps its exit code. Any other write error fails the command.
+fn emit(text: &str) -> Result<(), String> {
+    let mut stdout = std::io::stdout().lock();
+    let written = stdout
+        .write_all(text.as_bytes())
+        .and_then(|()| stdout.flush());
+    match written {
+        Err(e) if e.kind() != ErrorKind::BrokenPipe => Err(format!("cannot write to stdout: {e}")),
+        _ => Ok(()),
+    }
+}
+
 fn usage() -> ExitCode {
     print_usage();
     ExitCode::from(2)
@@ -179,7 +194,7 @@ fn run_lint(rest: &[String]) -> Result<ExitCode, String> {
 
     let diags = lint_interface(&file, &config, trace.as_ref());
     for d in &diags {
-        println!("{}", d.render(&source, path));
+        emit(&format!("{}\n", d.render(&source, path)))?;
     }
     let denied: Vec<&str> = diags
         .iter()
@@ -194,10 +209,10 @@ fn run_lint(rest: &[String]) -> Result<ExitCode, String> {
         .iter()
         .filter(|d| d.severity == sgx_edl::Severity::Warning)
         .count();
-    println!(
-        "{path}: {} diagnostic(s) ({errors} error(s), {warnings} warning(s))",
+    emit(&format!(
+        "{path}: {} diagnostic(s) ({errors} error(s), {warnings} warning(s))\n",
         diags.len()
-    );
+    ))?;
     if denied.is_empty() {
         Ok(ExitCode::SUCCESS)
     } else {
@@ -252,10 +267,10 @@ fn run_diff(rest: &[String]) -> Result<ExitCode, String> {
     let b = TraceDb::load(b_path).map_err(|e| format!("cannot load {b_path}: {e}"))?;
     let diff = TraceDiff::compute(&a, &b, config);
     if json {
-        print!("{}", diff.to_json());
+        emit(&diff.to_json())?;
     } else {
         eprintln!("baseline:  {a_path}\ncandidate: {b_path}\n");
-        print!("{}", diff.render());
+        emit(&diff.render())?;
     }
     Ok(ExitCode::from(diff.exit_code()))
 }
@@ -292,9 +307,9 @@ fn run_races(rest: &[String]) -> Result<ExitCode, String> {
     }
     let report = races::analyze(&trace);
     if json {
-        print!("{}", report.to_json());
+        emit(&report.to_json())?;
     } else {
-        print!("{}", report.render());
+        emit(&report.render())?;
     }
     Ok(ExitCode::from(report.exit_code()))
 }
@@ -335,9 +350,9 @@ fn run_fleet(rest: &[String]) -> Result<ExitCode, String> {
         eprintln!("sgxperf: note: {path} has no fleet table — record with a fleet run");
     }
     if json {
-        print!("{}", report.to_json());
+        emit(&report.to_json())?;
     } else {
-        print!("{}", report.render(top));
+        emit(&report.render(top))?;
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -408,10 +423,9 @@ fn run_campaign(rest: &[String]) -> Result<ExitCode, String> {
     if dry_run {
         // Echo the canonical spec (the parse/Display fixpoint) and the
         // expanded matrix without running anything.
-        print!("{}", plan.spec);
-        println!();
+        emit(&format!("{}\n", plan.spec))?;
         for coord in plan.cells() {
-            println!("{:>5}  {}", coord.index, plan.file_name(&coord));
+            emit(&format!("{:>5}  {}\n", coord.index, plan.file_name(&coord)))?;
         }
         eprintln!(
             "sgxperf: dry run: {} cell(s), nothing executed",
@@ -425,9 +439,9 @@ fn run_campaign(rest: &[String]) -> Result<ExitCode, String> {
     let started = std::time::Instant::now();
     let run = matrix::run(&plan, engine, jobs, Some(&out_dir), resume)?;
     if json {
-        print!("{}", run.to_json());
+        emit(&run.to_json())?;
     } else {
-        print!("{}", run.render());
+        emit(&run.render())?;
     }
     eprintln!(
         "sgxperf: {} cell(s) on the {} engine in {:?} -> {}",
@@ -521,9 +535,9 @@ fn run() -> Result<ExitCode, String> {
             }
             let report = analyzer.analyze();
             if json {
-                print!("{}", report.to_json());
+                emit(&report.to_json())?;
             } else {
-                print!("{}", report.render());
+                emit(&report.render())?;
             }
         }
         "dot" => {
@@ -533,7 +547,7 @@ fn run() -> Result<ExitCode, String> {
                     std::fs::write(&path, dot).map_err(|e| format!("cannot write {path}: {e}"))?;
                     eprintln!("wrote {path}");
                 }
-                None => print!("{dot}"),
+                None => emit(&dot)?,
             }
         }
         "export" => {
@@ -549,7 +563,7 @@ fn run() -> Result<ExitCode, String> {
                         .map_err(|e| format!("cannot write {path}: {e}"))?;
                     eprintln!("wrote {path}");
                 }
-                None => print!("{rendered}"),
+                None => emit(&rendered)?,
             }
         }
         "hist" => {
@@ -561,9 +575,9 @@ fn run() -> Result<ExitCode, String> {
             let hist = Histogram::of_call(&instances, call, bins)
                 .ok_or_else(|| format!("`{name}` has no recorded executions"))?;
             if json {
-                print!("{}", hist.to_json());
+                emit(&hist.to_json())?;
             } else {
-                println!("{}", hist.render_ascii(24, 48));
+                emit(&format!("{}\n", hist.render_ascii(24, 48)))?;
             }
             if let Some(path) = out {
                 std::fs::write(&path, hist.to_csv())
@@ -579,14 +593,14 @@ fn run() -> Result<ExitCode, String> {
                 .ok_or_else(|| format!("no call named `{name}`"))?;
             let points = scatter(&instances, call);
             if json {
-                print!("{}", scatter_json(&points));
+                emit(&scatter_json(&points))?;
             } else {
-                print!("{}", scatter_csv(&points));
+                emit(&scatter_csv(&points))?;
             }
         }
         "info" => {
-            println!(
-                "ecalls: {}  ocalls: {}  aex: {}  paging: {}  sync: {}  enclaves: {}  symbols: {}",
+            emit(&format!(
+                "ecalls: {}  ocalls: {}  aex: {}  paging: {}  sync: {}  enclaves: {}  symbols: {}\n",
                 trace.ecalls.len(),
                 trace.ocalls.len(),
                 trace.aex.len(),
@@ -594,18 +608,21 @@ fn run() -> Result<ExitCode, String> {
                 trace.sync.len(),
                 trace.enclaves.len(),
                 trace.symbols.len()
-            );
+            ))?;
             // Physical layout, via the store's enumeration API — row counts
             // and byte sizes per section without decoding any records.
             let store =
                 eventdb::Store::load(path).map_err(|e| format!("cannot load {path}: {e}"))?;
-            println!("sections ({} payload bytes):", store.payload_bytes());
+            emit(&format!(
+                "sections ({} payload bytes):\n",
+                store.payload_bytes()
+            ))?;
             for info in store.sections() {
                 let info = info.map_err(|e| format!("{path}: {e}"))?;
-                println!(
-                    "  {:<12} {:>8} rows {:>10} bytes",
+                emit(&format!(
+                    "  {:<12} {:>8} rows {:>10} bytes\n",
                     info.tag, info.rows, info.bytes
-                );
+                ))?;
             }
         }
         other => {

@@ -1,9 +1,10 @@
 //! Smoke tests of the `sgxperf` command-line analyser.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
 use std::sync::Arc;
 
-use sgx_perf::{Logger, LoggerConfig};
+use sgx_perf::events::{EcallRow, OcallRow, SymbolRow};
+use sgx_perf::{Logger, LoggerConfig, TraceDb};
 use sgx_sdk::{CallData, OcallTableBuilder, Runtime, ThreadCtx};
 use sgx_sim::{EnclaveConfig, Machine};
 use sim_core::{Clock, HwProfile, Nanos};
@@ -526,6 +527,100 @@ fn export_folded_emits_collapsed_stacks() {
     let (_, stderr, ok) = sgxperf(&["export", trace.to_str().unwrap(), "--json"]);
     assert!(!ok);
     assert!(stderr.contains("--format"), "{stderr}");
+}
+
+/// Writes a trace that decodes fine but whose ecall row 0 and ocall row 0
+/// name each other as direct parent; returns the path.
+fn write_cyclic_trace(tag: &str) -> std::path::PathBuf {
+    let mut trace = TraceDb::default();
+    for (kind_is_ecall, name) in [(true, "ecall_loop"), (false, "ocall_loop")] {
+        trace.symbols.insert(SymbolRow {
+            enclave: 1,
+            kind_is_ecall,
+            index: 0,
+            name: name.to_string(),
+            public: true,
+            allowed_ecalls: vec![],
+            user_check_params: vec![],
+        });
+    }
+    trace.ecalls.insert(EcallRow {
+        thread: 0,
+        enclave: 1,
+        call_index: 0,
+        start_ns: 0,
+        end_ns: 50_000,
+        parent_ocall: Some(0),
+        aex_count: 0,
+        failed: false,
+    });
+    trace.ocalls.insert(OcallRow {
+        thread: 0,
+        enclave: 1,
+        call_index: 0,
+        start_ns: 10_000,
+        end_ns: 18_000,
+        parent_ecall: Some(0),
+        failed: false,
+    });
+    save_trace(tag, &trace)
+}
+
+/// Saves a hand-built trace to a temp file; returns the path.
+fn save_trace(tag: &str, trace: &TraceDb) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join("sgxperf-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("{tag}.evdb"));
+    trace.save(&path).unwrap();
+    path
+}
+
+#[test]
+fn export_folded_ends_cyclic_parent_chains() {
+    let trace = write_cyclic_trace("cyclic-parents");
+    let (stdout, stderr, code) =
+        sgxperf_code(&["export", trace.to_str().unwrap(), "--format", "folded"]);
+    assert_eq!(code, 0, "{stderr}");
+    // Each instance lands in exactly one stack, cut before the call
+    // repeats.
+    assert_eq!(
+        stdout,
+        "thread-0;ecall_loop;ocall_loop 0\nthread-0;ocall_loop;ecall_loop 42000\n"
+    );
+}
+
+#[test]
+fn export_into_a_closed_pipe_exits_cleanly() {
+    // The export (about 300 KB) overflows the pipe buffer, so its write
+    // meets the broken pipe even if a process spawned by a concurrent
+    // test still holds a copy of the read end for a moment.
+    let mut wide = TraceDb::default();
+    for i in 0..1_000 {
+        wide.ecalls.insert(EcallRow {
+            thread: 0,
+            enclave: 1,
+            call_index: 0,
+            start_ns: i * 10_000,
+            end_ns: i * 10_000 + 8_000,
+            parent_ocall: None,
+            aex_count: 0,
+            failed: false,
+        });
+    }
+    let trace = save_trace("closed-pipe", &wide);
+    let mut child = Command::new(env!("CARGO_BIN_EXE_sgxperf"))
+        .args(["export", trace.to_str().unwrap(), "--format", "chrome"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn sgxperf");
+    // Close the read end before the child has loaded the trace, so its
+    // first write meets a broken pipe.
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("wait for sgxperf");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
 #[test]

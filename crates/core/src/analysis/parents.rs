@@ -85,8 +85,9 @@ impl CallNames {
 pub struct Instances {
     /// All instances, ordered by start time.
     pub all: Vec<CallInstance>,
-    /// Maps (kind, row) to the index in [`Instances::all`].
-    index: HashMap<(CallKind, u64), usize>,
+    /// Each row's index in [`Instances::all`], per kind (ecalls, then
+    /// ocalls). Row ids are dense, so the row id is the vector index.
+    positions: [Vec<usize>; 2],
     /// Each call's indexes into [`Instances::all`], in start order.
     by_call: BTreeMap<CallRef, Vec<usize>>,
     names: CallNames,
@@ -131,11 +132,10 @@ impl Instances {
         }
         all.sort_by_key(|i| (i.start_ns, i.call.kind, i.row));
 
-        let index: HashMap<(CallKind, u64), usize> = all
-            .iter()
-            .enumerate()
-            .map(|(idx, i)| ((i.call.kind, i.row), idx))
-            .collect();
+        let mut positions = [vec![0; trace.ecalls.len()], vec![0; trace.ocalls.len()]];
+        for (idx, i) in all.iter().enumerate() {
+            positions[i.call.kind as usize][i.row as usize] = idx;
+        }
 
         // Indirect parents: within each (thread, direct-parent, kind)
         // group, link each call to the previous one (Figure 4).
@@ -153,15 +153,22 @@ impl Instances {
 
         Instances {
             all,
-            index,
+            positions,
             by_call,
             names: CallNames::of(trace),
         }
     }
 
-    /// Looks up an instance by its source (kind, row id).
+    /// Looks up an instance by its source (kind, row id); `None` for a
+    /// row the trace does not have (a dangling parent link).
     pub fn by_row(&self, kind: CallKind, row: u64) -> Option<&CallInstance> {
-        self.index.get(&(kind, row)).map(|&i| &self.all[i])
+        self.position(kind, row).map(|i| &self.all[i])
+    }
+
+    /// The index in [`Instances::all`] of a source (kind, row id).
+    pub(crate) fn position(&self, kind: CallKind, row: u64) -> Option<usize> {
+        let row = usize::try_from(row).ok()?;
+        self.positions[kind as usize].get(row).copied()
     }
 
     /// The calls with at least one instance, sorted.
@@ -309,6 +316,27 @@ mod tests {
         assert_eq!(e.duration_ns, 10_000);
         assert_eq!(e.adjusted_ns, 10_000 - 4_205);
         assert_eq!(o.adjusted_ns, 10_000);
+    }
+
+    /// Rows index the instances densely; a row the trace lacks, such as a
+    /// dangling parent link, finds nothing.
+    #[test]
+    fn by_row_finds_every_row_and_nothing_else() {
+        let mut trace = TraceDb::default();
+        trace.ecalls.insert(ecall(0, 0, 50, 60, None));
+        trace.ecalls.insert(ecall(0, 0, 0, 100, Some(7)));
+        trace.ocalls.insert(ocall(0, 0, 10, 20, Some(1)));
+        let inst = build(&trace);
+        for (kind, rows) in [(CallKind::Ecall, 2), (CallKind::Ocall, 1)] {
+            for row in 0..rows {
+                let found = inst.by_row(kind, row).unwrap();
+                assert_eq!((found.call.kind, found.row), (kind, row));
+            }
+            assert!(inst.by_row(kind, rows).is_none());
+            assert!(inst.by_row(kind, u64::MAX).is_none());
+        }
+        assert_eq!(inst.by_row(CallKind::Ecall, 1).unwrap().start_ns, 0);
+        assert!(inst.by_row(CallKind::Ocall, 7).is_none());
     }
 
     fn symbol(trace: &mut TraceDb, enclave: u32, index: u32, name: &str) {

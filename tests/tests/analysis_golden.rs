@@ -9,7 +9,9 @@
 //! * a tiny fleet run, where many enclaves share one call name;
 //! * a short TaLoS run, for nested calls and interface findings;
 //! * the chaos A/B pair under `regression_plan(5)`, for fault rows;
-//! * a supervised run under `loss_plan`, for lifecycle rows.
+//! * a supervised run under `loss_plan`, for lifecycle rows;
+//! * the switchless server with one untrusted worker, for switchless rows,
+//!   diffed against its synchronous run.
 //!
 //! A digest changes only when some output byte changes. When a change is
 //! intended, the failure message prints the full table of new digests.
@@ -19,10 +21,11 @@ use std::sync::OnceLock;
 use sgx_perf::analysis::diff::{DiffConfig, TraceDiff};
 use sgx_perf::analysis::stats::{scatter, scatter_csv, Histogram};
 use sgx_perf::{export, Analyzer, CallRef, Logger, LoggerConfig, Problem, Report, TraceDb};
+use sgx_sdk::SwitchlessConfig;
 use sim_core::HwProfile;
 use workloads::fleet::{self, FleetRunConfig};
 use workloads::harness::Harness;
-use workloads::{chaos, supervisor_loop};
+use workloads::{chaos, supervisor_loop, switchless_loop};
 
 const PROFILE: HwProfile = HwProfile::Unpatched;
 
@@ -65,6 +68,20 @@ fn supervised() -> TraceDb {
     let logger = Logger::attach(harness.runtime(), LoggerConfig::default());
     supervisor_loop::run(&harness, 24, Some(&supervisor_loop::loss_plan(12)), None)
         .expect("supervised run");
+    logger.finish()
+}
+
+/// The switchless server, synchronous or with one untrusted worker
+/// serving the hot logging ocall.
+fn switchless(workers: bool) -> TraceDb {
+    let harness = Harness::new(PROFILE);
+    let logger = Logger::attach(harness.runtime(), LoggerConfig::default());
+    let config = workers.then(|| SwitchlessConfig {
+        untrusted_workers: 1,
+        force_ocalls: vec!["ocall_log".to_string()],
+        ..SwitchlessConfig::default()
+    });
+    switchless_loop::run(&harness, 60, config).expect("switchless run");
     logger.finish()
 }
 
@@ -170,6 +187,15 @@ fn supervised_outputs_are_pinned() {
     check(&digests, SUPERVISED);
 }
 
+#[test]
+fn switchless_outputs_are_pinned() {
+    let (synchronous, served) = (switchless(false), switchless(true));
+    let (mut digests, report) = trace_digests("switchless", &served, Some("ecall_handle"));
+    assert!(report.totals.switchless_dispatched > 0, "switchless rows");
+    digests.extend(diff_digests("switchless pair", &synchronous, &served));
+    check(&digests, SWITCHLESS);
+}
+
 const FLEET: &[(&str, u64)] = &[
     ("fleet report", 0x941c803d66a45752),
     ("fleet report.json", 0xf12eb8e9b0d2cf32),
@@ -205,4 +231,15 @@ const SUPERVISED: &[(&str, u64)] = &[
     ("supervised dot", 0x90a7270c974ebf28),
     ("supervised folded", 0x55521c8cd277fb1c),
     ("supervised chrome", 0xe56b5c877ebee5b6),
+];
+const SWITCHLESS: &[(&str, u64)] = &[
+    ("switchless report", 0x4fb46186bcb6aeba),
+    ("switchless report.json", 0x355557c3b94cd1ef),
+    ("switchless dot", 0xdb8dbeaee9785e63),
+    ("switchless folded", 0x22226e8dba0e5502),
+    ("switchless chrome", 0x083a9a3a6750f406),
+    ("switchless hist", 0x8493095c775ffc47),
+    ("switchless scatter", 0x2054ca9e9ebe1b3f),
+    ("switchless pair diff", 0xad868c7e798dc471),
+    ("switchless pair diff.json", 0x362c308a58d9168b),
 ];
