@@ -1,0 +1,183 @@
+//! Host-time performance gates. Each gate times real work and fails when
+//! it misses its floor, so the gates are ignored in ordinary (debug,
+//! parallel) test runs and run one at a time on a release build:
+//!
+//! ```text
+//! cargo test --release --offline -p sgx-perf-bench --test perf_gates -- \
+//!     --ignored --test-threads=1 --nocapture
+//! ```
+//!
+//! * `SGXPERF_ENGINE_SPEEDUP_FLOOR` (default 5): the fast coroutine
+//!   engine must beat the legacy OS-thread engine by this factor on a
+//!   scheduler-bound ping-pong.
+//! * `SGXPERF_SCALING_FLOOR` (default 0.7): `matrix::run` on all cores
+//!   must reach this fraction of the ideal `min(jobs, cores)` speedup
+//!   over a serial run.
+//! * Per-eviction cost at 1024 resident enclaves must stay under 8x the
+//!   cost at 16 (a linear victim scan would be ~64x).
+//!
+//! A floor variable that is set but does not parse as a finite number
+//! fails the gate; an unset one means the default.
+
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use sgx_perf_bench::scaled_count;
+use sgx_sdk::Runtime;
+use sgx_sim::{EnclaveConfig, EnclaveId, EvictionPolicy, Machine, MachineParams};
+use sim_core::campaign::CampaignSpec;
+use sim_core::{Clock, HwProfile};
+use sim_threads::{with_engine, Engine, Simulation};
+use workloads::campaign::matrix::{self, MatrixPlan};
+use workloads::chaos;
+
+/// Reads the floor `var`, or `default` when it is unset.
+fn floor(var: &str, default: f64) -> f64 {
+    match std::env::var_os(var) {
+        None => default,
+        Some(value) => value
+            .to_str()
+            .and_then(|v| v.parse::<f64>().ok())
+            .filter(|f| f.is_finite())
+            .unwrap_or_else(|| panic!("{var}={value:?} is not a number")),
+    }
+}
+
+/// Runs a two-thread yield ping-pong of about `events` scheduling points
+/// on `engine`; returns the wall time.
+fn ping_pong(engine: Engine, events: u64) -> Duration {
+    let per_thread = events / 2;
+    let start = Instant::now();
+    with_engine(engine, || {
+        let sim = Simulation::new(Clock::new());
+        for t in 0..2 {
+            sim.spawn(&format!("pong{t}"), move |ctx| {
+                for _ in 0..per_thread {
+                    ctx.yield_now();
+                }
+            });
+        }
+        sim.run();
+    });
+    start.elapsed()
+}
+
+#[test]
+#[ignore = "timing gate: release build, run alone by CI's perf-gate job"]
+fn fast_engine_beats_legacy_on_ping_pong() {
+    let min = floor("SGXPERF_ENGINE_SPEEDUP_FLOOR", 5.0);
+    let events = 200_000;
+    // Warm both engines once (thread pool and allocator), then measure.
+    ping_pong(Engine::Legacy, events / 20);
+    ping_pong(Engine::Fast, events / 20);
+    let legacy = ping_pong(Engine::Legacy, events);
+    let fast = ping_pong(Engine::Fast, events);
+    let speedup = legacy.as_secs_f64() / fast.as_secs_f64().max(1e-9);
+    println!("ping-pong ({events} events): legacy {legacy:?}, fast {fast:?} — {speedup:.1}x");
+    assert!(
+        speedup >= min,
+        "fast engine speedup {speedup:.1}x below the {min}x floor"
+    );
+}
+
+#[test]
+#[ignore = "timing gate: release build, run alone by CI's perf-gate job"]
+fn campaign_runner_scales_with_cores() {
+    let min = floor("SGXPERF_SCALING_FLOOR", 0.7);
+    let spec = CampaignSpec::parse(&format!(
+        "[campaign]\nname = \"engine-scaling\"\n\
+         [matrix]\nworkloads = [\"antipatterns\", \"switchless\"]\n\
+         profiles = [\"unpatched\", \"spectre\", \"l1tf\"]\nseeds = [0]\n\
+         [faults]\nnone = \"\"\nchaos = \"{}\"\n",
+        chaos::random_plan(1),
+    ))
+    .expect("scaling spec");
+    let plan = MatrixPlan::from_spec(spec).expect("scaling plan");
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let timed_run = |jobs| {
+        let start = Instant::now();
+        matrix::run(&plan, Engine::Fast, jobs, None, false).expect("scaling campaign");
+        start.elapsed()
+    };
+    // A run takes about 10 ms, so a worker's first allocations or one
+    // stolen time slice move a single sample by a tenth or more: keep the
+    // best of five alternating runs per side.
+    let (mut serial, mut parallel) = (Duration::MAX, Duration::MAX);
+    for _ in 0..5 {
+        serial = serial.min(timed_run(1));
+        parallel = parallel.min(timed_run(cores));
+    }
+    let efficiency = serial.as_secs_f64() / parallel.as_secs_f64().max(1e-9) / cores as f64;
+    println!(
+        "campaign ({} cells): serial {serial:?}, {cores} job(s) {parallel:?} — efficiency {efficiency:.2}",
+        plan.spec.cell_count(),
+    );
+    assert!(
+        efficiency >= min,
+        "campaign scaling efficiency {efficiency:.2} below the {min} floor"
+    );
+}
+
+/// Returns the best-of-3 real time per eviction, in nanoseconds, over
+/// `count` small enclaves whose EPC holds half their combined footprint:
+/// `iters` prefetches cycle over every enclave's heap under LRU, so each
+/// one misses and evicts.
+fn per_eviction_ns(count: usize, iters: u64) -> f64 {
+    let config = EnclaveConfig {
+        heap_kib: 64,
+        ..EnclaveConfig::default()
+    };
+    let per_enclave = sgx_sim::EnclaveLayout::new(&config).total_pages();
+    let machine = Arc::new(Machine::with_params(
+        Clock::new(),
+        HwProfile::Unpatched,
+        MachineParams {
+            epc_pages: count * per_enclave / 2,
+            eviction: EvictionPolicy::Lru,
+            ..MachineParams::default()
+        },
+    ));
+    let rt = Runtime::new(Arc::clone(&machine));
+    let spec = sgx_edl::parse("enclave { trusted { public void ecall_noop(); }; };").unwrap();
+    let enclaves: Vec<(EnclaveId, usize)> = (0..count)
+        .map(|_| {
+            let id = rt.create_enclave(&spec, &config).unwrap().id();
+            (id, machine.heap_range(id).unwrap().start)
+        })
+        .collect();
+    let heap_pages = 16; // 64 KiB of heap
+    let mut best = f64::INFINITY;
+    for _ in 0..3 {
+        let start = Instant::now();
+        for cursor in 0..iters as usize {
+            let (id, heap_start) = enclaves[cursor % count];
+            let page = heap_start + (cursor / count) % heap_pages;
+            machine.prefetch(id, page..page + 1).unwrap();
+        }
+        best = best.min(start.elapsed().as_nanos() as f64 / iters as f64);
+    }
+    best
+}
+
+#[test]
+#[ignore = "timing gate: release build, run alone by CI's perf-gate job"]
+fn eviction_cost_is_sublinear_in_enclave_count() {
+    let iters = scaled_count(40_000, 8_000);
+    let small = per_eviction_ns(16, iters);
+    let large = per_eviction_ns(1024, iters);
+    let ratio = large / small;
+    println!("per-eviction: {small:.0} ns at 16 enclaves, {large:.0} ns at 1024 — {ratio:.2}x");
+    assert!(
+        ratio < 8.0,
+        "eviction-victim selection is not sublinear in enclave count: \
+         {large:.0} ns at 1024 enclaves vs {small:.0} ns at 16 ({ratio:.2}x)"
+    );
+}
+
+#[test]
+#[should_panic(expected = "SGXPERF_PERF_GATES_TEST_FLOOR")]
+fn a_floor_that_does_not_parse_fails_naming_its_variable() {
+    assert_eq!(floor("SGXPERF_PERF_GATES_UNSET_FLOOR", 0.7), 0.7);
+    std::env::set_var("SGXPERF_PERF_GATES_TEST_FLOOR", "0,7");
+    floor("SGXPERF_PERF_GATES_TEST_FLOOR", 0.7);
+}

@@ -8,6 +8,7 @@ use sgx_perf::{Logger, LoggerConfig, TraceDb};
 use sgx_sdk::{CallData, OcallTableBuilder, Runtime, ThreadCtx};
 use sgx_sim::{EnclaveConfig, Machine};
 use sim_core::{Clock, HwProfile, Nanos};
+use workloads::{chaos, switchless_loop};
 
 /// Records a small trace with one hot ecall + nested ocall and writes it
 /// to a temp file; returns the path.
@@ -495,6 +496,32 @@ fn diff_usage_errors_exit_one() {
     let (_, stderr, code) = sgxperf_code(&["diff", path, "/nonexistent.evdb"]);
     assert_eq!(code, 1);
     assert!(stderr.contains("cannot load"), "{stderr}");
+}
+
+#[test]
+fn diff_gates_saved_ab_pairs_by_exit_code() {
+    // The switchless closed loop's before/after pair is an improvement.
+    let closed = switchless_loop::closed_loop(HwProfile::Unpatched, 1_000).unwrap();
+    let before = save_trace("ab-switchless-before", &closed.trace_before);
+    let after = save_trace("ab-switchless-after", &closed.trace_after);
+    let (before, after) = (before.to_str().unwrap(), after.to_str().unwrap());
+    let (stdout, stderr, code) = sgxperf_code(&["diff", before, after]);
+    assert_eq!(code, 0, "{stdout}{stderr}");
+    assert!(stdout.contains("verdict: IMPROVEMENT"), "{stdout}");
+
+    // The chaos fixture under the canned regression plan regresses, and
+    // the regressions are attributed to the injected faults.
+    let (baseline, faulted) = chaos::ab_pair(HwProfile::Unpatched, &chaos::regression_plan(5));
+    let baseline = save_trace("ab-chaos-baseline", &baseline);
+    let faulted = save_trace("ab-chaos-faulted", &faulted);
+    let (baseline, faulted) = (baseline.to_str().unwrap(), faulted.to_str().unwrap());
+    let (stdout, stderr, code) = sgxperf_code(&["diff", baseline, faulted]);
+    assert_eq!(code, 3, "{stdout}{stderr}");
+    assert!(stdout.contains("injected fault(s) in window"), "{stdout}");
+    let (json, _, code) = sgxperf_code(&["diff", baseline, faulted, "--json"]);
+    assert_eq!(code, 3);
+    assert_balanced_json(&json);
+    assert!(json.contains("\"exit_code\": 3"), "{json}");
 }
 
 #[test]

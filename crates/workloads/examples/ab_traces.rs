@@ -1,5 +1,5 @@
-//! Produces the A/B trace pairs the diff engine (and the CI perf gate)
-//! consumes, written as `.evdb` files:
+//! Produces the A/B trace pairs the diff engine consumes, written as
+//! `.evdb` files:
 //!
 //! * `switchless-before.evdb` / `switchless-after.evdb` — the closed
 //!   loop's baseline and optimised runs (EXPERIMENTS Appendix B). The
