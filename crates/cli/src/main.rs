@@ -471,12 +471,19 @@ fn run() -> Result<ExitCode, String> {
     if cmd == "campaign" {
         return run_campaign(rest);
     }
+    // How many positional arguments follow the trace.
+    let positionals = match cmd.as_str() {
+        "report" | "dot" | "export" | "info" => 0,
+        "hist" | "scatter" => 1,
+        other => {
+            print_usage();
+            return Err(format!("unknown command `{other}`"));
+        }
+    };
     let (path, opts) = rest.split_first().ok_or("missing trace file")?;
-    let trace = TraceDb::load(path).map_err(|e| format!("cannot load {path}: {e}"))?;
 
     let mut profile = HwProfile::Unpatched;
-    let mut edl: Option<sgx_edl::InterfaceSpec> = None;
-    let mut edl_lint: Vec<sgx_edl::Diagnostic> = Vec::new();
+    let mut edl_path: Option<&String> = None;
     let mut out: Option<String> = None;
     let mut bins = 100usize;
     let mut json = false;
@@ -490,17 +497,7 @@ fn run() -> Result<ExitCode, String> {
                 let v = it.next().ok_or("--profile needs a value")?;
                 profile = HwProfile::parse(v).ok_or_else(|| format!("unknown profile `{v}`"))?;
             }
-            "--edl" => {
-                let v = it.next().ok_or("--edl needs a file")?;
-                let src =
-                    std::fs::read_to_string(v).map_err(|e| format!("cannot read {v}: {e}"))?;
-                let file = sgx_edl::parse_file(&src).map_err(|e| format!("{v}: {e}"))?;
-                edl_lint = lint_interface(&file, &LintConfig::default(), Some(&trace));
-                edl = Some(
-                    sgx_edl::spec::InterfaceSpec::from_ast(&file)
-                        .map_err(|e| format!("{v}: {e}"))?,
-                );
-            }
+            "--edl" => edl_path = Some(it.next().ok_or("--edl needs a file")?),
             "--faults" => {
                 let v = it.next().ok_or("--faults needs a fault spec")?;
                 faults = Some(FaultPlan::parse(v).map_err(|e| format!("--faults: {e}"))?);
@@ -515,13 +512,30 @@ fn run() -> Result<ExitCode, String> {
                     .parse()
                     .map_err(|e| format!("--bins: {e}"))?;
             }
+            other if other.starts_with('-') => {
+                return Err(format!("unknown {cmd} option `{other}`"));
+            }
             other => positional.push(other.to_string()),
         }
     }
+    if positional.len() != positionals {
+        let wanted = ["no argument", "one call name"][positionals];
+        return Err(format!(
+            "{cmd} takes {wanted} after the trace, got {}",
+            positional.len()
+        ));
+    }
 
+    let store = eventdb::Store::load(path).map_err(|e| format!("cannot load {path}: {e}"))?;
+    let trace = TraceDb::from_store(&store).map_err(|e| format!("cannot load {path}: {e}"))?;
     let mut analyzer = Analyzer::new(&trace, profile.cost_model());
-    if let Some(spec) = edl {
-        analyzer = analyzer.with_edl(spec).with_lint(edl_lint);
+    if let Some(v) = edl_path {
+        let src = std::fs::read_to_string(v).map_err(|e| format!("cannot read {v}: {e}"))?;
+        let file = sgx_edl::parse_file(&src).map_err(|e| format!("{v}: {e}"))?;
+        let lint = lint_interface(&file, &LintConfig::default(), Some(&trace));
+        let spec =
+            sgx_edl::spec::InterfaceSpec::from_ast(&file).map_err(|e| format!("{v}: {e}"))?;
+        analyzer = analyzer.with_edl(spec).with_lint(lint);
     }
 
     match cmd.as_str() {
@@ -567,7 +581,7 @@ fn run() -> Result<ExitCode, String> {
             }
         }
         "hist" => {
-            let name = positional.first().ok_or("hist needs a call name")?;
+            let name = &positional[0];
             let instances = analyzer.instances();
             let call = instances
                 .call_named(name)
@@ -586,7 +600,7 @@ fn run() -> Result<ExitCode, String> {
             }
         }
         "scatter" => {
-            let name = positional.first().ok_or("scatter needs a call name")?;
+            let name = &positional[0];
             let instances = analyzer.instances();
             let call = instances
                 .call_named(name)
@@ -599,20 +613,14 @@ fn run() -> Result<ExitCode, String> {
             }
         }
         "info" => {
-            emit(&format!(
-                "ecalls: {}  ocalls: {}  aex: {}  paging: {}  sync: {}  enclaves: {}  symbols: {}\n",
-                trace.ecalls.len(),
-                trace.ocalls.len(),
-                trace.aex.len(),
-                trace.paging.len(),
-                trace.sync.len(),
-                trace.enclaves.len(),
-                trace.symbols.len()
-            ))?;
+            let counts: Vec<String> = trace
+                .table_rows()
+                .into_iter()
+                .map(|(tag, rows)| format!("{tag}: {rows}"))
+                .collect();
+            emit(&format!("{}\n", counts.join("  ")))?;
             // Physical layout, via the store's enumeration API — row counts
             // and byte sizes per section without decoding any records.
-            let store =
-                eventdb::Store::load(path).map_err(|e| format!("cannot load {path}: {e}"))?;
             emit(&format!(
                 "sections ({} payload bytes):\n",
                 store.payload_bytes()
@@ -625,10 +633,7 @@ fn run() -> Result<ExitCode, String> {
                 ))?;
             }
         }
-        other => {
-            print_usage();
-            return Err(format!("unknown command `{other}`"));
-        }
+        other => unreachable!("`{other}` was checked above"),
     }
     Ok(ExitCode::SUCCESS)
 }

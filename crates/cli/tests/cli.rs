@@ -158,6 +158,69 @@ fn info_command_counts_tables() {
     assert!(ok);
     assert!(stdout.contains("ecalls: 64"), "{stdout}");
     assert!(stdout.contains("ocalls: 64"), "{stdout}");
+    // The count line names every table, written to the file or not.
+    let counts = stdout.lines().next().unwrap();
+    let tables: Vec<&str> = counts
+        .split("  ")
+        .map(|c| c.split(':').next().unwrap())
+        .collect();
+    assert_eq!(
+        tables,
+        [
+            "ecalls",
+            "ocalls",
+            "aex",
+            "paging",
+            "sync",
+            "enclaves",
+            "symbols",
+            "switchless",
+            "faults",
+            "lifecycle",
+            "syncev",
+            "fleet"
+        ],
+        "{counts}"
+    );
+}
+
+#[test]
+fn single_trace_commands_reject_stray_arguments() {
+    let trace = record_trace("stray-args");
+    let path = trace.to_str().unwrap();
+    for (args, error) in [
+        (
+            &["report", path, "--jsno"][..],
+            "unknown report option `--jsno`",
+        ),
+        (
+            &["hist", path, "--bins-typo", "5", "ecall_step"],
+            "unknown hist option `--bins-typo`",
+        ),
+        (
+            &["dot", path, "stray"],
+            "dot takes no argument after the trace",
+        ),
+        (
+            &["export", path, "--format", "folded", "stray"],
+            "export takes no argument",
+        ),
+        (&["info", path, "stray"], "info takes no argument"),
+        (&["report", path, "stray"], "report takes no argument"),
+        (
+            &["hist", path],
+            "hist takes one call name after the trace, got 0",
+        ),
+        (
+            &["scatter", path, "ecall_step", "stray"],
+            "scatter takes one call name after the trace, got 2",
+        ),
+    ] {
+        let (stdout, stderr, code) = sgxperf_code(args);
+        assert_eq!(code, 1, "{args:?}: {stderr}");
+        assert!(stderr.contains(error), "{args:?}: {stderr}");
+        assert!(stdout.is_empty(), "{args:?}: {stdout}");
+    }
 }
 
 /// EDL with one exercised `user_check` ecall and one dead public ecall —

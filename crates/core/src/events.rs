@@ -1,6 +1,6 @@
 //! Trace event schema — the rows sgx-perf serialises to its event database.
 
-use eventdb::{DbError, Decoder, Encoder, Record};
+use eventdb::{record, DbError, Decoder, Encoder, Field};
 
 /// Whether a call is an ecall or an ocall.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -50,51 +50,27 @@ pub enum AexMode {
     Trace,
 }
 
-/// One completed ecall.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EcallRow {
-    /// Issuing thread token.
-    pub thread: u64,
-    /// Enclave id.
-    pub enclave: u32,
-    /// Ecall index within the enclave interface.
-    pub call_index: u32,
-    /// Timestamp before `sgx_ecall` was forwarded (includes transitions).
-    pub start_ns: u64,
-    /// Timestamp after `sgx_ecall` returned.
-    pub end_ns: u64,
-    /// Row id of the ocall this (nested) ecall was issued from, if any —
-    /// the *direct parent* (§4.3.2).
-    pub parent_ocall: Option<u64>,
-    /// AEXs observed during this ecall (when counting/tracing is enabled).
-    pub aex_count: u64,
-    /// Whether the call returned an error (still traced).
-    pub failed: bool,
-}
-
-impl Record for EcallRow {
-    const TAG: &'static str = "ecalls";
-    fn encode(&self, out: &mut Encoder) {
-        out.u64(self.thread);
-        out.u32(self.enclave);
-        out.u32(self.call_index);
-        out.u64(self.start_ns);
-        out.u64(self.end_ns);
-        out.option(&self.parent_ocall, |e, v| e.u64(*v));
-        out.u64(self.aex_count);
-        out.bool(self.failed);
-    }
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DbError> {
-        Ok(EcallRow {
-            thread: r.u64()?,
-            enclave: r.u32()?,
-            call_index: r.u32()?,
-            start_ns: r.u64()?,
-            end_ns: r.u64()?,
-            parent_ocall: r.option(|r| r.u64())?,
-            aex_count: r.u64()?,
-            failed: r.bool()?,
-        })
+record! {
+    /// One completed ecall.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct EcallRow: "ecalls" {
+        /// Issuing thread token.
+        pub thread: u64,
+        /// Enclave id.
+        pub enclave: u32,
+        /// Ecall index within the enclave interface.
+        pub call_index: u32,
+        /// Timestamp before `sgx_ecall` was forwarded (includes transitions).
+        pub start_ns: u64,
+        /// Timestamp after `sgx_ecall` returned.
+        pub end_ns: u64,
+        /// Row id of the ocall this (nested) ecall was issued from, if any —
+        /// the *direct parent* (§4.3.2).
+        pub parent_ocall: Option<u64>,
+        /// AEXs observed during this ecall (when counting/tracing is enabled).
+        pub aex_count: u64,
+        /// Whether the call returned an error (still traced).
+        pub failed: bool,
     }
 }
 
@@ -109,49 +85,27 @@ impl EcallRow {
     }
 }
 
-/// One completed ocall. Timestamps are taken in the logger's generated
-/// call stub, i.e. *outside* the enclave, so — unlike ecalls — the duration
-/// excludes the transition time (§4.1.2).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OcallRow {
-    /// Issuing thread token.
-    pub thread: u64,
-    /// Enclave id.
-    pub enclave: u32,
-    /// Ocall index within the (effective) enclave interface.
-    pub call_index: u32,
-    /// Timestamp when the stub was entered.
-    pub start_ns: u64,
-    /// Timestamp when the real ocall function returned.
-    pub end_ns: u64,
-    /// Row id of the ecall this ocall was issued from — the *direct
-    /// parent*. `None` can only occur if tracing started mid-call.
-    pub parent_ecall: Option<u64>,
-    /// Whether the call returned an error (still traced).
-    pub failed: bool,
-}
-
-impl Record for OcallRow {
-    const TAG: &'static str = "ocalls";
-    fn encode(&self, out: &mut Encoder) {
-        out.u64(self.thread);
-        out.u32(self.enclave);
-        out.u32(self.call_index);
-        out.u64(self.start_ns);
-        out.u64(self.end_ns);
-        out.option(&self.parent_ecall, |e, v| e.u64(*v));
-        out.bool(self.failed);
-    }
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DbError> {
-        Ok(OcallRow {
-            thread: r.u64()?,
-            enclave: r.u32()?,
-            call_index: r.u32()?,
-            start_ns: r.u64()?,
-            end_ns: r.u64()?,
-            parent_ecall: r.option(|r| r.u64())?,
-            failed: r.bool()?,
-        })
+record! {
+    /// One completed ocall. Timestamps are taken in the logger's generated
+    /// call stub, i.e. *outside* the enclave, so — unlike ecalls — the duration
+    /// excludes the transition time (§4.1.2).
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct OcallRow: "ocalls" {
+        /// Issuing thread token.
+        pub thread: u64,
+        /// Enclave id.
+        pub enclave: u32,
+        /// Ocall index within the (effective) enclave interface.
+        pub call_index: u32,
+        /// Timestamp when the stub was entered.
+        pub start_ns: u64,
+        /// Timestamp when the real ocall function returned.
+        pub end_ns: u64,
+        /// Row id of the ecall this ocall was issued from — the *direct
+        /// parent*. `None` can only occur if tracing started mid-call.
+        pub parent_ecall: Option<u64>,
+        /// Whether the call returned an error (still traced).
+        pub failed: bool,
     }
 }
 
@@ -168,475 +122,245 @@ impl OcallRow {
 
 /// Why an AEX happened, when observable. On SGX v1 the reason cannot be
 /// inferred (§4.1.4); on SGX v2 debug enclaves the logger reads the
-/// recorded exit type.
+/// recorded exit type. Stored as its discriminant byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AexCauseCode {
     /// Timer or device interrupt.
-    Interrupt,
+    Interrupt = 0,
     /// EPC page fault.
-    PageFault,
+    PageFault = 1,
     /// MMU access fault (e.g. stripped permissions).
-    AccessFault,
+    AccessFault = 2,
 }
 
-impl AexCauseCode {
-    fn encode(self) -> u8 {
-        match self {
-            AexCauseCode::Interrupt => 0,
-            AexCauseCode::PageFault => 1,
-            AexCauseCode::AccessFault => 2,
-        }
+impl Field for AexCauseCode {
+    fn write(&self, out: &mut Encoder) {
+        out.u8(*self as u8);
     }
 
-    fn decode(v: u8) -> Result<AexCauseCode, DbError> {
-        match v {
-            0 => Ok(AexCauseCode::Interrupt),
-            1 => Ok(AexCauseCode::PageFault),
-            2 => Ok(AexCauseCode::AccessFault),
-            other => Err(DbError::Corrupt(format!("bad AexCauseCode {other}"))),
-        }
+    fn read(r: &mut Decoder<'_>) -> Result<Self, DbError> {
+        let code = r.u8()?;
+        [Self::Interrupt, Self::PageFault, Self::AccessFault]
+            .into_iter()
+            .find(|cause| *cause as u8 == code)
+            .ok_or_else(|| DbError::Corrupt(format!("bad AexCauseCode {code}")))
     }
 }
 
-/// One traced AEX (only in [`AexMode::Trace`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AexRow {
-    /// Thread that was interrupted.
-    pub thread: u64,
-    /// Enclave that was exited.
-    pub enclave: u32,
-    /// Time of the exit.
-    pub time_ns: u64,
-    /// Row id of the ecall in progress, if the logger could attribute one.
-    pub during_ecall: Option<u64>,
-    /// Exit cause — `Some` only on SGX v2 debug enclaves (§4.1.4).
-    pub cause: Option<AexCauseCode>,
-}
-
-impl Record for AexRow {
-    const TAG: &'static str = "aex";
-    fn encode(&self, out: &mut Encoder) {
-        out.u64(self.thread);
-        out.u32(self.enclave);
-        out.u64(self.time_ns);
-        out.option(&self.during_ecall, |e, v| e.u64(*v));
-        out.option(&self.cause, |e, v| e.u8(v.encode()));
-    }
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DbError> {
-        Ok(AexRow {
-            thread: r.u64()?,
-            enclave: r.u32()?,
-            time_ns: r.u64()?,
-            during_ecall: r.option(|r| r.u64())?,
-            cause: r.option(|r| AexCauseCode::decode(r.u8()?))?,
-        })
+record! {
+    /// One traced AEX (only in [`AexMode::Trace`]).
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct AexRow: "aex" {
+        /// Thread that was interrupted.
+        pub thread: u64,
+        /// Enclave that was exited.
+        pub enclave: u32,
+        /// Time of the exit.
+        pub time_ns: u64,
+        /// Row id of the ecall in progress, if the logger could attribute one.
+        pub during_ecall: Option<u64>,
+        /// Exit cause — `Some` only on SGX v2 debug enclaves (§4.1.4).
+        pub cause: Option<AexCauseCode>,
     }
 }
 
-/// One EPC paging event captured from the driver hooks (§4.1.5).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PagingRow {
-    /// Enclave whose page moved.
-    pub enclave: u32,
-    /// `true` = page-out (eviction), `false` = page-in.
-    pub out: bool,
-    /// Virtual address of the page.
-    pub vaddr: u64,
-    /// Time of the operation.
-    pub time_ns: u64,
-}
-
-impl Record for PagingRow {
-    const TAG: &'static str = "paging";
-    fn encode(&self, out: &mut Encoder) {
-        out.u32(self.enclave);
-        out.bool(self.out);
-        out.u64(self.vaddr);
-        out.u64(self.time_ns);
-    }
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DbError> {
-        Ok(PagingRow {
-            enclave: r.u32()?,
-            out: r.bool()?,
-            vaddr: r.u64()?,
-            time_ns: r.u64()?,
-        })
+record! {
+    /// One EPC paging event captured from the driver hooks (§4.1.5).
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct PagingRow: "paging" {
+        /// Enclave whose page moved.
+        pub enclave: u32,
+        /// `true` = page-out (eviction), `false` = page-in.
+        pub out: bool,
+        /// Virtual address of the page.
+        pub vaddr: u64,
+        /// Time of the operation.
+        pub time_ns: u64,
     }
 }
 
-/// Classification of a synchronisation ocall event (§4.1.3): the four SDK
-/// sync ocalls reduce to sleep and wake-up events.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SyncRow {
-    /// Thread that issued the sync ocall.
-    pub thread: u64,
-    /// Time the event was recorded.
-    pub time_ns: u64,
-    /// `true` = sleep, `false` = wake-up.
-    pub sleep: bool,
-    /// For wake-ups: the thread being woken (dependency edge waker→sleeper).
-    pub target_thread: Option<u64>,
-    /// Row id of the underlying ocall.
-    pub ocall_row: u64,
-}
-
-impl Record for SyncRow {
-    const TAG: &'static str = "sync";
-    fn encode(&self, out: &mut Encoder) {
-        out.u64(self.thread);
-        out.u64(self.time_ns);
-        out.bool(self.sleep);
-        out.option(&self.target_thread, |e, v| e.u64(*v));
-        out.u64(self.ocall_row);
-    }
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DbError> {
-        Ok(SyncRow {
-            thread: r.u64()?,
-            time_ns: r.u64()?,
-            sleep: r.bool()?,
-            target_thread: r.option(|r| r.u64())?,
-            ocall_row: r.u64()?,
-        })
+record! {
+    /// Classification of a synchronisation ocall event (§4.1.3): the four SDK
+    /// sync ocalls reduce to sleep and wake-up events.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct SyncRow: "sync" {
+        /// Thread that issued the sync ocall.
+        pub thread: u64,
+        /// Time the event was recorded.
+        pub time_ns: u64,
+        /// `true` = sleep, `false` = wake-up.
+        pub sleep: bool,
+        /// For wake-ups: the thread being woken (dependency edge waker→sleeper).
+        pub target_thread: Option<u64>,
+        /// Row id of the underlying ocall.
+        pub ocall_row: u64,
     }
 }
 
-/// One switchless-subsystem event (worker dispatch, fallback to the
-/// synchronous path, worker idle/busy). Switchless calls bypass `sgx_ecall`
-/// and the ocall table entirely, so the interposition shims never see them;
-/// the logger records them through the URTS switchless observer instead.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SwitchlessRow {
-    /// Thread the event happened on (caller for dispatch/fallback, worker
-    /// for idle/busy).
-    pub thread: u64,
-    /// Enclave id.
-    pub enclave: u32,
-    /// Event kind, encoded as
-    /// [`SwitchlessEventKind::code`](sgx_sdk::SwitchlessEventKind::code).
-    pub kind: u8,
-    /// The ecall/ocall index, for dispatch and fallback events.
-    pub call_index: Option<u32>,
-    /// Worker slot within its pool, for worker events.
-    pub worker: Option<u32>,
-    /// Poll iterations the caller spent waiting (dispatch events).
-    pub spins: u64,
-    /// Time of the event.
-    pub time_ns: u64,
-}
-
-impl Record for SwitchlessRow {
-    const TAG: &'static str = "switchless";
-    fn encode(&self, out: &mut Encoder) {
-        out.u64(self.thread);
-        out.u32(self.enclave);
-        out.u8(self.kind);
-        out.option(&self.call_index, |e, v| e.u32(*v));
-        out.option(&self.worker, |e, v| e.u32(*v));
-        out.u64(self.spins);
-        out.u64(self.time_ns);
-    }
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DbError> {
-        Ok(SwitchlessRow {
-            thread: r.u64()?,
-            enclave: r.u32()?,
-            kind: r.u8()?,
-            call_index: r.option(|r| r.u32())?,
-            worker: r.option(|r| r.u32())?,
-            spins: r.u64()?,
-            time_ns: r.u64()?,
-        })
+record! {
+    /// One switchless-subsystem event (worker dispatch, fallback to the
+    /// synchronous path, worker idle/busy). Switchless calls bypass `sgx_ecall`
+    /// and the ocall table entirely, so the interposition shims never see them;
+    /// the logger records them through the URTS switchless observer instead.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct SwitchlessRow: "switchless" {
+        /// Thread the event happened on (caller for dispatch/fallback, worker
+        /// for idle/busy).
+        pub thread: u64,
+        /// Enclave id.
+        pub enclave: u32,
+        /// Event kind, encoded as
+        /// [`SwitchlessEventKind::code`](sgx_sdk::SwitchlessEventKind::code).
+        pub kind: u8,
+        /// The ecall/ocall index, for dispatch and fallback events.
+        pub call_index: Option<u32>,
+        /// Worker slot within its pool, for worker events.
+        pub worker: Option<u32>,
+        /// Poll iterations the caller spent waiting (dispatch events).
+        pub spins: u64,
+        /// Time of the event.
+        pub time_ns: u64,
     }
 }
 
-/// One fault-injection or recovery event (from the chaos harness).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FaultRow {
-    /// Thread at the injection site.
-    pub thread: u64,
-    /// Affected enclave (0 when not tied to one).
-    pub enclave: u32,
-    /// Fault kind, encoded as
-    /// [`FaultKind::code`](sim_core::fault::FaultKind::code).
-    pub fault: u8,
-    /// Injection/recovery step, encoded as
-    /// [`FaultAction::code`](sim_core::fault::FaultAction::code).
-    pub action: u8,
-    /// Ecall/ocall index at the site, when meaningful.
-    pub call_index: Option<u32>,
-    /// Kind-specific magnitude (AEX count, pages evicted, delay/backoff
-    /// nanoseconds, slowdown factor, attempts).
-    pub magnitude: u64,
-    /// Time of the event.
-    pub time_ns: u64,
-}
-
-impl Record for FaultRow {
-    const TAG: &'static str = "faults";
-    fn encode(&self, out: &mut Encoder) {
-        out.u64(self.thread);
-        out.u32(self.enclave);
-        out.u8(self.fault);
-        out.u8(self.action);
-        out.option(&self.call_index, |e, v| e.u32(*v));
-        out.u64(self.magnitude);
-        out.u64(self.time_ns);
-    }
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DbError> {
-        Ok(FaultRow {
-            thread: r.u64()?,
-            enclave: r.u32()?,
-            fault: r.u8()?,
-            action: r.u8()?,
-            call_index: r.option(|r| r.u32())?,
-            magnitude: r.u64()?,
-            time_ns: r.u64()?,
-        })
+record! {
+    /// One fault-injection or recovery event (from the chaos harness).
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct FaultRow: "faults" {
+        /// Thread at the injection site.
+        pub thread: u64,
+        /// Affected enclave (0 when not tied to one).
+        pub enclave: u32,
+        /// Fault kind, encoded as
+        /// [`FaultKind::code`](sim_core::fault::FaultKind::code).
+        pub fault: u8,
+        /// Injection/recovery step, encoded as
+        /// [`FaultAction::code`](sim_core::fault::FaultAction::code).
+        pub action: u8,
+        /// Ecall/ocall index at the site, when meaningful.
+        pub call_index: Option<u32>,
+        /// Kind-specific magnitude (AEX count, pages evicted, delay/backoff
+        /// nanoseconds, slowdown factor, attempts).
+        pub magnitude: u64,
+        /// Time of the event.
+        pub time_ns: u64,
     }
 }
 
-/// One enclave-lifecycle event: a loss (`SGX_ERROR_ENCLAVE_LOST`), or one
-/// step of a supervisor recovery (rebuild, warm-up replay, retry, overall
-/// recovery, circuit-breaker give-up).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LifecycleRow {
-    /// Affected enclave. For rebuild/replay/retry rows this is the *new*
-    /// enclave id; for lost/gave-up rows the one that died.
-    pub enclave: u32,
-    /// Stage, encoded as
-    /// [`LifecycleStage::code`](sim_core::LifecycleStage::code).
-    pub stage: u8,
-    /// Thread driving the recovery.
-    pub thread: u64,
-    /// Restart attempt number (0 for the loss itself).
-    pub attempt: u32,
-    /// Stage-specific cost in virtual nanoseconds: rebuild/replay duration,
-    /// retry backoff, or — for recovered rows — the full loss-to-completion
-    /// MTTR.
-    pub magnitude: u64,
-    /// Time of the event.
-    pub time_ns: u64,
-}
-
-impl Record for LifecycleRow {
-    const TAG: &'static str = "lifecycle";
-    fn encode(&self, out: &mut Encoder) {
-        out.u32(self.enclave);
-        out.u8(self.stage);
-        out.u64(self.thread);
-        out.u32(self.attempt);
-        out.u64(self.magnitude);
-        out.u64(self.time_ns);
-    }
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DbError> {
-        Ok(LifecycleRow {
-            enclave: r.u32()?,
-            stage: r.u8()?,
-            thread: r.u64()?,
-            attempt: r.u32()?,
-            magnitude: r.u64()?,
-            time_ns: r.u64()?,
-        })
+record! {
+    /// One enclave-lifecycle event: a loss (`SGX_ERROR_ENCLAVE_LOST`), or one
+    /// step of a supervisor recovery (rebuild, warm-up replay, retry, overall
+    /// recovery, circuit-breaker give-up).
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct LifecycleRow: "lifecycle" {
+        /// Affected enclave. For rebuild/replay/retry rows this is the *new*
+        /// enclave id; for lost/gave-up rows the one that died.
+        pub enclave: u32,
+        /// Stage, encoded as
+        /// [`LifecycleStage::code`](sim_core::LifecycleStage::code).
+        pub stage: u8,
+        /// Thread driving the recovery.
+        pub thread: u64,
+        /// Restart attempt number (0 for the loss itself).
+        pub attempt: u32,
+        /// Stage-specific cost in virtual nanoseconds: rebuild/replay duration,
+        /// retry backoff, or — for recovered rows — the full loss-to-completion
+        /// MTTR.
+        pub magnitude: u64,
+        /// Time of the event.
+        pub time_ns: u64,
     }
 }
 
-/// One synchronisation event (lock/condvar/thread/ring/shared-cell), the
-/// raw material for the `sgxperf races` analyses. Codes mirror
-/// [`SyncOp::code`](sim_core::SyncOp::code).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SyncEvRow {
-    /// Acting logical thread (`u64::MAX` for the external driver).
-    pub thread: u64,
-    /// Operation code ([`SyncOp::code`](sim_core::SyncOp::code)).
-    pub op: u8,
-    /// Synchronisation object id (lock, condvar, ring, cell), if any.
-    pub object: Option<u64>,
-    /// Other thread involved (woken waiter, spawned child, caller), if any.
-    pub target: Option<u64>,
-    /// Operation-specific payload (lock path, mutex id, ring slot).
-    pub aux: u64,
-    /// Human name of the object (shared cells, named locks); empty
-    /// otherwise.
-    pub label: String,
-    /// Time of the event.
-    pub time_ns: u64,
-}
-
-impl Record for SyncEvRow {
-    const TAG: &'static str = "syncev";
-    fn encode(&self, out: &mut Encoder) {
-        out.u64(self.thread);
-        out.u8(self.op);
-        out.option(&self.object, |e, v| e.u64(*v));
-        out.option(&self.target, |e, v| e.u64(*v));
-        out.u64(self.aux);
-        out.str(&self.label);
-        out.u64(self.time_ns);
-    }
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DbError> {
-        Ok(SyncEvRow {
-            thread: r.u64()?,
-            op: r.u8()?,
-            object: r.option(|r| r.u64())?,
-            target: r.option(|r| r.u64())?,
-            aux: r.u64()?,
-            label: r.str()?,
-            time_ns: r.u64()?,
-        })
+record! {
+    /// One synchronisation event (lock/condvar/thread/ring/shared-cell), the
+    /// raw material for the `sgxperf races` analyses. Codes mirror
+    /// [`SyncOp::code`](sim_core::SyncOp::code).
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct SyncEvRow: "syncev" {
+        /// Acting logical thread (`u64::MAX` for the external driver).
+        pub thread: u64,
+        /// Operation code ([`SyncOp::code`](sim_core::SyncOp::code)).
+        pub op: u8,
+        /// Synchronisation object id (lock, condvar, ring, cell), if any.
+        pub object: Option<u64>,
+        /// Other thread involved (woken waiter, spawned child, caller), if any.
+        pub target: Option<u64>,
+        /// Operation-specific payload (lock path, mutex id, ring slot).
+        pub aux: u64,
+        /// Human name of the object (shared cells, named locks); empty
+        /// otherwise.
+        pub label: String,
+        /// Time of the event.
+        pub time_ns: u64,
     }
 }
 
-/// Per-slot summary of a fleet run. A *slot* is a logical client enclave
-/// managed by the fleet manager; its concrete enclave ids change across
-/// spin-ups and rebuilds, so the row aggregates by slot. Written only for
-/// fleet workloads — single-enclave traces carry no fleet table.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FleetRow {
-    /// Slot index within the fleet (0-based zipf popularity rank order is
-    /// workload-defined, not implied).
-    pub slot: u32,
-    /// Enclave creations for this slot (cold starts after pool retirement).
-    pub spin_ups: u32,
-    /// Supervisor rebuilds after enclave losses.
-    pub restarts: u32,
-    /// Requests routed to this slot.
-    pub requests: u64,
-    /// Requests completed successfully.
-    pub completed: u64,
-    /// Requests shed by the fleet circuit breaker.
-    pub shed: u64,
-    /// Requests that failed terminally (e.g. recovery exhausted).
-    pub failed: u64,
-    /// Median request latency in virtual nanoseconds (arrival → completion).
-    pub p50_ns: u64,
-    /// 99th-percentile request latency in virtual nanoseconds.
-    pub p99_ns: u64,
-    /// EPC pages paged in for this slot's enclaves.
-    pub page_ins: u64,
-    /// EPC pages of this slot's enclaves evicted by EPC pressure.
-    pub page_outs: u64,
-}
-
-impl Record for FleetRow {
-    const TAG: &'static str = "fleet";
-    fn encode(&self, out: &mut Encoder) {
-        out.u32(self.slot);
-        out.u32(self.spin_ups);
-        out.u32(self.restarts);
-        out.u64(self.requests);
-        out.u64(self.completed);
-        out.u64(self.shed);
-        out.u64(self.failed);
-        out.u64(self.p50_ns);
-        out.u64(self.p99_ns);
-        out.u64(self.page_ins);
-        out.u64(self.page_outs);
-    }
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DbError> {
-        Ok(FleetRow {
-            slot: r.u32()?,
-            spin_ups: r.u32()?,
-            restarts: r.u32()?,
-            requests: r.u64()?,
-            completed: r.u64()?,
-            shed: r.u64()?,
-            failed: r.u64()?,
-            p50_ns: r.u64()?,
-            p99_ns: r.u64()?,
-            page_ins: r.u64()?,
-            page_outs: r.u64()?,
-        })
+record! {
+    /// Per-slot summary of a fleet run. A *slot* is a logical client enclave
+    /// managed by the fleet manager; its concrete enclave ids change across
+    /// spin-ups and rebuilds, so the row aggregates by slot. Written only for
+    /// fleet workloads — single-enclave traces carry no fleet table.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct FleetRow: "fleet" {
+        /// Slot index within the fleet (0-based zipf popularity rank order is
+        /// workload-defined, not implied).
+        pub slot: u32,
+        /// Enclave creations for this slot (cold starts after pool retirement).
+        pub spin_ups: u32,
+        /// Supervisor rebuilds after enclave losses.
+        pub restarts: u32,
+        /// Requests routed to this slot.
+        pub requests: u64,
+        /// Requests completed successfully.
+        pub completed: u64,
+        /// Requests shed by the fleet circuit breaker.
+        pub shed: u64,
+        /// Requests that failed terminally (e.g. recovery exhausted).
+        pub failed: u64,
+        /// Median request latency in virtual nanoseconds (arrival → completion).
+        pub p50_ns: u64,
+        /// 99th-percentile request latency in virtual nanoseconds.
+        pub p99_ns: u64,
+        /// EPC pages paged in for this slot's enclaves.
+        pub page_ins: u64,
+        /// EPC pages of this slot's enclaves evicted by EPC pressure.
+        pub page_outs: u64,
     }
 }
 
-/// One observed enclave (from driver lifecycle events).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EnclaveRow {
-    /// Enclave id.
-    pub enclave: u32,
-    /// Total pages (power of two).
-    pub total_pages: u64,
-    /// Creation time.
-    pub created_ns: u64,
-}
-
-impl Record for EnclaveRow {
-    const TAG: &'static str = "enclaves";
-    fn encode(&self, out: &mut Encoder) {
-        out.u32(self.enclave);
-        out.u64(self.total_pages);
-        out.u64(self.created_ns);
-    }
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DbError> {
-        Ok(EnclaveRow {
-            enclave: r.u32()?,
-            total_pages: r.u64()?,
-            created_ns: r.u64()?,
-        })
+record! {
+    /// One observed enclave (from driver lifecycle events).
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct EnclaveRow: "enclaves" {
+        /// Enclave id.
+        pub enclave: u32,
+        /// Total pages (power of two).
+        pub total_pages: u64,
+        /// Creation time.
+        pub created_ns: u64,
     }
 }
 
-/// One interface symbol (captured from the enclave's registered interface —
-/// the analogue of reading names from debug symbols / the EDL).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SymbolRow {
-    /// Enclave id.
-    pub enclave: u32,
-    /// Ecall or ocall.
-    pub kind_is_ecall: bool,
-    /// Call index.
-    pub index: u32,
-    /// Function name.
-    pub name: String,
-    /// Ecalls: declared `public`. Ocalls: always `false`.
-    pub public: bool,
-    /// Ocalls: the declared `allow()` ecall indexes.
-    pub allowed_ecalls: Vec<u32>,
-    /// Names of parameters annotated `user_check`.
-    pub user_check_params: Vec<String>,
-}
-
-impl Record for SymbolRow {
-    const TAG: &'static str = "symbols";
-    fn encode(&self, out: &mut Encoder) {
-        out.u32(self.enclave);
-        out.bool(self.kind_is_ecall);
-        out.u32(self.index);
-        out.str(&self.name);
-        out.bool(self.public);
-        out.usize(self.allowed_ecalls.len());
-        for a in &self.allowed_ecalls {
-            out.u32(*a);
-        }
-        out.usize(self.user_check_params.len());
-        for p in &self.user_check_params {
-            out.str(p);
-        }
-    }
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DbError> {
-        let enclave = r.u32()?;
-        let kind_is_ecall = r.bool()?;
-        let index = r.u32()?;
-        let name = r.str()?;
-        let public = r.bool()?;
-        let n = r.usize()?;
-        let mut allowed_ecalls = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            allowed_ecalls.push(r.u32()?);
-        }
-        let m = r.usize()?;
-        let mut user_check_params = Vec::with_capacity(m.min(1024));
-        for _ in 0..m {
-            user_check_params.push(r.str()?);
-        }
-        Ok(SymbolRow {
-            enclave,
-            kind_is_ecall,
-            index,
-            name,
-            public,
-            allowed_ecalls,
-            user_check_params,
-        })
+record! {
+    /// One interface symbol (captured from the enclave's registered interface —
+    /// the analogue of reading names from debug symbols / the EDL).
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct SymbolRow: "symbols" {
+        /// Enclave id.
+        pub enclave: u32,
+        /// Ecall or ocall.
+        pub kind_is_ecall: bool,
+        /// Call index.
+        pub index: u32,
+        /// Function name.
+        pub name: String,
+        /// Ecalls: declared `public`. Ocalls: always `false`.
+        pub public: bool,
+        /// Ocalls: the declared `allow()` ecall indexes.
+        pub allowed_ecalls: Vec<u32>,
+        /// Names of parameters annotated `user_check`.
+        pub user_check_params: Vec<String>,
     }
 }
 
@@ -658,7 +382,7 @@ impl SymbolRow {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eventdb::Table;
+    use eventdb::{Record, Table};
 
     fn roundtrip<R: Record + Clone + PartialEq + std::fmt::Debug>(rows: Vec<R>) {
         let table: Table<R> = rows.clone().into_iter().collect();

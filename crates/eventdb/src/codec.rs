@@ -1,8 +1,9 @@
 //! Binary encoding primitives.
 //!
 //! Little-endian fixed-width integers, IEEE-754 doubles, and
-//! length-prefixed UTF-8 strings/byte blobs. All decode paths are
-//! bounds-checked and return [`DbError::Corrupt`] rather than panicking.
+//! length-prefixed UTF-8 strings/byte blobs, plus the [`Field`] forms of
+//! row values built on them. All decode paths are bounds-checked and
+//! return [`DbError::Corrupt`] rather than panicking.
 
 use crate::DbError;
 
@@ -77,17 +78,6 @@ impl Encoder {
     /// Writes a length-prefixed UTF-8 string.
     pub fn str(&mut self, v: &str) {
         self.bytes(v.as_bytes());
-    }
-
-    /// Writes an `Option` as a presence byte followed by the value.
-    pub fn option<T>(&mut self, v: &Option<T>, mut write: impl FnMut(&mut Encoder, &T)) {
-        match v {
-            Some(value) => {
-                self.bool(true);
-                write(self, value);
-            }
-            None => self.bool(false),
-        }
     }
 }
 
@@ -180,17 +170,83 @@ impl<'a> Decoder<'a> {
             .map(str::to_string)
             .map_err(|e| DbError::Corrupt(format!("invalid utf-8 string: {e}")))
     }
+}
 
-    /// Reads an `Option` written by [`Encoder::option`].
-    pub fn option<T>(
-        &mut self,
-        mut read: impl FnMut(&mut Decoder<'a>) -> Result<T, DbError>,
-    ) -> Result<Option<T>, DbError> {
-        if self.bool()? {
-            Ok(Some(read(self)?))
+/// A value with one binary form inside a row. [`record!`](crate::record)
+/// derives a row's codec from its fields' `Field` impls, in declaration
+/// order.
+pub trait Field: Sized {
+    /// Appends the value.
+    fn write(&self, out: &mut Encoder);
+
+    /// Reads one value written by [`Field::write`].
+    ///
+    /// # Errors
+    ///
+    /// [`DbError::Corrupt`] on truncated or malformed input.
+    fn read(r: &mut Decoder<'_>) -> Result<Self, DbError>;
+}
+
+macro_rules! scalar_fields {
+    ($($ty:ident),*) => {$(
+        impl Field for $ty {
+            fn write(&self, out: &mut Encoder) {
+                out.$ty(*self);
+            }
+            fn read(r: &mut Decoder<'_>) -> Result<Self, DbError> {
+                r.$ty()
+            }
+        }
+    )*};
+}
+
+scalar_fields!(u8, u32, u64, i64, f64, bool);
+
+impl Field for String {
+    fn write(&self, out: &mut Encoder) {
+        out.str(self);
+    }
+    fn read(r: &mut Decoder<'_>) -> Result<Self, DbError> {
+        r.str()
+    }
+}
+
+/// A presence byte, then the value when present.
+impl<T: Field> Field for Option<T> {
+    fn write(&self, out: &mut Encoder) {
+        out.bool(self.is_some());
+        if let Some(value) = self {
+            value.write(out);
+        }
+    }
+    fn read(r: &mut Decoder<'_>) -> Result<Self, DbError> {
+        if r.bool()? {
+            T::read(r).map(Some)
         } else {
             Ok(None)
         }
+    }
+}
+
+/// Most items a decoded list reserves room for before reading them: a
+/// corrupt length fails when the bytes run out, not in the allocator.
+const LIST_PREALLOC: usize = 1024;
+
+/// A u64 item count, then the items.
+impl<T: Field> Field for Vec<T> {
+    fn write(&self, out: &mut Encoder) {
+        out.usize(self.len());
+        for item in self {
+            item.write(out);
+        }
+    }
+    fn read(r: &mut Decoder<'_>) -> Result<Self, DbError> {
+        let n = r.usize()?;
+        let mut items = Vec::with_capacity(n.min(LIST_PREALLOC));
+        for _ in 0..n {
+            items.push(T::read(r)?);
+        }
+        Ok(items)
     }
 }
 
@@ -233,15 +289,52 @@ mod tests {
         assert_eq!(d.str().unwrap(), "");
     }
 
+    fn field_roundtrip<T: Field + PartialEq + std::fmt::Debug>(value: T, len: usize) {
+        let mut e = Encoder::new();
+        value.write(&mut e);
+        let bytes = e.into_bytes();
+        assert_eq!(bytes.len(), len, "{value:?}");
+        let mut d = Decoder::new(&bytes);
+        assert_eq!(T::read(&mut d).unwrap(), value);
+        assert!(d.is_exhausted());
+    }
+
+    #[test]
+    fn fields_roundtrip() {
+        field_roundtrip(7u8, 1);
+        field_roundtrip(0xdead_beef_u32, 4);
+        field_roundtrip(u64::MAX, 8);
+        field_roundtrip(-42i64, 8);
+        field_roundtrip(3.5f64, 8);
+        field_roundtrip(true, 1);
+        field_roundtrip("héllo".to_string(), 4 + 6);
+        field_roundtrip(vec![1u32, 2, 3], 8 + 3 * 4);
+        field_roundtrip(Vec::<String>::new(), 8);
+        field_roundtrip(vec![vec!["a".to_string()], vec![]], 8 + (8 + 4 + 1) + 8);
+    }
+
     #[test]
     fn option_roundtrip() {
+        field_roundtrip(Some(9u64), 1 + 8);
+        field_roundtrip(None::<u64>, 1);
+        field_roundtrip(Some(Some(false)), 1 + 1 + 1);
+    }
+
+    #[test]
+    fn huge_vec_length_is_corrupt_without_reserving_it() {
+        // Claims u64::MAX items with 3 bytes left. Reserving the claimed
+        // length up front would panic with a capacity overflow.
         let mut e = Encoder::new();
-        e.option(&Some(9u64), |e, v| e.u64(*v));
-        e.option(&None::<u64>, |e, v| e.u64(*v));
+        e.u64(u64::MAX);
+        e.u8(1);
+        e.u8(2);
+        e.u8(3);
         let bytes = e.into_bytes();
-        let mut d = Decoder::new(&bytes);
-        assert_eq!(d.option(|d| d.u64()).unwrap(), Some(9));
-        assert_eq!(d.option(|d| d.u64()).unwrap(), None);
+        let got = Vec::<u64>::read(&mut Decoder::new(&bytes));
+        assert!(matches!(got, Err(DbError::Corrupt(_))), "{got:?}");
+        // Items that do fit still decode until the bytes run out.
+        let got = Vec::<u8>::read(&mut Decoder::new(&bytes));
+        assert!(matches!(got, Err(DbError::Corrupt(_))), "{got:?}");
     }
 
     #[test]

@@ -15,24 +15,20 @@
 //! # Examples
 //!
 //! ```
-//! use eventdb::{Decoder, Encoder, DbError, Record, Store, Table};
+//! use eventdb::{record, Store, Table};
 //!
-//! #[derive(Debug, Clone, PartialEq)]
-//! struct Sample { t: u64, label: String }
-//!
-//! impl Record for Sample {
-//!     const TAG: &'static str = "samples";
-//!     fn encode(&self, out: &mut Encoder) {
-//!         out.u64(self.t);
-//!         out.str(&self.label);
-//!     }
-//!     fn decode(r: &mut Decoder<'_>) -> Result<Self, DbError> {
-//!         Ok(Sample { t: r.u64()?, label: r.str()? })
+//! record! {
+//!     /// One sample; stored in the table tagged "samples".
+//!     #[derive(Debug, Clone, PartialEq)]
+//!     struct Sample: "samples" {
+//!         t: u64,
+//!         label: String,
+//!         tags: Vec<Option<u32>>,
 //!     }
 //! }
 //!
 //! let mut table = Table::new();
-//! table.insert(Sample { t: 42, label: "hello".into() });
+//! table.insert(Sample { t: 42, label: "hello".into(), tags: vec![Some(7), None] });
 //!
 //! let mut store = Store::new();
 //! store.put(&table);
@@ -48,7 +44,7 @@ pub mod codec;
 pub mod store;
 pub mod table;
 
-pub use codec::{Decoder, Encoder};
+pub use codec::{Decoder, Encoder, Field};
 pub use store::{SectionInfo, SegmentedWriter, Store};
 pub use table::{Record, RowId, Table};
 

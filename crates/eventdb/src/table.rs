@@ -1,7 +1,6 @@
 //! Append-only typed tables.
 
 use std::fmt;
-use std::marker::PhantomData;
 
 use crate::codec::{Decoder, Encoder};
 use crate::DbError;
@@ -22,6 +21,39 @@ pub trait Record: Sized {
     /// Implementations must return [`DbError::Corrupt`] (usually by
     /// propagating decoder errors) rather than panicking on bad input.
     fn decode(r: &mut Decoder<'_>) -> Result<Self, DbError>;
+}
+
+/// Declares a row struct with named fields and derives its [`Record`]
+/// impl: fields are written and read in declaration order, each through
+/// its [`Field`](crate::Field) impl. The string after the struct name is
+/// the table tag. The [crate-level example](crate) declares one.
+#[macro_export]
+macro_rules! record {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident: $tag:literal {
+            $($(#[$field_meta:meta])* $field_vis:vis $field:ident: $ty:ty),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis struct $name {
+            $($(#[$field_meta])* $field_vis $field: $ty,)*
+        }
+
+        impl $crate::Record for $name {
+            const TAG: &'static str = $tag;
+            fn encode(&self, out: &mut $crate::Encoder) {
+                $($crate::Field::write(&self.$field, out);)*
+            }
+            fn decode(
+                r: &mut $crate::Decoder<'_>,
+            ) -> ::core::result::Result<Self, $crate::DbError> {
+                ::core::result::Result::Ok($name {
+                    $($field: $crate::Field::read(r)?,)*
+                })
+            }
+        }
+    };
 }
 
 /// Identifier of a row within its table (dense, insertion order).
@@ -91,14 +123,6 @@ impl<R> Table<R> {
     pub fn iter_with_ids(&self) -> impl Iterator<Item = (RowId, &R)> {
         self.rows.iter().enumerate().map(|(i, r)| (RowId(i), r))
     }
-
-    /// Rows matching a predicate, in insertion order.
-    pub fn scan<'a>(
-        &'a self,
-        mut pred: impl FnMut(&R) -> bool + 'a,
-    ) -> impl Iterator<Item = &'a R> {
-        self.rows.iter().filter(move |r| pred(r))
-    }
 }
 
 impl<'a, R> IntoIterator for &'a Table<R> {
@@ -151,55 +175,15 @@ impl<R: Record> Table<R> {
     }
 }
 
-/// Typed cursor over a table sorted by an extracted key — a tiny stand-in
-/// for an index scan. Built eagerly; the underlying table must outlive it.
-#[derive(Debug)]
-pub struct SortedView<'a, R, K> {
-    order: Vec<usize>,
-    table: &'a Table<R>,
-    _key: PhantomData<K>,
-}
-
-impl<'a, R, K: Ord> SortedView<'a, R, K> {
-    /// Builds a view over `table` ordered by `key` (stable sort, so ties
-    /// keep insertion order).
-    pub fn new(table: &'a Table<R>, mut key: impl FnMut(&R) -> K) -> SortedView<'a, R, K> {
-        let mut order: Vec<usize> = (0..table.len()).collect();
-        order.sort_by_key(|&i| key(&table.rows[i]));
-        SortedView {
-            order,
-            table,
-            _key: PhantomData,
-        }
-    }
-
-    /// Iterates rows in key order.
-    pub fn iter(&self) -> impl Iterator<Item = &'a R> + '_ {
-        self.order.iter().map(move |&i| &self.table.rows[i])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[derive(Debug, Clone, PartialEq)]
-    struct Row {
-        k: u64,
-        s: String,
-    }
-
-    impl Record for Row {
-        const TAG: &'static str = "rows";
-        fn encode(&self, out: &mut Encoder) {
-            out.u64(self.k);
-            out.str(&self.s);
-        }
-        fn decode(r: &mut Decoder<'_>) -> Result<Self, DbError> {
-            Ok(Row {
-                k: r.u64()?,
-                s: r.str()?,
-            })
+    crate::record! {
+        #[derive(Debug, Clone, PartialEq)]
+        struct Row: "rows" {
+            k: u64,
+            s: String,
         }
     }
 
@@ -249,13 +233,6 @@ mod tests {
     }
 
     #[test]
-    fn scan_filters_in_order() {
-        let t = sample();
-        let big: Vec<u64> = t.scan(|r| r.k >= 2).map(|r| r.k).collect();
-        assert_eq!(big, vec![3, 2]);
-    }
-
-    #[test]
     fn encode_decode_roundtrip() {
         let t = sample();
         let mut e = Encoder::new();
@@ -277,14 +254,6 @@ mod tests {
             Table::<Row>::decode(&mut d).unwrap_err(),
             DbError::Corrupt(_)
         ));
-    }
-
-    #[test]
-    fn sorted_view_orders_by_key() {
-        let t = sample();
-        let view = SortedView::new(&t, |r| r.k);
-        let ks: Vec<u64> = view.iter().map(|r| r.k).collect();
-        assert_eq!(ks, vec![1, 2, 3]);
     }
 
     #[test]

@@ -5,61 +5,19 @@
 use eventdb::{DbError, Decoder, Encoder, Record, Store, Table};
 use proptest::prelude::*;
 
-/// A record exercising every codec primitive: fixed-width integers,
-/// floats, booleans, options, strings and nested byte-ish payloads.
-#[derive(Debug, Clone, PartialEq)]
-struct Mixed {
-    a: u64,
-    b: u32,
-    c: i64,
-    d: f64,
-    e: bool,
-    f: Option<u64>,
-    g: String,
-    h: Vec<u32>,
-}
-
-impl Record for Mixed {
-    const TAG: &'static str = "mixed";
-    fn encode(&self, out: &mut Encoder) {
-        out.u64(self.a);
-        out.u32(self.b);
-        out.i64(self.c);
-        out.f64(self.d);
-        out.bool(self.e);
-        out.option(&self.f, |e, v| e.u64(*v));
-        out.str(&self.g);
-        out.usize(self.h.len());
-        for v in &self.h {
-            out.u32(*v);
-        }
-    }
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DbError> {
-        let a = r.u64()?;
-        let b = r.u32()?;
-        let c = r.i64()?;
-        let d = r.f64()?;
-        let e = r.bool()?;
-        let f = r.option(|r| r.u64())?;
-        let g = r.str()?;
-        let n = r.usize()?;
-        if n > r.remaining() {
-            return Err(DbError::Corrupt(format!("vec count {n} too large")));
-        }
-        let mut h = Vec::with_capacity(n);
-        for _ in 0..n {
-            h.push(r.u32()?);
-        }
-        Ok(Mixed {
-            a,
-            b,
-            c,
-            d,
-            e,
-            f,
-            g,
-            h,
-        })
+eventdb::record! {
+    /// A record exercising every field codec: fixed-width integers,
+    /// floats, booleans, options, strings and lists.
+    #[derive(Debug, Clone, PartialEq)]
+    struct Mixed: "mixed" {
+        a: u64,
+        b: u32,
+        c: i64,
+        d: f64,
+        e: bool,
+        f: Option<u64>,
+        g: String,
+        h: Vec<u32>,
     }
 }
 

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use eventdb::{Decoder, Encoder, Store, Table};
+use eventdb::{Decoder, Encoder, Field, Store, Table};
 use sgx_perf::analysis::stats::{CallStats, Histogram};
 use sgx_perf::analysis::Instances;
 use sgx_perf::events::{CallKind, EcallRow, OcallRow};
@@ -66,12 +66,12 @@ proptest! {
         let mut enc = Encoder::new();
         enc.u64(v);
         enc.str(&s);
-        enc.option(&Some(v ^ 1), |e, x| e.u64(*x));
+        Some(v ^ 1).write(&mut enc);
         let bytes = enc.into_bytes();
         let mut dec = Decoder::new(&bytes);
         prop_assert_eq!(dec.u64().unwrap(), v);
         prop_assert_eq!(dec.str().unwrap(), s);
-        prop_assert_eq!(dec.option(|d| d.u64()).unwrap(), Some(v ^ 1));
+        prop_assert_eq!(Option::<u64>::read(&mut dec).unwrap(), Some(v ^ 1));
     }
 }
 
