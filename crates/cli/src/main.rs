@@ -2,19 +2,11 @@
 //! the event logger and produces reports, call graphs and plot data —
 //! the offline half of the tool collection (§4.3).
 //!
-//! ```text
-//! sgxperf report   <trace.evdb> [--profile unpatched|spectre|l1tf] [--edl <file.edl>] [--faults <spec>] [--json]
-//! sgxperf lint     <file.edl> [--trace <trace.evdb>] [--deny <code,...>] [--max-public N] [--large-copy BYTES]
-//! sgxperf diff     <a.evdb> <b.evdb> [--threshold PCT] [--min-count N] [--json]
-//! sgxperf export   <trace.evdb> --format chrome|folded [--profile ...] [-o <out>]
-//! sgxperf dot      <trace.evdb> [-o <out.dot>]
-//! sgxperf hist     <trace.evdb> <call-name> [--bins N] [--json]
-//! sgxperf scatter  <trace.evdb> <call-name> [--json]
-//! sgxperf info     <trace.evdb>
-//! sgxperf races    <trace.evdb> [--json]
-//! sgxperf fleet    <trace.evdb> [--top N] [--json]
-//! sgxperf campaign <spec.toml> [--out DIR] [--jobs N] [--engine fast|legacy] [--json] [--dry-run] [--resume]
-//! ```
+//! Run `sgxperf` without arguments for the usage text. It is generated
+//! from [`SUBCOMMANDS`], whose synopses are also the only declaration of
+//! what each subcommand accepts: [`Args::parse`] reads its command line
+//! against them, and anything a synopsis does not declare exits 1 before
+//! any file is read.
 //!
 //! `lint` runs the static interface analyzer (EDL-W001...) and renders
 //! rustc-style diagnostics. With `--trace`, findings are cross-checked
@@ -50,79 +42,106 @@
 use std::io::{ErrorKind, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::str::FromStr;
 
-use sgx_edl::lint::LintConfig;
+use sgx_edl::lint::{codes, LintConfig};
 use sgx_perf::analysis::diff::{DiffConfig, TraceDiff};
 use sgx_perf::analysis::lint::lint_interface;
+use sgx_perf::analysis::parents::Instances;
 use sgx_perf::analysis::races;
 use sgx_perf::analysis::stats::{scatter, scatter_csv, scatter_json, Histogram};
-use sgx_perf::{export, Analyzer, FleetReport, TraceDb};
+use sgx_perf::{export, Analyzer, CallRef, FleetReport, TraceDb};
 use sim_core::campaign::CampaignSpec;
 use sim_core::fault::FaultPlan;
 use sim_core::HwProfile;
 use sim_threads::Engine;
 use workloads::campaign::matrix::{self, MatrixPlan};
 
-/// Every subcommand: (name, argument synopsis, one-line summary). The
+/// A subcommand's body: it runs on a command line already checked
+/// against the subcommand's synopsis.
+type Handler = fn(&Args) -> Result<ExitCode, String>;
+
+/// Every subcommand: (name, synopsis, one-line summary, handler). The
 /// usage text is generated from this table, so an unknown-subcommand
-/// error always lists the complete, current set.
-const SUBCOMMANDS: &[(&str, &str, &str)] = &[
+/// error always lists the complete, current set. The synopsis is also
+/// the only declaration of the subcommand's operands and flags: see
+/// [`Args::parse`] for how it is read.
+const SUBCOMMANDS: &[(&str, &str, &str, Handler)] = &[
     (
         "report",
         "<trace.evdb> [--profile unpatched|spectre|l1tf] [--edl <file.edl>] [--faults <spec>] [--json]",
         "statistics, detections and recommendations",
+        run_report,
     ),
     (
         "lint",
         "<file.edl> [--trace <trace.evdb>] [--deny <code,...>] [--max-public N] [--large-copy BYTES]",
         "static interface analysis (exit 1 on denied codes)",
+        run_lint,
     ),
     (
         "diff",
         "<a.evdb> <b.evdb> [--threshold PCT] [--min-count N] [--json]",
         "A/B regression gate (exit 3 on regression)",
+        run_diff,
     ),
     (
         "export",
         "<trace.evdb> --format chrome|folded [--profile <p>] [-o <out>]",
         "chrome://tracing JSON or flamegraph stacks",
+        run_export,
     ),
-    ("dot", "<trace.evdb> [-o <out.dot>]", "call graph in dot format"),
+    (
+        "dot",
+        "<trace.evdb> [-o <out.dot>]",
+        "call graph in dot format",
+        run_dot,
+    ),
     (
         "hist",
-        "<trace.evdb> <call-name> [--bins N] [--json]",
+        "<trace.evdb> <call-name> [--bins N] [--json] [-o <out.csv>]",
         "per-call duration histogram",
+        run_hist,
     ),
     (
         "scatter",
         "<trace.evdb> <call-name> [--json]",
         "per-execution duration series",
+        run_scatter,
     ),
-    ("info", "<trace.evdb>", "table sizes and physical layout"),
+    (
+        "info",
+        "<trace.evdb>",
+        "table sizes and physical layout",
+        run_info,
+    ),
     (
         "races",
         "<trace.evdb> [--json]",
         "race & deadlock analysis (exit 3 on findings)",
+        run_races,
     ),
     (
         "fleet",
         "<trace.evdb> [--top N] [--json]",
         "per-slot and aggregate fleet-run statistics",
+        run_fleet,
     ),
     (
         "campaign",
         "<spec.toml> [--out DIR] [--jobs N] [--engine fast|legacy] [--json] [--dry-run] [--resume]",
         "run a supervised scenario matrix (exit 3 on regression, 4 when incomplete)",
+        run_campaign,
     ),
 ];
 
 fn print_usage() {
     let mut text = String::from("usage:\n");
-    for (name, synopsis, _) in SUBCOMMANDS {
+    for (name, synopsis, ..) in SUBCOMMANDS {
         text.push_str(&format!("  sgxperf {name:<8} {synopsis}\n"));
     }
     text.push_str("\ncommands:\n");
-    for (name, _, summary) in SUBCOMMANDS {
+    for (name, _, summary, _) in SUBCOMMANDS {
         text.push_str(&format!("  {name:<8} {summary}\n"));
     }
     text.push_str(
@@ -150,47 +169,312 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-/// `sgxperf lint` — the EDL file replaces the trace as the primary input,
-/// so it is dispatched before the shared trace-loading path.
-///
-/// Exit status: 1 when any produced diagnostic's code is in the `--deny`
-/// set (`--deny all` denies every code), 0 otherwise.
-fn run_lint(rest: &[String]) -> Result<ExitCode, String> {
-    let (path, opts) = rest.split_first().ok_or("missing EDL file")?;
-    let source = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let file = sgx_edl::parse_file(&source).map_err(|e| format!("{path}: {e}"))?;
+/// One subcommand's command line, checked against its synopsis.
+struct Args<'a> {
+    /// The flags the synopsis declares: each flag's name and, for a flag
+    /// that takes a value, the value's placeholder.
+    declared: Vec<(&'static str, Option<&'static str>)>,
+    /// The operands, in command-line order.
+    operands: Vec<&'a str>,
+    /// The flags given, each with its value (`""` for a switch).
+    given: Vec<(&'static str, &'a str)>,
+}
 
-    let mut config = LintConfig::default();
-    let mut trace: Option<TraceDb> = None;
-    let mut deny: Vec<String> = Vec::new();
-    let mut it = opts.iter();
-    while let Some(opt) = it.next() {
-        match opt.as_str() {
-            "--trace" => {
-                let v = it.next().ok_or("--trace needs a file")?;
-                trace = Some(TraceDb::load(v).map_err(|e| format!("cannot load {v}: {e}"))?);
+impl<'a> Args<'a> {
+    /// Reads `argv` against `synopsis`. In a synopsis, a `<placeholder>`
+    /// outside brackets is an operand, `[--flag VALUE]` (or a bare
+    /// `--flag VALUE`) declares a flag that takes a value and `[--flag]` a
+    /// switch. On the command line, operands and flags may come in any
+    /// order; any argument that starts with `-` is a flag, and a value flag
+    /// takes the argument after it as its value, whatever it is.
+    ///
+    /// # Errors
+    ///
+    /// An undeclared flag (the error names the declared ones), a repeated
+    /// flag, a value flag with no value left, or a wrong number of
+    /// operands.
+    fn parse(cmd: &str, synopsis: &'static str, argv: &'a [String]) -> Result<Args<'a>, String> {
+        let mut wanted = Vec::new();
+        let mut declared = Vec::new();
+        let mut words = synopsis.split_whitespace();
+        while let Some(word) = words.next() {
+            let bare = word.trim_start_matches('[').trim_end_matches(']');
+            if !bare.starts_with('-') {
+                wanted.push(bare);
+                continue;
             }
-            "--deny" => {
-                let v = it.next().ok_or("--deny needs a code list")?;
-                deny.extend(v.split(',').map(|c| c.trim().to_string()));
+            let placeholder = (!word.ends_with(']')).then(|| {
+                let value = words.next().expect("a value flag names its value");
+                value.trim_end_matches(']')
+            });
+            declared.push((bare, placeholder));
+        }
+
+        let mut args = Args {
+            declared,
+            operands: Vec::new(),
+            given: Vec::new(),
+        };
+        let mut it = argv.iter();
+        while let Some(arg) = it.next() {
+            if !arg.starts_with('-') {
+                args.operands.push(arg);
+                continue;
             }
-            "--max-public" => {
-                config.max_public_ecalls = it
-                    .next()
-                    .ok_or("--max-public needs a number")?
-                    .parse()
-                    .map_err(|e| format!("--max-public: {e}"))?;
+            let Some(&(flag, placeholder)) = args.declared.iter().find(|(f, _)| f == arg) else {
+                let names: Vec<&str> = args.declared.iter().map(|(f, _)| *f).collect();
+                let takes = if names.is_empty() {
+                    "no options".to_string()
+                } else {
+                    names.join(", ")
+                };
+                return Err(format!(
+                    "unknown {cmd} option `{arg}` ({cmd} takes {takes})"
+                ));
+            };
+            if args.given.iter().any(|(f, _)| *f == flag) {
+                return Err(format!("{flag} given twice"));
             }
-            "--large-copy" => {
-                config.large_copy_bytes = it
-                    .next()
-                    .ok_or("--large-copy needs a byte count")?
-                    .parse()
-                    .map_err(|e| format!("--large-copy: {e}"))?;
-            }
-            other => return Err(format!("unknown lint option `{other}`")),
+            let value = match placeholder {
+                Some(p) => it.next().ok_or_else(|| format!("{flag} needs {p}"))?,
+                None => "",
+            };
+            args.given.push((flag, value));
+        }
+        if args.operands.len() != wanted.len() {
+            return Err(operand_error(cmd, &wanted, args.operands.len()));
+        }
+        Ok(args)
+    }
+
+    /// The value given for `flag` (`""` for a switch), or `None` when the
+    /// flag was not given.
+    fn get(&self, flag: &str) -> Option<&'a str> {
+        assert!(
+            self.declared.iter().any(|(f, _)| *f == flag),
+            "`{flag}` is not in the synopsis"
+        );
+        self.given.iter().find(|(f, _)| *f == flag).map(|(_, v)| *v)
+    }
+
+    fn has(&self, flag: &str) -> bool {
+        self.get(flag).is_some()
+    }
+
+    /// `flag`'s value parsed as a `T`, or `default` when it was not given.
+    fn parse_or<T: FromStr>(&self, flag: &str, default: T) -> Result<T, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        self.get(flag).map_or(Ok(default), |v| {
+            v.parse().map_err(|e| format!("{flag}: {e}"))
+        })
+    }
+
+    /// The `--profile` given, or the unpatched default.
+    fn profile(&self) -> Result<HwProfile, String> {
+        self.get("--profile").map_or(Ok(HwProfile::Unpatched), |v| {
+            HwProfile::parse(v).ok_or_else(|| format!("unknown profile `{v}`"))
+        })
+    }
+
+    /// Writes `text` to the `-o` file when one is given, else to stdout.
+    fn output(&self, text: &str) -> Result<(), String> {
+        match self.get("-o") {
+            Some(path) => write_file(path, text),
+            None => emit(text),
         }
     }
+}
+
+/// The error for a wrong operand count, worded from the synopsis's
+/// operand placeholders (at most two: the input and one more).
+fn operand_error(cmd: &str, wanted: &[&str], got: usize) -> String {
+    let nouns: Vec<String> = wanted
+        .iter()
+        .map(|op| {
+            let op = op.trim_matches(['<', '>']);
+            match op.rsplit_once('.') {
+                Some((_, "evdb")) => "trace".to_string(),
+                Some((_, "edl")) => "EDL file".to_string(),
+                Some((_, "toml")) => "spec file".to_string(),
+                _ => op.replace('-', " "),
+            }
+        })
+        .collect();
+    let (input, rest) = nouns.split_first().expect("every synopsis names its input");
+    match rest {
+        [more] if more == input => format!("{cmd} needs exactly two {input}s, got {got}"),
+        _ if got == 0 => format!("{cmd} is missing its {input}"),
+        [] => format!("{cmd} takes no argument after the {input}, got {}", got - 1),
+        [more, ..] => format!("{cmd} takes one {more} after the {input}, got {}", got - 1),
+    }
+}
+
+fn write_file(path: &str, text: &str) -> Result<(), String> {
+    std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))?;
+    eprintln!("wrote {path}");
+    Ok(())
+}
+
+fn load(path: &str) -> Result<TraceDb, String> {
+    TraceDb::load(path).map_err(|e| format!("cannot load {path}: {e}"))
+}
+
+/// `sgxperf report` — statistics, detections and recommendations, plus
+/// the EDL lint cross-check with `--edl`.
+fn run_report(args: &Args) -> Result<ExitCode, String> {
+    let path = args.operands[0];
+    let profile = args.profile()?;
+    let faults = args
+        .get("--faults")
+        .map(|v| FaultPlan::parse(v).map_err(|e| format!("--faults: {e}")))
+        .transpose()?;
+    let trace = load(path)?;
+    let mut analyzer = Analyzer::new(&trace, profile.cost_model());
+    if let Some(v) = args.get("--edl") {
+        let src = std::fs::read_to_string(v).map_err(|e| format!("cannot read {v}: {e}"))?;
+        let file = sgx_edl::parse_file(&src).map_err(|e| format!("{v}: {e}"))?;
+        let lint = lint_interface(&file, &LintConfig::default(), Some(&trace));
+        let spec =
+            sgx_edl::spec::InterfaceSpec::from_ast(&file).map_err(|e| format!("{v}: {e}"))?;
+        analyzer = analyzer.with_edl(spec).with_lint(lint);
+    }
+    // Echo the canonical form of the fault plan the trace was (or is to
+    // be) recorded under — to stderr, so `--json` stdout stays valid
+    // JSON. Parsing the echo back yields the same plan: `Display` is the
+    // grammar's fixpoint.
+    if let Some(plan) = &faults {
+        eprintln!("fault plan: {plan}");
+    }
+    let report = analyzer.analyze();
+    if args.has("--json") {
+        emit(&report.to_json())?;
+    } else {
+        emit(&report.render())?;
+    }
+    Ok(ExitCode::SUCCESS)
+}
+
+fn run_dot(args: &Args) -> Result<ExitCode, String> {
+    let trace = load(args.operands[0])?;
+    let analyzer = Analyzer::new(&trace, HwProfile::Unpatched.cost_model());
+    args.output(&analyzer.call_graph().to_dot())?;
+    Ok(ExitCode::SUCCESS)
+}
+
+fn run_export(args: &Args) -> Result<ExitCode, String> {
+    let path = args.operands[0];
+    let format = args
+        .get("--format")
+        .ok_or("export needs --format chrome|folded")?;
+    let cost = args.profile()?.cost_model();
+    let trace = load(path)?;
+    let rendered = match format {
+        "chrome" => export::chrome_trace(&trace, &cost),
+        "folded" => export::folded_stacks(&trace, &cost),
+        other => return Err(format!("unknown export format `{other}`")),
+    };
+    args.output(&rendered)?;
+    Ok(ExitCode::SUCCESS)
+}
+
+/// Loads the trace at `path` and finds the call named `name` in it.
+fn named_call(path: &str, name: &str) -> Result<(Instances, CallRef), String> {
+    let trace = load(path)?;
+    let instances = Analyzer::new(&trace, HwProfile::Unpatched.cost_model()).instances();
+    let call = instances
+        .call_named(name)
+        .ok_or_else(|| format!("no call named `{name}`"))?;
+    Ok((instances, call))
+}
+
+/// `sgxperf hist` — prints the histogram (ASCII, or JSON with `--json`)
+/// and with `-o` also writes it as CSV.
+fn run_hist(args: &Args) -> Result<ExitCode, String> {
+    let bins = args.parse_or("--bins", 100usize)?;
+    if bins == 0 {
+        return Err("--bins must be at least 1".to_string());
+    }
+    let name = args.operands[1];
+    let (instances, call) = named_call(args.operands[0], name)?;
+    let hist = Histogram::of_call(&instances, call, bins)
+        .ok_or_else(|| format!("`{name}` has no recorded executions"))?;
+    if args.has("--json") {
+        emit(&hist.to_json())?;
+    } else {
+        emit(&format!("{}\n", hist.render_ascii(24, 48)))?;
+    }
+    if let Some(path) = args.get("-o") {
+        write_file(path, &hist.to_csv())?;
+    }
+    Ok(ExitCode::SUCCESS)
+}
+
+fn run_scatter(args: &Args) -> Result<ExitCode, String> {
+    let (instances, call) = named_call(args.operands[0], args.operands[1])?;
+    let points = scatter(&instances, call);
+    if args.has("--json") {
+        emit(&scatter_json(&points))?;
+    } else {
+        emit(&scatter_csv(&points))?;
+    }
+    Ok(ExitCode::SUCCESS)
+}
+
+fn run_info(args: &Args) -> Result<ExitCode, String> {
+    let path = args.operands[0];
+    let store = eventdb::Store::load(path).map_err(|e| format!("cannot load {path}: {e}"))?;
+    let trace = TraceDb::from_store(&store).map_err(|e| format!("cannot load {path}: {e}"))?;
+    let counts: Vec<String> = trace
+        .table_rows()
+        .into_iter()
+        .map(|(tag, rows)| format!("{tag}: {rows}"))
+        .collect();
+    emit(&format!("{}\n", counts.join("  ")))?;
+    // Physical layout, via the store's enumeration API — row counts and
+    // byte sizes per section without decoding any records.
+    emit(&format!(
+        "sections ({} payload bytes):\n",
+        store.payload_bytes()
+    ))?;
+    for info in store.sections() {
+        let info = info.map_err(|e| format!("{path}: {e}"))?;
+        emit(&format!(
+            "  {:<12} {:>8} rows {:>10} bytes\n",
+            info.tag, info.rows, info.bytes
+        ))?;
+    }
+    Ok(ExitCode::SUCCESS)
+}
+
+/// `sgxperf lint` — the EDL file replaces the trace as the primary input.
+///
+/// Exit status: 1 when any produced diagnostic's code is in the `--deny`
+/// set (`--deny all` denies every code) or the set names a code that does
+/// not exist, 0 otherwise.
+fn run_lint(args: &Args) -> Result<ExitCode, String> {
+    let path = args.operands[0];
+    let deny: Vec<&str> = args
+        .get("--deny")
+        .map_or(Vec::new(), |v| v.split(',').map(str::trim).collect());
+    if let Some(code) = deny
+        .iter()
+        .find(|c| **c != "all" && !codes::ALL.contains(c))
+    {
+        return Err(format!(
+            "--deny: unknown lint code `{code}` (codes are {}, or all)",
+            codes::ALL.join(", ")
+        ));
+    }
+    let defaults = LintConfig::default();
+    let config = LintConfig {
+        max_public_ecalls: args.parse_or("--max-public", defaults.max_public_ecalls)?,
+        large_copy_bytes: args.parse_or("--large-copy", defaults.large_copy_bytes)?,
+    };
+    let source = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let file = sgx_edl::parse_file(&source).map_err(|e| format!("{path}: {e}"))?;
+    let trace = args.get("--trace").map(load).transpose()?;
 
     let diags = lint_interface(&file, &config, trace.as_ref());
     for d in &diags {
@@ -199,7 +483,7 @@ fn run_lint(rest: &[String]) -> Result<ExitCode, String> {
     let denied: Vec<&str> = diags
         .iter()
         .map(|d| d.code)
-        .filter(|c| deny.iter().any(|d| d == c || d == "all"))
+        .filter(|c| deny.iter().any(|d| d == c || *d == "all"))
         .collect();
     let errors = diags
         .iter()
@@ -221,52 +505,27 @@ fn run_lint(rest: &[String]) -> Result<ExitCode, String> {
     }
 }
 
-/// `sgxperf diff` — needs *two* traces, so it is dispatched before the
-/// shared single-trace loading path.
+/// `sgxperf diff` — compares a candidate trace against a baseline.
 ///
 /// Exit status: 0 when nothing regressed past the threshold (including a
 /// net improvement), 3 on regression, 1 on bad input.
-fn run_diff(rest: &[String]) -> Result<ExitCode, String> {
+fn run_diff(args: &Args) -> Result<ExitCode, String> {
+    let (a_path, b_path) = (args.operands[0], args.operands[1]);
     let mut config = DiffConfig::default();
-    let mut json = false;
-    let mut paths: Vec<&String> = Vec::new();
-    let mut it = rest.iter();
-    while let Some(opt) = it.next() {
-        match opt.as_str() {
-            "--threshold" => {
-                let v = it.next().ok_or("--threshold needs a percentage")?;
-                let pct: f64 = v.parse().map_err(|e| format!("--threshold: {e}"))?;
-                if !pct.is_finite() || pct <= 0.0 {
-                    return Err(format!(
-                        "--threshold must be a positive percentage, got {v}"
-                    ));
-                }
-                config.threshold = pct / 100.0;
-            }
-            "--min-count" => {
-                config.min_count = it
-                    .next()
-                    .ok_or("--min-count needs a number")?
-                    .parse()
-                    .map_err(|e| format!("--min-count: {e}"))?;
-            }
-            "--json" => json = true,
-            other if other.starts_with('-') => {
-                return Err(format!("unknown diff option `{other}`"))
-            }
-            _ => paths.push(opt),
+    if let Some(v) = args.get("--threshold") {
+        let pct: f64 = v.parse().map_err(|e| format!("--threshold: {e}"))?;
+        if !pct.is_finite() || pct <= 0.0 {
+            return Err(format!(
+                "--threshold must be a positive percentage, got {v}"
+            ));
         }
+        config.threshold = pct / 100.0;
     }
-    let [a_path, b_path] = paths[..] else {
-        return Err(format!(
-            "diff needs exactly two traces (baseline, candidate), got {}",
-            paths.len()
-        ));
-    };
-    let a = TraceDb::load(a_path).map_err(|e| format!("cannot load {a_path}: {e}"))?;
-    let b = TraceDb::load(b_path).map_err(|e| format!("cannot load {b_path}: {e}"))?;
+    config.min_count = args.parse_or("--min-count", config.min_count)?;
+    let a = load(a_path)?;
+    let b = load(b_path)?;
     let diff = TraceDiff::compute(&a, &b, config);
-    if json {
+    if args.has("--json") {
         emit(&diff.to_json())?;
     } else {
         eprintln!("baseline:  {a_path}\ncandidate: {b_path}\n");
@@ -280,25 +539,9 @@ fn run_diff(rest: &[String]) -> Result<ExitCode, String> {
 /// Exit status: 3 when any error-severity finding is present (data races,
 /// lock-order cycles), 0 otherwise — warnings (lockset suspicions, locks
 /// held across ocalls) report but do not gate.
-fn run_races(rest: &[String]) -> Result<ExitCode, String> {
-    let mut json = false;
-    let mut paths: Vec<&String> = Vec::new();
-    for opt in rest {
-        match opt.as_str() {
-            "--json" => json = true,
-            other if other.starts_with('-') => {
-                return Err(format!("unknown races option `{other}`"))
-            }
-            _ => paths.push(opt),
-        }
-    }
-    let [path] = paths[..] else {
-        return Err(format!(
-            "races needs exactly one trace, got {}",
-            paths.len()
-        ));
-    };
-    let trace = TraceDb::load(path).map_err(|e| format!("cannot load {path}: {e}"))?;
+fn run_races(args: &Args) -> Result<ExitCode, String> {
+    let path = args.operands[0];
+    let trace = load(path)?;
     if trace.syncev.is_empty() {
         eprintln!(
             "sgxperf: note: {path} has no sync-event table — record with \
@@ -306,7 +549,7 @@ fn run_races(rest: &[String]) -> Result<ExitCode, String> {
         );
     }
     let report = races::analyze(&trace);
-    if json {
+    if args.has("--json") {
         emit(&report.to_json())?;
     } else {
         emit(&report.render())?;
@@ -317,39 +560,15 @@ fn run_races(rest: &[String]) -> Result<ExitCode, String> {
 /// `sgxperf fleet` — per-slot and aggregate statistics of a fleet run.
 ///
 /// Exit status: 0 always (reporting, not gating); 1 on bad input.
-fn run_fleet(rest: &[String]) -> Result<ExitCode, String> {
-    let mut json = false;
-    let mut top = 20usize;
-    let mut paths: Vec<&String> = Vec::new();
-    let mut it = rest.iter();
-    while let Some(opt) = it.next() {
-        match opt.as_str() {
-            "--json" => json = true,
-            "--top" => {
-                top = it
-                    .next()
-                    .ok_or("--top needs a number")?
-                    .parse()
-                    .map_err(|e| format!("--top: {e}"))?;
-            }
-            other if other.starts_with('-') => {
-                return Err(format!("unknown fleet option `{other}`"))
-            }
-            _ => paths.push(opt),
-        }
-    }
-    let [path] = paths[..] else {
-        return Err(format!(
-            "fleet needs exactly one trace, got {}",
-            paths.len()
-        ));
-    };
-    let trace = TraceDb::load(path).map_err(|e| format!("cannot load {path}: {e}"))?;
+fn run_fleet(args: &Args) -> Result<ExitCode, String> {
+    let path = args.operands[0];
+    let top = args.parse_or("--top", 20usize)?;
+    let trace = load(path)?;
     let report = FleetReport::from_trace(&trace);
     if report.is_empty() {
         eprintln!("sgxperf: note: {path} has no fleet table — record with a fleet run");
     }
-    if json {
+    if args.has("--json") {
         emit(&report.to_json())?;
     } else {
         emit(&report.render(top))?;
@@ -377,50 +596,19 @@ fn run_fleet(rest: &[String]) -> Result<ExitCode, String> {
 /// spec's threshold against its declared baseline, 3 on regression, 4
 /// when the matrix is incomplete (broken or unverdictable cells — beats
 /// 3), 1 on bad input.
-fn run_campaign(rest: &[String]) -> Result<ExitCode, String> {
-    let mut out: Option<PathBuf> = None;
-    let mut jobs = 0usize;
-    let mut engine: Option<Engine> = None;
-    let mut json = false;
-    let mut dry_run = false;
-    let mut resume = false;
-    let mut paths: Vec<&String> = Vec::new();
-    let mut it = rest.iter();
-    while let Some(opt) = it.next() {
-        match opt.as_str() {
-            "--out" => out = Some(PathBuf::from(it.next().ok_or("--out needs a directory")?)),
-            "--jobs" => {
-                jobs = it
-                    .next()
-                    .ok_or("--jobs needs a number")?
-                    .parse()
-                    .map_err(|e| format!("--jobs: {e}"))?;
-            }
-            "--engine" => {
-                let v = it.next().ok_or("--engine needs fast|legacy")?;
-                engine = Some(Engine::parse(v).ok_or_else(|| format!("unknown engine `{v}`"))?);
-            }
-            "--json" => json = true,
-            "--dry-run" => dry_run = true,
-            "--resume" => resume = true,
-            other if other.starts_with('-') => {
-                return Err(format!("unknown campaign option `{other}`"))
-            }
-            _ => paths.push(opt),
-        }
-    }
-    let [spec_path] = paths[..] else {
-        return Err(format!(
-            "campaign needs exactly one spec file, got {}",
-            paths.len()
-        ));
-    };
+fn run_campaign(args: &Args) -> Result<ExitCode, String> {
+    let spec_path = args.operands[0];
+    let jobs = args.parse_or("--jobs", 0usize)?;
+    let engine = args
+        .get("--engine")
+        .map(|v| Engine::parse(v).ok_or_else(|| format!("unknown engine `{v}`")))
+        .transpose()?;
     let source =
         std::fs::read_to_string(spec_path).map_err(|e| format!("cannot read {spec_path}: {e}"))?;
     let spec = CampaignSpec::parse(&source).map_err(|e| format!("{spec_path}: {e}"))?;
     let plan = MatrixPlan::from_spec(spec).map_err(|e| format!("{spec_path}: {e}"))?;
 
-    if dry_run {
+    if args.has("--dry-run") {
         // Echo the canonical spec (the parse/Display fixpoint) and the
         // expanded matrix without running anything.
         emit(&format!("{}\n", plan.spec))?;
@@ -435,10 +623,13 @@ fn run_campaign(rest: &[String]) -> Result<ExitCode, String> {
     }
 
     let engine = engine.unwrap_or_else(Engine::current);
-    let out_dir = out.unwrap_or_else(|| PathBuf::from("target/campaign").join(&plan.spec.name));
+    let out_dir = args.get("--out").map_or_else(
+        || PathBuf::from("target/campaign").join(&plan.spec.name),
+        PathBuf::from,
+    );
     let started = std::time::Instant::now();
-    let run = matrix::run(&plan, engine, jobs, Some(&out_dir), resume)?;
-    if json {
+    let run = matrix::run(&plan, engine, jobs, Some(&out_dir), args.has("--resume"))?;
+    if args.has("--json") {
         emit(&run.to_json())?;
     } else {
         emit(&run.render())?;
@@ -454,188 +645,14 @@ fn run_campaign(rest: &[String]) -> Result<ExitCode, String> {
 }
 
 fn run() -> Result<ExitCode, String> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (cmd, rest) = args.split_first().ok_or("missing command")?;
-    if cmd == "lint" {
-        return run_lint(rest);
-    }
-    if cmd == "diff" {
-        return run_diff(rest);
-    }
-    if cmd == "races" {
-        return run_races(rest);
-    }
-    if cmd == "fleet" {
-        return run_fleet(rest);
-    }
-    if cmd == "campaign" {
-        return run_campaign(rest);
-    }
-    // How many positional arguments follow the trace.
-    let positionals = match cmd.as_str() {
-        "report" | "dot" | "export" | "info" => 0,
-        "hist" | "scatter" => 1,
-        other => {
-            print_usage();
-            return Err(format!("unknown command `{other}`"));
-        }
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let (cmd, rest) = argv.split_first().ok_or("missing command")?;
+    let Some(&(name, synopsis, _, handler)) = SUBCOMMANDS.iter().find(|(name, ..)| name == cmd)
+    else {
+        print_usage();
+        return Err(format!("unknown command `{cmd}`"));
     };
-    let (path, opts) = rest.split_first().ok_or("missing trace file")?;
-
-    let mut profile = HwProfile::Unpatched;
-    let mut edl_path: Option<&String> = None;
-    let mut out: Option<String> = None;
-    let mut bins = 100usize;
-    let mut json = false;
-    let mut format: Option<String> = None;
-    let mut faults: Option<FaultPlan> = None;
-    let mut positional = Vec::new();
-    let mut it = opts.iter();
-    while let Some(opt) = it.next() {
-        match opt.as_str() {
-            "--profile" => {
-                let v = it.next().ok_or("--profile needs a value")?;
-                profile = HwProfile::parse(v).ok_or_else(|| format!("unknown profile `{v}`"))?;
-            }
-            "--edl" => edl_path = Some(it.next().ok_or("--edl needs a file")?),
-            "--faults" => {
-                let v = it.next().ok_or("--faults needs a fault spec")?;
-                faults = Some(FaultPlan::parse(v).map_err(|e| format!("--faults: {e}"))?);
-            }
-            "-o" => out = Some(it.next().ok_or("-o needs a file")?.clone()),
-            "--json" => json = true,
-            "--format" => format = Some(it.next().ok_or("--format needs a value")?.clone()),
-            "--bins" => {
-                bins = it
-                    .next()
-                    .ok_or("--bins needs a number")?
-                    .parse()
-                    .map_err(|e| format!("--bins: {e}"))?;
-            }
-            other if other.starts_with('-') => {
-                return Err(format!("unknown {cmd} option `{other}`"));
-            }
-            other => positional.push(other.to_string()),
-        }
-    }
-    if positional.len() != positionals {
-        let wanted = ["no argument", "one call name"][positionals];
-        return Err(format!(
-            "{cmd} takes {wanted} after the trace, got {}",
-            positional.len()
-        ));
-    }
-
-    let store = eventdb::Store::load(path).map_err(|e| format!("cannot load {path}: {e}"))?;
-    let trace = TraceDb::from_store(&store).map_err(|e| format!("cannot load {path}: {e}"))?;
-    let mut analyzer = Analyzer::new(&trace, profile.cost_model());
-    if let Some(v) = edl_path {
-        let src = std::fs::read_to_string(v).map_err(|e| format!("cannot read {v}: {e}"))?;
-        let file = sgx_edl::parse_file(&src).map_err(|e| format!("{v}: {e}"))?;
-        let lint = lint_interface(&file, &LintConfig::default(), Some(&trace));
-        let spec =
-            sgx_edl::spec::InterfaceSpec::from_ast(&file).map_err(|e| format!("{v}: {e}"))?;
-        analyzer = analyzer.with_edl(spec).with_lint(lint);
-    }
-
-    match cmd.as_str() {
-        "report" => {
-            // Echo the canonical form of the fault plan the trace was (or
-            // is to be) recorded under — to stderr, so `--json` stdout
-            // stays valid JSON. Parsing the echo back yields the same
-            // plan: `Display` is the grammar's fixpoint.
-            if let Some(plan) = &faults {
-                eprintln!("fault plan: {plan}");
-            }
-            let report = analyzer.analyze();
-            if json {
-                emit(&report.to_json())?;
-            } else {
-                emit(&report.render())?;
-            }
-        }
-        "dot" => {
-            let dot = analyzer.call_graph().to_dot();
-            match out {
-                Some(path) => {
-                    std::fs::write(&path, dot).map_err(|e| format!("cannot write {path}: {e}"))?;
-                    eprintln!("wrote {path}");
-                }
-                None => emit(&dot)?,
-            }
-        }
-        "export" => {
-            let format = format.ok_or("export needs --format chrome|folded")?;
-            let rendered = match format.as_str() {
-                "chrome" => export::chrome_trace(&trace, analyzer.cost_model()),
-                "folded" => export::folded_stacks(&trace, analyzer.cost_model()),
-                other => return Err(format!("unknown export format `{other}`")),
-            };
-            match out {
-                Some(path) => {
-                    std::fs::write(&path, rendered)
-                        .map_err(|e| format!("cannot write {path}: {e}"))?;
-                    eprintln!("wrote {path}");
-                }
-                None => emit(&rendered)?,
-            }
-        }
-        "hist" => {
-            let name = &positional[0];
-            let instances = analyzer.instances();
-            let call = instances
-                .call_named(name)
-                .ok_or_else(|| format!("no call named `{name}`"))?;
-            let hist = Histogram::of_call(&instances, call, bins)
-                .ok_or_else(|| format!("`{name}` has no recorded executions"))?;
-            if json {
-                emit(&hist.to_json())?;
-            } else {
-                emit(&format!("{}\n", hist.render_ascii(24, 48)))?;
-            }
-            if let Some(path) = out {
-                std::fs::write(&path, hist.to_csv())
-                    .map_err(|e| format!("cannot write {path}: {e}"))?;
-                eprintln!("wrote {path}");
-            }
-        }
-        "scatter" => {
-            let name = &positional[0];
-            let instances = analyzer.instances();
-            let call = instances
-                .call_named(name)
-                .ok_or_else(|| format!("no call named `{name}`"))?;
-            let points = scatter(&instances, call);
-            if json {
-                emit(&scatter_json(&points))?;
-            } else {
-                emit(&scatter_csv(&points))?;
-            }
-        }
-        "info" => {
-            let counts: Vec<String> = trace
-                .table_rows()
-                .into_iter()
-                .map(|(tag, rows)| format!("{tag}: {rows}"))
-                .collect();
-            emit(&format!("{}\n", counts.join("  ")))?;
-            // Physical layout, via the store's enumeration API — row counts
-            // and byte sizes per section without decoding any records.
-            emit(&format!(
-                "sections ({} payload bytes):\n",
-                store.payload_bytes()
-            ))?;
-            for info in store.sections() {
-                let info = info.map_err(|e| format!("{path}: {e}"))?;
-                emit(&format!(
-                    "  {:<12} {:>8} rows {:>10} bytes\n",
-                    info.tag, info.rows, info.bytes
-                ))?;
-            }
-        }
-        other => unreachable!("`{other}` was checked above"),
-    }
-    Ok(ExitCode::SUCCESS)
+    handler(&Args::parse(name, synopsis, rest)?)
 }
 
 fn main() -> ExitCode {

@@ -956,3 +956,166 @@ fn json_report_carries_fault_counters() {
     assert!(stdout.contains("\"faults_recovered\": 0"), "{stdout}");
     assert!(stdout.contains("\"faults_gave_up\": 0"), "{stdout}");
 }
+
+/// A subcommand as the usage text declares it.
+#[derive(Debug)]
+struct Synopsis {
+    name: String,
+    operands: usize,
+    /// Each flag, with whether it takes a value.
+    flags: Vec<(String, bool)>,
+}
+
+fn usage_table() -> Vec<Synopsis> {
+    let (_, usage, _) = sgxperf(&["frobnicate", "x"]);
+    usage
+        .lines()
+        .filter_map(|line| line.strip_prefix("  sgxperf "))
+        .map(|line| {
+            let mut words = line.split_whitespace();
+            let name = words.next().unwrap().to_string();
+            let mut operands = 0;
+            let mut flags = Vec::new();
+            while let Some(word) = words.next() {
+                let bare = word.trim_start_matches('[').trim_end_matches(']');
+                if bare.starts_with('-') {
+                    let takes_value = !word.ends_with(']');
+                    if takes_value {
+                        words.next();
+                    }
+                    flags.push((bare.to_string(), takes_value));
+                } else {
+                    operands += 1;
+                }
+            }
+            Synopsis {
+                name,
+                operands,
+                flags,
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn every_subcommand_takes_only_the_flags_its_synopsis_declares() {
+    let table = usage_table();
+    assert_eq!(table.len(), 11, "{table:?}");
+    let every_flag: std::collections::BTreeSet<&str> = table
+        .iter()
+        .flat_map(|cmd| cmd.flags.iter().map(|(f, _)| f.as_str()))
+        .collect();
+    for Synopsis {
+        name: cmd,
+        operands,
+        flags,
+    } in &table
+    {
+        // The argv errors come before any file is read, so the operands
+        // need not exist.
+        let run = |extra: &[&str]| {
+            let mut args = vec![cmd.as_str()];
+            args.extend(std::iter::repeat_n("/nonexistent/input", *operands));
+            args.extend_from_slice(extra);
+            let (stdout, stderr, code) = sgxperf_code(&args);
+            assert_eq!(code, 1, "{args:?}: {stderr}");
+            assert!(stdout.is_empty(), "{args:?}: {stdout}");
+            stderr
+        };
+        for foreign in every_flag
+            .iter()
+            .filter(|f| !flags.iter().any(|(own, _)| own == *f))
+        {
+            let stderr = run(&[foreign]);
+            assert!(
+                stderr.contains(&format!("unknown {cmd} option `{foreign}`")),
+                "{cmd} {foreign}: {stderr}"
+            );
+        }
+        for (flag, takes_value) in flags {
+            let once: &[&str] = if *takes_value { &[flag, "1"] } else { &[flag] };
+            let stderr = run(&[once, once].concat());
+            assert!(stderr.contains("given twice"), "{cmd} {flag}: {stderr}");
+            if *takes_value {
+                let stderr = run(&[flag]);
+                assert!(
+                    stderr.contains(&format!("{flag} needs")),
+                    "{cmd} {flag}: {stderr}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn flags_a_subcommand_would_ignore_fail_and_write_nothing() {
+    let trace = record_trace("ignored-flags");
+    let path = trace.to_str().unwrap();
+    let out = std::env::temp_dir()
+        .join("sgxperf-cli-test")
+        .join("ignored-flags.out");
+    let file = out.to_str().unwrap();
+    for args in [
+        &["report", path, "-o", file][..],
+        &["scatter", path, "ecall_step", "-o", file],
+        &["info", path, "--json"],
+        &["dot", path, "--format", "chrome"],
+    ] {
+        let _ = std::fs::remove_file(&out);
+        let (stdout, stderr, code) = sgxperf_code(args);
+        assert_eq!(code, 1, "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown {} option", args[0])),
+            "{args:?}: {stderr}"
+        );
+        assert!(stdout.is_empty(), "{args:?}: {stdout}");
+        assert!(!out.exists(), "{args:?} wrote {file}");
+    }
+}
+
+#[test]
+fn lint_deny_rejects_codes_that_do_not_exist() {
+    let (edl, _) = record_lint_scenario("lint-deny-typo");
+    let edl = edl.to_str().unwrap();
+    for (list, bad) in [
+        ("EDL-W01", "EDL-W01"),
+        ("edl-w001", "edl-w001"),
+        ("EDL-W001,EDL-W999", "EDL-W999"),
+    ] {
+        let (stdout, stderr, code) = sgxperf_code(&["lint", edl, "--deny", list]);
+        assert_eq!(code, 1, "{list}: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown lint code `{bad}`")),
+            "{list}: {stderr}"
+        );
+        assert!(stdout.is_empty(), "{list}: {stdout}");
+    }
+}
+
+#[test]
+fn hist_rejects_zero_bins_and_writes_csv_with_o() {
+    let trace = record_trace("hist-bins");
+    let path = trace.to_str().unwrap();
+    let (_, stderr, code) = sgxperf_code(&["hist", path, "ecall_step", "--bins", "0"]);
+    assert_eq!(code, 1, "{stderr}");
+    assert!(stderr.contains("--bins"), "{stderr}");
+    assert!(!stderr.contains("no recorded executions"), "{stderr}");
+
+    let csv = std::env::temp_dir()
+        .join("sgxperf-cli-test")
+        .join("hist-bins.csv");
+    let (stdout, stderr, code) = sgxperf_code(&[
+        "hist",
+        path,
+        "ecall_step",
+        "--bins",
+        "4",
+        "-o",
+        csv.to_str().unwrap(),
+    ]);
+    assert_eq!(code, 0, "{stderr}");
+    assert!(stdout.contains('#'), "{stdout}");
+    assert!(stderr.contains("wrote"), "{stderr}");
+    let rows = std::fs::read_to_string(&csv).unwrap();
+    assert_eq!(rows.lines().count(), 5, "header + 4 bins: {rows}");
+}

@@ -34,23 +34,23 @@ pub fn lint_interface(
     diags
 }
 
-/// Number of recorded executions per symbol name (ecalls and ocalls).
+/// Number of recorded executions per symbol name (ecalls and ocalls):
+/// each symbol row adds the rows of its (enclave, kind, index), so a
+/// duplicated symbol row counts its calls twice.
 fn execution_counts(trace: &TraceDb) -> HashMap<String, usize> {
+    let mut rows: HashMap<(u32, bool, u32), usize> = HashMap::new();
+    for r in trace.ecalls.iter() {
+        *rows.entry((r.enclave, true, r.call_index)).or_default() += 1;
+    }
+    for r in trace.ocalls.iter() {
+        *rows.entry((r.enclave, false, r.call_index)).or_default() += 1;
+    }
     let mut counts: HashMap<String, usize> = HashMap::new();
     for sym in trace.symbols.iter() {
-        let n = if sym.kind_is_ecall {
-            trace
-                .ecalls
-                .iter()
-                .filter(|r| r.enclave == sym.enclave && r.call_index == sym.index)
-                .count()
-        } else {
-            trace
-                .ocalls
-                .iter()
-                .filter(|r| r.enclave == sym.enclave && r.call_index == sym.index)
-                .count()
-        };
+        let n = rows
+            .get(&(sym.enclave, sym.kind_is_ecall, sym.index))
+            .copied()
+            .unwrap_or(0);
         *counts.entry(sym.name.clone()).or_default() += n;
     }
     counts
@@ -98,7 +98,7 @@ fn cross_check(file: &EdlFile, trace: &TraceDb, diags: &mut Vec<Diagnostic>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events::{EcallRow, SymbolRow};
+    use crate::events::{EcallRow, OcallRow, SymbolRow};
     use sgx_edl::parse_file;
 
     const EDL: &str = "enclave { trusted {
@@ -189,5 +189,38 @@ mod tests {
             .filter(|d| d.code == codes::UNUSED_ECALL)
             .collect();
         assert_eq!(unused.len(), 2);
+    }
+
+    #[test]
+    fn execution_counts_key_on_kind_and_add_duplicate_symbols() {
+        let mut trace = trace_exercising_used();
+        // A second symbol row for `ecall_used` adds its calls again.
+        let duplicate = trace.symbols.iter().next().unwrap().clone();
+        trace.symbols.insert(duplicate);
+        // An ocall sharing index 0 with `ecall_used` counts only for itself.
+        trace.symbols.insert(SymbolRow {
+            enclave: 1,
+            kind_is_ecall: false,
+            index: 0,
+            name: "ocall_zero".into(),
+            public: false,
+            allowed_ecalls: vec![],
+            user_check_params: vec![],
+        });
+        for k in 0..2u64 {
+            trace.ocalls.insert(OcallRow {
+                thread: 0,
+                enclave: 1,
+                call_index: 0,
+                start_ns: k * 10_000 + 1_000,
+                end_ns: k * 10_000 + 2_000,
+                parent_ecall: Some(k),
+                failed: false,
+            });
+        }
+        let counts = execution_counts(&trace);
+        assert_eq!(counts["ecall_used"], 6);
+        assert_eq!(counts["ocall_zero"], 2);
+        assert_eq!(counts["ecall_dead"], 0);
     }
 }

@@ -42,9 +42,9 @@ impl std::fmt::Display for CallRef {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AexMode {
     /// Leave the AEP unpatched: no AEX observation.
+    #[default]
     Off,
     /// Count AEXs per ecall (cheaper: ≈1,076 ns per AEX).
-    #[default]
     Count,
     /// Record each AEX with its timestamp (≈1,118 ns per AEX).
     Trace,

@@ -31,63 +31,19 @@ use crate::events::{
 };
 use crate::trace::TraceDb;
 
-/// Configuration of the event logger.
-#[derive(Debug, Clone)]
+/// Configuration of the event logger: the two recording choices a user
+/// makes. Paging and sleep/wake classification are always on, and the
+/// per-event bookkeeping costs are this module's Table 2 constants.
+#[derive(Debug, Clone, Default)]
 pub struct LoggerConfig {
     /// How AEXs are observed. [`AexMode::Off`] leaves the AEP unpatched.
     pub aex: AexMode,
-    /// Whether to hook the driver's paging functions.
-    pub trace_paging: bool,
-    /// Whether to classify the SDK sync ocalls into sleep/wake events.
-    pub track_sync: bool,
     /// Whether to record raw synchronisation events (lock acquire/release,
     /// condvar wait/signal, thread spawn/join, ring post/complete, tagged
     /// shared-cell accesses) for the `sgxperf races` analyses. Off by
     /// default: traces of un-instrumented runs stay byte-identical to
     /// pre-races versions.
     pub track_syncev: bool,
-    /// Bookkeeping cost per traced ecall (Table 2: ≈1,366 ns).
-    pub ecall_overhead: Nanos,
-    /// Bookkeeping cost per traced ocall (Table 2: ≈1,320 ns).
-    pub ocall_overhead: Nanos,
-    /// Bookkeeping cost per counted AEX (Table 2: ≈1,076 ns).
-    pub aex_count_overhead: Nanos,
-    /// Bookkeeping cost per traced AEX (Table 2: ≈1,118 ns).
-    pub aex_trace_overhead: Nanos,
-    /// Bookkeeping cost per switchless event. Recording is a lock-free ring
-    /// append on the caller/worker thread, far cheaper than the call stubs.
-    pub switchless_overhead: Nanos,
-    /// Bookkeeping cost per fault-injection/recovery event (same shape of
-    /// append as switchless events). Charged only when a fault actually
-    /// fires, so zero-fault runs cost nothing extra.
-    pub fault_overhead: Nanos,
-    /// Bookkeeping cost per enclave-lifecycle event (loss, rebuild, replay,
-    /// retry, recovery). Charged only when an enclave is actually lost, so
-    /// loss-free runs cost nothing extra.
-    pub lifecycle_overhead: Nanos,
-    /// Bookkeeping cost per recorded synchronisation event (same shape of
-    /// append as switchless events). Charged only when `track_syncev` is
-    /// on.
-    pub syncev_overhead: Nanos,
-}
-
-impl Default for LoggerConfig {
-    fn default() -> Self {
-        LoggerConfig {
-            aex: AexMode::Off,
-            trace_paging: true,
-            track_sync: true,
-            track_syncev: false,
-            ecall_overhead: Nanos::from_nanos(1_366),
-            ocall_overhead: Nanos::from_nanos(1_320),
-            aex_count_overhead: Nanos::from_nanos(1_076),
-            aex_trace_overhead: Nanos::from_nanos(1_118),
-            switchless_overhead: Nanos::from_nanos(90),
-            fault_overhead: Nanos::from_nanos(90),
-            lifecycle_overhead: Nanos::from_nanos(90),
-            syncev_overhead: Nanos::from_nanos(90),
-        }
-    }
 }
 
 impl LoggerConfig {
@@ -108,6 +64,20 @@ impl LoggerConfig {
         }
     }
 }
+
+/// Bookkeeping cost per traced ecall (Table 2: ≈1,366 ns).
+const ECALL_OVERHEAD: Nanos = Nanos::from_nanos(1_366);
+/// Bookkeeping cost per traced ocall (Table 2: ≈1,320 ns).
+const OCALL_OVERHEAD: Nanos = Nanos::from_nanos(1_320);
+/// Bookkeeping cost per counted AEX (Table 2: ≈1,076 ns).
+const AEX_COUNT_OVERHEAD: Nanos = Nanos::from_nanos(1_076);
+/// Bookkeeping cost per traced AEX (Table 2: ≈1,118 ns).
+const AEX_TRACE_OVERHEAD: Nanos = Nanos::from_nanos(1_118);
+/// Bookkeeping cost per switchless, fault, lifecycle or sync event: a
+/// lock-free ring append on the calling thread, far cheaper than the call
+/// stubs. Charged only per recorded event, so a run without such events
+/// pays nothing extra.
+const APPEND_OVERHEAD: Nanos = Nanos::from_nanos(90);
 
 #[derive(Debug)]
 struct FrameEntry {
@@ -174,7 +144,7 @@ impl Logger {
         });
 
         // kprobe the driver's paging path.
-        if logger.config.trace_paging {
+        {
             let weak = Arc::downgrade(&logger);
             runtime
                 .machine()
@@ -337,9 +307,7 @@ impl Logger {
         if !self.is_enabled() {
             return;
         }
-        self.machine
-            .clock()
-            .advance(self.config.switchless_overhead);
+        self.machine.clock().advance(APPEND_OVERHEAD);
         let mut st = self.state.lock();
         st.trace.switchless.insert(SwitchlessRow {
             thread: ev.thread.0 as u64,
@@ -356,7 +324,7 @@ impl Logger {
         if !self.is_enabled() {
             return;
         }
-        self.machine.clock().advance(self.config.fault_overhead);
+        self.machine.clock().advance(APPEND_OVERHEAD);
         let mut st = self.state.lock();
         st.trace.faults.insert(FaultRow {
             thread: ev.thread,
@@ -373,7 +341,7 @@ impl Logger {
         if !self.is_enabled() {
             return;
         }
-        self.machine.clock().advance(self.config.lifecycle_overhead);
+        self.machine.clock().advance(APPEND_OVERHEAD);
         let mut st = self.state.lock();
         st.trace.lifecycle.insert(LifecycleRow {
             enclave: ev.enclave,
@@ -389,7 +357,7 @@ impl Logger {
         if !self.is_enabled() {
             return;
         }
-        self.machine.clock().advance(self.config.syncev_overhead);
+        self.machine.clock().advance(APPEND_OVERHEAD);
         let mut st = self.state.lock();
         st.trace.syncev.insert(SyncEvRow {
             thread: ev.thread,
@@ -408,8 +376,8 @@ impl Logger {
         }
         let overhead = match self.config.aex {
             AexMode::Off => return,
-            AexMode::Count => self.config.aex_count_overhead,
-            AexMode::Trace => self.config.aex_trace_overhead,
+            AexMode::Count => AEX_COUNT_OVERHEAD,
+            AexMode::Trace => AEX_TRACE_OVERHEAD,
         };
         self.machine.clock().advance(overhead);
         let mut st = self.state.lock();
@@ -537,7 +505,7 @@ impl Logger {
         data: &mut CallData,
     ) -> SdkResult<()> {
         let clock = self.machine.clock();
-        let half = self.config.ocall_overhead / 2;
+        let half = OCALL_OVERHEAD / 2;
         clock.advance(half);
         let thread = host.thread.token.0 as u64;
         let row = {
@@ -578,9 +546,7 @@ impl Logger {
                 r.end_ns = end;
                 r.failed = result.is_err();
             }
-            if self.config.track_sync {
-                self.classify_sync(&mut st, thread, row.0 as u64, name, data, end);
-            }
+            self.classify_sync(&mut st, thread, row.0 as u64, name, data, end);
         }
         clock.advance(half);
         result
@@ -670,7 +636,7 @@ impl EcallDispatcher for LoggerShim {
             return self.next.sgx_ecall(tcx, eid, index, table, data);
         }
         let clock = logger.machine.clock();
-        let half = logger.config.ecall_overhead / 2;
+        let half = ECALL_OVERHEAD / 2;
         clock.advance(half);
         logger.capture_symbols(eid);
         // We always replace the table, even if the ecall performs no

@@ -170,10 +170,6 @@ pub struct LintConfig {
     /// EDL-W008 fires when a statically-sized boundary copy moves at least
     /// this many bytes per call.
     pub large_copy_bytes: u64,
-    /// Copy cost in tenths of a nanosecond per byte, mirroring the
-    /// simulator's §2.3.1 cost model default (1 = 0.1 ns/B ≈ 10 GB/s).
-    /// Used only to phrase the EDL-W008 estimate.
-    pub copy_tenth_ns_per_byte: u64,
 }
 
 impl Default for LintConfig {
@@ -181,7 +177,6 @@ impl Default for LintConfig {
         LintConfig {
             max_public_ecalls: 8,
             large_copy_bytes: 8192,
-            copy_tenth_ns_per_byte: 1,
         }
     }
 }
@@ -340,7 +335,7 @@ fn lint_param(
     // cost model (bytes / copy rate, doubled for [in, out]).
     if let Some(total) = static_copy_bytes(p) {
         if total >= config.large_copy_bytes {
-            let est_ns = total * config.copy_tenth_ns_per_byte / 10;
+            let est_ns = total * COPY_TENTH_NS_PER_BYTE / 10;
             diags.push(
                 Diagnostic::new(
                     "EDL-W008",
@@ -357,6 +352,11 @@ fn lint_param(
         }
     }
 }
+
+/// Copy cost in tenths of a nanosecond per byte, mirroring the
+/// simulator's §2.3.1 cost model default (1 = 0.1 ns/B ≈ 10 GB/s). Used
+/// only to phrase the EDL-W008 and EDL-W010 estimates.
+const COPY_TENTH_NS_PER_BYTE: u64 = 1;
 
 /// The statically-known bytes a parameter moves across the boundary per
 /// call: `size=`/`count=` literal scaled by the element width, doubled
@@ -393,7 +393,7 @@ fn lint_switchless_copies(file: &EdlFile, config: &LintConfig, diags: &mut Vec<D
             .filter_map(static_copy_bytes)
             .fold(0, u64::saturating_add);
         if total >= config.large_copy_bytes {
-            let est_ns = total * config.copy_tenth_ns_per_byte / 10;
+            let est_ns = total * COPY_TENTH_NS_PER_BYTE / 10;
             diags.push(
                 Diagnostic::new(
                     "EDL-W010",

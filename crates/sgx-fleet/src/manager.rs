@@ -312,7 +312,6 @@ impl FleetManager {
         let recipe = Arc::clone(&self.recipe);
         let config = SupervisorConfig {
             max_restarts: self.policy.max_restarts_per_enclave,
-            ..SupervisorConfig::default()
         };
         let sup = Supervisor::launch(&self.runtime, config, move |rt| recipe(rt, slot))?;
         sup.set_restart_gate(Some(Arc::clone(&self.gate)));

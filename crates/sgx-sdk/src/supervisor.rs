@@ -63,17 +63,11 @@ pub struct SupervisorConfig {
     /// many rebuilds have been attempted over the supervisor's lifetime,
     /// recovery stops and [`SdkError::RecoveryExhausted`] surfaces.
     pub max_restarts: u32,
-    /// Policy applied by [`Supervisor::ecall`]; per-call overrides go
-    /// through [`Supervisor::ecall_with_policy`].
-    pub default_policy: IdempotencyPolicy,
 }
 
 impl Default for SupervisorConfig {
     fn default() -> Self {
-        SupervisorConfig {
-            max_restarts: 3,
-            default_policy: IdempotencyPolicy::ReplayThenRetry,
-        }
+        SupervisorConfig { max_restarts: 3 }
     }
 }
 
@@ -214,7 +208,8 @@ impl Supervisor {
         self.state.lock().switchless.take()
     }
 
-    /// Issues an ecall under the config's default policy.
+    /// Issues an ecall under [`IdempotencyPolicy::ReplayThenRetry`];
+    /// other policies go through [`Supervisor::ecall_with_policy`].
     ///
     /// # Errors
     ///
@@ -228,7 +223,7 @@ impl Supervisor {
         table: &Arc<OcallTable>,
         data: &mut CallData,
     ) -> SdkResult<()> {
-        self.ecall_with_policy(tcx, name, table, data, self.config.default_policy)
+        self.ecall_with_policy(tcx, name, table, data, IdempotencyPolicy::ReplayThenRetry)
     }
 
     /// Issues an ecall under an explicit per-call idempotency policy,

@@ -15,9 +15,8 @@
 //! * requests and responses travel through a bounded slot ring
 //!   ([`SwitchlessConfig::ring_capacity`]); when no slot is free the call
 //!   falls back to the classic synchronous transition,
-//! * the caller spins for a bounded budget
-//!   ([`SwitchlessConfig::spin_budget`], charged per poll iteration at the
-//!   simulated clock rate) before falling back,
+//! * the caller spins for a bounded budget (`SPIN_BUDGET`, charged per
+//!   poll iteration at the simulated clock rate) before falling back,
 //! * **untrusted** workers serve switchless *ocalls*, **trusted** workers
 //!   serve switchless *ecalls*; each worker parks when its queue is empty
 //!   and is unparked by the next caller,
@@ -59,13 +58,6 @@ pub struct SwitchlessConfig {
     pub untrusted_workers: usize,
     /// Trusted worker threads serving switchless **ecalls**.
     pub trusted_workers: usize,
-    /// How long a caller busy-polls its response slot before giving up and
-    /// taking the synchronous path. Charged per poll iteration
-    /// ([`CostModel::switchless_poll_iteration`]) at the simulated clock
-    /// rate.
-    ///
-    /// [`CostModel::switchless_poll_iteration`]: sim_core::CostModel::switchless_poll_iteration
-    pub spin_budget: Cycles,
     /// Slots in the shared request/response ring (per enclave, both
     /// directions). A full ring forces fallback.
     pub ring_capacity: usize,
@@ -86,15 +78,21 @@ impl Default for SwitchlessConfig {
         SwitchlessConfig {
             untrusted_workers: 1,
             trusted_workers: 0,
-            // ~100 poll iterations ≈ 5 µs at the nominal 3.4 GHz — well
-            // above the worker's dispatch latency, well below a transition.
-            spin_budget: Cycles::new(17_000),
             ring_capacity: 8,
             force_ecalls: Vec::new(),
             force_ocalls: Vec::new(),
         }
     }
 }
+
+/// How long a caller busy-polls its response slot before giving up and
+/// taking the synchronous path, charged per poll iteration
+/// ([`CostModel::switchless_poll_iteration`]) at the simulated clock rate:
+/// ~100 poll iterations ≈ 5 µs at the nominal 3.4 GHz — well above the
+/// worker's dispatch latency, well below a transition.
+///
+/// [`CostModel::switchless_poll_iteration`]: sim_core::CostModel::switchless_poll_iteration
+const SPIN_BUDGET: Cycles = Cycles::new(17_000);
 
 /// What happened, reported through the URTS switchless observer so the
 /// sgx-perf logger can record it.
@@ -527,8 +525,7 @@ impl Switchless {
             .advance(cm.switchless_post + cm.copy_cost(data.in_bytes));
 
         // Spin on the response slot, one bounded poll iteration at a time.
-        let budget_iters =
-            (self.config.spin_budget.get() / cm.switchless_poll_iteration.get().max(1)).max(1);
+        let budget_iters = (SPIN_BUDGET.get() / cm.switchless_poll_iteration.get().max(1)).max(1);
         let mut spins: u64 = 0;
         loop {
             let state = self.state.lock().slots[slot_id].state;

@@ -206,23 +206,16 @@ pub enum SgxVersion {
     V2,
 }
 
-/// Tunable costs that belong to the machine rather than the CPU profile.
+/// Settings of the simulated machine that do not depend on the CPU
+/// profile.
 #[derive(Debug, Clone)]
 pub struct MachineParams {
     /// EPC capacity in pages (default: 93 MiB usable).
     pub epc_pages: usize,
     /// Eviction policy.
     pub eviction: EvictionPolicy,
-    /// Cost of `EADD`+`EEXTEND` per page at enclave creation.
-    pub eadd_page: Nanos,
-    /// Cost of `EINIT`.
-    pub einit: Nanos,
-    /// Kernel-side cost of delivering one MMU access fault to the handler.
-    pub mmu_fault_delivery: Nanos,
     /// SGX architecture revision.
     pub sgx_version: SgxVersion,
-    /// Cost of `EAUG`+`EACCEPT` per dynamically added page (v2 only).
-    pub eaug_page: Nanos,
 }
 
 impl Default for MachineParams {
@@ -230,14 +223,19 @@ impl Default for MachineParams {
         MachineParams {
             epc_pages: DEFAULT_EPC_PAGES,
             eviction: EvictionPolicy::Fifo,
-            eadd_page: Nanos::from_nanos(1_200),
-            einit: Nanos::from_micros(50),
-            mmu_fault_delivery: Nanos::from_micros(2),
             sgx_version: SgxVersion::V1,
-            eaug_page: Nanos::from_micros(2),
         }
     }
 }
+
+/// Cost of `EADD`+`EEXTEND` per page at enclave creation.
+const EADD_PAGE: Nanos = Nanos::from_nanos(1_200);
+/// Cost of `EINIT`.
+const EINIT: Nanos = Nanos::from_micros(50);
+/// Kernel-side cost of delivering one MMU access fault to the handler.
+const MMU_FAULT_DELIVERY: Nanos = Nanos::from_micros(2);
+/// Cost of `EAUG`+`EACCEPT` per dynamically added page (v2 only).
+const EAUG_PAGE: Nanos = Nanos::from_micros(2);
 
 struct EnclaveState {
     layout: EnclaveLayout,
@@ -447,7 +445,7 @@ impl Machine {
             eid
         };
         self.clock
-            .advance(self.params.eadd_page * layout.total_pages() as u64 + self.params.einit);
+            .advance(EADD_PAGE * layout.total_pages() as u64 + EINIT);
         self.emit_driver_events(&events);
         Ok(eid)
     }
@@ -1063,7 +1061,7 @@ impl Machine {
             let first = first.expect("checked padding availability");
             first..first + pages
         };
-        self.clock.advance(self.params.eaug_page * pages as u64);
+        self.clock.advance(EAUG_PAGE * pages as u64);
         self.emit_driver_events(&events);
         Ok(range)
     }
@@ -1276,7 +1274,7 @@ impl Machine {
         // Faulting inside the enclave causes an AEX before the kernel can
         // deliver the signal.
         self.deliver_aex(eid, thread, AexCause::AccessFault);
-        self.clock.advance(self.params.mmu_fault_delivery);
+        self.clock.advance(MMU_FAULT_DELIVERY);
         handler(&MmuFault {
             enclave: eid,
             thread,
@@ -1630,7 +1628,7 @@ mod tests {
         let eid = m.create_enclave(&EnclaveConfig::default()).unwrap();
         let before = m.clock().now();
         m.extend_heap(eid, 4).unwrap();
-        assert_eq!(m.clock().now() - before, m.params().eaug_page * 4);
+        assert_eq!(m.clock().now() - before, EAUG_PAGE * 4);
     }
 
     #[test]

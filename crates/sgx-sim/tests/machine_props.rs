@@ -99,7 +99,6 @@ proptest! {
                 epc_pages,
                 eviction: if lru { EvictionPolicy::Lru } else { EvictionPolicy::Fifo },
                 sgx_version: SgxVersion::V2,
-                ..MachineParams::default()
             },
         );
         let mut live: Vec<EnclaveId> = Vec::new();

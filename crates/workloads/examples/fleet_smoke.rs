@@ -14,9 +14,9 @@
 //! `full` (e.g. `10x100000` for the Appendix G sweep). With no profiles
 //! given, all three run. One trace per profile is kept as
 //! `fleet-<profile>.evdb` for `sgxperf report` / `sgxperf fleet` / the
-//! diff gate. Each profile's line reports the peak EPC eviction rate:
-//! the busiest 1 ms virtual-time bucket of page-outs, scaled to a
-//! per-second rate.
+//! diff gate, next to `fleet.edl`, the fleet's interface. Each profile's
+//! line reports the peak EPC eviction rate: the busiest 1 ms virtual-time
+//! bucket of page-outs, scaled to a per-second rate.
 
 use std::collections::HashMap;
 
@@ -61,6 +61,9 @@ fn main() {
         }
     };
     std::fs::create_dir_all(&dir).expect("create output dir");
+    // The fleet's interface, for `sgxperf lint --trace` and
+    // `sgxperf report --edl` against the traces.
+    std::fs::write(dir.join("fleet.edl"), fleet::EDL).expect("write fleet.edl");
 
     println!(
         "fleet smoke: {} enclave(s) x {} request(s), live pool {}, EPC {} page(s)",
