@@ -7,6 +7,7 @@ use std::fmt;
 use crate::events::{CallKind, CallRef};
 
 use super::parents::Instances;
+use super::report::Totals;
 use super::stats::CallStats;
 use super::Analyzer;
 
@@ -235,6 +236,49 @@ const PRIO_DUP_MOVE_IN: Priority = 3;
 const PRIO_MOVE_OUT: Priority = 4;
 pub(crate) const PRIO_SECURITY: Priority = 5;
 
+// The detection weights: the paper's values, "obtained through
+// experimentation" (§4.3.2).
+
+/// Equation 1 (move/duplicate): fraction of calls shorter than 1 µs.
+const MOVE_ALPHA: f64 = 0.35;
+/// Equation 1: fraction of calls shorter than 5 µs.
+const MOVE_BETA: f64 = 0.50;
+/// Equation 1: fraction of calls shorter than 10 µs.
+const MOVE_GAMMA: f64 = 0.65;
+/// Equation 2 (reorder): weight of calls within 10 µs of the parent's
+/// start/end.
+const REORDER_ALPHA: f64 = 1.00;
+/// Equation 2: weight of calls within 10–20 µs.
+const REORDER_BETA: f64 = 0.75;
+/// Equation 2: detection threshold.
+const REORDER_GAMMA: f64 = 0.50;
+/// Equation 3 (merge/batch): weight of indirect-parent gaps < 1 µs.
+const MERGE_ALPHA: f64 = 1.00;
+/// Equation 3: weight of gaps in 1–5 µs.
+const MERGE_BETA: f64 = 0.75;
+/// Equation 3: weight of gaps in 5–10 µs.
+const MERGE_GAMMA: f64 = 0.50;
+/// Equation 3: weight of gaps in 10–20 µs.
+const MERGE_DELTA: f64 = 0.35;
+/// Equation 3: detection threshold.
+const MERGE_EPSILON: f64 = 0.35;
+/// Equation 3: minimum fraction of instances with this indirect parent.
+const MERGE_LAMBDA: f64 = 0.35;
+/// SSC: a sleep shorter than this many µs counts as "short". A sleep
+/// below ~4 transition times means the lock hold was far shorter than the
+/// two ocalls the contention cost.
+const SSC_SHORT_US: u64 = 20;
+/// SSC: minimum fraction of short sleeps to flag the problem.
+const SSC_FRACTION: f64 = 0.5;
+/// Minimum instances of a call before any heuristic fires (avoids
+/// recommendations from single-digit samples).
+const MIN_CALLS: usize = 8;
+/// Switchless: minimum executions before a call counts as
+/// "high-frequency" (worker threads only pay off under sustained load).
+const SWITCHLESS_MIN_CALLS: usize = 32;
+/// Switchless: minimum fraction of adjusted durations under 10 µs.
+const SWITCHLESS_FRACTION: f64 = 0.75;
+
 /// Runs all performance detectors.
 pub fn detect_all(
     analyzer: &Analyzer<'_>,
@@ -242,10 +286,10 @@ pub fn detect_all(
     call_stats: &[(CallRef, CallStats)],
 ) -> Vec<Detection> {
     let mut out = Vec::new();
-    out.extend(detect_move_duplicate(analyzer, call_stats, instances));
+    out.extend(detect_move_duplicate(call_stats, instances));
     out.extend(detect_switchless(analyzer, instances, call_stats));
-    out.extend(detect_reorder(analyzer, instances));
-    out.extend(detect_merge_batch(analyzer, instances));
+    out.extend(detect_reorder(instances));
+    out.extend(detect_merge_batch(instances));
     out.extend(detect_ssc(analyzer, instances));
     out.extend(detect_paging(analyzer));
     out.extend(detect_recovery(analyzer));
@@ -258,19 +302,17 @@ pub fn detect_all(
 /// boundary (SISC/SDSC family); for nested ocalls it is duplicating the
 /// functionality inside the enclave (SNC family).
 fn detect_move_duplicate(
-    analyzer: &Analyzer<'_>,
     call_stats: &[(CallRef, CallStats)],
     instances: &Instances,
 ) -> Vec<Detection> {
-    let w = analyzer.weights();
     let mut out = Vec::new();
     for (call, stats) in call_stats {
-        if stats.count < w.min_calls {
+        if stats.count < MIN_CALLS {
             continue;
         }
-        let hit = stats.frac_under_1us >= w.move_alpha
-            || stats.frac_under_5us >= w.move_beta
-            || stats.frac_under_10us >= w.move_gamma;
+        let hit = stats.frac_under_1us >= MOVE_ALPHA
+            || stats.frac_under_5us >= MOVE_BETA
+            || stats.frac_under_10us >= MOVE_GAMMA;
         if !hit {
             continue;
         }
@@ -343,14 +385,13 @@ fn detect_switchless(
     instances: &Instances,
     call_stats: &[(CallRef, CallStats)],
 ) -> Vec<Detection> {
-    let w = analyzer.weights();
     let cost = analyzer.cost_model();
     let mut out = Vec::new();
     for (call, stats) in call_stats {
-        if stats.count < w.switchless_min_calls {
+        if stats.count < SWITCHLESS_MIN_CALLS {
             continue;
         }
-        if stats.frac_under_10us < w.switchless_fraction {
+        if stats.frac_under_10us < SWITCHLESS_FRACTION {
             continue;
         }
         let saving = match call.kind {
@@ -383,8 +424,7 @@ fn detect_switchless(
 
 /// Equation 2: reordering opportunities — nested calls clustered at the
 /// start or end of their direct parent.
-fn detect_reorder(analyzer: &Analyzer<'_>, instances: &Instances) -> Vec<Detection> {
-    let w = analyzer.weights();
+fn detect_reorder(instances: &Instances) -> Vec<Detection> {
     // Group nested instances by child call.
     #[derive(Default)]
     struct Acc {
@@ -419,16 +459,16 @@ fn detect_reorder(analyzer: &Analyzer<'_>, instances: &Instances) -> Vec<Detecti
     }
     let mut out = Vec::new();
     for (call, acc) in groups {
-        if acc.total < w.min_calls {
+        if acc.total < MIN_CALLS {
             continue;
         }
         let total = acc.total as f64;
-        let score_start = acc.start_10 as f64 / total * w.reorder_alpha
-            + acc.start_20 as f64 / total * w.reorder_beta;
-        let score_end = acc.end_10 as f64 / total * w.reorder_alpha
-            + acc.end_20 as f64 / total * w.reorder_beta;
+        let score_start = acc.start_10 as f64 / total * REORDER_ALPHA
+            + acc.start_20 as f64 / total * REORDER_BETA;
+        let score_end =
+            acc.end_10 as f64 / total * REORDER_ALPHA + acc.end_20 as f64 / total * REORDER_BETA;
         let name = instances.name(call).into_owned();
-        if score_start >= w.reorder_gamma {
+        if score_start >= REORDER_GAMMA {
             out.push(Detection {
                 target: call,
                 name: name.clone(),
@@ -441,7 +481,7 @@ fn detect_reorder(analyzer: &Analyzer<'_>, instances: &Instances) -> Vec<Detecti
                 priority: PRIO_REORDER,
             });
         }
-        if score_end >= w.reorder_gamma {
+        if score_end >= REORDER_GAMMA {
             out.push(Detection {
                 target: call,
                 name,
@@ -460,8 +500,7 @@ fn detect_reorder(analyzer: &Analyzer<'_>, instances: &Instances) -> Vec<Detecti
 
 /// Equation 3: merging/batching opportunities from indirect-parent gaps.
 /// Batching is the special case where the call is its own indirect parent.
-fn detect_merge_batch(analyzer: &Analyzer<'_>, instances: &Instances) -> Vec<Detection> {
-    let w = analyzer.weights();
+fn detect_merge_batch(instances: &Instances) -> Vec<Detection> {
     #[derive(Default)]
     struct Acc {
         pairs: usize,
@@ -490,19 +529,19 @@ fn detect_merge_batch(analyzer: &Analyzer<'_>, instances: &Instances) -> Vec<Det
     let mut out = Vec::new();
     for ((child, parent), acc) in pair_stats {
         let child_total = instances.of_call(child).len();
-        if child_total < w.min_calls {
+        if child_total < MIN_CALLS {
             continue;
         }
         // λ: the parent must be this call's indirect parent often enough.
-        if (acc.pairs as f64) < w.merge_lambda * child_total as f64 {
+        if (acc.pairs as f64) < MERGE_LAMBDA * child_total as f64 {
             continue;
         }
         let pairs = acc.pairs as f64;
-        let score = acc.gap_1 as f64 / pairs * w.merge_alpha
-            + acc.gap_5 as f64 / pairs * w.merge_beta
-            + acc.gap_10 as f64 / pairs * w.merge_gamma
-            + acc.gap_20 as f64 / pairs * w.merge_delta;
-        if score < w.merge_epsilon {
+        let score = acc.gap_1 as f64 / pairs * MERGE_ALPHA
+            + acc.gap_5 as f64 / pairs * MERGE_BETA
+            + acc.gap_10 as f64 / pairs * MERGE_GAMMA
+            + acc.gap_20 as f64 / pairs * MERGE_DELTA;
+        if score < MERGE_EPSILON {
             continue;
         }
         let child_name = instances.name(child).into_owned();
@@ -537,7 +576,6 @@ fn detect_merge_batch(analyzer: &Analyzer<'_>, instances: &Instances) -> Vec<Det
 /// §3.4: short synchronisation calls — sleeps that are so short that the
 /// transitions dominate; recommend hybrid locks.
 fn detect_ssc(analyzer: &Analyzer<'_>, instances: &Instances) -> Vec<Detection> {
-    let w = analyzer.weights();
     let trace = analyzer.trace();
     let mut sleeps_per_ocall: BTreeMap<CallRef, (usize, usize)> = BTreeMap::new();
     for s in trace.sync.iter() {
@@ -554,16 +592,16 @@ fn detect_ssc(analyzer: &Analyzer<'_>, instances: &Instances) -> Vec<Detection> 
             .unwrap_or(0);
         let entry = sleeps_per_ocall.entry(call).or_default();
         entry.0 += 1;
-        if duration < w.ssc_short_us * 1_000 {
+        if duration < SSC_SHORT_US * 1_000 {
             entry.1 += 1;
         }
     }
     let mut out = Vec::new();
     for (call, (total, short)) in sleeps_per_ocall {
-        if total < w.min_calls {
+        if total < MIN_CALLS {
             continue;
         }
-        if (short as f64) < w.ssc_fraction * total as f64 {
+        if (short as f64) < SSC_FRACTION * total as f64 {
             continue;
         }
         out.push(Detection {
@@ -572,9 +610,8 @@ fn detect_ssc(analyzer: &Analyzer<'_>, instances: &Instances) -> Vec<Detection> 
             problem: Problem::Ssc,
             recommendation: Recommendation::HybridSynchronisation,
             evidence: format!(
-                "{short} of {total} sleep ocalls shorter than {}us — lock hold times are \
-                 shorter than a transition",
-                w.ssc_short_us
+                "{short} of {total} sleep ocalls shorter than {SSC_SHORT_US}us — lock hold \
+                 times are shorter than a transition"
             ),
             priority: PRIO_SYNC,
         });
@@ -626,25 +663,13 @@ fn detect_paging(analyzer: &Analyzer<'_>) -> Vec<Detection> {
 /// time spent recovering, the supervisor's restart policy is paying for
 /// state that could be sealed or shrunk.
 fn detect_recovery(analyzer: &Analyzer<'_>) -> Vec<Detection> {
-    use sim_core::LifecycleStage;
-    let trace = analyzer.trace();
-    let mut lost_enclave = None;
-    let mut restarts = 0usize;
-    let mut replay_ns = 0u64;
-    let mut recovery_ns = 0u64;
-    for row in trace.lifecycle.iter() {
-        match LifecycleStage::from_code(row.stage) {
-            Some(LifecycleStage::Lost) => lost_enclave = lost_enclave.or(Some(row.enclave)),
-            Some(LifecycleStage::Rebuild) => restarts += 1,
-            Some(LifecycleStage::Replay) => replay_ns += row.magnitude,
-            Some(LifecycleStage::Recovered) => recovery_ns += row.magnitude,
-            _ => {}
-        }
-    }
+    let (totals, lost_enclave) = Totals::of_lifecycle(analyzer.trace());
     let Some(enclave) = lost_enclave else {
         return Vec::new();
     };
-    if restarts == 0 || recovery_ns == 0 || replay_ns * 2 <= recovery_ns {
+    let (restarts, replay_ns, recovery_ns) =
+        (totals.restarts, totals.replay_ns, totals.recovery_ns);
+    if restarts == 0 || recovery_ns == 0 || replay_ns.saturating_mul(2) <= recovery_ns {
         return Vec::new();
     }
     vec![Detection {
@@ -819,7 +844,7 @@ mod tests {
         }
         let a = analyzer(&trace);
         let inst = a.instances();
-        let detections = detect_merge_batch(&a, &inst);
+        let detections = detect_merge_batch(&inst);
         let merge = detections
             .iter()
             .find(|d| matches!(&d.recommendation, Recommendation::MergeCalls { with } if with == "ocall_lseek"));
@@ -859,7 +884,7 @@ mod tests {
             t += 110_000;
         }
         let a = analyzer(&trace);
-        let detections = detect_reorder(&a, &a.instances());
+        let detections = detect_reorder(&a.instances());
         assert!(
             detections
                 .iter()
@@ -1059,6 +1084,45 @@ mod tests {
         assert!(detect_recovery(&a).is_empty());
     }
 
+    /// Lifecycle magnitudes near `u64::MAX` saturate in the report's
+    /// totals and in the recovery detector instead of overflowing, and a
+    /// self-diff of such a trace stays neutral.
+    #[test]
+    fn lifecycle_sums_saturate() {
+        use crate::analysis::diff::{DiffConfig, TraceDiff, Verdict};
+        let huge = 1u64 << 63;
+        let mut trace = TraceDb::default();
+        lifecycle(&mut trace, 0, 0, 0, 1_000); // lost
+        for attempt in 1..=2 {
+            lifecycle(&mut trace, 1, attempt, huge, 2_000); // rebuild
+            lifecycle(&mut trace, 2, attempt, huge, 3_000); // replay
+        }
+        lifecycle(&mut trace, 4, 2, 5, 4_000); // recovered
+        let report = analyzer(&trace).analyze();
+        let t = report.totals;
+        assert_eq!(
+            (t.restarts, t.rebuild_ns, t.replay_ns),
+            (2, u64::MAX, u64::MAX)
+        );
+        assert!(report
+            .detections
+            .iter()
+            .any(|d| d.problem == Problem::Recovery));
+        assert!(report.render().contains("2 restart(s)"));
+        let diff = TraceDiff::compute(&trace, &trace, DiffConfig::default());
+        assert_eq!(diff.verdict, Verdict::Neutral);
+        assert_eq!(diff.exit_code(), 0);
+
+        // Replay 2^63 of a u64::MAX recovery: the doubling saturates, and
+        // replay is not more than half of it.
+        let mut trace = TraceDb::default();
+        lifecycle(&mut trace, 0, 0, 0, 1_000);
+        lifecycle(&mut trace, 1, 1, 10, 2_000);
+        lifecycle(&mut trace, 2, 1, huge, 3_000);
+        lifecycle(&mut trace, 4, 1, u64::MAX, 4_000);
+        assert!(detect_recovery(&analyzer(&trace)).is_empty());
+    }
+
     /// A trace with racy sync events surfaces a top-priority concurrency
     /// detection; a sync-free trace does not run the analysis at all.
     #[test]
@@ -1092,26 +1156,55 @@ mod tests {
         assert!(d.evidence.contains("RACE-E001"), "{}", d.evidence);
     }
 
-    /// Below the minimum sample size nothing fires.
+    /// Below the minimum sample size nothing fires. The sizes are literal
+    /// so that each gate is pinned at its boundary: `MIN_CALLS − 1` short
+    /// ecalls draw nothing and `MIN_CALLS` draw the move/duplicate pair
+    /// (and batching); `SWITCHLESS_MIN_CALLS − 1` draw no switchless hint
+    /// and `SWITCHLESS_MIN_CALLS` draw one.
     #[test]
     fn few_samples_do_not_fire() {
-        let mut trace = TraceDb::default();
-        symbol(&mut trace, true, 0, "ecall_tiny");
-        for i in 0..3u64 {
-            trace.ecalls.insert(EcallRow {
-                thread: 0,
-                enclave: 1,
-                call_index: 0,
-                start_ns: i * 6_000,
-                end_ns: i * 6_000 + 5_000,
-                parent_ocall: None,
-                aex_count: 0,
-                failed: false,
-            });
-        }
-        let a = analyzer(&trace);
-        let inst = a.instances();
-        let stats = super::super::stats::per_call_stats(&inst);
-        assert!(detect_all(&a, &inst, &stats).is_empty());
+        let recommendations = |calls: u64| {
+            let mut trace = TraceDb::default();
+            symbol(&mut trace, true, 0, "ecall_tiny");
+            for i in 0..calls {
+                trace.ecalls.insert(EcallRow {
+                    thread: 0,
+                    enclave: 1,
+                    call_index: 0,
+                    start_ns: i * 6_000,
+                    end_ns: i * 6_000 + 5_000,
+                    parent_ocall: None,
+                    aex_count: 0,
+                    failed: false,
+                });
+            }
+            let a = analyzer(&trace);
+            let inst = a.instances();
+            let stats = super::super::stats::per_call_stats(&inst);
+            detect_all(&a, &inst, &stats)
+                .into_iter()
+                .map(|d| d.recommendation)
+                .collect::<Vec<_>>()
+        };
+        assert!(recommendations(3).is_empty());
+        assert!(recommendations(7).is_empty());
+        assert_eq!(
+            recommendations(8),
+            [
+                Recommendation::MoveCallerIntoEnclave,
+                Recommendation::MoveCallerOutOfEnclave,
+                Recommendation::BatchCalls {
+                    with: "ecall_tiny".into()
+                },
+            ]
+        );
+        let switchless = |calls| {
+            recommendations(calls)
+                .iter()
+                .filter(|r| **r == Recommendation::UseSwitchless)
+                .count()
+        };
+        assert_eq!(switchless(31), 0);
+        assert_eq!(switchless(32), 1);
     }
 }

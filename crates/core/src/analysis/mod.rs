@@ -32,75 +32,6 @@ pub use races::{RaceFinding, RaceKind, RaceReport};
 pub use report::Report;
 pub use stats::CallStats;
 
-/// The configurable weights of the detection heuristics, with the paper's
-/// defaults ("obtained through experimentation", §4.3.2).
-#[derive(Debug, Clone)]
-pub struct Weights {
-    /// Equation 1 (move/duplicate): fraction of calls shorter than 1 µs.
-    pub move_alpha: f64,
-    /// Equation 1: fraction of calls shorter than 5 µs.
-    pub move_beta: f64,
-    /// Equation 1: fraction of calls shorter than 10 µs.
-    pub move_gamma: f64,
-    /// Equation 2 (reorder): weight of calls within 10 µs of the parent's
-    /// start/end.
-    pub reorder_alpha: f64,
-    /// Equation 2: weight of calls within 10–20 µs.
-    pub reorder_beta: f64,
-    /// Equation 2: detection threshold.
-    pub reorder_gamma: f64,
-    /// Equation 3 (merge/batch): weight of indirect-parent gaps < 1 µs.
-    pub merge_alpha: f64,
-    /// Equation 3: weight of gaps in 1–5 µs.
-    pub merge_beta: f64,
-    /// Equation 3: weight of gaps in 5–10 µs.
-    pub merge_gamma: f64,
-    /// Equation 3: weight of gaps in 10–20 µs.
-    pub merge_delta: f64,
-    /// Equation 3: detection threshold.
-    pub merge_epsilon: f64,
-    /// Equation 3: minimum fraction of instances with this indirect parent.
-    pub merge_lambda: f64,
-    /// SSC: a sleep shorter than this many µs counts as "short".
-    pub ssc_short_us: u64,
-    /// SSC: minimum fraction of short sleeps to flag the problem.
-    pub ssc_fraction: f64,
-    /// Minimum instances of a call before any heuristic fires (avoids
-    /// recommendations from single-digit samples).
-    pub min_calls: usize,
-    /// Switchless: minimum executions before a call counts as
-    /// "high-frequency" (worker threads only pay off under sustained load).
-    pub switchless_min_calls: usize,
-    /// Switchless: minimum fraction of adjusted durations under 10 µs.
-    pub switchless_fraction: f64,
-}
-
-impl Default for Weights {
-    fn default() -> Self {
-        Weights {
-            move_alpha: 0.35,
-            move_beta: 0.50,
-            move_gamma: 0.65,
-            reorder_alpha: 1.00,
-            reorder_beta: 0.75,
-            reorder_gamma: 0.50,
-            merge_alpha: 1.00,
-            merge_beta: 0.75,
-            merge_gamma: 0.50,
-            merge_delta: 0.35,
-            merge_epsilon: 0.35,
-            merge_lambda: 0.35,
-            // A sleep below ~4 transition times means the lock hold was
-            // far shorter than the two ocalls the contention cost.
-            ssc_short_us: 20,
-            ssc_fraction: 0.5,
-            min_calls: 8,
-            switchless_min_calls: 32,
-            switchless_fraction: 0.75,
-        }
-    }
-}
-
 /// The sgx-perf analyzer.
 ///
 /// # Examples
@@ -110,7 +41,6 @@ impl Default for Weights {
 pub struct Analyzer<'t> {
     trace: &'t TraceDb,
     cost: CostModel,
-    weights: Weights,
     edl: Option<sgx_edl::InterfaceSpec>,
     lint: Vec<sgx_edl::Diagnostic>,
 }
@@ -124,16 +54,9 @@ impl<'t> Analyzer<'t> {
         Analyzer {
             trace,
             cost,
-            weights: Weights::default(),
             edl: None,
             lint: Vec::new(),
         }
-    }
-
-    /// Overrides the detection weights.
-    pub fn with_weights(mut self, weights: Weights) -> Self {
-        self.weights = weights;
-        self
     }
 
     /// Supplies the enclave's EDL so the security analysis can diff the
@@ -159,11 +82,6 @@ impl<'t> Analyzer<'t> {
     /// The cost model in effect.
     pub fn cost_model(&self) -> &CostModel {
         &self.cost
-    }
-
-    /// The weights in effect.
-    pub fn weights(&self) -> &Weights {
-        &self.weights
     }
 
     /// Builds the flattened, parent-annotated call-instance view.

@@ -100,6 +100,7 @@ impl Totals {
     /// Counts a trace's totals. The distinct-call counts need the per-call
     /// grouping and stay zero here; [`Report`] fills them in.
     pub(crate) fn of(trace: &TraceDb) -> Totals {
+        let (lifecycle, _) = Totals::of_lifecycle(trace);
         let mut t = Totals {
             ecall_events: trace.ecalls.len(),
             ocall_events: trace.ocalls.len(),
@@ -109,7 +110,7 @@ impl Totals {
             sync_sleeps: trace.sync.iter().filter(|s| s.sleep).count(),
             sync_wakes: trace.sync.iter().filter(|s| !s.sleep).count(),
             enclaves: trace.enclaves.len(),
-            ..Totals::default()
+            ..lifecycle
         };
         // Worker idle/busy transitions are not call outcomes.
         for s in trace.switchless.iter() {
@@ -128,19 +129,36 @@ impl Totals {
                 _ => {}
             }
         }
+        t
+    }
+
+    /// Sums the lifecycle table alone: losses, restarts and the rebuild,
+    /// replay and recovery times, every other count zero. The times
+    /// saturate, since a trace can carry any magnitude. Also returns the
+    /// first lost enclave.
+    pub(crate) fn of_lifecycle(trace: &TraceDb) -> (Totals, Option<u32>) {
+        let mut t = Totals::default();
+        let mut first_lost = None;
         for l in trace.lifecycle.iter() {
             match LifecycleStage::from_code(l.stage) {
-                Some(LifecycleStage::Lost) => t.enclaves_lost += 1,
+                Some(LifecycleStage::Lost) => {
+                    t.enclaves_lost += 1;
+                    first_lost = first_lost.or(Some(l.enclave));
+                }
                 Some(LifecycleStage::Rebuild) => {
                     t.restarts += 1;
-                    t.rebuild_ns += l.magnitude;
+                    t.rebuild_ns = t.rebuild_ns.saturating_add(l.magnitude);
                 }
-                Some(LifecycleStage::Replay) => t.replay_ns += l.magnitude,
-                Some(LifecycleStage::Recovered) => t.recovery_ns += l.magnitude,
+                Some(LifecycleStage::Replay) => {
+                    t.replay_ns = t.replay_ns.saturating_add(l.magnitude);
+                }
+                Some(LifecycleStage::Recovered) => {
+                    t.recovery_ns = t.recovery_ns.saturating_add(l.magnitude);
+                }
                 _ => {}
             }
         }
-        t
+        (t, first_lost)
     }
 }
 

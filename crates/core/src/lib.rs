@@ -72,7 +72,7 @@ pub use analysis::fleet::{FleetReport, FleetTotals};
 pub use analysis::races::{RaceFinding, RaceKind, RaceReport};
 pub use analysis::report::Report;
 pub use analysis::stats::CallStats;
-pub use analysis::{Analyzer, Weights};
+pub use analysis::Analyzer;
 pub use events::{AexMode, CallKind, CallRef, FleetRow};
 pub use logger::{Logger, LoggerConfig};
 pub use trace::TraceDb;

@@ -208,11 +208,6 @@ impl FleetManager {
         &self.runtime
     }
 
-    /// Total slots.
-    pub fn slot_count(&self) -> usize {
-        self.inner.lock().slots.len()
-    }
-
     /// Slots currently live.
     pub fn live_count(&self) -> usize {
         self.inner.lock().lru.len()

@@ -25,7 +25,7 @@
 //!   the transition-count drop sgx-perf's re-measurement observes.
 //!
 //! Workers are logical threads of the workload's deterministic
-//! [`Simulation`](sim_threads::Simulation): scheduling stays round-robin
+//! [`Simulation`]: scheduling stays round-robin
 //! and bit-deterministic. Call [`Switchless::shutdown`] before the driver
 //! thread exits, otherwise the parked workers trip the scheduler's
 //! deadlock detector.
@@ -66,10 +66,10 @@ pub struct SwitchlessConfig {
     /// sgx-perf's `UseSwitchless` recommendation without editing the
     /// interface. Only public ecalls can be switchless.
     pub force_ecalls: Vec<String>,
-    /// Ocalls to treat as switchless, same as [`force_ecalls`]
-    /// (`SwitchlessConfig::force_ecalls`). The four SDK sleep/wake ocalls
-    /// are never switchless: their park semantics need the caller's own
-    /// thread.
+    /// Ocalls to treat as switchless, same as
+    /// [`force_ecalls`](SwitchlessConfig::force_ecalls). The four SDK
+    /// sleep/wake ocalls are never switchless: their park semantics need
+    /// the caller's own thread.
     pub force_ocalls: Vec<String>,
 }
 

@@ -208,11 +208,6 @@ impl EnclaveLayout {
         self.kinds.len()
     }
 
-    /// Total enclave size in bytes.
-    pub fn total_bytes(&self) -> usize {
-        self.total_pages() * PAGE_SIZE
-    }
-
     /// The kind of page `index`.
     ///
     /// # Panics

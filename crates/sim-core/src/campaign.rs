@@ -3,7 +3,7 @@
 //! A [`CampaignSpec`] names a scenario matrix — {workloads × hardware
 //! profiles × fault plans × switchless configs × seeds} — plus the
 //! baseline cell every other cell is diffed against. Like the
-//! [`FaultPlan`](crate::fault::FaultPlan) grammar it is hand-rolled (no
+//! [`FaultPlan`] grammar it is hand-rolled (no
 //! serde) and `Display` is the grammar's canonical fixpoint: parsing the
 //! rendered form yields an equal spec, and rendering that spec yields the
 //! same bytes. Defaults become explicit in the canonical form, so a spec

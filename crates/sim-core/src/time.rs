@@ -61,11 +61,6 @@ impl Nanos {
         self.0 / 1_000
     }
 
-    /// Value in fractional microseconds.
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / 1_000.0
-    }
-
     /// Value in fractional milliseconds.
     pub fn as_millis_f64(self) -> f64 {
         self.0 as f64 / 1_000_000.0

@@ -193,11 +193,6 @@ impl SimBudget {
         self.cancelled.store(true, Ordering::SeqCst);
     }
 
-    /// Whether [`SimBudget::cancel`] has been called.
-    pub fn is_cancelled(&self) -> bool {
-        self.cancelled.load(Ordering::SeqCst)
-    }
-
     /// Charges one scheduling point. Exactly one logical thread runs at
     /// a time, so charges are totally ordered and the panic point is
     /// deterministic.

@@ -60,11 +60,12 @@ pub struct FleetRunConfig {
     pub seed: u64,
     /// Fleet recovery policy.
     pub policy: FleetPolicy,
-    /// EPC budget as a fraction of the live pool's resident set, in
-    /// percent. Below 100 means live enclaves *cannot* all fit — hot slots
-    /// evict cold ones and cross-enclave paging shows up in the trace.
-    pub epc_percent: usize,
 }
+
+/// EPC budget as a fraction of the live pool's resident set, in
+/// percent. Below 100 means live enclaves *cannot* all fit — hot slots
+/// evict cold ones and cross-enclave paging shows up in the trace.
+const EPC_PERCENT: usize = 75;
 
 impl FleetRunConfig {
     /// The acceptance-scale scenario: 1000 enclaves × 100k requests.
@@ -78,7 +79,6 @@ impl FleetRunConfig {
             },
             seed: 0xF1EE7,
             policy: FleetPolicy::default(),
-            epc_percent: 75,
         }
     }
 
@@ -111,7 +111,7 @@ impl FleetRunConfig {
     /// EPC pages this configuration runs with.
     pub fn epc_pages(&self) -> usize {
         let per_enclave = EnclaveLayout::new(&enclave_config()).total_pages();
-        (self.policy.live_pool * per_enclave * self.epc_percent / 100).max(per_enclave * 2)
+        (self.policy.live_pool * per_enclave * EPC_PERCENT / 100).max(per_enclave * 2)
     }
 }
 

@@ -20,4 +20,4 @@
 pub mod bignum;
 pub mod signer;
 
-pub use signer::{run, GlamdringApp, GlamdringConfig, GlamdringResult};
+pub use signer::{run, GlamdringApp, GlamdringConfig, GlamdringResult, BN_OCALL_EVERY};

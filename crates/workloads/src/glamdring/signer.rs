@@ -14,7 +14,7 @@ use crate::harness::{Harness, RunStats, Variant};
 
 use super::bignum::{mul_comba, mul_recursive, sub_words, subs_per_mul, MulOps};
 
-/// Workload configuration; defaults calibrated to §5.2.3.
+/// Workload configuration; the costs are constants calibrated to §5.2.3.
 #[derive(Debug, Clone)]
 pub struct GlamdringConfig {
     /// Virtual-time length of the benchmark (the paper runs 30 s).
@@ -23,29 +23,6 @@ pub struct GlamdringConfig {
     pub seed: u64,
     /// Which variant to run.
     pub variant: Variant,
-    /// Operand size in 64-bit limbs (32 = 2048-bit).
-    pub limbs: usize,
-    /// Comba leaf size in limbs.
-    pub leaf_limbs: usize,
-    /// `bn_mul_recursive` invocations per signature (modular
-    /// multiplications of the exponentiation).
-    pub mults_per_sign: u64,
-    /// Slowdown factor for computation executed inside the enclave
-    /// (encrypted memory, reduced cache efficiency).
-    pub enclave_compute_factor: f64,
-    /// Untrusted per-node recursion bookkeeping.
-    pub node_untrusted: Nanos,
-    /// Base cost of one `bn_sub_part_words`.
-    pub sub_base: Nanos,
-    /// Additional subtraction cost per limb.
-    pub sub_per_limb: Nanos,
-    /// Cost of one comba leaf multiplication.
-    pub leaf_cost: Nanos,
-    /// Per-signature untrusted overhead (hashing, padding, serialising).
-    pub misc_per_sign: Nanos,
-    /// Issue one short BN_ helper ocall every this many trusted
-    /// subtractions (the SNC-flagged ocalls of §5.2.3).
-    pub bn_ocall_every: u64,
 }
 
 impl Default for GlamdringConfig {
@@ -54,28 +31,42 @@ impl Default for GlamdringConfig {
             duration: Nanos::from_secs(30),
             seed: 0x91a3_d41c,
             variant: Variant::Enclave,
-            limbs: 32,
-            leaf_limbs: 4,
-            mults_per_sign: 248,
-            enclave_compute_factor: 2.4,
-            node_untrusted: Nanos::from_nanos(600),
-            sub_base: Nanos::from_nanos(100),
-            sub_per_limb: Nanos::from_nanos(8),
-            leaf_cost: Nanos::from_nanos(300),
-            misc_per_sign: Nanos::from_micros(2_000),
-            bn_ocall_every: 59,
         }
     }
 }
 
-impl GlamdringConfig {
-    fn sub_cost(&self, limbs: usize) -> Nanos {
-        self.sub_base + self.sub_per_limb * limbs as u64
-    }
+/// Operand size in 64-bit limbs (32 = 2048-bit).
+const LIMBS: usize = 32;
+/// Comba leaf size in limbs.
+const LEAF_LIMBS: usize = 4;
+/// `bn_mul_recursive` invocations per signature (modular
+/// multiplications of the exponentiation).
+const MULTS_PER_SIGN: u64 = 248;
+/// Slowdown factor for computation executed inside the enclave
+/// (encrypted memory, reduced cache efficiency).
+const ENCLAVE_COMPUTE_FACTOR: f64 = 2.4;
+/// Untrusted per-node recursion bookkeeping.
+const NODE_UNTRUSTED: Nanos = Nanos::from_nanos(600);
+/// Base cost of one `bn_sub_part_words`.
+const SUB_BASE: Nanos = Nanos::from_nanos(100);
+/// Additional subtraction cost per limb.
+const SUB_PER_LIMB: Nanos = Nanos::from_nanos(8);
+/// Cost of one comba leaf multiplication.
+const LEAF_COST: Nanos = Nanos::from_nanos(300);
+/// Per-signature untrusted overhead (hashing, padding, serialising).
+const MISC_PER_SIGN: Nanos = Nanos::from_micros(2_000);
+/// Issue one short BN_ helper ocall every this many trusted
+/// subtractions (the SNC-flagged ocalls of §5.2.3).
+pub const BN_OCALL_EVERY: u64 = 59;
 
+fn sub_cost(limbs: usize) -> Nanos {
+    SUB_BASE + SUB_PER_LIMB * limbs as u64
+}
+
+impl GlamdringConfig {
     /// Expected `bn_sub_part_words` calls per signature.
     pub fn subs_per_sign(&self) -> u64 {
-        self.mults_per_sign * subs_per_mul(self.limbs, self.leaf_limbs)
+        MULTS_PER_SIGN * subs_per_mul(LIMBS, LEAF_LIMBS)
     }
 }
 
@@ -138,24 +129,23 @@ impl SignState {
 struct NativeOps<'a> {
     clock: &'a Clock,
     state: &'a mut SignState,
-    cfg: &'a GlamdringConfig,
     subs: u64,
 }
 
 impl MulOps for NativeOps<'_> {
     fn sub_part_words(&mut self, n: usize) -> SdkResult<()> {
         self.state.do_sub(n);
-        self.clock.advance(self.cfg.sub_cost(n));
+        self.clock.advance(sub_cost(n));
         self.subs += 1;
         Ok(())
     }
     fn leaf_mul(&mut self, n: usize) -> SdkResult<()> {
         self.state.do_leaf(n);
-        self.clock.advance(self.cfg.leaf_cost);
+        self.clock.advance(LEAF_COST);
         Ok(())
     }
     fn node_overhead(&mut self) -> SdkResult<()> {
-        self.clock.advance(self.cfg.node_untrusted);
+        self.clock.advance(NODE_UNTRUSTED);
         Ok(())
     }
 }
@@ -167,7 +157,6 @@ struct PartitionedOps<'a> {
     eid: EnclaveId,
     table: &'a Arc<sgx_sdk::OcallTable>,
     tcx: &'a ThreadCtx<'a>,
-    cfg: &'a GlamdringConfig,
     subs: u64,
     state: &'a Mutex<SignState>,
 }
@@ -188,11 +177,11 @@ impl MulOps for PartitionedOps<'_> {
     fn leaf_mul(&mut self, n: usize) -> SdkResult<()> {
         // Comba stays untrusted in the Glamdring partitioning.
         self.state.lock().do_leaf(n);
-        self.harness.clock().advance(self.cfg.leaf_cost);
+        self.harness.clock().advance(LEAF_COST);
         Ok(())
     }
     fn node_overhead(&mut self) -> SdkResult<()> {
-        self.harness.clock().advance(self.cfg.node_untrusted);
+        self.harness.clock().advance(NODE_UNTRUSTED);
         Ok(())
     }
 }
@@ -202,7 +191,6 @@ impl MulOps for PartitionedOps<'_> {
 struct InEnclaveOps<'c, 'a> {
     ctx: &'c mut EcallCtx<'a>,
     state: &'c mut SignState,
-    cfg: &'c GlamdringConfig,
     subs: u64,
 }
 
@@ -210,25 +198,21 @@ impl MulOps for InEnclaveOps<'_, '_> {
     fn sub_part_words(&mut self, n: usize) -> SdkResult<()> {
         self.state.do_sub(n);
         self.ctx
-            .compute(self.cfg.sub_cost(n).scale(self.cfg.enclave_compute_factor))?;
+            .compute(sub_cost(n).scale(ENCLAVE_COMPUTE_FACTOR))?;
         self.subs += 1;
-        if self.state.counter.is_multiple_of(self.cfg.bn_ocall_every) {
+        if self.state.counter.is_multiple_of(BN_OCALL_EVERY) {
             self.ctx.ocall("ocall_bn_new", &mut CallData::default())?;
         }
         Ok(())
     }
     fn leaf_mul(&mut self, n: usize) -> SdkResult<()> {
         self.state.do_leaf(n);
-        self.ctx
-            .compute(self.cfg.leaf_cost.scale(self.cfg.enclave_compute_factor))?;
+        self.ctx.compute(LEAF_COST.scale(ENCLAVE_COMPUTE_FACTOR))?;
         Ok(())
     }
     fn node_overhead(&mut self) -> SdkResult<()> {
-        self.ctx.compute(
-            self.cfg
-                .node_untrusted
-                .scale(self.cfg.enclave_compute_factor),
-        )?;
+        self.ctx
+            .compute(NODE_UNTRUSTED.scale(ENCLAVE_COMPUTE_FACTOR))?;
         Ok(())
     }
 }
@@ -285,21 +269,20 @@ pub fn run(harness: &Harness, config: &GlamdringConfig) -> SdkResult<GlamdringRe
 
 fn run_native(harness: &Harness, config: &GlamdringConfig) -> SdkResult<GlamdringResult> {
     let clock = harness.clock();
-    let mut state = SignState::new(config.limbs, config.seed);
+    let mut state = SignState::new(LIMBS, config.seed);
     let deadline = clock.now() + config.duration;
     let start = clock.now();
     let mut signs = 0u64;
     let mut sub_calls = 0u64;
     while clock.now() < deadline {
-        clock.advance(config.misc_per_sign);
-        for _ in 0..config.mults_per_sign {
+        clock.advance(MISC_PER_SIGN);
+        for _ in 0..MULTS_PER_SIGN {
             let mut ops = NativeOps {
                 clock,
                 state: &mut state,
-                cfg: config,
                 subs: 0,
             };
-            mul_recursive(&mut ops, config.limbs, config.leaf_limbs)?;
+            mul_recursive(&mut ops, LIMBS, LEAF_LIMBS)?;
             sub_calls += ops.subs;
         }
         signs += 1;
@@ -382,10 +365,10 @@ impl<'h> GlamdringApp<'h> {
         let mut signs = 0u64;
         let mut sub_calls = 0u64;
         while clock.now() < deadline {
-            clock.advance(config.misc_per_sign);
+            clock.advance(MISC_PER_SIGN);
             if optimised {
-                for _ in 0..config.mults_per_sign {
-                    let mut data = CallData::new(config.limbs as u64);
+                for _ in 0..MULTS_PER_SIGN {
+                    let mut data = CallData::new(LIMBS as u64);
                     rt.ecall(
                         &tcx,
                         self.enclave.id(),
@@ -396,17 +379,16 @@ impl<'h> GlamdringApp<'h> {
                     sub_calls += data.ret;
                 }
             } else {
-                for _ in 0..config.mults_per_sign {
+                for _ in 0..MULTS_PER_SIGN {
                     let mut ops = PartitionedOps {
                         harness: self.harness,
                         eid: self.enclave.id(),
                         table: &self.table,
                         tcx: &tcx,
-                        cfg: config,
                         subs: 0,
                         state: &self.state,
                     };
-                    mul_recursive(&mut ops, config.limbs, config.leaf_limbs)?;
+                    mul_recursive(&mut ops, LIMBS, LEAF_LIMBS)?;
                     sub_calls += ops.subs;
                 }
             }
@@ -437,7 +419,7 @@ fn build_enclave(harness: &Harness, config: &GlamdringConfig) -> SdkResult<Built
     let heap = harness.machine().heap_range(eid)?;
     let code = harness.machine().code_range(eid)?;
 
-    let state = Arc::new(Mutex::new(SignState::new(config.limbs, config.seed)));
+    let state = Arc::new(Mutex::new(SignState::new(LIMBS, config.seed)));
 
     // Start-up: key loading touches a large one-off working set
     // (§5.2.3 reports 61 pages after start-up).
@@ -455,7 +437,6 @@ fn build_enclave(harness: &Harness, config: &GlamdringConfig) -> SdkResult<Built
     // The hot partitioned function.
     {
         let state = Arc::clone(&state);
-        let cfg = config.clone();
         let heap = heap.clone();
         let code = code.clone();
         enclave.register_ecall("ecall_bn_sub_part_words", move |ctx, data| {
@@ -468,8 +449,8 @@ fn build_enclave(harness: &Harness, config: &GlamdringConfig) -> SdkResult<Built
             let heap_page = heap.start + (st.counter % 24) as usize;
             ctx.touch(heap_page..heap_page + 1, AccessKind::Write)?;
             data.ret = st.do_sub(n);
-            ctx.compute(cfg.sub_cost(n).scale(cfg.enclave_compute_factor))?;
-            if st.counter.is_multiple_of(cfg.bn_ocall_every) {
+            ctx.compute(sub_cost(n).scale(ENCLAVE_COMPUTE_FACTOR))?;
+            if st.counter.is_multiple_of(BN_OCALL_EVERY) {
                 ctx.ocall("ocall_bn_new", &mut CallData::default())?;
             }
             Ok(())
@@ -479,7 +460,6 @@ fn build_enclave(harness: &Harness, config: &GlamdringConfig) -> SdkResult<Built
     // The optimised entry point: whole multiplication inside the enclave.
     {
         let state = Arc::clone(&state);
-        let cfg = config.clone();
         let heap = heap.clone();
         let code = code.clone();
         enclave.register_ecall("ecall_bn_mul_recursive", move |ctx, data| {
@@ -492,10 +472,9 @@ fn build_enclave(harness: &Harness, config: &GlamdringConfig) -> SdkResult<Built
             let mut ops = InEnclaveOps {
                 ctx,
                 state: &mut st,
-                cfg: &cfg,
                 subs: 0,
             };
-            let subs = mul_recursive(&mut ops, n, cfg.leaf_limbs)?;
+            let subs = mul_recursive(&mut ops, n, LEAF_LIMBS)?;
             data.ret = subs;
             Ok(())
         })?;

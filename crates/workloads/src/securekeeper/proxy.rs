@@ -55,10 +55,6 @@ pub struct SecureKeeperConfig {
     pub duration: Nanos,
     /// RNG seed.
     pub seed: u64,
-    /// Mean think time between client requests.
-    pub request_period: Nanos,
-    /// ZooKeeper packet payload size.
-    pub payload_bytes: usize,
 }
 
 impl Default for SecureKeeperConfig {
@@ -67,11 +63,14 @@ impl Default for SecureKeeperConfig {
             clients: 10,
             duration: Nanos::from_secs(31),
             seed: 0x5ec0_4e14,
-            request_period: Nanos::from_micros(410),
-            payload_bytes: 512,
         }
     }
 }
+
+/// Mean think time between client requests.
+const REQUEST_PERIOD: Nanos = Nanos::from_micros(410);
+/// ZooKeeper packet payload size.
+const PAYLOAD_BYTES: usize = 512;
 
 /// Outcome of a run.
 #[derive(Debug, Clone, PartialEq)]
@@ -109,7 +108,6 @@ fn build_proxy_enclave(
     harness: &Harness,
     spec: &InterfaceSpec,
     seed: u64,
-    payload: usize,
 ) -> SdkResult<(Arc<sgx_sdk::Enclave>, Arc<sgx_sdk::OcallTable>)> {
     let rt = harness.runtime();
     let enclave = rt.create_enclave(spec, &proxy_config(1))?;
@@ -160,7 +158,6 @@ fn build_proxy_enclave(
     };
     register("ecall_handle_input_from_client", 6, false)?;
     register("ecall_handle_input_from_zk", 10, true)?;
-    let _ = payload;
 
     let mut builder = OcallTableBuilder::new(enclave.spec());
     builder.register("ocall_print_debug", |h, _| {
@@ -240,7 +237,6 @@ pub fn run(harness: &Harness, config: &SecureKeeperConfig) -> SdkResult<SecureKe
             harness,
             &proxy_spec,
             config.seed ^ (i as u64) << 8,
-            config.payload_bytes,
         )?);
     }
     let proxy_ids: Vec<EnclaveId> = proxies.iter().map(|(e, _)| e.id()).collect();
@@ -257,11 +253,11 @@ pub fn run(harness: &Harness, config: &SecureKeeperConfig) -> SdkResult<SecureKe
         let router_id = router.id();
         let router_table = Arc::clone(&router_table);
         let total = Arc::clone(&total_requests);
-        let cfg = config.clone();
+        let seed = config.seed;
         let eid = enclave.id();
         sim.spawn(&format!("client-{i}"), move |ctx| {
             let tcx = ThreadCtx::from_sim(ctx);
-            let mut rng = sim_core::rng::seeded(cfg.seed ^ 0xc11e ^ i as u64);
+            let mut rng = sim_core::rng::seeded(seed ^ 0xc11e ^ i as u64);
             // Connection phase: all clients pile onto the router map.
             rt.ecall(
                 &tcx,
@@ -273,17 +269,17 @@ pub fn run(harness: &Harness, config: &SecureKeeperConfig) -> SdkResult<SecureKe
             .expect("register_client");
             // Steady state: proxy requests until the deadline.
             while ctx.clock().now() < deadline {
-                let payload = cfg.payload_bytes + (rng.gen_range(0..cfg.payload_bytes / 2));
+                let payload = PAYLOAD_BYTES + (rng.gen_range(0..PAYLOAD_BYTES / 2));
                 let mut c = CallData::default().with_in_bytes(payload);
                 rt.ecall(&tcx, eid, "ecall_handle_input_from_client", &table, &mut c)
                     .expect("client ecall");
                 // ZooKeeper turnaround.
-                ctx.sleep(jitter(&mut rng, cfg.request_period / 4, 0.3));
+                ctx.sleep(jitter(&mut rng, REQUEST_PERIOD / 4, 0.3));
                 let mut z = CallData::default().with_in_bytes(payload + 32);
                 rt.ecall(&tcx, eid, "ecall_handle_input_from_zk", &table, &mut z)
                     .expect("zk ecall");
                 total.fetch_add(1, Ordering::SeqCst);
-                ctx.sleep(jitter(&mut rng, cfg.request_period, 0.3));
+                ctx.sleep(jitter(&mut rng, REQUEST_PERIOD, 0.3));
             }
         });
     }
@@ -316,14 +312,13 @@ pub fn working_set_probe(
     steady_requests: u64,
 ) -> SdkResult<(usize, usize)> {
     let proxy_spec = sgx_edl::parse(PROXY_EDL).expect("static EDL parses");
-    let (enclave, table) =
-        build_proxy_enclave(harness, &proxy_spec, config.seed, config.payload_bytes)?;
+    let (enclave, table) = build_proxy_enclave(harness, &proxy_spec, config.seed)?;
     let wse = sgx_perf::WorkingSetEstimator::attach(harness.machine(), enclave.id())
         .map_err(sgx_sdk::SdkError::Sim)?;
     let tcx = ThreadCtx::main();
     let rt = harness.runtime();
     // Start-up: the first packet triggers library initialisation.
-    let mut first = CallData::default().with_in_bytes(config.payload_bytes);
+    let mut first = CallData::default().with_in_bytes(PAYLOAD_BYTES);
     rt.ecall(
         &tcx,
         enclave.id(),
@@ -334,7 +329,7 @@ pub fn working_set_probe(
     let startup = wse.mark().map_err(sgx_sdk::SdkError::Sim)?;
     // Steady state.
     for i in 0..steady_requests {
-        let mut c = CallData::default().with_in_bytes(config.payload_bytes + (i as usize % 64));
+        let mut c = CallData::default().with_in_bytes(PAYLOAD_BYTES + (i as usize % 64));
         rt.ecall(
             &tcx,
             enclave.id(),
@@ -342,7 +337,7 @@ pub fn working_set_probe(
             &table,
             &mut c,
         )?;
-        let mut z = CallData::default().with_in_bytes(config.payload_bytes + 32);
+        let mut z = CallData::default().with_in_bytes(PAYLOAD_BYTES + 32);
         rt.ecall(
             &tcx,
             enclave.id(),

@@ -31,33 +31,19 @@ const JOURNAL_HEADER: usize = 512;
 const COMMIT_MARKER: usize = 8;
 const DB_HEADER: usize = 100;
 
-/// CPU cost model of the engine itself (runs inside the enclave in the
-/// enclavised variants).
-#[derive(Debug, Clone)]
-pub struct EngineParams {
-    /// Statement parse/plan cost.
-    pub parse_base: Nanos,
-    /// Additional parse cost per row byte.
-    pub parse_per_byte_tenth_ns: u64,
-    /// B-tree descend/insert base cost.
-    pub btree_base: Nanos,
-    /// Additional B-tree cost per level.
-    pub btree_per_level: Nanos,
-    /// Page (de)serialisation cost.
-    pub page_codec: Nanos,
-}
+// CPU cost model of the engine itself (runs inside the enclave in the
+// enclavised variants).
 
-impl Default for EngineParams {
-    fn default() -> Self {
-        EngineParams {
-            parse_base: Nanos::from_nanos(8_500),
-            parse_per_byte_tenth_ns: 20, // 2 ns per byte
-            btree_base: Nanos::from_nanos(3_000),
-            btree_per_level: Nanos::from_nanos(350),
-            page_codec: Nanos::from_nanos(2_500),
-        }
-    }
-}
+/// Statement parse/plan cost.
+const PARSE_BASE: Nanos = Nanos::from_nanos(8_500);
+/// Additional parse cost per row byte.
+const PARSE_PER_BYTE_TENTH_NS: u64 = 20; // 2 ns per byte
+/// B-tree descend/insert base cost.
+const BTREE_BASE: Nanos = Nanos::from_nanos(3_000);
+/// Additional B-tree cost per level.
+const BTREE_PER_LEVEL: Nanos = Nanos::from_nanos(350);
+/// Page (de)serialisation cost.
+const PAGE_CODEC: Nanos = Nanos::from_nanos(2_500);
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct RowMeta {
@@ -69,7 +55,6 @@ struct RowMeta {
 /// the enclave.
 #[derive(Debug)]
 pub struct Engine {
-    params: EngineParams,
     index: BTreeMap<u64, RowMeta>,
     /// Bytes used in the currently-filling table page.
     page_fill: usize,
@@ -81,15 +66,14 @@ pub struct Engine {
 
 impl Default for Engine {
     fn default() -> Self {
-        Engine::new(EngineParams::default())
+        Engine::new()
     }
 }
 
 impl Engine {
     /// Creates an empty database.
-    pub fn new(params: EngineParams) -> Engine {
+    pub fn new() -> Engine {
         Engine {
-            params,
             index: BTreeMap::new(),
             page_fill: 0,
             pages: 1,
@@ -123,12 +107,9 @@ impl Engine {
     /// Propagates VFS failures (ocall errors in the enclavised variants).
     pub fn insert(&mut self, key: u64, row_len: usize, vfs: &mut dyn Vfs) -> SdkResult<bool> {
         // Parse + plan.
-        vfs.compute(
-            self.params.parse_base
-                + Nanos::from_nanos(row_len as u64 * self.params.parse_per_byte_tenth_ns / 10),
-        )?;
+        vfs.compute(PARSE_BASE + Nanos::from_nanos(row_len as u64 * PARSE_PER_BYTE_TENTH_NS / 10))?;
         // B-tree descend.
-        vfs.compute(self.params.btree_base + self.params.btree_per_level * self.btree_depth())?;
+        vfs.compute(BTREE_BASE + BTREE_PER_LEVEL * self.btree_depth())?;
         if self.index.contains_key(&key) {
             return Ok(false);
         }
@@ -148,7 +129,7 @@ impl Engine {
                                     // 1. journal header
         vfs.lseek_write(journal_base, JOURNAL_HEADER)?;
         // 2. original page backup
-        vfs.compute(self.params.page_codec)?;
+        vfs.compute(PAGE_CODEC)?;
         vfs.lseek_write(journal_base + JOURNAL_HEADER as u64, DB_PAGE)?;
         // 3. commit marker
         vfs.lseek_write(
@@ -156,7 +137,7 @@ impl Engine {
             COMMIT_MARKER,
         )?;
         // 4. table page
-        vfs.compute(self.params.page_codec)?;
+        vfs.compute(PAGE_CODEC)?;
         vfs.lseek_write(page * DB_PAGE as u64 + DB_HEADER as u64, DB_PAGE)?;
         // 5. database header (change counter)
         vfs.lseek_write(0, DB_HEADER)?;
@@ -171,7 +152,7 @@ impl Engine {
     ///
     /// Propagates VFS failures.
     pub fn lookup(&self, key: u64, vfs: &mut dyn Vfs) -> SdkResult<Option<usize>> {
-        vfs.compute(self.params.btree_base + self.params.btree_per_level * self.btree_depth())?;
+        vfs.compute(BTREE_BASE + BTREE_PER_LEVEL * self.btree_depth())?;
         Ok(self.index.get(&key).map(|m| m.len))
     }
 }
@@ -179,11 +160,11 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sqlitedb::vfs::{IoParams, NativeVfs};
+    use crate::sqlitedb::vfs::NativeVfs;
     use sim_core::Clock;
 
     fn native_vfs(clock: &Clock) -> NativeVfs {
-        NativeVfs::new(clock.clone(), 42, IoParams::default())
+        NativeVfs::new(clock.clone(), 42)
     }
 
     #[test]

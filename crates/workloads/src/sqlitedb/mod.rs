@@ -18,6 +18,6 @@ pub mod engine;
 pub mod vfs;
 pub mod workload;
 
-pub use engine::{Engine, EngineParams};
-pub use vfs::{IoParams, Vfs};
+pub use engine::Engine;
+pub use vfs::Vfs;
 pub use workload::{run, CommitGen, SqliteConfig, SQLITE_EDL, SQLITE_EDL_OPTIMISED};

@@ -11,36 +11,21 @@ use sim_core::sync::Mutex;
 use sim_core::{Clock, Nanos};
 use std::sync::Arc;
 
-/// Execution-time model of the underlying "disk" (SATA SSD of the paper's
-/// testbed), with 10% jitter applied per operation.
-#[derive(Debug, Clone)]
-pub struct IoParams {
-    /// `lseek(2)` syscall cost.
-    pub lseek_exec: Nanos,
-    /// Base `write(2)` cost (page-cache write).
-    pub write_exec: Nanos,
-    /// Additional write cost per 4 KiB page.
-    pub write_per_page: Nanos,
-    /// `fsync(2)` cost (flush to the device).
-    pub fsync_exec: Nanos,
-}
+// Execution-time model of the underlying "disk" (SATA SSD of the paper's
+// testbed), with 10% jitter applied per operation.
 
-impl Default for IoParams {
-    fn default() -> Self {
-        IoParams {
-            lseek_exec: Nanos::from_nanos(800),
-            write_exec: Nanos::from_nanos(1_500),
-            write_per_page: Nanos::from_nanos(1_000),
-            fsync_exec: Nanos::from_nanos(8_000),
-        }
-    }
-}
+/// `lseek(2)` syscall cost.
+const LSEEK_EXEC: Nanos = Nanos::from_nanos(800);
+/// Base `write(2)` cost (page-cache write).
+const WRITE_EXEC: Nanos = Nanos::from_nanos(1_500);
+/// Additional write cost per 4 KiB page.
+const WRITE_PER_PAGE: Nanos = Nanos::from_nanos(1_000);
+/// `fsync(2)` cost (flush to the device).
+const FSYNC_EXEC: Nanos = Nanos::from_nanos(8_000);
 
-impl IoParams {
-    fn write_cost(&self, rng: &mut sim_core::rng::Rng, bytes: usize) -> Nanos {
-        let pages = bytes.div_ceil(4096) as u64;
-        jitter(rng, self.write_exec + self.write_per_page * pages, 0.1)
-    }
+fn write_cost(rng: &mut sim_core::rng::Rng, bytes: usize) -> Nanos {
+    let pages = bytes.div_ceil(4096) as u64;
+    jitter(rng, WRITE_EXEC + WRITE_PER_PAGE * pages, 0.1)
 }
 
 /// File operations the engine needs. All methods account virtual time; the
@@ -73,16 +58,14 @@ pub trait Vfs {
 pub struct NativeVfs {
     clock: Clock,
     rng: sim_core::rng::Rng,
-    params: IoParams,
 }
 
 impl NativeVfs {
     /// Creates a native VFS over the shared clock.
-    pub fn new(clock: Clock, seed: u64, params: IoParams) -> NativeVfs {
+    pub fn new(clock: Clock, seed: u64) -> NativeVfs {
         NativeVfs {
             clock,
             rng: sim_core::rng::seeded(seed),
-            params,
         }
     }
 }
@@ -94,19 +77,19 @@ impl Vfs for NativeVfs {
     }
 
     fn lseek(&mut self, _offset: u64) -> SdkResult<()> {
-        let cost = jitter(&mut self.rng, self.params.lseek_exec, 0.1);
+        let cost = jitter(&mut self.rng, LSEEK_EXEC, 0.1);
         self.clock.advance(cost);
         Ok(())
     }
 
     fn write(&mut self, bytes: usize) -> SdkResult<()> {
-        let cost = self.params.write_cost(&mut self.rng, bytes);
+        let cost = write_cost(&mut self.rng, bytes);
         self.clock.advance(cost);
         Ok(())
     }
 
     fn fsync(&mut self) -> SdkResult<()> {
-        let cost = jitter(&mut self.rng, self.params.fsync_exec, 0.1);
+        let cost = jitter(&mut self.rng, FSYNC_EXEC, 0.1);
         self.clock.advance(cost);
         Ok(())
     }
@@ -117,31 +100,29 @@ impl Vfs for NativeVfs {
 #[derive(Debug)]
 pub struct HostFile {
     rng: Mutex<sim_core::rng::Rng>,
-    params: IoParams,
 }
 
 impl HostFile {
     /// Creates the host-side file model.
-    pub fn new(seed: u64, params: IoParams) -> Arc<HostFile> {
+    pub fn new(seed: u64) -> Arc<HostFile> {
         Arc::new(HostFile {
             rng: Mutex::new(sim_core::rng::seeded(seed)),
-            params,
         })
     }
 
     /// Cost of an `lseek`.
     pub fn lseek_cost(&self) -> Nanos {
-        jitter(&mut self.rng.lock(), self.params.lseek_exec, 0.1)
+        jitter(&mut self.rng.lock(), LSEEK_EXEC, 0.1)
     }
 
     /// Cost of a `write` of `bytes`.
     pub fn write_cost(&self, bytes: usize) -> Nanos {
-        self.params.write_cost(&mut self.rng.lock(), bytes)
+        write_cost(&mut self.rng.lock(), bytes)
     }
 
     /// Cost of an `fsync`.
     pub fn fsync_cost(&self) -> Nanos {
-        jitter(&mut self.rng.lock(), self.params.fsync_exec, 0.1)
+        jitter(&mut self.rng.lock(), FSYNC_EXEC, 0.1)
     }
 }
 
@@ -208,7 +189,7 @@ mod tests {
     #[test]
     fn native_vfs_charges_time() {
         let clock = Clock::new();
-        let mut vfs = NativeVfs::new(clock.clone(), 1, IoParams::default());
+        let mut vfs = NativeVfs::new(clock.clone(), 1);
         vfs.lseek(0).unwrap();
         vfs.write(4096).unwrap();
         vfs.fsync().unwrap();
@@ -222,7 +203,7 @@ mod tests {
     fn native_vfs_is_deterministic() {
         let run = || {
             let clock = Clock::new();
-            let mut vfs = NativeVfs::new(clock.clone(), 7, IoParams::default());
+            let mut vfs = NativeVfs::new(clock.clone(), 7);
             for i in 0..100 {
                 vfs.lseek_write(i * 4096, 4096).unwrap();
             }
@@ -233,7 +214,7 @@ mod tests {
 
     #[test]
     fn write_cost_grows_with_size() {
-        let host = HostFile::new(3, IoParams::default());
+        let host = HostFile::new(3);
         let small = host.write_cost(128);
         let big = host.write_cost(64 * 4096);
         assert!(big > small * 2, "{small} vs {big}");

@@ -9,8 +9,8 @@ use sim_core::sync::Mutex;
 
 use crate::harness::{Harness, RunStats, Variant};
 
-use super::engine::{Engine, EngineParams};
-use super::vfs::{HostFile, IoParams, NativeVfs, OcallVfs};
+use super::engine::Engine;
+use super::vfs::{HostFile, NativeVfs, OcallVfs};
 
 /// The published (naïve) enclave interface: system calls as one-to-one
 /// ocalls.
@@ -54,10 +54,6 @@ pub struct SqliteConfig {
     pub seed: u64,
     /// Which variant to run.
     pub variant: Variant,
-    /// I/O cost model.
-    pub io: IoParams,
-    /// Engine CPU cost model.
-    pub engine: EngineParams,
 }
 
 impl Default for SqliteConfig {
@@ -66,8 +62,6 @@ impl Default for SqliteConfig {
             inserts: 10_000,
             seed: 0x5eed_0051,
             variant: Variant::Enclave,
-            io: IoParams::default(),
-            engine: EngineParams::default(),
         }
     }
 }
@@ -122,12 +116,8 @@ pub fn run(harness: &Harness, config: &SqliteConfig) -> SdkResult<RunStats> {
 }
 
 fn run_native(harness: &Harness, config: &SqliteConfig) -> SdkResult<RunStats> {
-    let mut vfs = NativeVfs::new(
-        harness.clock().clone(),
-        config.seed ^ 0xf11e,
-        config.io.clone(),
-    );
-    let mut engine = Engine::new(config.engine.clone());
+    let mut vfs = NativeVfs::new(harness.clock().clone(), config.seed ^ 0xf11e);
+    let mut engine = Engine::new();
     let generator = CommitGen::new(config.seed);
     let (count, elapsed) = {
         let before = harness.clock().now();
@@ -163,7 +153,7 @@ fn run_enclavised(harness: &Harness, config: &SqliteConfig) -> SdkResult<RunStat
         },
     )?;
 
-    let engine = Arc::new(Mutex::new(Engine::new(config.engine.clone())));
+    let engine = Arc::new(Mutex::new(Engine::new()));
     let heap = harness.machine().heap_range(enclave.id())?;
     let heap_pages = heap.len();
 
@@ -194,7 +184,7 @@ fn run_enclavised(harness: &Harness, config: &SqliteConfig) -> SdkResult<RunStat
         Ok(())
     })?;
 
-    let host = HostFile::new(config.seed ^ 0xf11e, config.io.clone());
+    let host = HostFile::new(config.seed ^ 0xf11e);
     let mut builder = OcallTableBuilder::new(enclave.spec());
     {
         let host = Arc::clone(&host);

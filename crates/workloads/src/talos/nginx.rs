@@ -30,8 +30,6 @@ pub struct TalosConfig {
     pub requests: u64,
     /// RNG seed.
     pub seed: u64,
-    /// Response body size (drives `SSL_write` chunking).
-    pub response_bytes: usize,
 }
 
 impl Default for TalosConfig {
@@ -39,10 +37,12 @@ impl Default for TalosConfig {
         TalosConfig {
             requests: 1_000,
             seed: 0x7a10_57a5,
-            response_bytes: 16 * 1024,
         }
     }
 }
+
+/// Response body size (drives `SSL_write` chunking).
+const RESPONSE_BYTES: usize = 16 * 1024;
 
 /// Outcome of a TaLoS run.
 #[derive(Debug, Clone, PartialEq)]
@@ -341,8 +341,8 @@ pub fn run(harness: &Harness, config: &TalosConfig) -> SdkResult<TalosResult> {
         call(
             "ecall_SSL_write",
             &mut CallData::new(ssl)
-                .with_aux(vec![config.response_bytes as u64])
-                .with_in_bytes(config.response_bytes),
+                .with_aux(vec![RESPONSE_BYTES as u64])
+                .with_in_bytes(RESPONSE_BYTES),
         )?;
         call("ecall_SSL_get_rbio", &mut CallData::new(ssl))?;
         call("ecall_SSL_get_rbio", &mut CallData::new(ssl))?;
@@ -400,17 +400,10 @@ mod tests {
     fn run_is_deterministic() {
         let elapsed = |seed| {
             let h = Harness::new(HwProfile::Unpatched);
-            run(
-                &h,
-                &TalosConfig {
-                    requests: 30,
-                    seed,
-                    ..TalosConfig::default()
-                },
-            )
-            .unwrap()
-            .stats
-            .elapsed
+            run(&h, &TalosConfig { requests: 30, seed })
+                .unwrap()
+                .stats
+                .elapsed
         };
         assert_eq!(elapsed(5), elapsed(5));
         assert_ne!(elapsed(5), elapsed(6));

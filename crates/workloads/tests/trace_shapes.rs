@@ -109,9 +109,9 @@ fn glamdring_ocall_rate_matches_config() {
     let counts = call_counts(&trace);
     let subs = counts["ecall_bn_sub_part_words"] as u64;
     assert_eq!(subs, result.sub_calls);
-    // One BN_ helper ocall every `bn_ocall_every` subtractions.
+    // One BN_ helper ocall every `BN_OCALL_EVERY` subtractions.
     let bn_ocalls = counts.get("ocall_bn_new").copied().unwrap_or(0) as u64;
-    let expected = subs / config.bn_ocall_every;
+    let expected = subs / workloads::glamdring::BN_OCALL_EVERY;
     assert!(
         bn_ocalls.abs_diff(expected) <= 1,
         "{bn_ocalls} vs {expected}"

@@ -13,8 +13,13 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 # The trace-table docs live inside the `trace_tables!` invocation, where
 # only rustdoc checks their links. (rustdoc does not lint docs expanded
 # from another crate's macro, so links in `record!` rows go unchecked.)
-echo "== cargo doc (deny warnings: eventdb, sgx-perf)"
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -q -p eventdb -p sgx-perf
+# integration-tests stays out: its generated `src/generated_demo_u.rs`
+# (pinned by codegen_golden) carries EDL attributes that rustdoc reads as
+# links.
+echo "== cargo doc (deny warnings: every library crate)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -q -p sim-core -p sim-threads \
+    -p sgx-sim -p sgx-edl -p sgx-sdk -p sgx-fleet -p eventdb -p sgx-perf -p workloads \
+    -p sgxperf-cli -p sgx-perf-bench
 
 echo "== cargo test"
 cargo test -q --offline

@@ -14,7 +14,6 @@ fn sqlite_trace_bytes(seed: u64) -> Vec<u8> {
             inserts: 400,
             seed,
             variant: Variant::Enclave,
-            ..Default::default()
         },
     )
     .unwrap();

@@ -142,28 +142,6 @@ fn failed_calls_are_traced_and_stack_stays_consistent() {
     assert!(trace.ecalls.iter().all(|e| e.parent_ocall.is_none()));
 }
 
-/// Analyzer weights are tunable: with absurdly strict thresholds nothing
-/// fires on a pathological workload; with defaults it does.
-#[test]
-fn weights_control_sensitivity() {
-    let harness = Harness::new(HwProfile::Unpatched);
-    let logger = Logger::attach(harness.runtime(), LoggerConfig::default());
-    workloads::antipatterns::sisc(&harness, 200).unwrap();
-    let trace = logger.finish();
-    let cm = harness.profile().cost_model();
-
-    let default_report = Analyzer::new(&trace, cm.clone()).analyze();
-    assert!(!default_report.detections.is_empty());
-
-    let strict = sgx_perf::Weights {
-        min_calls: 1_000_000,
-        switchless_min_calls: 1_000_000,
-        ..Default::default()
-    };
-    let strict_report = Analyzer::new(&trace, cm).with_weights(strict).analyze();
-    assert!(strict_report.detections.is_empty());
-}
-
 /// The EDL diff path: supplying a *stale* EDL (with an over-broad allow
 /// list) makes the analyzer flag exactly the unused entries.
 #[test]
