@@ -15,6 +15,10 @@
 //!   over a serial run.
 //! * Per-eviction cost at 1024 resident enclaves must stay under 8x the
 //!   cost at 16 (a linear victim scan would be ~64x).
+//! * `ecall_cost_is_independent_of_enclave_size`: a no-op ecall into an
+//!   enclave with a 16 MiB heap must cost under 2x one into an enclave
+//!   with a 64 KiB heap (a per-ecall walk of the enclave's pages made it
+//!   about 9x).
 //!
 //! A floor variable that is set but does not parse as a finite number
 //! fails the gate; an unset one means the default.
@@ -23,7 +27,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use sgx_perf_bench::scaled_count;
-use sgx_sdk::Runtime;
+use sgx_sdk::{CallData, OcallTableBuilder, Runtime, ThreadCtx};
 use sgx_sim::{EnclaveConfig, EnclaveId, EvictionPolicy, Machine, MachineParams};
 use sim_core::campaign::CampaignSpec;
 use sim_core::{Clock, HwProfile};
@@ -171,6 +175,55 @@ fn eviction_cost_is_sublinear_in_enclave_count() {
         ratio < 8.0,
         "eviction-victim selection is not sublinear in enclave count: \
          {large:.0} ns at 1024 enclaves vs {small:.0} ns at 16 ({ratio:.2}x)"
+    );
+}
+
+/// Returns the best-of-3 real time per no-op `Runtime::ecall`, in
+/// nanoseconds, into one enclave with a `heap_kib` heap.
+fn per_ecall_ns(heap_kib: usize, iters: u64) -> f64 {
+    let machine = Arc::new(Machine::new(Clock::new(), HwProfile::Unpatched));
+    let rt = Runtime::new(machine);
+    let spec = sgx_edl::parse("enclave { trusted { public void ecall_noop(); }; };").unwrap();
+    let config = EnclaveConfig {
+        heap_kib,
+        ..EnclaveConfig::default()
+    };
+    let enclave = rt.create_enclave(&spec, &config).unwrap();
+    enclave.register_ecall("ecall_noop", |_, _| Ok(())).unwrap();
+    let table = Arc::new(OcallTableBuilder::new(enclave.spec()).build().unwrap());
+    let tcx = ThreadCtx::main();
+    let mut best = f64::INFINITY;
+    for _ in 0..3 {
+        let start = Instant::now();
+        for _ in 0..iters {
+            rt.ecall(
+                &tcx,
+                enclave.id(),
+                "ecall_noop",
+                &table,
+                &mut CallData::new(0),
+            )
+            .unwrap();
+        }
+        best = best.min(start.elapsed().as_nanos() as f64 / iters as f64);
+    }
+    best
+}
+
+#[test]
+#[ignore = "timing gate: release build, run alone by CI's perf-gate job"]
+fn ecall_cost_is_independent_of_enclave_size() {
+    let iters = scaled_count(20_000, 4_000);
+    let small = per_ecall_ns(64, iters);
+    let large = per_ecall_ns(16 * 1024, iters);
+    let ratio = large / small;
+    println!(
+        "per-ecall: {small:.0} ns with a 64 KiB heap, {large:.0} ns with 16 MiB — {ratio:.2}x"
+    );
+    assert!(
+        ratio < 2.0,
+        "ecall entry cost grows with enclave size: {large:.0} ns with a 16 MiB heap \
+         vs {small:.0} ns with 64 KiB ({ratio:.2}x)"
     );
 }
 

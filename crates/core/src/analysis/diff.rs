@@ -338,7 +338,7 @@ fn per_name(trace: &TraceDb) -> BTreeMap<(CallKind, String), SideStats> {
     for (call, start_ns, end_ns, aex_count) in ecalls.chain(ocalls) {
         let side = per_call.entry(call).or_default();
         side.durations.push(end_ns.saturating_sub(start_ns));
-        side.aex_total += aex_count;
+        side.aex_total = side.aex_total.saturating_add(aex_count);
         side.windows.push((start_ns, end_ns));
     }
     // Name each call once, then merge the calls that share a name.
@@ -349,7 +349,7 @@ fn per_name(trace: &TraceDb) -> BTreeMap<(CallKind, String), SideStats> {
             .entry((call.kind, names.get(call).into_owned()))
             .or_default();
         entry.durations.extend(side.durations);
-        entry.aex_total += side.aex_total;
+        entry.aex_total = entry.aex_total.saturating_add(side.aex_total);
         entry.windows.extend(side.windows);
     }
     grouped

@@ -60,21 +60,25 @@ impl FleetReport {
             slots: slots.len(),
             ..FleetTotals::default()
         };
+        // Sums saturate: a hostile trace's counters near `u64::MAX` must
+        // not panic (debug) or wrap (release).
         let mut weighted_p50 = 0u128;
         for s in &slots {
-            totals.spin_ups += u64::from(s.spin_ups);
-            totals.restarts += u64::from(s.restarts);
-            totals.requests += s.requests;
-            totals.completed += s.completed;
-            totals.shed += s.shed;
-            totals.failed += s.failed;
-            totals.page_ins += s.page_ins;
-            totals.page_outs += s.page_outs;
+            totals.spin_ups = totals.spin_ups.saturating_add(u64::from(s.spin_ups));
+            totals.restarts = totals.restarts.saturating_add(u64::from(s.restarts));
+            totals.requests = totals.requests.saturating_add(s.requests);
+            totals.completed = totals.completed.saturating_add(s.completed);
+            totals.shed = totals.shed.saturating_add(s.shed);
+            totals.failed = totals.failed.saturating_add(s.failed);
+            totals.page_ins = totals.page_ins.saturating_add(s.page_ins);
+            totals.page_outs = totals.page_outs.saturating_add(s.page_outs);
             totals.max_p99_ns = totals.max_p99_ns.max(s.p99_ns);
-            weighted_p50 += u128::from(s.p50_ns) * u128::from(s.completed);
+            weighted_p50 =
+                weighted_p50.saturating_add(u128::from(s.p50_ns) * u128::from(s.completed));
         }
         if totals.completed > 0 {
-            totals.mean_p50_ns = (weighted_p50 / u128::from(totals.completed)) as u64;
+            totals.mean_p50_ns =
+                u64::try_from(weighted_p50 / u128::from(totals.completed)).unwrap_or(u64::MAX);
         }
         FleetReport { slots, totals }
     }

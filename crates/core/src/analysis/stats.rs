@@ -78,7 +78,8 @@ impl CallStats {
             min_ns: sorted[0],
             max_ns: sorted[count - 1],
             total_ns: total,
-            mean_aex: aex.iter().sum::<u64>() as f64 / count as f64,
+            // Summed wide: AEX counts near `u64::MAX` must not overflow.
+            mean_aex: aex.iter().map(|&a| u128::from(a)).sum::<u128>() as f64 / count as f64,
             frac_under_1us: frac_under(1_000),
             frac_under_5us: frac_under(5_000),
             frac_under_10us: frac_under(10_000),

@@ -268,19 +268,17 @@ impl Urts {
         tcx: &ThreadCtx<'_>,
         tcs_index: usize,
     ) -> SdkResult<()> {
-        let info = self.machine.enclave_info(eid)?;
-        if tcs_index >= info.tcs_count {
-            return Err(SdkError::OutOfTcs(eid));
-        }
         // The TCS page and the first stack page of this thread.
-        let stack = self.machine.stack_range(eid, tcs_index)?;
-        let tcs_page = self.machine.tcs_page(eid, tcs_index)?;
+        let (tcs_page, stack_page) = self
+            .machine
+            .entry_pages(eid, tcs_index)?
+            .ok_or(SdkError::OutOfTcs(eid))?;
         self.machine
             .touch(eid, tcx.token, tcs_page..tcs_page + 1, AccessKind::Read)?;
         self.machine.touch(
             eid,
             tcx.token,
-            stack.start..stack.start + 1,
+            stack_page..stack_page + 1,
             AccessKind::Write,
         )?;
         Ok(())

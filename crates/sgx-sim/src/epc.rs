@@ -9,12 +9,17 @@
 //! This module models only occupancy and the eviction decision; costs and
 //! event delivery live in [`machine`](crate::machine).
 //!
-//! All bookkeeping is indexed so the structure scales to fleets of
-//! thousands of enclaves: victim selection is the first entry of a stamp
-//! BTreeMap (O(log n)) and per-enclave teardown walks only that enclave's
-//! resident set instead of scanning every resident page.
+//! Every operation is O(1) (amortised), so neither a fleet of thousands
+//! of enclaves nor the pages every ecall touches slow the bookkeeping
+//! down. Each resident page carries a stamp, kept in a dense vector per
+//! enclave; the eviction order is a queue of `(stamp, page)` entries,
+//! oldest first. Re-stamping a page (an LRU access) or tearing down its
+//! enclave (which drops the enclave's whole stamp vector) leaves the old
+//! entry behind. Victim selection skips such stale entries lazily, and
+//! the queue is compacted once they outnumber the live ones, so it never
+//! holds more than twice the resident pages.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::VecDeque;
 
 use crate::machine::EnclaveId;
 
@@ -34,19 +39,41 @@ pub enum EvictionPolicy {
 
 pub(crate) type PageKey = (EnclaveId, usize);
 
+/// The stamp of a page that is not resident.
+const ABSENT: u64 = u64::MAX;
+
+/// One enclave's resident pages.
+#[derive(Debug, Default)]
+struct Resident {
+    /// Page index -> stamp, [`ABSENT`] when the page is not resident.
+    stamps: Vec<u64>,
+    /// How many entries of `stamps` are not [`ABSENT`].
+    count: usize,
+}
+
 /// Occupancy tracker for the EPC.
 #[derive(Debug)]
 pub(crate) struct Epc {
     capacity: usize,
     policy: EvictionPolicy,
-    /// stamp -> page, ordered oldest first.
-    by_stamp: BTreeMap<u64, PageKey>,
-    /// page -> stamp.
-    stamps: HashMap<PageKey, u64>,
-    /// enclave -> resident page indices, so per-enclave teardown does not
-    /// scan the whole EPC (fleet-scale destroy/rebuild churn).
-    per_enclave: HashMap<EnclaveId, BTreeSet<usize>>,
+    /// `(stamp, page)` in stamp order, oldest first. An entry is live
+    /// while its stamp is still the page's stamp; the others are stale.
+    order: VecDeque<(u64, PageKey)>,
+    /// Enclave id -> its resident pages. Ids are small and dense (the
+    /// machine hands them out in sequence), so a vector indexes them.
+    enclaves: Vec<Resident>,
+    /// Resident pages across all enclaves.
+    resident: usize,
     next_stamp: u64,
+}
+
+/// The stamp of `key`, or [`ABSENT`].
+fn stamp_of(enclaves: &[Resident], key: PageKey) -> u64 {
+    enclaves
+        .get(key.0 .0 as usize)
+        .and_then(|r| r.stamps.get(key.1))
+        .copied()
+        .unwrap_or(ABSENT)
 }
 
 impl Epc {
@@ -55,9 +82,9 @@ impl Epc {
         Epc {
             capacity,
             policy,
-            by_stamp: BTreeMap::new(),
-            stamps: HashMap::new(),
-            per_enclave: HashMap::new(),
+            order: VecDeque::new(),
+            enclaves: Vec::new(),
+            resident: 0,
             next_stamp: 0,
         }
     }
@@ -67,107 +94,205 @@ impl Epc {
     }
 
     pub fn resident_count(&self) -> usize {
-        self.stamps.len()
+        self.resident
     }
 
     /// How many of `enclave`'s pages are currently resident. O(1).
     pub fn resident_of(&self, enclave: EnclaveId) -> usize {
-        self.per_enclave.get(&enclave).map_or(0, BTreeSet::len)
+        self.enclaves.get(enclave.0 as usize).map_or(0, |r| r.count)
     }
 
     pub fn contains(&self, key: PageKey) -> bool {
-        self.stamps.contains_key(&key)
+        stamp_of(&self.enclaves, key) != ABSENT
     }
 
-    /// Makes `key` resident. If the EPC is full, returns the victim that
-    /// must be evicted first (the caller performs the eviction bookkeeping
-    /// and then calls `insert` again — by then there is room).
-    ///
-    /// Returns `None` once the page is resident.
+    /// Makes `key` resident. If the EPC is full, first evicts the oldest
+    /// (FIFO) or least recently used (LRU) page and returns it, so the
+    /// caller can record the eviction. Returns `None` when nothing was
+    /// evicted, including when `key` was already resident.
     pub fn insert(&mut self, key: PageKey) -> Option<PageKey> {
-        if self.stamps.contains_key(&key) {
+        if self.contains(key) {
             return None;
         }
-        if self.stamps.len() >= self.capacity {
-            let (&stamp, &victim) = self
-                .by_stamp
-                .iter()
-                .next()
-                .expect("EPC full implies non-empty");
-            self.by_stamp.remove(&stamp);
-            self.stamps.remove(&victim);
-            self.unindex(victim);
-            // Caller records the eviction, then the new page goes in below.
-            self.insert_fresh(key);
-            return Some(victim);
+        let victim = (self.resident >= self.capacity).then(|| self.evict_oldest());
+        let enclave = key.0 .0 as usize;
+        if enclave >= self.enclaves.len() {
+            self.enclaves.resize_with(enclave + 1, Resident::default);
         }
-        self.insert_fresh(key);
-        None
+        let r = &mut self.enclaves[enclave];
+        if key.1 >= r.stamps.len() {
+            r.stamps.resize(key.1 + 1, ABSENT);
+        }
+        r.count += 1;
+        self.resident += 1;
+        self.stamp(key);
+        victim
     }
 
-    fn insert_fresh(&mut self, key: PageKey) {
+    /// Pops the oldest live entry and marks its page absent.
+    fn evict_oldest(&mut self) -> PageKey {
+        loop {
+            let (stamp, key) = self
+                .order
+                .pop_front()
+                .expect("EPC full implies a live entry");
+            if stamp_of(&self.enclaves, key) == stamp {
+                let r = &mut self.enclaves[key.0 .0 as usize];
+                r.stamps[key.1] = ABSENT;
+                r.count -= 1;
+                self.resident -= 1;
+                return key;
+            }
+        }
+    }
+
+    /// Gives the resident page `key` the next stamp.
+    fn stamp(&mut self, key: PageKey) {
         let stamp = self.next_stamp;
         self.next_stamp += 1;
-        self.by_stamp.insert(stamp, key);
-        self.stamps.insert(key, stamp);
-        self.per_enclave.entry(key.0).or_default().insert(key.1);
+        self.enclaves[key.0 .0 as usize].stamps[key.1] = stamp;
+        self.order.push_back((stamp, key));
     }
 
-    fn unindex(&mut self, key: PageKey) {
-        if let Some(set) = self.per_enclave.get_mut(&key.0) {
-            set.remove(&key.1);
-            if set.is_empty() {
-                self.per_enclave.remove(&key.0);
-            }
+    /// Drops the stale queue entries once they outnumber the live ones.
+    /// Each stale entry is dropped once, so this is O(1) amortised.
+    fn compact(&mut self) {
+        if self.order.len() > 2 * self.resident {
+            let enclaves = &self.enclaves;
+            self.order
+                .retain(|&(stamp, key)| stamp_of(enclaves, key) == stamp);
         }
     }
 
     /// Records an access for LRU bookkeeping. No-op under FIFO.
     pub fn touch(&mut self, key: PageKey) {
-        if self.policy != EvictionPolicy::Lru {
-            return;
-        }
-        if let Some(stamp) = self.stamps.get(&key).copied() {
-            self.by_stamp.remove(&stamp);
-            // Re-stamp only; the per-enclave index already holds the page,
-            // and insert_fresh's BTreeSet insert of an existing element is
-            // a no-op, so going through it keeps one code path.
-            self.insert_fresh(key);
-        }
-    }
-
-    /// Removes a single page (e.g. explicit eviction).
-    pub fn remove(&mut self, key: PageKey) -> bool {
-        match self.stamps.remove(&key) {
-            Some(stamp) => {
-                self.by_stamp.remove(&stamp);
-                self.unindex(key);
-                true
-            }
-            None => false,
+        if self.policy == EvictionPolicy::Lru && self.contains(key) {
+            self.stamp(key);
+            self.compact();
         }
     }
 
     /// Removes every page of an enclave; returns how many were resident.
-    /// Proportional to that enclave's resident set, not total occupancy.
     pub fn remove_enclave(&mut self, enclave: EnclaveId) -> usize {
-        let Some(pages) = self.per_enclave.remove(&enclave) else {
+        let Some(r) = self.enclaves.get_mut(enclave.0 as usize) else {
             return 0;
         };
-        let mut removed = 0;
-        for page in pages {
-            if let Some(stamp) = self.stamps.remove(&(enclave, page)) {
-                self.by_stamp.remove(&stamp);
-                removed += 1;
+        let removed = std::mem::take(r).count;
+        self.resident -= removed;
+        self.compact();
+        removed
+    }
+}
+
+/// A reference model of [`Epc`] built from ordered maps: a stamp
+/// `BTreeMap` for the eviction order, a hash map from page to stamp and
+/// a per-enclave `BTreeSet`. The property test below holds `Epc` to it
+/// on every victim.
+#[cfg(test)]
+mod reference {
+    use std::collections::{BTreeMap, BTreeSet, HashMap};
+
+    use super::{EvictionPolicy, PageKey};
+    use crate::machine::EnclaveId;
+
+    #[derive(Debug)]
+    pub(super) struct ReferenceEpc {
+        capacity: usize,
+        policy: EvictionPolicy,
+        by_stamp: BTreeMap<u64, PageKey>,
+        stamps: HashMap<PageKey, u64>,
+        per_enclave: HashMap<EnclaveId, BTreeSet<usize>>,
+        next_stamp: u64,
+    }
+
+    impl ReferenceEpc {
+        pub fn new(capacity: usize, policy: EvictionPolicy) -> ReferenceEpc {
+            ReferenceEpc {
+                capacity,
+                policy,
+                by_stamp: BTreeMap::new(),
+                stamps: HashMap::new(),
+                per_enclave: HashMap::new(),
+                next_stamp: 0,
             }
         }
-        removed
+
+        pub fn resident_count(&self) -> usize {
+            self.stamps.len()
+        }
+
+        pub fn resident_of(&self, enclave: EnclaveId) -> usize {
+            self.per_enclave.get(&enclave).map_or(0, BTreeSet::len)
+        }
+
+        pub fn contains(&self, key: PageKey) -> bool {
+            self.stamps.contains_key(&key)
+        }
+
+        pub fn insert(&mut self, key: PageKey) -> Option<PageKey> {
+            if self.stamps.contains_key(&key) {
+                return None;
+            }
+            if self.stamps.len() >= self.capacity {
+                let (&stamp, &victim) = self.by_stamp.iter().next().expect("full");
+                self.by_stamp.remove(&stamp);
+                self.stamps.remove(&victim);
+                self.unindex(victim);
+                self.insert_fresh(key);
+                return Some(victim);
+            }
+            self.insert_fresh(key);
+            None
+        }
+
+        fn insert_fresh(&mut self, key: PageKey) {
+            let stamp = self.next_stamp;
+            self.next_stamp += 1;
+            self.by_stamp.insert(stamp, key);
+            self.stamps.insert(key, stamp);
+            self.per_enclave.entry(key.0).or_default().insert(key.1);
+        }
+
+        fn unindex(&mut self, key: PageKey) {
+            if let Some(set) = self.per_enclave.get_mut(&key.0) {
+                set.remove(&key.1);
+                if set.is_empty() {
+                    self.per_enclave.remove(&key.0);
+                }
+            }
+        }
+
+        pub fn touch(&mut self, key: PageKey) {
+            if self.policy != EvictionPolicy::Lru {
+                return;
+            }
+            if let Some(stamp) = self.stamps.get(&key).copied() {
+                self.by_stamp.remove(&stamp);
+                self.insert_fresh(key);
+            }
+        }
+
+        pub fn remove_enclave(&mut self, enclave: EnclaveId) -> usize {
+            let Some(pages) = self.per_enclave.remove(&enclave) else {
+                return 0;
+            };
+            let mut removed = 0;
+            for page in pages {
+                if let Some(stamp) = self.stamps.remove(&(enclave, page)) {
+                    self.by_stamp.remove(&stamp);
+                    removed += 1;
+                }
+            }
+            removed
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::reference::ReferenceEpc;
     use super::*;
+    use proptest::prelude::*;
 
     fn eid(n: u32) -> EnclaveId {
         EnclaveId(n)
@@ -255,9 +380,10 @@ mod tests {
         assert_eq!(epc.insert((eid(2), 1)), Some((eid(1), 0)));
         assert_eq!(epc.resident_of(eid(1)), 1);
         assert_eq!(epc.resident_of(eid(2)), 2);
-        // Explicit removal keeps the index consistent too.
-        assert!(epc.remove((eid(1), 1)));
+        // Teardown keeps the index consistent too.
+        assert_eq!(epc.remove_enclave(eid(1)), 1);
         assert_eq!(epc.resident_of(eid(1)), 0);
+        assert_eq!(epc.resident_of(eid(2)), 2);
         // LRU touch of a resident page must not double-count it.
         let mut lru = Epc::new(4, EvictionPolicy::Lru);
         lru.insert((eid(3), 0));
@@ -265,5 +391,69 @@ mod tests {
         assert_eq!(lru.resident_of(eid(3)), 1);
         assert_eq!(lru.remove_enclave(eid(3)), 1);
         assert_eq!(lru.resident_of(eid(3)), 0);
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Insert(u32, usize),
+        Touch(u32, usize),
+        RemoveEnclave(u32),
+    }
+
+    /// Few enclaves and pages, so operations collide with resident pages
+    /// and with each other's stale entries.
+    fn arb_op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (0u32..4, 0usize..12).prop_map(|(e, p)| Op::Insert(e, p)),
+            (0u32..4, 0usize..12).prop_map(|(e, p)| Op::Insert(e, p)),
+            (0u32..4, 0usize..12).prop_map(|(e, p)| Op::Touch(e, p)),
+            (0u32..4, 0usize..12).prop_map(|(e, p)| Op::Touch(e, p)),
+            (0u32..4).prop_map(Op::RemoveEnclave),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn agrees_with_the_reference_model(
+            ops in proptest::collection::vec(arb_op(), 1..200),
+            capacity in 1usize..10,
+            lru in any::<bool>(),
+        ) {
+            let policy = if lru { EvictionPolicy::Lru } else { EvictionPolicy::Fifo };
+            let mut epc = Epc::new(capacity, policy);
+            let mut oracle = ReferenceEpc::new(capacity, policy);
+            for (step, op) in ops.into_iter().enumerate() {
+                match op {
+                    Op::Insert(e, p) => prop_assert_eq!(
+                        epc.insert((eid(e), p)),
+                        oracle.insert((eid(e), p)),
+                        "step {}: {:?} evicted a different victim", step, op
+                    ),
+                    Op::Touch(e, p) => {
+                        epc.touch((eid(e), p));
+                        oracle.touch((eid(e), p));
+                    }
+                    Op::RemoveEnclave(e) => prop_assert_eq!(
+                        epc.remove_enclave(eid(e)),
+                        oracle.remove_enclave(eid(e))
+                    ),
+                }
+                prop_assert_eq!(epc.resident_count(), oracle.resident_count());
+                // Stale entries never outnumber live ones.
+                prop_assert!(epc.order.len() <= 2 * epc.resident_count());
+                for e in 0..4 {
+                    prop_assert_eq!(epc.resident_of(eid(e)), oracle.resident_of(eid(e)));
+                    for p in 0..12 {
+                        prop_assert_eq!(
+                            epc.contains((eid(e), p)),
+                            oracle.contains((eid(e), p)),
+                            "step {}: residency of page {} of enclave {} differs", step, p, e
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -140,6 +140,8 @@ pub struct EnclaveLayout {
     /// Per-thread (tcs_page, ssa_range, stack_range).
     threads: Vec<ThreadPages>,
     measurement: u64,
+    /// Pages whose kind is accessible, counted once at build time.
+    accessible: usize,
 }
 
 /// Page indices belonging to one enclave thread.
@@ -193,7 +195,9 @@ impl EnclaveLayout {
         }
         let total = kinds.len().next_power_of_two();
         kinds.resize(total, PageKind::Padding);
+        let accessible = kinds.iter().filter(|k| k.is_accessible()).count();
         EnclaveLayout {
+            accessible,
             kinds,
             code,
             data,
@@ -255,7 +259,7 @@ impl EnclaveLayout {
     /// Pages that are legitimately accessible (everything but guards,
     /// padding and the metadata page).
     pub fn accessible_pages(&self) -> usize {
-        self.kinds.iter().filter(|k| k.is_accessible()).count()
+        self.accessible
     }
 }
 

@@ -467,7 +467,8 @@ impl Machine {
         Ok(())
     }
 
-    /// Static and residency information about an enclave.
+    /// Static and residency information about an enclave. O(1): the
+    /// resident count is the EPC's and the rest is fixed at creation.
     pub fn enclave_info(&self, eid: EnclaveId) -> Result<EnclaveInfo, SimError> {
         let inner = self.inner.lock();
         let st = Self::state(&inner, eid)?;
@@ -476,7 +477,7 @@ impl Machine {
             base_vaddr: st.base,
             total_pages: st.layout.total_pages(),
             accessible_pages: st.layout.accessible_pages(),
-            resident_pages: st.pages.iter().filter(|p| p.resident).count(),
+            resident_pages: inner.epc.resident_of(eid),
             tcs_count: st.layout.tcs_count(),
             measurement: st.layout.measurement(),
             debug: st.debug,
@@ -495,34 +496,21 @@ impl Machine {
         Ok(Self::state(&inner, eid)?.layout.code_range())
     }
 
-    /// The page index of thread `tcs_index`'s TCS.
-    pub fn tcs_page(&self, eid: EnclaveId, tcs_index: usize) -> Result<usize, SimError> {
+    /// The two pages every EENTER on enclave thread `tcs_index` touches:
+    /// its TCS page and the first page of its stack. `None` when the
+    /// enclave has no TCS `tcs_index`. O(1), under one lock.
+    pub fn entry_pages(
+        &self,
+        eid: EnclaveId,
+        tcs_index: usize,
+    ) -> Result<Option<(usize, usize)>, SimError> {
         let inner = self.inner.lock();
         let st = Self::state(&inner, eid)?;
-        st.layout
+        Ok(st
+            .layout
             .thread_pages()
             .get(tcs_index)
-            .map(|t| t.tcs)
-            .ok_or(SimError::PageOutOfRange {
-                enclave: eid,
-                page: tcs_index,
-                total: st.layout.tcs_count(),
-            })
-    }
-
-    /// The stack page range of enclave thread `tcs_index`.
-    pub fn stack_range(&self, eid: EnclaveId, tcs_index: usize) -> Result<Range<usize>, SimError> {
-        let inner = self.inner.lock();
-        let st = Self::state(&inner, eid)?;
-        st.layout
-            .thread_pages()
-            .get(tcs_index)
-            .map(|t| t.stack.clone())
-            .ok_or(SimError::PageOutOfRange {
-                enclave: eid,
-                page: tcs_index,
-                total: st.layout.tcs_count(),
-            })
+            .map(|t| (t.tcs, t.stack.start)))
     }
 
     /// Virtual address of page `index` inside the enclave.
@@ -733,10 +721,7 @@ impl Machine {
             for page in st.pages.iter_mut() {
                 page.resident = false;
             }
-            let total = st.layout.total_pages();
-            for index in 0..total {
-                inner.epc.remove((eid, index));
-            }
+            inner.epc.remove_enclave(eid);
         }
         let now = self.clock.now();
         self.emit_driver_events(&[DriverEvent::EnclaveLost {
@@ -1165,10 +1150,9 @@ impl Machine {
             Self::state(&inner, eid)?;
             let mut count = 0;
             let st = inner.enclaves.get_mut(&eid.0).expect("checked above");
-            let total = st.layout.total_pages();
-            for index in 0..total {
-                if st.pages[index].resident {
-                    st.pages[index].resident = false;
+            for (index, page) in st.pages.iter_mut().enumerate() {
+                if page.resident {
+                    page.resident = false;
                     count += 1;
                     events.push(DriverEvent::Paging {
                         direction: PagingDirection::Out,
@@ -1178,9 +1162,7 @@ impl Machine {
                     });
                 }
             }
-            for index in 0..total {
-                inner.epc.remove((eid, index));
-            }
+            inner.epc.remove_enclave(eid);
             count
         };
         self.emit_driver_events(&events);
@@ -1551,6 +1533,101 @@ mod tests {
         m.evict_all(a).unwrap();
         assert_eq!(m.epc_resident_of(a), 0);
         assert_eq!(m.epc_resident_of(b), total);
+    }
+
+    /// Each page's resident flag, in page order.
+    fn resident_flags(m: &Machine, eid: EnclaveId) -> Vec<bool> {
+        let inner = m.inner.lock();
+        let st = Machine::state(&inner, eid).unwrap();
+        st.pages.iter().map(|p| p.resident).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// `enclave_info` reads the EPC's per-enclave count; after any
+        /// churn that count, the EPC's per-page membership and the pages'
+        /// own resident flags must all agree.
+        #[test]
+        fn resident_count_agrees_with_page_flags(
+            ops in proptest::collection::vec(
+                (0u8..6, 0usize..1024, 0usize..64, 1usize..16),
+                1..40,
+            ),
+            epc_pages in 64usize..512,
+            lru in proptest::prelude::any::<bool>(),
+        ) {
+            let m = Machine::with_params(
+                Clock::new(),
+                HwProfile::Unpatched,
+                MachineParams {
+                    epc_pages,
+                    eviction: if lru { EvictionPolicy::Lru } else { EvictionPolicy::Fifo },
+                    sgx_version: SgxVersion::V2,
+                },
+            );
+            let mut live: Vec<EnclaveId> = Vec::new();
+            for (op, pick, offset, len) in ops {
+                if op == 0 || live.is_empty() {
+                    let config = EnclaveConfig {
+                        heap_kib: 8 + offset * 4,
+                        ..EnclaveConfig::default()
+                    };
+                    live.push(m.create_enclave(&config).unwrap());
+                    continue;
+                }
+                let eid = live[pick % live.len()];
+                let heap = m.heap_range(eid).unwrap();
+                let start = heap.start + offset.min(heap.len() - 1);
+                let pages = start..(start + len).min(heap.end);
+                match op {
+                    1 => {
+                        m.touch(eid, ThreadToken::MAIN, pages, AccessKind::Write).unwrap();
+                    }
+                    2 => {
+                        m.prefetch(eid, pages).unwrap();
+                    }
+                    // May run out of padding reserve, which is fine.
+                    3 => drop(m.extend_heap(eid, len % 8 + 1)),
+                    4 => {
+                        m.evict_all(eid).unwrap();
+                    }
+                    _ => {
+                        live.retain(|&e| e != eid);
+                        m.destroy_enclave(eid).unwrap();
+                    }
+                }
+                for &eid in &live {
+                    let flags = resident_flags(&m, eid);
+                    let flagged = flags.iter().filter(|&&f| f).count();
+                    proptest::prop_assert_eq!(
+                        m.enclave_info(eid).unwrap().resident_pages,
+                        m.epc_resident_of(eid)
+                    );
+                    proptest::prop_assert_eq!(m.epc_resident_of(eid), flagged);
+                    for (page, &flag) in flags.iter().enumerate() {
+                        proptest::prop_assert_eq!(m.is_resident(eid, page).unwrap(), flag);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn entry_pages_are_the_tcs_and_stack_top() {
+        let m = machine();
+        let config = EnclaveConfig {
+            tcs_count: 2,
+            ..EnclaveConfig::default()
+        };
+        let eid = m.create_enclave(&config).unwrap();
+        let layout = EnclaveLayout::new(&config);
+        for (i, t) in layout.thread_pages().iter().enumerate() {
+            assert_eq!(m.entry_pages(eid, i), Ok(Some((t.tcs, t.stack.start))));
+        }
+        assert_eq!(m.entry_pages(eid, 2), Ok(None));
+        m.destroy_enclave(eid).unwrap();
+        assert_eq!(m.entry_pages(eid, 0), Err(SimError::UnknownEnclave(eid)));
     }
 
     #[test]

@@ -746,7 +746,8 @@ fn execute_cell(
             Ok(bytes) => {
                 return CellResult {
                     outcome: CellOutcome::Ok,
-                    checksum: fnv1a(&bytes),
+                    // Only the archive's manifest reads the checksum.
+                    checksum: out_dir.map_or(0, |_| fnv1a(&bytes)),
                     trace: Some(bytes),
                     attempts: attempt + 1,
                     flaky: attempt > 0,
@@ -843,13 +844,38 @@ fn salvage(
     Ok(())
 }
 
+/// Runs `f` on every index in `0..n` on `jobs` scoped workers that claim
+/// indices off a shared counter; returns the results in index order.
+fn par_map<T: Send>(jobs: usize, n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let next = AtomicUsize::new(0);
+    let out: Mutex<Vec<Option<T>>> = Mutex::new((0..n).map(|_| None).collect());
+    std::thread::scope(|scope| {
+        for _ in 0..jobs.min(n).max(1) {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
+                let value = f(i);
+                out.lock().unwrap()[i] = Some(value);
+            });
+        }
+    });
+    out.into_inner()
+        .unwrap()
+        .into_iter()
+        .map(|v| v.expect("every index visited"))
+        .collect()
+}
+
 /// Runs the matrix: executes every cell in parallel on `engine` (claimed
 /// off a shared counter by `jobs` workers — 0 means the spec's `jobs`,
 /// which itself defaults to all cores), supervises each cell per the
 /// spec's `[robustness]` section (see the module docs), archives one
 /// trace per cell plus a checksummed `manifest.json` under `out_dir` (if
 /// given), then verdicts every cell against its declared baseline
-/// through the diff engine at the spec's threshold.
+/// through the diff engine at the spec's threshold, on the same `jobs`
+/// workers, one baseline group per worker at a time.
 ///
 /// With `resume`, cells already completed by an interrupted run (per the
 /// manifest) are revalidated and reused instead of re-run; the resulting
@@ -945,38 +971,64 @@ pub fn run(
         threshold: f64::from(plan.spec.threshold_pct) / 100.0,
         ..DiffConfig::default()
     };
-    let cells = cells
-        .iter()
-        .map(|coord| {
-            let r = &results[coord.index];
-            let (bytes, fault_rows) = r
-                .trace
-                .as_deref()
-                .map_or((0, 0), |t| (t.len(), chaos::fault_rows(t)));
-            let (verdict, speedup) = match &r.trace {
-                None => (CellVerdict::Failed, 0.0),
-                Some(_) if coord.baseline == coord.index => (CellVerdict::Baseline, 1.0),
-                Some(trace) => match results[coord.baseline].trace.as_deref() {
+    let decode = |i: usize| {
+        results[i]
+            .trace
+            .as_deref()
+            .map(|t| TraceDb::from_bytes(t).expect("cell trace"))
+    };
+    // Each worker verdicts one baseline group at a time: it decodes the
+    // group's baseline once and each other member once, so it holds at
+    // most two decoded traces.
+    let mut groups: Vec<Vec<usize>> = vec![Vec::new(); cells.len()];
+    for (i, c) in cells.iter().enumerate() {
+        groups[c.baseline].push(i);
+    }
+    groups.retain(|g| !g.is_empty());
+    let grouped = par_map(jobs, groups.len(), |g| {
+        let b = cells[groups[g][0]].baseline;
+        let base = decode(b);
+        groups[g]
+            .iter()
+            .map(|&i| {
+                if i == b {
+                    let verdict = base.as_ref().map_or((0, CellVerdict::Failed, 0.0), |t| {
+                        (t.faults.len(), CellVerdict::Baseline, 1.0)
+                    });
+                    return (i, verdict);
+                }
+                let verdict = match (decode(i), &base) {
+                    (None, _) => (0, CellVerdict::Failed, 0.0),
                     // A healthy cell with a broken baseline cannot be
                     // verdicted — skipped, not failed.
-                    None => (CellVerdict::Skipped, 0.0),
-                    Some(base) => {
-                        let a = TraceDb::from_bytes(base).expect("baseline trace");
-                        let b = TraceDb::from_bytes(trace).expect("cell trace");
-                        let diff = TraceDiff::compute(&a, &b, diff_config);
+                    (Some(trace), None) => (trace.faults.len(), CellVerdict::Skipped, 0.0),
+                    (Some(trace), Some(base)) => {
+                        let diff = TraceDiff::compute(base, &trace, diff_config);
                         let verdict = match diff.verdict {
                             Verdict::Improvement => CellVerdict::Improved,
                             Verdict::Neutral => CellVerdict::Neutral,
                             Verdict::Regression => CellVerdict::Regressed,
                         };
-                        (verdict, diff.speedup())
+                        (trace.faults.len(), verdict, diff.speedup())
                     }
-                },
-            };
+                };
+                (i, verdict)
+            })
+            .collect::<Vec<_>>()
+    });
+    let mut verdicts = vec![(0, CellVerdict::Failed, 0.0); cells.len()];
+    for (i, verdict) in grouped.into_iter().flatten() {
+        verdicts[i] = verdict;
+    }
+    let cells = cells
+        .iter()
+        .zip(verdicts)
+        .map(|(coord, (fault_rows, verdict, speedup))| {
+            let r = &results[coord.index];
             MatrixCell {
                 coord: *coord,
                 file: plan.file_name(coord),
-                bytes,
+                bytes: r.trace.as_ref().map_or(0, Vec::len),
                 fault_rows,
                 verdict,
                 speedup,

@@ -163,8 +163,9 @@ pub fn run(
     );
     let logger = Logger::attach(harness.runtime(), LoggerConfig::default());
     let heap_pages = EnclaveLayout::new(&enclave_config()).heap_range().len();
+    // Parsed once; every spin-up builds its enclave from the same spec.
+    let spec = sgx_edl::parse(EDL).map_err(|e| SdkError::Interface(e.to_string()))?;
     let mgr = FleetManager::new(harness.runtime(), cfg.policy, cfg.slots, move |rt, slot| {
-        let spec = sgx_edl::parse(EDL).map_err(|e| SdkError::Interface(e.to_string()))?;
         let enclave = rt.create_enclave(&spec, &enclave_config())?;
         enclave.register_ecall("ecall_serve", move |ctx, data| {
             // Work scales with the request: a short compute burst plus
