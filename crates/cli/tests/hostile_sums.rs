@@ -5,8 +5,9 @@
 
 use std::process::Command;
 
-use sgx_perf::events::{EcallRow, FleetRow, SymbolRow};
-use sgx_perf::TraceDb;
+use sgx_perf::events::{EcallRow, FleetRow, OcallRow, SymbolRow};
+use sgx_perf::{Analyzer, TraceDb};
+use sim_core::HwProfile;
 
 /// Writes a trace with two fleet rows whose `requests` (and other
 /// counters) overflow when added, and two rows of one ecall whose
@@ -50,11 +51,97 @@ fn write_hostile_trace() -> std::path::PathBuf {
             page_outs: near_max,
         });
     }
+    save(&trace, "hostile-sums.evdb")
+}
+
+fn save(trace: &TraceDb, name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join("sgxperf-cli-test");
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("hostile-sums.evdb");
+    let path = dir.join(name);
     trace.save(&path).unwrap();
     path
+}
+
+/// A trace whose durations overflow when added: two interrupted rows of
+/// `ecall_hot` lasting about 2^63 ns each plus one short undisturbed
+/// row, two child ocalls of the first row lasting about 2^63 ns each, and
+/// a second ecall and ocall that share those calls' names.
+fn long_calls_trace() -> TraceDb {
+    const HALF: u64 = 1 << 63;
+    let mut trace = TraceDb::default();
+    for (kind_is_ecall, index, name) in [
+        (true, 0, "ecall_hot"),
+        (true, 1, "ecall_hot"),
+        (false, 0, "ocall_io"),
+        (false, 1, "ocall_io"),
+    ] {
+        trace.symbols.insert(SymbolRow {
+            enclave: 1,
+            kind_is_ecall,
+            index,
+            name: name.to_string(),
+            public: kind_is_ecall,
+            allowed_ecalls: vec![],
+            user_check_params: vec![],
+        });
+    }
+    for (call_index, start_ns, len, aex_count) in [
+        (0, 0, HALF + 1_000, u64::MAX),
+        (0, 1_000, HALF + 1_000, u64::MAX - 1),
+        (0, HALF + 10_000, 5_000, 0),
+        (1, 2_000, HALF, 0),
+    ] {
+        trace.ecalls.insert(EcallRow {
+            thread: 0,
+            enclave: 1,
+            call_index,
+            start_ns,
+            end_ns: start_ns + len,
+            parent_ocall: None,
+            aex_count,
+            failed: false,
+        });
+    }
+    for (call_index, start_ns) in [(0, 100), (0, 200), (1, 300)] {
+        trace.ocalls.insert(OcallRow {
+            thread: 0,
+            enclave: 1,
+            call_index,
+            start_ns,
+            end_ns: start_ns + HALF,
+            parent_ecall: Some(0),
+            failed: false,
+        });
+    }
+    trace
+}
+
+#[test]
+fn near_max_durations_saturate_in_report_diff_and_folded_export() {
+    let trace = long_calls_trace();
+    let analyzer = Analyzer::new(&trace, HwProfile::Unpatched.cost_model());
+    let share = analyzer.analyze().time_share("ecall_hot").unwrap();
+    assert!((0.0..=1.0).contains(&share), "{share}");
+    let impact = analyzer.aex_impact();
+    assert_eq!(impact.len(), 1, "{impact:?}");
+    assert!(impact[0].mean_interrupted_ns > 1e18, "{impact:?}");
+    assert!(impact[0].mean_aex > 1e19, "{impact:?}");
+
+    let path = save(&trace, "hostile-durations.evdb");
+    let path = path.to_str().unwrap();
+    for args in [
+        vec!["report", path],
+        vec!["report", path, "--json"],
+        vec!["diff", path, path],
+        vec!["export", path, "--format", "folded"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_sgxperf"))
+            .args(&args)
+            .output()
+            .expect("spawn sgxperf");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+    }
 }
 
 #[test]

@@ -61,8 +61,11 @@ pub struct AexBurst {
 /// and without AEXs are reported (otherwise there is nothing to compare),
 /// sorted by descending slowdown.
 pub fn aex_impact(instances: &Instances) -> Vec<AexImpact> {
-    let mean =
-        |v: &[&CallInstance]| v.iter().map(|i| i.duration_ns).sum::<u64>() as f64 / v.len() as f64;
+    // Summed wide: durations and AEX counts near `u64::MAX` must not
+    // overflow.
+    let mean = |v: &[&CallInstance], f: fn(&CallInstance) -> u64| {
+        v.iter().map(|&i| u128::from(f(i))).sum::<u128>() as f64 / v.len() as f64
+    };
     let mut out = Vec::new();
     for call in instances.calls().filter(|c| c.kind == CallKind::Ecall) {
         let (interrupted, undisturbed): (Vec<_>, Vec<_>) =
@@ -70,15 +73,14 @@ pub fn aex_impact(instances: &Instances) -> Vec<AexImpact> {
         if interrupted.is_empty() || undisturbed.is_empty() {
             continue;
         }
-        let aex_total: u64 = interrupted.iter().map(|i| i.aex_count).sum();
         out.push(AexImpact {
             call,
             name: instances.name(call).into_owned(),
             interrupted: interrupted.len(),
             undisturbed: undisturbed.len(),
-            mean_interrupted_ns: mean(&interrupted),
-            mean_undisturbed_ns: mean(&undisturbed),
-            mean_aex: aex_total as f64 / interrupted.len() as f64,
+            mean_interrupted_ns: mean(&interrupted, |i| i.duration_ns),
+            mean_undisturbed_ns: mean(&undisturbed, |i| i.duration_ns),
+            mean_aex: mean(&interrupted, |i| i.aex_count),
         });
     }
     out.sort_by(|a, b| {

@@ -221,11 +221,12 @@ impl Report {
     pub fn time_share(&self, name: &str) -> Option<f64> {
         let idx = self.call_names.iter().position(|n| n == name)?;
         let (call, stats) = &self.call_stats[idx];
-        let kind_total: u64 = self
+        // Summed wide: totals near `u64::MAX` must not overflow.
+        let kind_total: u128 = self
             .call_stats
             .iter()
             .filter(|(c, _)| c.kind == call.kind)
-            .map(|(_, s)| s.total_ns)
+            .map(|(_, s)| u128::from(s.total_ns))
             .sum();
         if kind_total == 0 {
             return Some(0.0);

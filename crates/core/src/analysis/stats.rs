@@ -50,8 +50,10 @@ impl CallStats {
         let mut sorted = durations.to_vec();
         sorted.sort_unstable();
         let count = sorted.len();
-        let total: u64 = sorted.iter().sum();
-        let mean = total as f64 / count as f64;
+        // Summed wide: durations near `u64::MAX` must not overflow.
+        let wide: u128 = sorted.iter().map(|&d| u128::from(d)).sum();
+        let total = u64::try_from(wide).unwrap_or(u64::MAX);
+        let mean = wide as f64 / count as f64;
         let variance = sorted
             .iter()
             .map(|&d| {

@@ -201,7 +201,8 @@ record! {
     /// One switchless-subsystem event (worker dispatch, fallback to the
     /// synchronous path, worker idle/busy). Switchless calls bypass `sgx_ecall`
     /// and the ocall table entirely, so the interposition shims never see them;
-    /// the logger records them through the URTS switchless observer instead.
+    /// the logger records them from its machine hook instead
+    /// ([`DriverEvent::Switchless`](sgx_sim::DriverEvent::Switchless)).
     #[derive(Debug, Clone, PartialEq, Eq)]
     pub struct SwitchlessRow: "switchless" {
         /// Thread the event happened on (caller for dispatch/fallback, worker

@@ -462,7 +462,7 @@ pub fn folded_stacks(trace: &TraceDb, cost: &CostModel) -> String {
     let mut child_ns = vec![0u64; all.len()];
     for (inst, parent) in all.iter().zip(&parents) {
         if let Some(p) = *parent {
-            child_ns[p] += inst.duration_ns;
+            child_ns[p] = child_ns[p].saturating_add(inst.duration_ns);
         }
     }
 
@@ -471,7 +471,9 @@ pub fn folded_stacks(trace: &TraceDb, cost: &CostModel) -> String {
     let nodes = chains.of_instances(all, &parents);
     let mut stacks: HashMap<(u64, usize), u64> = HashMap::new();
     for ((inst, node), spent) in all.iter().zip(nodes).zip(child_ns) {
-        *stacks.entry((inst.thread, node)).or_default() += inst.duration_ns.saturating_sub(spent);
+        let self_ns = inst.duration_ns.saturating_sub(spent);
+        let total = stacks.entry((inst.thread, node)).or_default();
+        *total = total.saturating_add(self_ns);
     }
 
     // Render each distinct stack once, then merge the stacks whose text
@@ -489,7 +491,7 @@ pub fn folded_stacks(trace: &TraceDb, cost: &CostModel) -> String {
             stack.push_str(&instances.name(call));
         }
         match folded.get_mut(stack.as_str()) {
-            Some(total) => *total += self_ns,
+            Some(total) => *total = total.saturating_add(self_ns),
             None => {
                 folded.insert(stack.clone(), self_ns);
             }

@@ -3,11 +3,12 @@
 //! The logger attaches to an *unmodified* application through the dynamic
 //! loader: [`Logger::attach`] preloads an interposing `sgx_ecall`
 //! implementation (Figure 2), swaps every ocall table passed through it for
-//! a generated stub table (`oT_logger`, Figure 3), optionally patches the
-//! AEP to count or trace AEXs (§4.1.4), and hooks the kernel driver's
-//! paging functions (§4.1.5). The four SDK synchronisation ocalls are
-//! additionally classified into sleep/wake events with waker→sleeper
-//! dependency edges (§4.1.3).
+//! a generated stub table (`oT_logger`, Figure 3), and registers one
+//! machine hook that stands in for the patched AEP (§4.1.4) and the
+//! kprobes on the driver's paging functions (§4.1.5): it receives paging,
+//! AEX, fault, lifecycle and switchless events. The four SDK
+//! synchronisation ocalls are additionally classified into sleep/wake
+//! events with waker→sleeper dependency edges (§4.1.3).
 //!
 //! All bookkeeping costs virtual time, calibrated against Table 2 of the
 //! paper: ≈1,366 ns per ecall, ≈1,320 ns per ocall, ≈1,076 ns per counted
@@ -17,13 +18,10 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 
-use sgx_sdk::{
-    CallData, EcallDispatcher, OcallTable, Runtime, SdkResult, SwitchlessEvent, ThreadCtx, Urts,
-};
+use sgx_sdk::{CallData, EcallDispatcher, OcallTable, Runtime, SdkResult, ThreadCtx, Urts};
 use sgx_sim::{AexEvent, DriverEvent, EnclaveId, Machine, PagingDirection};
-use sim_core::fault::FaultEvent;
 use sim_core::sync::Mutex;
-use sim_core::{LifecycleEvent, Nanos, SyncEvent};
+use sim_core::{Nanos, SyncEvent};
 
 use crate::events::{
     AexMode, AexRow, CallKind, EcallRow, EnclaveRow, FaultRow, LifecycleRow, OcallRow, PagingRow,
@@ -36,7 +34,8 @@ use crate::trace::TraceDb;
 /// per-event bookkeeping costs are this module's Table 2 constants.
 #[derive(Debug, Clone, Default)]
 pub struct LoggerConfig {
-    /// How AEXs are observed. [`AexMode::Off`] leaves the AEP unpatched.
+    /// How AEXs are observed. Under [`AexMode::Off`] the logger drops
+    /// every AEX and charges nothing for it.
     pub aex: AexMode,
     /// Whether to record raw synchronisation events (lock acquire/release,
     /// condvar wait/signal, thread spawn/join, ring post/complete, tagged
@@ -124,7 +123,7 @@ impl Logger {
     /// Attaches the logger to a runtime — the `LD_PRELOAD` step. After
     /// this, every `sgx_ecall` issued through the runtime's loader, every
     /// ocall dispatched through a table that passed through the logger,
-    /// every paging event and (depending on config) every AEX is recorded.
+    /// every machine event and (depending on config) every AEX is recorded.
     pub fn attach(runtime: &Arc<Runtime>, config: LoggerConfig) -> Arc<Logger> {
         let logger = Arc::new(Logger {
             machine: Arc::clone(runtime.machine()),
@@ -143,58 +142,18 @@ impl Logger {
             })
         });
 
-        // kprobe the driver's paging path.
-        {
-            let weak = Arc::downgrade(&logger);
-            runtime
-                .machine()
-                .add_driver_hook(Arc::new(move |ev: &DriverEvent| {
-                    if let Some(logger) = weak.upgrade() {
-                        logger.on_driver_event(ev);
-                    }
-                }));
-        }
-
-        // Observe the switchless subsystem: its calls bypass sgx_ecall and
-        // the ocall table, so interposition alone would miss them.
-        {
-            let weak = Arc::downgrade(&logger);
-            runtime
-                .urts()
-                .set_switchless_observer(Arc::new(move |ev: &SwitchlessEvent| {
-                    if let Some(logger) = weak.upgrade() {
-                        logger.on_switchless(ev);
-                    }
-                }));
-        }
-
-        // Observe the chaos harness: injected faults and SDK recovery
-        // steps are first-class events, so the analyzer can distinguish
-        // "slow because paging" from "slow because faulted".
-        {
-            let weak = Arc::downgrade(&logger);
-            runtime
-                .machine()
-                .set_fault_observer(Some(Arc::new(move |ev: &FaultEvent| {
-                    if let Some(logger) = weak.upgrade() {
-                        logger.on_fault(ev);
-                    }
-                })));
-        }
-
-        // Observe enclave-lifecycle events: losses and every step of a
-        // supervisor recovery, so the analyzer can report restart counts
-        // and MTTR (mean time to recovery) in virtual time.
-        {
-            let weak = Arc::downgrade(&logger);
-            runtime
-                .machine()
-                .set_lifecycle_observer(Some(Arc::new(move |ev: &LifecycleEvent| {
-                    if let Some(logger) = weak.upgrade() {
-                        logger.on_lifecycle(ev);
-                    }
-                })));
-        }
+        // kprobe the driver and patch the AEP: one machine hook sees
+        // paging, AEXs, injected faults, lifecycle stages and switchless
+        // calls (which bypass sgx_ecall and the ocall table, so
+        // interposition alone would miss them).
+        let weak = Arc::downgrade(&logger);
+        runtime
+            .machine()
+            .add_driver_hook(Arc::new(move |ev: &DriverEvent| {
+                if let Some(logger) = weak.upgrade() {
+                    logger.on_event(ev);
+                }
+            }));
 
         // Observe the synchronisation bus: lock/condvar/thread/ring/cell
         // events are the input of the `sgxperf races` analyses. Opt-in so
@@ -211,28 +170,13 @@ impl Logger {
                 })));
         }
 
-        // Patch the AEP.
-        if logger.config.aex != AexMode::Off {
-            let weak = Arc::downgrade(&logger);
-            runtime
-                .machine()
-                .set_aep_observer(Some(Arc::new(move |ev: &AexEvent| {
-                    if let Some(logger) = weak.upgrade() {
-                        logger.on_aex(ev);
-                    }
-                })));
-        }
-
         logger
     }
 
     /// Stops recording and returns the collected trace. The interposition
-    /// shims stay in place but become pass-through.
+    /// shims and the machine hook stay in place but become pass-through.
     pub fn finish(&self) -> TraceDb {
         self.enabled.store(false, Ordering::SeqCst);
-        self.machine.set_aep_observer(None);
-        self.machine.set_fault_observer(None);
-        self.machine.set_lifecycle_observer(None);
         self.machine.sync_bus().set_observer(None);
         std::mem::take(&mut self.state.lock().trace)
     }
@@ -266,11 +210,10 @@ impl Logger {
     // Event sinks
     // ------------------------------------------------------------------
 
-    fn on_driver_event(&self, ev: &DriverEvent) {
+    fn on_event(&self, ev: &DriverEvent) {
         if !self.is_enabled() {
             return;
         }
-        let mut st = self.state.lock();
         match *ev {
             DriverEvent::Paging {
                 direction,
@@ -278,7 +221,7 @@ impl Logger {
                 vaddr,
                 time,
             } => {
-                st.trace.paging.insert(PagingRow {
+                self.state.lock().trace.paging.insert(PagingRow {
                     enclave: enclave.0,
                     out: direction == PagingDirection::Out,
                     vaddr,
@@ -290,90 +233,73 @@ impl Logger {
                 pages,
                 time,
             } => {
-                st.trace.enclaves.insert(EnclaveRow {
+                self.state.lock().trace.enclaves.insert(EnclaveRow {
                     enclave: enclave.0,
                     total_pages: pages as u64,
                     created_ns: time.as_nanos(),
                 });
             }
-            DriverEvent::EnclaveDestroyed { .. } => {}
-            // The loss itself is recorded through the lifecycle observer
-            // (with attempt/MTTR context the driver does not have).
-            DriverEvent::EnclaveLost { .. } => {}
+            DriverEvent::Aex(ev) => self.on_aex(&ev),
+            DriverEvent::Fault(ev) => self.append(|trace| {
+                trace.faults.insert(FaultRow {
+                    thread: ev.thread,
+                    enclave: ev.enclave,
+                    fault: ev.code,
+                    action: ev.action.code(),
+                    call_index: ev.call_index,
+                    magnitude: ev.magnitude,
+                    time_ns: ev.time.as_nanos(),
+                });
+            }),
+            DriverEvent::Lifecycle(ev) => self.append(|trace| {
+                trace.lifecycle.insert(LifecycleRow {
+                    enclave: ev.enclave,
+                    stage: ev.stage.code(),
+                    thread: ev.thread,
+                    attempt: ev.attempt,
+                    magnitude: ev.magnitude,
+                    time_ns: ev.time.as_nanos(),
+                });
+            }),
+            DriverEvent::Switchless(ev) => self.append(|trace| {
+                trace.switchless.insert(SwitchlessRow {
+                    thread: ev.thread.0 as u64,
+                    enclave: ev.enclave.0,
+                    kind: ev.kind.code(),
+                    call_index: ev.call_index.map(|i| i as u32),
+                    worker: ev.worker.map(|w| w as u32),
+                    spins: ev.spins,
+                    time_ns: ev.time.as_nanos(),
+                });
+            }),
         }
-    }
-
-    fn on_switchless(&self, ev: &SwitchlessEvent) {
-        if !self.is_enabled() {
-            return;
-        }
-        self.machine.clock().advance(APPEND_OVERHEAD);
-        let mut st = self.state.lock();
-        st.trace.switchless.insert(SwitchlessRow {
-            thread: ev.thread.0 as u64,
-            enclave: ev.enclave.0,
-            kind: ev.kind.code(),
-            call_index: ev.call_index.map(|i| i as u32),
-            worker: ev.worker.map(|w| w as u32),
-            spins: ev.spins,
-            time_ns: ev.time.as_nanos(),
-        });
-    }
-
-    fn on_fault(&self, ev: &FaultEvent) {
-        if !self.is_enabled() {
-            return;
-        }
-        self.machine.clock().advance(APPEND_OVERHEAD);
-        let mut st = self.state.lock();
-        st.trace.faults.insert(FaultRow {
-            thread: ev.thread,
-            enclave: ev.enclave,
-            fault: ev.code,
-            action: ev.action.code(),
-            call_index: ev.call_index,
-            magnitude: ev.magnitude,
-            time_ns: ev.time.as_nanos(),
-        });
-    }
-
-    fn on_lifecycle(&self, ev: &LifecycleEvent) {
-        if !self.is_enabled() {
-            return;
-        }
-        self.machine.clock().advance(APPEND_OVERHEAD);
-        let mut st = self.state.lock();
-        st.trace.lifecycle.insert(LifecycleRow {
-            enclave: ev.enclave,
-            stage: ev.stage.code(),
-            thread: ev.thread,
-            attempt: ev.attempt,
-            magnitude: ev.magnitude,
-            time_ns: ev.time.as_nanos(),
-        });
     }
 
     fn on_syncev(&self, ev: &SyncEvent) {
         if !self.is_enabled() {
             return;
         }
-        self.machine.clock().advance(APPEND_OVERHEAD);
-        let mut st = self.state.lock();
-        st.trace.syncev.insert(SyncEvRow {
-            thread: ev.thread,
-            op: ev.op.code(),
-            object: ev.object,
-            target: ev.target,
-            aux: ev.aux,
-            label: ev.label.clone(),
-            time_ns: ev.time.as_nanos(),
+        self.append(|trace| {
+            trace.syncev.insert(SyncEvRow {
+                thread: ev.thread,
+                op: ev.op.code(),
+                object: ev.object,
+                target: ev.target,
+                aux: ev.aux,
+                label: ev.label.clone(),
+                time_ns: ev.time.as_nanos(),
+            });
         });
     }
 
+    /// Records one switchless, fault, lifecycle or sync row, charging its
+    /// [`APPEND_OVERHEAD`] first.
+    fn append(&self, insert: impl FnOnce(&mut TraceDb)) {
+        self.machine.clock().advance(APPEND_OVERHEAD);
+        insert(&mut self.state.lock().trace);
+    }
+
     fn on_aex(&self, ev: &AexEvent) {
-        if !self.is_enabled() {
-            return;
-        }
         let overhead = match self.config.aex {
             AexMode::Off => return,
             AexMode::Count => AEX_COUNT_OVERHEAD,
@@ -552,7 +478,8 @@ impl Logger {
         result
     }
 
-    /// §4.1.3: the four sync ocalls reduce to sleep and wake-up events.
+    /// §4.1.3: the four sync ocalls reduce to sleep and wake-up events —
+    /// an ocall's wake-ups first, then its sleep.
     fn classify_sync(
         &self,
         st: &mut LogState,
@@ -563,53 +490,22 @@ impl Logger {
         time_ns: u64,
     ) {
         use sgx_sdk::sync_ocalls as so;
-        match name {
-            so::WAIT => {
-                st.trace.sync.insert(SyncRow {
-                    thread,
-                    time_ns,
-                    sleep: true,
-                    target_thread: None,
-                    ocall_row,
-                });
-            }
-            so::SET => {
-                st.trace.sync.insert(SyncRow {
-                    thread,
-                    time_ns,
-                    sleep: false,
-                    target_thread: Some(data.scalar),
-                    ocall_row,
-                });
-            }
-            so::SETWAIT => {
-                st.trace.sync.insert(SyncRow {
-                    thread,
-                    time_ns,
-                    sleep: false,
-                    target_thread: Some(data.scalar),
-                    ocall_row,
-                });
-                st.trace.sync.insert(SyncRow {
-                    thread,
-                    time_ns,
-                    sleep: true,
-                    target_thread: None,
-                    ocall_row,
-                });
-            }
-            so::SET_MULTIPLE => {
-                for &target in &data.aux {
-                    st.trace.sync.insert(SyncRow {
-                        thread,
-                        time_ns,
-                        sleep: false,
-                        target_thread: Some(target),
-                        ocall_row,
-                    });
-                }
-            }
-            _ => {}
+        let (wakes, sleeps): (&[u64], bool) = match name {
+            so::WAIT => (&[], true),
+            so::SET => (std::slice::from_ref(&data.scalar), false),
+            so::SETWAIT => (std::slice::from_ref(&data.scalar), true),
+            so::SET_MULTIPLE => (&data.aux, false),
+            _ => return,
+        };
+        let targets = wakes.iter().map(|&t| Some(t));
+        for target_thread in targets.chain(sleeps.then_some(None)) {
+            st.trace.sync.insert(SyncRow {
+                thread,
+                time_ns,
+                sleep: target_thread.is_none(),
+                target_thread,
+                ocall_row,
+            });
         }
     }
 }

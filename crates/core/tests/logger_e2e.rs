@@ -1,11 +1,12 @@
 //! End-to-end logger tests against the simulated SDK: the interposition
 //! mechanics of §4.1 and the overhead numbers of Table 2.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use sgx_perf::{AexMode, Logger, LoggerConfig};
 use sgx_sdk::{CallData, OcallTableBuilder, Runtime, SgxThreadMutex, ThreadCtx};
-use sgx_sim::{EnclaveConfig, Machine};
+use sgx_sim::{DriverEvent, EnclaveConfig, Machine};
 use sim_core::{Clock, HwProfile, Nanos};
 use sim_threads::Simulation;
 
@@ -180,9 +181,22 @@ fn direct_parents_are_recorded() {
 #[test]
 fn aex_counting_and_tracing_match_table2() {
     // Table 2 (3): a 45,377 us ecall sees ≈11.5 AEXs; counting costs
-    // ≈1,076 ns per AEX, tracing ≈1,118 ns.
-    for (mode, per_aex) in [(AexMode::Count, 1_076u64), (AexMode::Trace, 1_118u64)] {
+    // ≈1,076 ns per AEX, tracing ≈1,118 ns. With AEXs off the logger's
+    // hook still receives every AEX and drops it: no count, no row, no
+    // cost.
+    for (mode, per_aex) in [
+        (AexMode::Off, 0u64),
+        (AexMode::Count, 1_076u64),
+        (AexMode::Trace, 1_118u64),
+    ] {
         let app = app(HwProfile::Unpatched);
+        let taken = Arc::new(AtomicU64::new(0));
+        let sink = Arc::clone(&taken);
+        app.rt.machine().add_driver_hook(Arc::new(move |ev| {
+            if matches!(ev, DriverEvent::Aex(_)) {
+                sink.fetch_add(1, Ordering::SeqCst);
+            }
+        }));
         let logger = Logger::attach(&app.rt, LoggerConfig::with_aex(mode));
         let tcx = ThreadCtx::main();
         let before = app.rt.machine().clock().now();
@@ -198,11 +212,14 @@ fn aex_counting_and_tracing_match_table2() {
         let elapsed = (app.rt.machine().clock().now() - before).as_nanos();
         let trace = logger.finish();
         let row = trace.ecalls.iter().next().unwrap();
-        assert!((11..=12).contains(&row.aex_count), "{:?}", row.aex_count);
+        let taken = taken.load(Ordering::SeqCst);
+        assert!((11..=12).contains(&taken), "{taken}");
+        let counted = if mode == AexMode::Off { 0 } else { taken };
+        assert_eq!(row.aex_count, counted);
         // The AEX observation overhead is part of the elapsed time.
         let base = 45_377_000 + 5_571; // work + logged empty-ecall cost
-        let aex_hw = row.aex_count * app.rt.machine().cost_model().aex_roundtrip().as_nanos();
-        assert_eq!(elapsed, base + aex_hw + row.aex_count * per_aex);
+        let aex_hw = taken * app.rt.machine().cost_model().aex_roundtrip().as_nanos();
+        assert_eq!(elapsed, base + aex_hw + taken * per_aex);
         match mode {
             AexMode::Trace => assert_eq!(trace.aex.len() as u64, row.aex_count),
             _ => assert_eq!(trace.aex.len(), 0),
@@ -394,4 +411,111 @@ fn stub_table_created_once_per_ocall_table() {
     assert!(costs.windows(2).all(|w| w[0] == w[1]), "{costs:?}");
     let trace = logger.finish();
     assert_eq!(trace.ocalls.len(), 5);
+}
+
+/// The two rarer sync ocalls (§4.1.3): a fused `setwait` gives its wake
+/// row, then its sleep row, and a `set_multiple` gives one wake row per
+/// target — each row pointing at the ocall that produced it.
+#[test]
+fn setwait_and_set_multiple_rows_are_pinned() {
+    use sgx_sdk::sync_ocalls as so;
+    use sgx_sdk::SgxCondvar;
+    use std::sync::atomic::AtomicBool;
+
+    /// Runs `waiters` threads that take the mutex, yield, then wait on the
+    /// condvar until released, and one more thread that starts after
+    /// `delay`, releases them and signals (or broadcasts). Returns
+    /// `(thread, sleep, target_thread)` of every sync row of the first
+    /// `ocall`, in insertion order.
+    fn sync_rows(
+        waiters: usize,
+        delay: Nanos,
+        broadcast: bool,
+        ocall: &str,
+    ) -> Vec<(u64, bool, Option<u64>)> {
+        let machine = Arc::new(Machine::new(Clock::new(), HwProfile::Unpatched));
+        let rt = Runtime::new(machine);
+        let spec = sgx_edl::parse(
+            "enclave { trusted { public void ecall_wait(); public void ecall_wake(); }; };",
+        )
+        .unwrap();
+        let config = EnclaveConfig {
+            tcs_count: 3,
+            ..EnclaveConfig::default()
+        };
+        let enclave = rt.create_enclave(&spec, &config).unwrap();
+        let mutex = Arc::new(SgxThreadMutex::new());
+        let cv = Arc::new(SgxCondvar::new());
+        let go = Arc::new(AtomicBool::new(false));
+        {
+            let (mutex, cv, go) = (Arc::clone(&mutex), Arc::clone(&cv), Arc::clone(&go));
+            enclave
+                .register_ecall("ecall_wait", move |ctx, _| {
+                    mutex.lock(ctx)?;
+                    if let Some(sim) = ctx.thread().sim {
+                        sim.yield_now();
+                    }
+                    while !go.load(Ordering::SeqCst) {
+                        cv.wait(ctx, &mutex)?;
+                    }
+                    mutex.unlock(ctx)
+                })
+                .unwrap();
+        }
+        enclave
+            .register_ecall("ecall_wake", move |ctx, _| {
+                mutex.lock(ctx)?;
+                go.store(true, Ordering::SeqCst);
+                if broadcast {
+                    cv.broadcast(ctx)?;
+                } else {
+                    cv.signal(ctx)?;
+                }
+                mutex.unlock(ctx)
+            })
+            .unwrap();
+        let table = Arc::new(OcallTableBuilder::new(enclave.spec()).build().unwrap());
+        let logger = Logger::attach(&rt, LoggerConfig::default());
+        let sim = Simulation::new(rt.machine().clock().clone());
+        let names = std::iter::repeat_n("ecall_wait", waiters).chain(["ecall_wake"]);
+        for (i, name) in names.enumerate() {
+            let (rt, table, eid) = (Arc::clone(&rt), Arc::clone(&table), enclave.id());
+            let start = if i == waiters { delay } else { Nanos::ZERO };
+            sim.spawn(name, move |ctx| {
+                if start > Nanos::ZERO {
+                    ctx.sleep(start);
+                }
+                let tcx = ThreadCtx::from_sim(ctx);
+                rt.ecall(&tcx, eid, name, &table, &mut CallData::default())
+                    .unwrap();
+            });
+        }
+        sim.run();
+        let trace = logger.finish();
+        let index = enclave.spec().ocall_by_name(ocall).unwrap().index as u32;
+        let row = trace
+            .ocalls
+            .iter()
+            .position(|o| o.call_index == index)
+            .expect("the ocall was traced") as u64;
+        trace
+            .sync
+            .iter()
+            .filter(|s| s.ocall_row == row)
+            .map(|s| (s.thread, s.sleep, s.target_thread))
+            .collect()
+    }
+
+    // Thread 0 holds the mutex while thread 1 queues on it, then waits on
+    // the condvar: releasing the mutex wakes thread 1, so the wake and the
+    // sleep travel in one setwait.
+    assert_eq!(
+        sync_rows(1, Nanos::ZERO, false, so::SETWAIT),
+        [(0, false, Some(1)), (0, true, None)]
+    );
+    // One broadcast over two parked waiters wakes both with one ocall.
+    assert_eq!(
+        sync_rows(2, Nanos::from_millis(1), true, so::SET_MULTIPLE),
+        [(2, false, Some(0)), (2, false, Some(1))]
+    );
 }

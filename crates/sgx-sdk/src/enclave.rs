@@ -6,7 +6,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use sgx_edl::InterfaceSpec;
-use sgx_sim::{AccessKind, EnclaveId, Machine, ThreadToken, TouchStats};
+use sgx_sim::{AccessKind, DriverEvent, EnclaveId, Machine, ThreadToken, TouchStats};
 use sim_core::fault::{FaultAction, FaultEvent, FaultKind, OcallFault};
 use sim_core::sync::{Mutex, RwLock};
 use sim_core::Nanos;
@@ -403,7 +403,7 @@ impl<'a> EcallCtx<'a> {
     /// backs off exponentially between retries, and once the fault's
     /// failure budget is consumed the real call proceeds. Exceeding
     /// [`MAX_FAULT_RETRIES`] surfaces [`SdkError::InjectedFault`]. Every
-    /// step is reported to the machine's fault observer.
+    /// step is emitted to the machine's hooks.
     fn ocall_index_faulted(
         &mut self,
         index: usize,
@@ -423,20 +423,22 @@ impl<'a> EcallCtx<'a> {
         let thread = self.thread.token.0 as u64;
         let event = {
             let machine = Arc::clone(&machine);
-            move |action: FaultAction, magnitude: u64| FaultEvent {
-                code,
-                action,
-                enclave: enclave_id,
-                thread,
-                call_index: Some(index as u32),
-                magnitude,
-                time: machine.clock().now(),
+            move |action: FaultAction, magnitude: u64| {
+                [DriverEvent::Fault(FaultEvent {
+                    code,
+                    action,
+                    enclave: enclave_id,
+                    thread,
+                    call_index: Some(index as u32),
+                    magnitude,
+                    time: machine.clock().now(),
+                })]
             }
         };
         let mut failures = 0u32;
         while failures < times {
             failures += 1;
-            machine.notify_fault(&event(
+            machine.emit(&event(
                 FaultAction::Injected,
                 delay.map_or(u64::from(failures), |d| d.as_nanos()),
             ));
@@ -450,7 +452,7 @@ impl<'a> EcallCtx<'a> {
             }
             machine.clock().advance(cm.eenter);
             if failures > MAX_FAULT_RETRIES {
-                machine.notify_fault(&event(FaultAction::GaveUp, u64::from(failures)));
+                machine.emit(&event(FaultAction::GaveUp, u64::from(failures)));
                 let call = self
                     .enclave
                     .spec()
@@ -464,10 +466,10 @@ impl<'a> EcallCtx<'a> {
             }
             let backoff = fault_backoff(failures);
             machine.clock().advance(backoff);
-            machine.notify_fault(&event(FaultAction::Retried, backoff.as_nanos()));
+            machine.emit(&event(FaultAction::Retried, backoff.as_nanos()));
         }
         self.ocall_index_sync(index, data)?;
-        machine.notify_fault(&event(FaultAction::Recovered, u64::from(failures)));
+        machine.emit(&event(FaultAction::Recovered, u64::from(failures)));
         Ok(())
     }
 

@@ -61,11 +61,12 @@ pub use error::{SdkError, SdkResult};
 pub use loader::{EcallDispatcher, Loader};
 pub use ocall::{HostCtx, OcallTable, OcallTableBuilder};
 pub use runtime::Runtime;
+pub use sgx_sim::{SwitchlessEvent, SwitchlessEventKind};
 pub use supervisor::{IdempotencyPolicy, RestartGate, Supervisor, SupervisorConfig};
-pub use switchless::{Switchless, SwitchlessConfig, SwitchlessEvent, SwitchlessEventKind};
+pub use switchless::{Switchless, SwitchlessConfig};
 pub use sync::{SgxCondvar, SgxHybridMutex, SgxThreadMutex};
 pub use thread_ctx::ThreadCtx;
-pub use urts::{SwitchlessObserver, Urts};
+pub use urts::Urts;
 
 /// Names of the four SDK synchronisation ocalls (§4.1.3). These are
 /// appended to every enclave interface (the SDK imports them implicitly)

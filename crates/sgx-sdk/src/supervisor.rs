@@ -19,13 +19,13 @@
 //! restart budget: once it trips, the loss surfaces as a clean terminal
 //! [`SdkError::RecoveryExhausted`] instead of looping forever.
 //!
-//! Every stage is reported through the machine's lifecycle observer
-//! ([`sgx_sim::Machine::notify_lifecycle`]), so the logger can reconstruct
-//! restart counts and the virtual-time MTTR ledger.
+//! Every stage is emitted to the machine's hooks as a
+//! [`DriverEvent::Lifecycle`] ([`sgx_sim::Machine::emit`]), so the logger
+//! can reconstruct restart counts and the virtual-time MTTR ledger.
 
 use std::sync::Arc;
 
-use sgx_sim::EnclaveId;
+use sgx_sim::{DriverEvent, EnclaveId};
 use sim_core::{LifecycleEvent, LifecycleStage};
 
 use crate::args::CallData;
@@ -256,14 +256,14 @@ impl Supervisor {
                 Ok(()) => {
                     if let Some(t0) = lost_at {
                         let attempt = self.restarts();
-                        machine.notify_lifecycle(&LifecycleEvent {
+                        machine.emit(&[DriverEvent::Lifecycle(LifecycleEvent {
                             stage: LifecycleStage::Recovered,
                             enclave: self.enclave_id().0,
                             thread: tcx.token.0 as u64,
                             attempt,
                             magnitude: (machine.clock().now() - t0).as_nanos(),
                             time: machine.clock().now(),
-                        });
+                        })]);
                     }
                     return Ok(());
                 }
@@ -284,13 +284,15 @@ impl Supervisor {
                 st.restarts += 1;
                 (st.enclave.id(), st.switchless.take(), st.restarts)
             };
-            let event = |stage: LifecycleStage, enclave: u32, magnitude: u64| LifecycleEvent {
-                stage,
-                enclave,
-                thread: tcx.token.0 as u64,
-                attempt,
-                magnitude,
-                time: machine.clock().now(),
+            let event = |stage: LifecycleStage, enclave: u32, magnitude: u64| {
+                [DriverEvent::Lifecycle(LifecycleEvent {
+                    stage,
+                    enclave,
+                    thread: tcx.token.0 as u64,
+                    attempt,
+                    magnitude,
+                    time: machine.clock().now(),
+                })]
             };
             // Drain the switchless rings first — even when the circuit
             // breaker is about to trip. Workers parked on dead slots must
@@ -300,7 +302,7 @@ impl Supervisor {
                 sw.shutdown(sim);
             }
             if attempt > self.config.max_restarts {
-                machine.notify_lifecycle(&event(LifecycleStage::GaveUp, old_eid.0, 0));
+                machine.emit(&event(LifecycleStage::GaveUp, old_eid.0, 0));
                 return Err(SdkError::RecoveryExhausted {
                     enclave: old_eid,
                     restarts: attempt - 1,
@@ -323,7 +325,7 @@ impl Supervisor {
             let enclave = (self.recipe)(&self.runtime)?;
             let new_eid = enclave.id();
             self.state.lock().enclave = enclave;
-            machine.notify_lifecycle(&event(
+            machine.emit(&event(
                 LifecycleStage::Rebuild,
                 new_eid.0,
                 (machine.clock().now() - rebuild_start).as_nanos(),
@@ -345,14 +347,14 @@ impl Supervisor {
                             )))
                         }
                     }
-                    machine.notify_lifecycle(&event(
+                    machine.emit(&event(
                         LifecycleStage::Replay,
                         new_eid.0,
                         (machine.clock().now() - replay_start).as_nanos(),
                     ));
                 }
             }
-            machine.notify_lifecycle(&event(LifecycleStage::Retry, new_eid.0, backoff.as_nanos()));
+            machine.emit(&event(LifecycleStage::Retry, new_eid.0, backoff.as_nanos()));
             return Ok(());
         }
     }
@@ -553,11 +555,11 @@ mod tests {
         });
         let stages = Arc::new(sim_core::sync::Mutex::new(Vec::new()));
         let s2 = Arc::clone(&stages);
-        sup.runtime()
-            .machine()
-            .set_lifecycle_observer(Some(Arc::new(move |ev: &LifecycleEvent| {
+        sup.runtime().machine().add_driver_hook(Arc::new(move |ev| {
+            if let DriverEvent::Lifecycle(ev) = ev {
                 s2.lock().push((ev.stage, ev.attempt));
-            })));
+            }
+        }));
         let tcx = ThreadCtx::main();
         let mut data = CallData::default();
         let plan: FaultPlan = "enclave_lost@call=1;seed=5".parse().unwrap();

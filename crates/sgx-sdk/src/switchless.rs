@@ -35,7 +35,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 
-use sgx_sim::{EnclaveId, Machine, ThreadToken};
+use sgx_sim::{DriverEvent, EnclaveId, Machine, SwitchlessEvent, SwitchlessEventKind, ThreadToken};
 use sim_core::fault::{FaultAction, FaultEvent, FaultKind};
 use sim_core::sync::Mutex;
 use sim_core::syncev::SyncOp;
@@ -93,72 +93,6 @@ impl Default for SwitchlessConfig {
 ///
 /// [`CostModel::switchless_poll_iteration`]: sim_core::CostModel::switchless_poll_iteration
 const SPIN_BUDGET: Cycles = Cycles::new(17_000);
-
-/// What happened, reported through the URTS switchless observer so the
-/// sgx-perf logger can record it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SwitchlessEventKind {
-    /// A switchless ecall was served by a trusted worker.
-    EcallDispatched,
-    /// A switchless ocall was served by an untrusted worker.
-    OcallDispatched,
-    /// A switchless-eligible ecall fell back to the synchronous path.
-    EcallFallback,
-    /// A switchless-eligible ocall fell back to the synchronous path.
-    OcallFallback,
-    /// A worker found its queue empty and parked.
-    WorkerIdle,
-    /// A parked worker was woken by a caller.
-    WorkerBusy,
-}
-
-impl SwitchlessEventKind {
-    /// Stable numeric encoding for trace records.
-    pub fn code(self) -> u8 {
-        match self {
-            SwitchlessEventKind::EcallDispatched => 0,
-            SwitchlessEventKind::OcallDispatched => 1,
-            SwitchlessEventKind::EcallFallback => 2,
-            SwitchlessEventKind::OcallFallback => 3,
-            SwitchlessEventKind::WorkerIdle => 4,
-            SwitchlessEventKind::WorkerBusy => 5,
-        }
-    }
-
-    /// Inverse of [`SwitchlessEventKind::code`].
-    pub fn from_code(code: u8) -> Option<SwitchlessEventKind> {
-        Some(match code {
-            0 => SwitchlessEventKind::EcallDispatched,
-            1 => SwitchlessEventKind::OcallDispatched,
-            2 => SwitchlessEventKind::EcallFallback,
-            3 => SwitchlessEventKind::OcallFallback,
-            4 => SwitchlessEventKind::WorkerIdle,
-            5 => SwitchlessEventKind::WorkerBusy,
-            _ => return None,
-        })
-    }
-}
-
-/// One switchless-subsystem event, emitted through
-/// [`Urts::set_switchless_observer`].
-#[derive(Debug, Clone, Copy)]
-pub struct SwitchlessEvent {
-    /// The enclave whose ring this event belongs to.
-    pub enclave: EnclaveId,
-    /// What happened.
-    pub kind: SwitchlessEventKind,
-    /// The ecall/ocall index, when the event concerns a specific call.
-    pub call_index: Option<usize>,
-    /// The thread the event happened on (caller for dispatch/fallback,
-    /// worker for idle/busy).
-    pub thread: ThreadToken,
-    /// Worker slot within its pool, for worker events.
-    pub worker: Option<usize>,
-    /// Poll iterations the caller spent waiting (dispatch events).
-    pub spins: u64,
-    /// Virtual time of the event.
-    pub time: Nanos,
-}
 
 /// Which direction a ring slot carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -474,7 +408,7 @@ impl Switchless {
         // as the fallback the caller observes.
         if let Some(inj) = machine.fault_injector() {
             if inj.take_ring_full(machine.clock().now()) {
-                machine.notify_fault(&FaultEvent {
+                machine.emit(&[DriverEvent::Fault(FaultEvent {
                     code: FaultKind::RingFull { calls: 1 }.code(),
                     action: FaultAction::Injected,
                     enclave: self.enclave_id().0,
@@ -482,7 +416,7 @@ impl Switchless {
                     call_index: Some(index as u32),
                     magnitude: 1,
                     time: machine.clock().now(),
-                });
+                })]);
                 self.emit_fallback(kind, index, tcx.token, 0);
                 return None;
             }
@@ -607,7 +541,7 @@ impl Switchless {
                 .fault_injector()
                 .and_then(|inj| inj.take_worker_stall(machine.clock().now()))
             {
-                machine.notify_fault(&FaultEvent {
+                machine.emit(&[DriverEvent::Fault(FaultEvent {
                     code: FaultKind::WorkerStall { delay }.code(),
                     action: FaultAction::Injected,
                     enclave: self.enclave_id().0,
@@ -615,7 +549,7 @@ impl Switchless {
                     call_index: None,
                     magnitude: delay.as_nanos(),
                     time: machine.clock().now(),
-                });
+                })]);
                 // Not `ctx.sleep`: the scheduler only wakes sleepers once
                 // the run queue drains, and the spinning callers keep it
                 // populated — a sleeping worker would stall for the whole
@@ -788,9 +722,7 @@ impl Switchless {
     }
 
     fn emit(&self, event: SwitchlessEvent) {
-        if let Some(urts) = self.urts.upgrade() {
-            urts.notify_switchless(&event);
-        }
+        self.machine.emit(&[DriverEvent::Switchless(event)]);
     }
 }
 
@@ -1025,13 +957,13 @@ mod tests {
         let fx = fixture(true);
         let fallbacks = Arc::new(AtomicUsize::new(0));
         let f = Arc::clone(&fallbacks);
-        fx.runtime
-            .urts()
-            .set_switchless_observer(Arc::new(move |ev| {
+        fx.runtime.machine().add_driver_hook(Arc::new(move |ev| {
+            if let DriverEvent::Switchless(ev) = ev {
                 if ev.kind == SwitchlessEventKind::OcallFallback {
                     f.fetch_add(1, Ordering::SeqCst);
                 }
-            }));
+            }
+        }));
         let (_, ret) = drive(
             &fx,
             Some(SwitchlessConfig {
@@ -1088,9 +1020,11 @@ mod tests {
         let table = Arc::new(tb.build().unwrap());
         let fallbacks = Arc::new(AtomicUsize::new(0));
         let f = Arc::clone(&fallbacks);
-        runtime.urts().set_switchless_observer(Arc::new(move |ev| {
-            if ev.kind == SwitchlessEventKind::OcallFallback && ev.spins > 0 {
-                f.fetch_add(1, Ordering::SeqCst);
+        runtime.machine().add_driver_hook(Arc::new(move |ev| {
+            if let DriverEvent::Switchless(ev) = ev {
+                if ev.kind == SwitchlessEventKind::OcallFallback && ev.spins > 0 {
+                    f.fetch_add(1, Ordering::SeqCst);
+                }
             }
         }));
         let sw = runtime

@@ -9,7 +9,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, OnceLock, Weak};
 
-use sgx_sim::{AccessKind, EnclaveId, Machine};
+use sgx_sim::{AccessKind, DriverEvent, EnclaveId, Machine};
 use sim_core::fault::{FaultAction, FaultEvent, FaultKind};
 use sim_core::sync::{Mutex, RwLock};
 
@@ -18,13 +18,7 @@ use crate::enclave::{fault_backoff, EcallCtx, Enclave, Frame, MAX_FAULT_RETRIES}
 use crate::error::{SdkError, SdkResult};
 use crate::loader::{EcallDispatcher, Loader};
 use crate::ocall::OcallTable;
-use crate::switchless::SwitchlessEvent;
 use crate::thread_ctx::ThreadCtx;
-
-/// Callback receiving every [`SwitchlessEvent`] — the hook the sgx-perf
-/// logger uses to record switchless activity (which bypasses `sgx_ecall`
-/// and the ocall table, so interposition alone cannot see it).
-pub type SwitchlessObserver = Arc<dyn Fn(&SwitchlessEvent) + Send + Sync>;
 
 /// The URTS: enclave registry + the base implementation of `sgx_ecall`.
 pub struct Urts {
@@ -32,7 +26,6 @@ pub struct Urts {
     enclaves: RwLock<HashMap<u32, Arc<Enclave>>>,
     saved_tables: Mutex<HashMap<u32, Arc<OcallTable>>>,
     loader: OnceLock<Weak<Loader>>,
-    switchless_observer: RwLock<Option<SwitchlessObserver>>,
 }
 
 impl fmt::Debug for Urts {
@@ -50,19 +43,6 @@ impl Urts {
             enclaves: RwLock::new(HashMap::new()),
             saved_tables: Mutex::new(HashMap::new()),
             loader: OnceLock::new(),
-            switchless_observer: RwLock::new(None),
-        }
-    }
-
-    /// Installs the observer notified of every switchless event. Replaces
-    /// any previous observer.
-    pub fn set_switchless_observer(&self, observer: SwitchlessObserver) {
-        *self.switchless_observer.write() = Some(observer);
-    }
-
-    pub(crate) fn notify_switchless(&self, event: &SwitchlessEvent) {
-        if let Some(obs) = self.switchless_observer.read().clone() {
-            obs(event);
         }
     }
 
@@ -224,24 +204,26 @@ impl Urts {
             return enclave.bind_tcs(tcx.token);
         };
         let code = FaultKind::TcsExhaust { times: 1 }.code();
-        let event = |action: FaultAction, magnitude: u64| FaultEvent {
-            code,
-            action,
-            enclave: enclave.id().0,
-            thread: tcx.token.0 as u64,
-            call_index: Some(index as u32),
-            magnitude,
-            time: self.machine.clock().now(),
+        let event = |action: FaultAction, magnitude: u64| {
+            [DriverEvent::Fault(FaultEvent {
+                code,
+                action,
+                enclave: enclave.id().0,
+                thread: tcx.token.0 as u64,
+                call_index: Some(index as u32),
+                magnitude,
+                time: self.machine.clock().now(),
+            })]
         };
         let mut attempts = 0u32;
         loop {
             if inj.take_tcs_exhaust(self.machine.clock().now()) {
                 attempts += 1;
                 self.machine
-                    .notify_fault(&event(FaultAction::Injected, u64::from(attempts)));
+                    .emit(&event(FaultAction::Injected, u64::from(attempts)));
                 if attempts > MAX_FAULT_RETRIES {
                     self.machine
-                        .notify_fault(&event(FaultAction::GaveUp, u64::from(attempts)));
+                        .emit(&event(FaultAction::GaveUp, u64::from(attempts)));
                     return Err(SdkError::InjectedFault {
                         call: "tcs".to_string(),
                         attempts,
@@ -250,13 +232,13 @@ impl Urts {
                 let backoff = fault_backoff(attempts);
                 self.machine.clock().advance(backoff);
                 self.machine
-                    .notify_fault(&event(FaultAction::Retried, backoff.as_nanos()));
+                    .emit(&event(FaultAction::Retried, backoff.as_nanos()));
                 continue;
             }
             let tcs = enclave.bind_tcs(tcx.token)?;
             if attempts > 0 {
                 self.machine
-                    .notify_fault(&event(FaultAction::Recovered, u64::from(attempts)));
+                    .emit(&event(FaultAction::Recovered, u64::from(attempts)));
             }
             return Ok(tcs);
         }

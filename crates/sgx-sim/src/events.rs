@@ -1,10 +1,15 @@
 //! Observable hardware/driver events.
 //!
-//! These are the event types sgx-perf's logger subscribes to: AEXs via the
-//! patched AEP (§4.1.4), paging via kprobe-style driver hooks (§4.1.5) and
-//! MMU access faults via the working-set estimator's fault handler (§4.2).
+//! Everything sgx-perf's logger sees of the machine arrives as a
+//! [`DriverEvent`] through [`Machine::add_driver_hook`]: paging, as a
+//! kprobe on the driver would see it (§4.1.5), AEXs at the patched AEP
+//! (§4.1.4), injected faults and recovery steps, enclave losses and their
+//! supervised recovery, and switchless-subsystem activity. MMU access
+//! faults go to the working-set estimator's fault handler instead (§4.2).
+//!
+//! [`Machine::add_driver_hook`]: crate::Machine::add_driver_hook
 
-use sim_core::Nanos;
+use sim_core::{FaultEvent, LifecycleEvent, Nanos};
 
 use crate::machine::{EnclaveId, ThreadToken};
 
@@ -24,7 +29,7 @@ pub enum AexCause {
     AccessFault,
 }
 
-/// One asynchronous enclave exit, delivered to the AEP observer.
+/// One asynchronous enclave exit, seen at the AEP before `ERESUME`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AexEvent {
     /// Enclave that was interrupted.
@@ -46,8 +51,9 @@ pub enum PagingDirection {
     In,
 }
 
-/// Kernel-driver events — what a kprobe on the SGX driver's paging functions
-/// would observe, plus enclave lifecycle for bookkeeping.
+/// Every event a machine hook observes: kernel-driver events (what a
+/// kprobe on the SGX driver's paging functions would see, plus enclave
+/// creation), AEXs, faults, lifecycle stages and switchless activity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DriverEvent {
     /// A page crossed the EPC boundary.
@@ -70,22 +76,79 @@ pub enum DriverEvent {
         /// Virtual time of creation.
         time: Nanos,
     },
-    /// An enclave was destroyed and its EPC pages freed.
-    EnclaveDestroyed {
-        /// Destroyed enclave id.
-        enclave: EnclaveId,
-        /// Virtual time of destruction.
-        time: Nanos,
-    },
-    /// An enclave was *lost*: its EPC contents were destroyed by a power
-    /// transition or machine check. The enclave id stays registered, but
-    /// every subsequent EENTER/ERESUME fails until it is rebuilt.
-    EnclaveLost {
-        /// Lost enclave id.
-        enclave: EnclaveId,
-        /// Virtual time of the loss.
-        time: Nanos,
-    },
+    /// An asynchronous enclave exit, between the exit and the `ERESUME`.
+    Aex(AexEvent),
+    /// An injected fault or an SDK recovery step.
+    Fault(FaultEvent),
+    /// An enclave loss or a supervisor recovery stage.
+    Lifecycle(LifecycleEvent),
+    /// A switchless dispatch, fallback or worker state change.
+    Switchless(SwitchlessEvent),
+}
+
+/// What a switchless event reports.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SwitchlessEventKind {
+    /// A switchless ecall was served by a trusted worker.
+    EcallDispatched,
+    /// A switchless ocall was served by an untrusted worker.
+    OcallDispatched,
+    /// A switchless-eligible ecall fell back to the synchronous path.
+    EcallFallback,
+    /// A switchless-eligible ocall fell back to the synchronous path.
+    OcallFallback,
+    /// A worker found its queue empty and parked.
+    WorkerIdle,
+    /// A parked worker was woken by a caller.
+    WorkerBusy,
+}
+
+impl SwitchlessEventKind {
+    /// Stable numeric encoding for trace records.
+    pub fn code(self) -> u8 {
+        match self {
+            SwitchlessEventKind::EcallDispatched => 0,
+            SwitchlessEventKind::OcallDispatched => 1,
+            SwitchlessEventKind::EcallFallback => 2,
+            SwitchlessEventKind::OcallFallback => 3,
+            SwitchlessEventKind::WorkerIdle => 4,
+            SwitchlessEventKind::WorkerBusy => 5,
+        }
+    }
+
+    /// Inverse of [`SwitchlessEventKind::code`].
+    pub fn from_code(code: u8) -> Option<SwitchlessEventKind> {
+        Some(match code {
+            0 => SwitchlessEventKind::EcallDispatched,
+            1 => SwitchlessEventKind::OcallDispatched,
+            2 => SwitchlessEventKind::EcallFallback,
+            3 => SwitchlessEventKind::OcallFallback,
+            4 => SwitchlessEventKind::WorkerIdle,
+            5 => SwitchlessEventKind::WorkerBusy,
+            _ => return None,
+        })
+    }
+}
+
+/// One switchless-subsystem event, delivered as
+/// [`DriverEvent::Switchless`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SwitchlessEvent {
+    /// The enclave whose ring this event belongs to.
+    pub enclave: EnclaveId,
+    /// What happened.
+    pub kind: SwitchlessEventKind,
+    /// The ecall/ocall index, when the event concerns a specific call.
+    pub call_index: Option<usize>,
+    /// The thread the event happened on (caller for dispatch/fallback,
+    /// worker for idle/busy).
+    pub thread: ThreadToken,
+    /// Worker slot within its pool, for worker events.
+    pub worker: Option<usize>,
+    /// Poll iterations the caller spent waiting (dispatch events).
+    pub spins: u64,
+    /// Virtual time of the event.
+    pub time: Nanos,
 }
 
 /// An MMU access fault caused by stripped page permissions.

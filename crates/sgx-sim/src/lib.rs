@@ -13,8 +13,12 @@
 //!   the kernel"; a hook registry stands in for the kprobes sgx-perf
 //!   attaches to the driver's page-in/page-out functions (§4.1.5),
 //! * **asynchronous enclave exits** ([`machine`]): timer interrupts hitting
-//!   in-enclave execution cause AEXs delivered through a patchable AEP
-//!   observer (§4.1.4),
+//!   in-enclave execution cause AEXs, which the same hooks see where the
+//!   patched AEP would (§4.1.4),
+//! * **one event stream** ([`events`]): every hook receives each
+//!   [`DriverEvent`] — paging, enclave creation, AEXs, injected faults,
+//!   enclave lifecycle and, through [`Machine::emit`], the SDK's fault,
+//!   supervisor and switchless events,
 //! * **MMU page permissions** ([`page`]): strippable at runtime with access
 //!   faults delivered to a registered handler — the mechanism behind the
 //!   working-set estimator (§4.2).
@@ -42,7 +46,10 @@ pub mod machine;
 pub mod page;
 
 pub use epc::EvictionPolicy;
-pub use events::{AexCause, AexEvent, DriverEvent, MmuFault, PagingDirection};
+pub use events::{
+    AexCause, AexEvent, DriverEvent, MmuFault, PagingDirection, SwitchlessEvent,
+    SwitchlessEventKind,
+};
 pub use layout::{EnclaveConfig, EnclaveLayout, PageKind, PAGE_SIZE};
 pub use machine::{
     AccessKind, EnclaveId, EnclaveInfo, Machine, MachineParams, SgxVersion, SimError, ThreadToken,

@@ -5,13 +5,9 @@ use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
 
-use sim_core::fault::{
-    FaultAction, FaultEvent, FaultInjector, FaultKind, FaultObserver, FaultPlan,
-};
+use sim_core::fault::{FaultAction, FaultEvent, FaultInjector, FaultKind, FaultPlan};
 use sim_core::sync::Mutex;
-use sim_core::{
-    Clock, CostModel, HwProfile, LifecycleEvent, LifecycleObserver, LifecycleStage, Nanos, SyncBus,
-};
+use sim_core::{Clock, CostModel, HwProfile, LifecycleEvent, LifecycleStage, Nanos, SyncBus};
 
 use crate::epc::{Epc, EvictionPolicy, DEFAULT_EPC_PAGES};
 use crate::events::{AexCause, AexEvent, DriverEvent, MmuFault, PagingDirection};
@@ -260,16 +256,13 @@ struct Inner {
 }
 
 type DriverHook = Arc<dyn Fn(&DriverEvent) + Send + Sync>;
-type AepObserver = Arc<dyn Fn(&AexEvent) + Send + Sync>;
 type FaultHandler = Arc<dyn Fn(&MmuFault) + Send + Sync>;
 
 #[derive(Default)]
 struct Hooks {
-    driver: Vec<DriverHook>,
-    aep: Option<AepObserver>,
+    /// Replaced whole on registration, so an emission clones one `Arc`.
+    driver: Arc<[DriverHook]>,
     mmu_fault: Option<FaultHandler>,
-    fault_obs: Option<FaultObserver>,
-    lifecycle: Option<LifecycleObserver>,
 }
 
 /// A simulated SGX-capable machine: shared virtual clock, one EPC, any
@@ -446,24 +439,18 @@ impl Machine {
         };
         self.clock
             .advance(EADD_PAGE * layout.total_pages() as u64 + EINIT);
-        self.emit_driver_events(&events);
+        self.emit(&events);
         Ok(eid)
     }
 
     /// Destroys an enclave and frees its EPC pages.
     pub fn destroy_enclave(&self, eid: EnclaveId) -> Result<(), SimError> {
-        {
-            let mut inner = self.inner.lock();
-            let Some(st) = inner.enclaves.remove(&eid.0) else {
-                return Err(SimError::UnknownEnclave(eid));
-            };
-            inner.by_base.remove(&st.base);
-            inner.epc.remove_enclave(eid);
-        }
-        self.emit_driver_events(&[DriverEvent::EnclaveDestroyed {
-            enclave: eid,
-            time: self.clock.now(),
-        }]);
+        let mut inner = self.inner.lock();
+        let Some(st) = inner.enclaves.remove(&eid.0) else {
+            return Err(SimError::UnknownEnclave(eid));
+        };
+        inner.by_base.remove(&st.base);
+        inner.epc.remove_enclave(eid);
         Ok(())
     }
 
@@ -546,16 +533,31 @@ impl Machine {
     // Hooks (what sgx-perf instruments)
     // ------------------------------------------------------------------
 
-    /// Registers a kernel-driver hook (the kprobe stand-in). Hooks receive
-    /// paging and lifecycle events.
+    /// Registers a machine hook: the kprobe on the driver and the patched
+    /// AEP in one. Every hook receives every [`DriverEvent`], in emission
+    /// order, on the emitting thread — paging and enclave creation, each
+    /// AEX before its `ERESUME`, and the fault, lifecycle and switchless
+    /// events the machine and the SDK report through [`Machine::emit`].
     pub fn add_driver_hook(&self, hook: DriverHook) {
-        self.hooks.lock().driver.push(hook);
+        let mut hooks = self.hooks.lock();
+        let mut driver = hooks.driver.to_vec();
+        driver.push(hook);
+        hooks.driver = driver.into();
     }
 
-    /// Patches the Asynchronous Exit Pointer: `observer` runs on every AEX
-    /// before `ERESUME`. Pass `None` to restore the plain AEP.
-    pub fn set_aep_observer(&self, observer: Option<AepObserver>) {
-        self.hooks.lock().aep = observer;
+    /// Delivers `events` to every registered hook. The machine calls it
+    /// for its own events; the SDK calls it for its fault-recovery,
+    /// supervisor and switchless events.
+    pub fn emit(&self, events: &[DriverEvent]) {
+        if events.is_empty() {
+            return;
+        }
+        let hooks = Arc::clone(&self.hooks.lock().driver);
+        for hook in hooks.iter() {
+            for ev in events {
+                hook(ev);
+            }
+        }
     }
 
     /// Installs the MMU access-fault handler used by the working-set
@@ -577,38 +579,6 @@ impl Machine {
     /// own injection sites (ocalls, switchless, TCS binding).
     pub fn fault_injector(&self) -> Option<Arc<FaultInjector>> {
         self.fault.lock().clone()
-    }
-
-    /// Registers the fault-event observer (the logger's hook): it runs on
-    /// every injected fault and every SDK recovery step, machine-level
-    /// and SDK-level alike.
-    pub fn set_fault_observer(&self, observer: Option<FaultObserver>) {
-        self.hooks.lock().fault_obs = observer;
-    }
-
-    /// Reports a fault-injection or recovery event to the observer.
-    /// Called by the machine's own sites and by the SDK's.
-    pub fn notify_fault(&self, event: &FaultEvent) {
-        let observer = self.hooks.lock().fault_obs.clone();
-        if let Some(observer) = observer {
-            observer(event);
-        }
-    }
-
-    /// Registers the enclave-lifecycle observer (the logger's hook): it
-    /// runs on every loss and on every supervisor recovery stage.
-    pub fn set_lifecycle_observer(&self, observer: Option<LifecycleObserver>) {
-        self.hooks.lock().lifecycle = observer;
-    }
-
-    /// Reports an enclave-lifecycle event to the observer. Called by the
-    /// machine when an enclave is lost and by the SDK supervisor for the
-    /// rebuild/replay/retry/recovered stages.
-    pub fn notify_lifecycle(&self, event: &LifecycleEvent) {
-        let observer = self.hooks.lock().lifecycle.clone();
-        if let Some(observer) = observer {
-            observer(event);
-        }
     }
 
     /// Strips all MMU permissions from every accessible page of the
@@ -683,15 +653,7 @@ impl Machine {
                     st.poisoned = true;
                 }
                 drop(inner);
-                self.notify_fault(&FaultEvent {
-                    code: FaultKind::EpcPoison.code(),
-                    action: FaultAction::Injected,
-                    enclave: eid.0,
-                    thread: thread.0 as u64,
-                    call_index: None,
-                    magnitude: 0,
-                    time: self.clock.now(),
-                });
+                self.emit(&[self.injected(eid, thread, FaultKind::EpcPoison.code(), 0)]);
             }
             if due.lost {
                 self.mark_lost(eid, thread, FaultKind::EnclaveLost.code());
@@ -704,7 +666,7 @@ impl Machine {
     /// Destroys the enclave's EPC contents in place: every resident page is
     /// dropped (silently — there is no EWB for vanished contents, so no
     /// paging events), the enclave is flagged lost, and the loss is
-    /// reported through the driver, fault and lifecycle channels. The id
+    /// reported to the hooks as a fault and a lifecycle stage. The id
     /// stays registered so subsequent entries fail with
     /// [`SimError::EnclaveLost`] until a supervisor rebuilds the enclave.
     fn mark_lost(&self, eid: EnclaveId, thread: ThreadToken, fault_code: u8) {
@@ -723,28 +685,15 @@ impl Machine {
             }
             inner.epc.remove_enclave(eid);
         }
-        let now = self.clock.now();
-        self.emit_driver_events(&[DriverEvent::EnclaveLost {
-            enclave: eid,
-            time: now,
-        }]);
-        self.notify_fault(&FaultEvent {
-            code: fault_code,
-            action: FaultAction::Injected,
-            enclave: eid.0,
-            thread: thread.0 as u64,
-            call_index: None,
-            magnitude: 0,
-            time: now,
-        });
-        self.notify_lifecycle(&LifecycleEvent {
+        let lost = DriverEvent::Lifecycle(LifecycleEvent {
             stage: LifecycleStage::Lost,
             enclave: eid.0,
             thread: thread.0 as u64,
             attempt: 0,
             magnitude: 0,
-            time: now,
+            time: self.clock.now(),
         });
+        self.emit(&[self.injected(eid, thread, fault_code, 0), lost]);
     }
 
     /// Whether the enclave is currently lost.
@@ -775,22 +724,15 @@ impl Machine {
             if faults.lost {
                 // A time-triggered loss lands mid-execution: the thread is
                 // unwound with an AEX-style exit whose ERESUME never
-                // happens — charge only the exit, skip the AEP observer
-                // (there is no enclave left to resume into).
+                // happens — charge only the exit, emit no AEX (there is
+                // no enclave left to resume into).
                 self.clock.advance(self.cost.aex_exit);
                 self.mark_lost(eid, thread, FaultKind::EnclaveLost.code());
                 return Err(SimError::EnclaveLost(eid));
             }
             if let Some(burst) = faults.aex_storm {
-                self.notify_fault(&FaultEvent {
-                    code: FaultKind::AexStorm { count: burst }.code(),
-                    action: FaultAction::Injected,
-                    enclave: eid.0,
-                    thread: thread.0 as u64,
-                    call_index: None,
-                    magnitude: u64::from(burst),
-                    time: self.clock.now(),
-                });
+                let code = FaultKind::AexStorm { count: burst }.code();
+                self.emit(&[self.injected(eid, thread, code, u64::from(burst))]);
                 for _ in 0..burst {
                     self.deliver_aex(eid, thread, AexCause::Interrupt);
                 }
@@ -798,15 +740,8 @@ impl Machine {
             }
             if faults.evict_storm {
                 let evicted = self.evict_all(eid)?;
-                self.notify_fault(&FaultEvent {
-                    code: FaultKind::EvictStorm.code(),
-                    action: FaultAction::Injected,
-                    enclave: eid.0,
-                    thread: thread.0 as u64,
-                    call_index: None,
-                    magnitude: evicted as u64,
-                    time: self.clock.now(),
-                });
+                let code = FaultKind::EvictStorm.code();
+                self.emit(&[self.injected(eid, thread, code, evicted as u64)]);
             }
         }
         let quantum = self.cost.timer_quantum.as_nanos();
@@ -938,19 +873,8 @@ impl Machine {
             if let Some(inj) = self.fault_injector() {
                 if let Some(slow) = inj.paging_slowdown(self.clock.now()) {
                     if slow.opened {
-                        self.notify_fault(&FaultEvent {
-                            code: FaultKind::PagingSlow {
-                                factor: slow.factor as u32,
-                                duration: Nanos::from_nanos(0),
-                            }
-                            .code(),
-                            action: FaultAction::Injected,
-                            enclave: eid.0,
-                            thread: thread.0 as u64,
-                            call_index: None,
-                            magnitude: slow.factor as u64,
-                            time: self.clock.now(),
-                        });
+                        let code = paging_slow_code();
+                        self.emit(&[self.injected(eid, thread, code, slow.factor as u64)]);
                     }
                     cost = cost.scale(slow.factor);
                 }
@@ -963,7 +887,7 @@ impl Machine {
                 }
             }
         }
-        self.emit_driver_events(&events);
+        self.emit(&events);
         Ok(())
     }
 
@@ -1047,7 +971,7 @@ impl Machine {
             first..first + pages
         };
         self.clock.advance(EAUG_PAGE * pages as u64);
-        self.emit_driver_events(&events);
+        self.emit(&events);
         Ok(range)
     }
 
@@ -1101,19 +1025,10 @@ impl Machine {
                     if let Some(inj) = self.fault_injector() {
                         if let Some(slow) = inj.paging_slowdown(self.clock.now()) {
                             if slow.opened {
-                                fault_event = Some(FaultEvent {
-                                    code: FaultKind::PagingSlow {
-                                        factor: slow.factor as u32,
-                                        duration: Nanos::from_nanos(0),
-                                    }
-                                    .code(),
-                                    action: FaultAction::Injected,
-                                    enclave: eid.0,
-                                    thread: 0,
-                                    call_index: None,
-                                    magnitude: slow.factor as u64,
-                                    time: self.clock.now(),
-                                });
+                                let code = paging_slow_code();
+                                let magnitude = slow.factor as u64;
+                                fault_event =
+                                    Some(self.injected(eid, ThreadToken::MAIN, code, magnitude));
                             }
                             cost = cost.scale(slow.factor);
                         }
@@ -1132,9 +1047,9 @@ impl Machine {
                 paged_in += 1;
             }
             if let Some(ev) = fault_event {
-                self.notify_fault(&ev);
+                self.emit(&[ev]);
             }
-            self.emit_driver_events(&events);
+            self.emit(&events);
         }
         Ok(paged_in)
     }
@@ -1165,7 +1080,7 @@ impl Machine {
             inner.epc.remove_enclave(eid);
             count
         };
-        self.emit_driver_events(&events);
+        self.emit(&events);
         Ok(count)
     }
 
@@ -1211,31 +1126,35 @@ impl Machine {
         }
     }
 
-    fn emit_driver_events(&self, events: &[DriverEvent]) {
-        if events.is_empty() {
-            return;
-        }
-        let hooks: Vec<DriverHook> = self.hooks.lock().driver.clone();
-        for hook in hooks {
-            for ev in events {
-                hook(ev);
-            }
-        }
+    /// A fault the machine injected into `eid` on `thread`, stamped now.
+    fn injected(
+        &self,
+        eid: EnclaveId,
+        thread: ThreadToken,
+        code: u8,
+        magnitude: u64,
+    ) -> DriverEvent {
+        DriverEvent::Fault(FaultEvent {
+            code,
+            action: FaultAction::Injected,
+            enclave: eid.0,
+            thread: thread.0 as u64,
+            call_index: None,
+            magnitude,
+            time: self.clock.now(),
+        })
     }
 
-    /// Delivers one AEX: charges the exit, runs the AEP observer (the
-    /// logger's patch point), charges the resume.
+    /// Delivers one AEX: charges the exit, emits it to the hooks (the
+    /// logger's AEP patch point), charges the resume.
     fn deliver_aex(&self, eid: EnclaveId, thread: ThreadToken, cause: AexCause) {
         self.clock.advance(self.cost.aex_exit);
-        let observer = self.hooks.lock().aep.clone();
-        if let Some(observer) = observer {
-            observer(&AexEvent {
-                enclave: eid,
-                thread,
-                time: self.clock.now(),
-                cause,
-            });
-        }
+        self.emit(&[DriverEvent::Aex(AexEvent {
+            enclave: eid,
+            thread,
+            time: self.clock.now(),
+            cause,
+        })]);
         self.clock.advance(self.cost.eresume);
     }
 
@@ -1271,6 +1190,15 @@ impl Machine {
         st.pages[index].mmu_perms = st.pages[index].natural_perms;
         Ok(())
     }
+}
+
+/// The fault code of an EWB/ELDU slowdown (a code names only the kind).
+fn paging_slow_code() -> u8 {
+    FaultKind::PagingSlow {
+        factor: 0,
+        duration: Nanos::ZERO,
+    }
+    .code()
 }
 
 #[cfg(test)]
@@ -1422,10 +1350,12 @@ mod tests {
         let eid = m.create_enclave(&EnclaveConfig::default()).unwrap();
         let aex_seen = Arc::new(AtomicUsize::new(0));
         let a2 = Arc::clone(&aex_seen);
-        m.set_aep_observer(Some(Arc::new(move |ev: &AexEvent| {
-            assert_eq!(ev.cause, AexCause::Interrupt);
-            a2.fetch_add(1, Ordering::SeqCst);
-        })));
+        m.add_driver_hook(Arc::new(move |ev| {
+            if let DriverEvent::Aex(ev) = ev {
+                assert_eq!(ev.cause, AexCause::Interrupt);
+                a2.fetch_add(1, Ordering::SeqCst);
+            }
+        }));
         // Table 2 experiment (3): a 45,377 us ecall sees ~11.5 AEXs.
         let n = m
             .execute_in_enclave(eid, ThreadToken::MAIN, Nanos::from_micros(45_377))
@@ -1733,23 +1663,17 @@ mod tests {
         let eid = m.create_enclave(&EnclaveConfig::default()).unwrap();
         let plan: FaultPlan = "enclave_lost@call=2;seed=7".parse().unwrap();
         m.set_fault_plan(Some(&plan));
-        let lost_seen = Arc::new(AtomicUsize::new(0));
-        let l2 = Arc::clone(&lost_seen);
-        m.add_driver_hook(Arc::new(move |ev| {
-            if matches!(ev, DriverEvent::EnclaveLost { .. }) {
-                l2.fetch_add(1, Ordering::SeqCst);
-            }
-        }));
         let stages = Arc::new(Mutex::new(Vec::new()));
         let s2 = Arc::clone(&stages);
-        m.set_lifecycle_observer(Some(Arc::new(move |ev: &LifecycleEvent| {
-            s2.lock().push(ev.stage);
-        })));
+        m.add_driver_hook(Arc::new(move |ev| {
+            if let DriverEvent::Lifecycle(ev) = ev {
+                s2.lock().push(ev.stage);
+            }
+        }));
         // First entry survives; second is the loss.
         m.enter_enclave(eid, ThreadToken::MAIN).unwrap();
         let err = m.enter_enclave(eid, ThreadToken::MAIN).unwrap_err();
         assert_eq!(err, SimError::EnclaveLost(eid));
-        assert_eq!(lost_seen.load(Ordering::SeqCst), 1);
         assert_eq!(stages.lock().as_slice(), &[LifecycleStage::Lost]);
         // Pages are gone; the id stays registered but everything fails.
         let info = m.enclave_info(eid).unwrap();
@@ -1784,17 +1708,19 @@ mod tests {
         m.set_fault_plan(Some(&plan));
         let aep_hits = Arc::new(AtomicUsize::new(0));
         let a2 = Arc::clone(&aep_hits);
-        m.set_aep_observer(Some(Arc::new(move |_: &AexEvent| {
-            a2.fetch_add(1, Ordering::SeqCst);
-        })));
+        m.add_driver_hook(Arc::new(move |ev| {
+            if matches!(ev, DriverEvent::Aex(_)) {
+                a2.fetch_add(1, Ordering::SeqCst);
+            }
+        }));
         m.clock().advance(Nanos::from_micros(2));
         let before = m.clock().now();
         let err = m
             .execute_in_enclave(eid, ThreadToken::MAIN, Nanos::from_micros(100))
             .unwrap_err();
         assert_eq!(err, SimError::EnclaveLost(eid));
-        // AEX-style exit: the exit cost is charged but the AEP observer
-        // never runs and no ERESUME is charged.
+        // AEX-style exit: the exit cost is charged but no AEX reaches the
+        // hooks and no ERESUME is charged.
         assert_eq!(m.clock().now() - before, m.cost_model().aex_exit);
         assert_eq!(aep_hits.load(Ordering::SeqCst), 0);
         assert!(m.is_lost(eid).unwrap());
@@ -1818,6 +1744,49 @@ mod tests {
             Err(SimError::EnclaveLost(eid))
         );
         assert!(m.is_lost(eid).unwrap());
+    }
+
+    #[test]
+    fn every_hook_sees_every_event_in_order() {
+        use sim_core::fault::FaultPlan;
+        let one = EnclaveLayout::new(&EnclaveConfig::default()).total_pages();
+        let m = tiny_machine(one + one / 2);
+        let seen: Vec<Arc<Mutex<Vec<DriverEvent>>>> = (0..2)
+            .map(|_| {
+                let log = Arc::new(Mutex::new(Vec::new()));
+                let sink = Arc::clone(&log);
+                m.add_driver_hook(Arc::new(move |ev| sink.lock().push(*ev)));
+                log
+            })
+            .collect();
+        // Two enclaves overflow the EPC: creating the second pages out the
+        // first.
+        let a = m.create_enclave(&EnclaveConfig::default()).unwrap();
+        let b = m.create_enclave(&EnclaveConfig::default()).unwrap();
+        let plan: FaultPlan = "aex-storm@call=1:count=3;evict-storm@call=1;enclave_lost@call=1"
+            .parse()
+            .unwrap();
+        m.set_fault_plan(Some(&plan));
+        m.execute_in_enclave(b, ThreadToken::MAIN, Nanos::from_micros(10))
+            .unwrap();
+        assert_eq!(
+            m.enter_enclave(a, ThreadToken::MAIN),
+            Err(SimError::EnclaveLost(a))
+        );
+        let first = seen[0].lock().clone();
+        assert_eq!(first, *seen[1].lock());
+        let has = |f: fn(&DriverEvent) -> bool| first.iter().any(f);
+        assert!(has(|e| matches!(e, DriverEvent::Paging { .. })));
+        assert!(has(|e| matches!(e, DriverEvent::EnclaveCreated { .. })));
+        assert!(has(|e| matches!(e, DriverEvent::Aex(_))));
+        assert!(has(|e| matches!(e, DriverEvent::Fault(_))));
+        assert!(has(|e| matches!(
+            e,
+            DriverEvent::Lifecycle(LifecycleEvent {
+                stage: LifecycleStage::Lost,
+                ..
+            })
+        )));
     }
 
     #[test]

@@ -17,7 +17,6 @@
 
 use std::fmt;
 use std::str::FromStr;
-use std::sync::Arc;
 
 use crate::rng;
 use crate::sync::Mutex;
@@ -527,9 +526,6 @@ pub struct FaultEvent {
     /// Virtual time of the event.
     pub time: Nanos,
 }
-
-/// Observer callback for [`FaultEvent`]s (the logger's hook).
-pub type FaultObserver = Arc<dyn Fn(&FaultEvent) + Send + Sync>;
 
 /// Faults due at one enclave-execution site poll.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

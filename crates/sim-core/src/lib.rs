@@ -37,8 +37,8 @@ pub mod time;
 
 pub use campaign::{CampaignSpec, CellCoord, SpecError, SwitchlessAxis};
 pub use clock::Clock;
-pub use fault::{FaultAction, FaultEvent, FaultInjector, FaultObserver, FaultPlan};
+pub use fault::{FaultAction, FaultEvent, FaultInjector, FaultPlan};
 pub use hw::{CostModel, HwProfile};
-pub use lifecycle::{LifecycleEvent, LifecycleObserver, LifecycleStage};
+pub use lifecycle::{LifecycleEvent, LifecycleStage};
 pub use syncev::{Shared, SyncBus, SyncEvent, SyncObserver, SyncOp};
 pub use time::{Cycles, Nanos};

@@ -3,15 +3,13 @@
 //! A lost enclave (power transition, machine check — [`FaultKind::EnclaveLost`])
 //! is not a transient fault: nothing inside the retry/backoff machinery can
 //! bring it back, only a supervisor that rebuilds the enclave and replays
-//! its state can. This module is the event channel that recovery flows
-//! through: the machine emits [`LifecycleStage::Lost`] when it destroys an
-//! enclave, and the SDK supervisor emits the rebuild/replay/retry stages as
-//! it works the enclave back, so the logger can reconstruct the full
+//! its state can. This module defines the events recovery reports: the
+//! machine emits [`LifecycleStage::Lost`] when it destroys an enclave, and
+//! the SDK supervisor emits the rebuild/replay/retry stages as it works the
+//! enclave back, so the logger can reconstruct the full
 //! mean-time-to-recovery ledger in virtual time.
 //!
 //! [`FaultKind::EnclaveLost`]: crate::fault::FaultKind::EnclaveLost
-
-use std::sync::Arc;
 
 use crate::time::Nanos;
 
@@ -96,9 +94,6 @@ pub struct LifecycleEvent {
     /// Virtual time of the event.
     pub time: Nanos,
 }
-
-/// Observer callback for [`LifecycleEvent`]s (the logger's hook).
-pub type LifecycleObserver = Arc<dyn Fn(&LifecycleEvent) + Send + Sync>;
 
 #[cfg(test)]
 mod tests {

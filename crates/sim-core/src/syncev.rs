@@ -158,7 +158,6 @@ impl std::fmt::Debug for SyncBus {
         f.debug_struct("SyncBus")
             .field("clock", &self.clock)
             .field("next_object", &self.next_object)
-            .field("active", &self.is_active())
             .finish()
     }
 }
@@ -181,12 +180,6 @@ impl SyncBus {
     /// Installs (or clears) the event observer.
     pub fn set_observer(&self, observer: Option<SyncObserver>) {
         *self.observer.lock().unwrap() = observer;
-    }
-
-    /// Whether an observer is currently attached. Emitters can use this to
-    /// skip building event payloads entirely.
-    pub fn is_active(&self) -> bool {
-        self.observer.lock().unwrap().is_some()
     }
 
     /// Publishes an event (stamped with the current virtual time) to the
@@ -299,7 +292,6 @@ mod tests {
     #[test]
     fn emit_without_observer_is_silent() {
         let bus = SyncBus::new(Clock::new());
-        assert!(!bus.is_active());
         // Must not panic or block.
         bus.emit(0, SyncOp::LockAcquire, Some(1), None, 0, "");
     }

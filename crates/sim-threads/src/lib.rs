@@ -100,8 +100,8 @@ impl Engine {
     /// flags. Returns `None` for unknown names.
     pub fn parse(name: &str) -> Option<Engine> {
         match name {
-            "legacy" | "threads" => Some(Engine::Legacy),
-            "fast" | "coroutine" => Some(Engine::Fast),
+            "legacy" => Some(Engine::Legacy),
+            "fast" => Some(Engine::Fast),
             _ => None,
         }
     }

@@ -21,6 +21,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -q -p sim-core -p sim-t
     -p sgx-sim -p sgx-edl -p sgx-sdk -p sgx-fleet -p eventdb -p sgx-perf -p workloads \
     -p sgxperf-cli -p sgx-perf-bench
 
+# perfbench is its own workspace, so nothing above builds it; it reaches
+# into the public API (hooks, sessions, the analyzer) from outside.
+echo "== cargo check perfbench"
+cargo check --offline --manifest-path perfbench/Cargo.toml --all-targets
+
 echo "== cargo test"
 cargo test -q --offline
 
