@@ -168,3 +168,68 @@ fn near_max_counters_saturate_in_report_fleet_and_diff() {
         }
     }
 }
+
+/// A trace with one row of `ecall_hot` per `(start_ns, end_ns)` span.
+fn one_call_trace(spans: &[(u64, u64)]) -> TraceDb {
+    let mut trace = TraceDb::default();
+    trace.symbols.insert(SymbolRow {
+        enclave: 1,
+        kind_is_ecall: true,
+        index: 0,
+        name: "ecall_hot".to_string(),
+        public: true,
+        allowed_ecalls: vec![],
+        user_check_params: vec![],
+    });
+    for &(start_ns, end_ns) in spans {
+        trace.ecalls.insert(EcallRow {
+            thread: 0,
+            enclave: 1,
+            call_index: 0,
+            start_ns,
+            end_ns,
+            parent_ocall: None,
+            aex_count: 0,
+            failed: false,
+        });
+    }
+    trace
+}
+
+#[test]
+fn near_max_durations_saturate_in_hist_and_scatter() {
+    // Durations just below `u64::MAX`: the later bins' lower bounds pass
+    // it.
+    let near_max = save(
+        &one_call_trace(&[(0, u64::MAX), (1, u64::MAX)]),
+        "hostile-hist.evdb",
+    );
+    // Durations spanning all of `u64`: one bin is `u64::MAX` wide.
+    let full_span = save(
+        &one_call_trace(&[(5, 5), (0, u64::MAX)]),
+        "hostile-hist-span.evdb",
+    );
+    let csv = near_max.with_extension("csv");
+    let (near_max, full_span, csv) = (
+        near_max.to_str().unwrap(),
+        full_span.to_str().unwrap(),
+        csv.to_str().unwrap(),
+    );
+    for args in [
+        vec!["hist", near_max, "ecall_hot"],
+        vec!["hist", near_max, "ecall_hot", "--json", "-o", csv],
+        vec!["hist", full_span, "ecall_hot", "--bins", "1", "--json"],
+        vec!["scatter", near_max, "ecall_hot"],
+        vec!["scatter", full_span, "ecall_hot"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_sgxperf"))
+            .args(&args)
+            .output()
+            .expect("spawn sgxperf");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+    }
+    // The CSV's last bound pins at the top instead of wrapping.
+    let written = std::fs::read_to_string(csv).unwrap();
+    assert!(written.ends_with(&format!("{},0\n", u64::MAX)), "{written}");
+}

@@ -131,7 +131,9 @@ impl Histogram {
         }
         let min = *durations.iter().min().expect("non-empty");
         let max = *durations.iter().max().expect("non-empty");
-        let width = ((max - min) / bin_count as u64 + 1).max(1);
+        // Saturates: durations spanning all of `u64` get one bin of
+        // width `u64::MAX`.
+        let width = ((max - min) / bin_count as u64).saturating_add(1);
         let mut bins = vec![0u64; bin_count];
         for d in durations {
             let idx = (((d - min) / width) as usize).min(bin_count - 1);
@@ -159,7 +161,7 @@ impl Histogram {
         let max = grouped.iter().copied().max().unwrap_or(1).max(1);
         let mut out = String::new();
         for (i, count) in grouped.iter().enumerate() {
-            let lo = self.min_ns + (i * group) as u64 * self.bin_width_ns;
+            let lo = self.bin_start(i * group);
             let bar = (*count as usize * width).div_ceil(max as usize);
             out.push_str(&format!(
                 "{:>10} |{:<width$}| {}\n",
@@ -176,13 +178,16 @@ impl Histogram {
     pub fn to_csv(&self) -> String {
         let mut out = String::from("bin_start_ns,count\n");
         for (i, count) in self.bins.iter().enumerate() {
-            out.push_str(&format!(
-                "{},{}\n",
-                self.min_ns + i as u64 * self.bin_width_ns,
-                count
-            ));
+            out.push_str(&format!("{},{}\n", self.bin_start(i), count));
         }
         out
+    }
+
+    /// Inclusive lower bound of bin `bin` (ns). Saturates: with
+    /// durations just below `u64::MAX` the last bounds would pass it.
+    fn bin_start(&self, bin: usize) -> u64 {
+        self.min_ns
+            .saturating_add((bin as u64).saturating_mul(self.bin_width_ns))
     }
 
     /// Renders as JSON (`sgxperf hist --json`), sharing the hand-rolled

@@ -88,6 +88,29 @@ fn trusted_code_grows_heap_on_v2() {
 }
 
 #[test]
+fn sbrk_of_zero_pages_grows_nothing() {
+    let rt = runtime(SgxVersion::V2);
+    let (eid, table) = setup(&rt);
+    let grow = |pages: u64| {
+        let mut data = CallData::new(pages);
+        rt.ecall(
+            &ThreadCtx::main(),
+            eid,
+            "ecall_grow_and_use",
+            &table,
+            &mut data,
+        )
+        .map(|()| data.ret)
+    };
+    assert_eq!(grow(0).unwrap(), 0);
+    // The whole 18-page reserve, after which nothing is left...
+    assert_eq!(grow(18).unwrap(), 18);
+    assert!(grow(1).is_err());
+    // ...and growing by nothing still succeeds.
+    assert_eq!(grow(0).unwrap(), 0);
+}
+
+#[test]
 fn sbrk_fails_cleanly_on_v1() {
     let rt = runtime(SgxVersion::V1);
     let (eid, table) = setup(&rt);

@@ -7,7 +7,10 @@
 //! expensive (re-encryption + extra transitions).
 //!
 //! This module models only occupancy and the eviction decision; costs and
-//! event delivery live in [`machine`](crate::machine).
+//! event delivery live in [`machine`](crate::machine). It is the
+//! machine's only record of which pages are resident: the machine's
+//! per-page state holds kinds and permissions, and every residency
+//! question, count and page-in goes through `Epc`.
 //!
 //! Every operation is O(1) (amortised), so neither a fleet of thousands
 //! of enclaves nor the pages every ecall touches slow the bookkeeping

@@ -8,7 +8,9 @@
 //!   heap, stack, guard and padding pages, with the enclave size rounded up
 //!   to a power of two as required by the measurement (§4.2),
 //! * **the EPC** ([`epc`]): 93 MiB of usable protected memory shared by all
-//!   enclaves, with FIFO or LRU eviction and per-page `EWB`/`ELDU` costs,
+//!   enclaves, with FIFO or LRU eviction and per-page `EWB`/`ELDU` costs;
+//!   it is the only record of which pages are resident, and every page-in
+//!   (creation, EPC fault, `EAUG`, prefetch) takes one path into it,
 //! * **the kernel driver** ([`Machine`] hooks): paging decisions happen "in
 //!   the kernel"; a hook registry stands in for the kprobes sgx-perf
 //!   attaches to the driver's page-in/page-out functions (§4.1.5),

@@ -1,6 +1,6 @@
 //! The simulated SGX machine: enclaves, EPC, AEX injection, MMU faults.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
@@ -9,7 +9,7 @@ use sim_core::fault::{FaultAction, FaultEvent, FaultInjector, FaultKind, FaultPl
 use sim_core::sync::Mutex;
 use sim_core::{Clock, CostModel, HwProfile, LifecycleEvent, LifecycleStage, Nanos, SyncBus};
 
-use crate::epc::{Epc, EvictionPolicy, DEFAULT_EPC_PAGES};
+use crate::epc::{Epc, EvictionPolicy, PageKey, DEFAULT_EPC_PAGES};
 use crate::events::{AexCause, AexEvent, DriverEvent, MmuFault, PagingDirection};
 use crate::layout::{EnclaveConfig, EnclaveLayout, PageKind, PAGE_SIZE};
 use crate::page::{PageState, Perms};
@@ -236,7 +236,6 @@ const EAUG_PAGE: Nanos = Nanos::from_micros(2);
 struct EnclaveState {
     layout: EnclaveLayout,
     pages: Vec<PageState>,
-    base: u64,
     debug: bool,
     /// The enclave's EPC contents were destroyed; every entry fails until
     /// a supervisor destroys and rebuilds it.
@@ -247,12 +246,16 @@ struct EnclaveState {
 }
 
 struct Inner {
+    /// The only record of which pages are resident.
     epc: Epc,
     enclaves: HashMap<u32, EnclaveState>,
-    /// base vaddr -> enclave id, so reverse address translation is a range
-    /// query instead of a scan over every live enclave (fleet scale).
-    by_base: BTreeMap<u64, u32>,
     next_eid: u32,
+}
+
+/// Virtual address of page `index` of enclave `eid`. Each enclave owns
+/// the 64 GiB range one step above its id.
+fn vaddr(eid: EnclaveId, index: usize) -> u64 {
+    ((u64::from(eid.0) + 1) << 36) + (index * PAGE_SIZE) as u64
 }
 
 type DriverHook = Arc<dyn Fn(&DriverEvent) + Send + Sync>;
@@ -323,7 +326,6 @@ impl Machine {
             inner: Mutex::new(Inner {
                 epc: Epc::new(params.epc_pages, params.eviction),
                 enclaves: HashMap::new(),
-                by_base: BTreeMap::new(),
                 next_eid: 1,
             }),
             params,
@@ -363,13 +365,6 @@ impl Machine {
         self.inner.lock().epc.resident_count()
     }
 
-    /// Pages of one enclave currently resident in the EPC. O(1) — served
-    /// from the EPC's per-enclave index, so fleet dashboards can poll it
-    /// for thousands of enclaves without scanning page tables.
-    pub fn epc_resident_of(&self, eid: EnclaveId) -> usize {
-        self.inner.lock().epc.resident_of(eid)
-    }
-
     /// Whether a specific enclave page is currently resident.
     pub fn is_resident(&self, eid: EnclaveId, page: usize) -> Result<bool, SimError> {
         let inner = self.inner.lock();
@@ -386,59 +381,34 @@ impl Machine {
     /// time and may evict pages of other enclaves if the EPC is full.
     pub fn create_enclave(&self, config: &EnclaveConfig) -> Result<EnclaveId, SimError> {
         let layout = EnclaveLayout::new(config);
+        let total = layout.total_pages();
         let mut events = Vec::new();
         let eid = {
             let mut inner = self.inner.lock();
-            let raw = inner.next_eid;
+            let eid = EnclaveId(inner.next_eid);
             inner.next_eid += 1;
-            let eid = EnclaveId(raw);
-            let base = (raw as u64 + 1) << 36;
-            let mut pages: Vec<PageState> = layout.iter().map(PageState::new).collect();
-            for idx in 0..pages.len() {
-                if let Some(victim) = inner.epc.insert((eid, idx)) {
-                    if victim.0 == eid {
-                        // The enclave under construction evicted one of its
-                        // own earlier pages (it is larger than the EPC); it
-                        // is not registered yet, so fix up locally.
-                        pages[victim.1].resident = false;
-                        events.push(DriverEvent::Paging {
-                            direction: PagingDirection::Out,
-                            enclave: eid,
-                            vaddr: base + (victim.1 * PAGE_SIZE) as u64,
-                            time: self.clock.now(),
-                        });
-                    } else {
-                        Self::mark_evicted(&mut inner.enclaves, victim);
-                        events.push(self.paging_event(
-                            PagingDirection::Out,
-                            victim,
-                            &inner.enclaves,
-                        ));
-                    }
-                }
-                pages[idx].resident = true;
+            // An enclave larger than the EPC evicts its own earlier pages.
+            for index in 0..total {
+                self.page_in(&mut inner.epc, (eid, index), &mut events);
             }
             inner.enclaves.insert(
-                raw,
+                eid.0,
                 EnclaveState {
-                    layout: layout.clone(),
-                    pages,
-                    base,
+                    pages: layout.iter().map(PageState::new).collect(),
+                    layout,
                     debug: config.debug,
                     lost: false,
                     poisoned: false,
                 },
             );
-            inner.by_base.insert(base, raw);
             events.push(DriverEvent::EnclaveCreated {
                 enclave: eid,
-                pages: layout.total_pages(),
+                pages: total,
                 time: self.clock.now(),
             });
             eid
         };
-        self.clock
-            .advance(EADD_PAGE * layout.total_pages() as u64 + EINIT);
+        self.clock.advance(EADD_PAGE * total as u64 + EINIT);
         self.emit(&events);
         Ok(eid)
     }
@@ -446,10 +416,9 @@ impl Machine {
     /// Destroys an enclave and frees its EPC pages.
     pub fn destroy_enclave(&self, eid: EnclaveId) -> Result<(), SimError> {
         let mut inner = self.inner.lock();
-        let Some(st) = inner.enclaves.remove(&eid.0) else {
+        if inner.enclaves.remove(&eid.0).is_none() {
             return Err(SimError::UnknownEnclave(eid));
-        };
-        inner.by_base.remove(&st.base);
+        }
         inner.epc.remove_enclave(eid);
         Ok(())
     }
@@ -461,7 +430,7 @@ impl Machine {
         let st = Self::state(&inner, eid)?;
         Ok(EnclaveInfo {
             id: eid,
-            base_vaddr: st.base,
+            base_vaddr: vaddr(eid, 0),
             total_pages: st.layout.total_pages(),
             accessible_pages: st.layout.accessible_pages(),
             resident_pages: inner.epc.resident_of(eid),
@@ -498,35 +467,6 @@ impl Machine {
             .thread_pages()
             .get(tcs_index)
             .map(|t| (t.tcs, t.stack.start)))
-    }
-
-    /// Virtual address of page `index` inside the enclave.
-    pub fn page_vaddr(&self, eid: EnclaveId, index: usize) -> Result<u64, SimError> {
-        let inner = self.inner.lock();
-        let st = Self::state(&inner, eid)?;
-        if index >= st.layout.total_pages() {
-            return Err(SimError::PageOutOfRange {
-                enclave: eid,
-                page: index,
-                total: st.layout.total_pages(),
-            });
-        }
-        Ok(st.base + (index * PAGE_SIZE) as u64)
-    }
-
-    /// Maps a virtual address back to (enclave, page index), if it belongs
-    /// to a live enclave. One ordered-map range query — O(log n) in the
-    /// number of live enclaves.
-    pub fn vaddr_to_page(&self, vaddr: u64) -> Option<(EnclaveId, usize)> {
-        let inner = self.inner.lock();
-        let (&base, &raw) = inner.by_base.range(..=vaddr).next_back()?;
-        let st = inner.enclaves.get(&raw)?;
-        let size = (st.layout.total_pages() * PAGE_SIZE) as u64;
-        if vaddr < base + size {
-            Some((EnclaveId(raw), ((vaddr - base) as usize) / PAGE_SIZE))
-        } else {
-            None
-        }
     }
 
     // ------------------------------------------------------------------
@@ -601,16 +541,9 @@ impl Machine {
         let mut inner = self.inner.lock();
         let st = Self::state_mut(&mut inner, eid)?;
         for page in st.pages.iter_mut() {
-            page.mmu_perms = page.natural_perms;
+            page.mmu_perms = page.kind.natural_perms();
         }
         Ok(())
-    }
-
-    /// Per-page access counts since enclave creation, indexed by page.
-    pub fn access_counts(&self, eid: EnclaveId) -> Result<Vec<u64>, SimError> {
-        let inner = self.inner.lock();
-        let st = Self::state(&inner, eid)?;
-        Ok(st.pages.iter().map(|p| p.access_count).collect())
     }
 
     // ------------------------------------------------------------------
@@ -680,9 +613,6 @@ impl Machine {
             }
             st.lost = true;
             st.poisoned = false;
-            for page in st.pages.iter_mut() {
-                page.resident = false;
-            }
             inner.epc.remove_enclave(eid);
         }
         let lost = DriverEvent::Lifecycle(LifecycleEvent {
@@ -793,98 +723,50 @@ impl Machine {
         access: AccessKind,
         stats: &mut TouchStats,
     ) -> Result<(), SimError> {
-        // Phase 1: examine under lock.
-        let (needs_mmu_fault, vaddr) = {
-            let mut inner = self.inner.lock();
-            let st = Self::state_mut(&mut inner, eid)?;
-            if st.lost {
-                return Err(SimError::EnclaveLost(eid));
-            }
-            let total = st.layout.total_pages();
-            if index >= total {
-                return Err(SimError::PageOutOfRange {
-                    enclave: eid,
-                    page: index,
-                    total,
-                });
-            }
-            let page = &st.pages[index];
-            if !page.kind.is_accessible() {
-                return Err(SimError::Segfault {
-                    enclave: eid,
-                    page: index,
-                    kind: page.kind,
-                });
-            }
-            let vaddr = st.base + (index * PAGE_SIZE) as u64;
-            // The MMU permissions are checked before the SGX (EPCM) ones
-            // (§4.2); a stripped page faults even if resident.
-            let needs_fault = !page.mmu_perms.allows(access.required_perms());
-            (needs_fault, vaddr)
-        };
-
-        if needs_mmu_fault {
-            self.handle_mmu_fault(eid, thread, index, vaddr)?;
-            stats.mmu_faults += 1;
+        let mut inner = self.inner.lock();
+        let page = Self::live_page(&inner, eid, index)?;
+        if !page.kind.is_accessible() {
+            return Err(SimError::Segfault {
+                enclave: eid,
+                page: index,
+                kind: page.kind,
+            });
         }
-
-        // Phase 2: residency (EPC) check.
-        let (fault, mut events) = {
-            let mut inner = self.inner.lock();
-            let mut events = Vec::new();
-            let resident = {
-                let st = Self::state(&inner, eid)?;
-                st.pages[index].resident
-            };
-            let fault = if resident {
-                inner.epc.touch((eid, index));
-                false
-            } else {
-                // EPC page fault: page the page back in, evicting if needed.
-                if let Some(victim) = inner.epc.insert((eid, index)) {
-                    Self::mark_evicted(&mut inner.enclaves, victim);
-                    events.push(self.paging_event(PagingDirection::Out, victim, &inner.enclaves));
-                    stats.evictions += 1;
-                }
-                let st = Self::state_mut(&mut inner, eid)?;
-                st.pages[index].resident = true;
-                events.push(DriverEvent::Paging {
-                    direction: PagingDirection::In,
-                    enclave: eid,
-                    vaddr,
-                    time: self.clock.now(),
-                });
-                true
-            };
-            let st = Self::state_mut(&mut inner, eid)?;
-            st.pages[index].access_count += 1;
-            (fault, events)
-        };
-        if fault {
-            stats.page_faults += 1;
-            // The fault exits the enclave asynchronously, the driver does
-            // the (costly) paging work, then the enclave resumes.
-            self.deliver_aex(eid, thread, AexCause::PageFault);
-            let mut cost = self.cost.page_in;
-            if stats.evictions > 0 {
-                cost += self.cost.page_out;
-            }
-            // A transient EWB/ELDU slowdown inflates the paging work.
-            if let Some(inj) = self.fault_injector() {
-                if let Some(slow) = inj.paging_slowdown(self.clock.now()) {
-                    if slow.opened {
-                        let code = paging_slow_code();
-                        self.emit(&[self.injected(eid, thread, code, slow.factor as u64)]);
-                    }
-                    cost = cost.scale(slow.factor);
-                }
-            }
-            self.clock.advance(cost);
-            // Stamp events after the cost so timestamps reflect completion.
-            for ev in &mut events {
-                if let DriverEvent::Paging { time, .. } = ev {
-                    *time = self.clock.now();
-                }
+        // The MMU permissions are checked before the SGX (EPCM) ones
+        // (§4.2); a stripped page faults even if resident.
+        if !page.mmu_perms.allows(access.required_perms()) {
+            drop(inner);
+            self.handle_mmu_fault(eid, thread, index)?;
+            stats.mmu_faults += 1;
+            // The handler (working-set estimator) restores permissions so
+            // the access can proceed; the machine performs the actual
+            // restore.
+            inner = self.inner.lock();
+            let page = &mut Self::state_mut(&mut inner, eid)?.pages[index];
+            page.mmu_perms = page.kind.natural_perms();
+        }
+        let key = (eid, index);
+        if inner.epc.contains(key) {
+            inner.epc.touch(key);
+            return Ok(());
+        }
+        // EPC page fault: page the page back in, evicting if needed.
+        let mut events = Vec::new();
+        let evicted = self.page_in(&mut inner.epc, key, &mut events);
+        drop(inner);
+        events.push(self.paging_event(PagingDirection::In, key));
+        stats.page_faults += 1;
+        stats.evictions += usize::from(evicted);
+        // The fault exits the enclave asynchronously, the driver does the
+        // (costly) paging work, then the enclave resumes.
+        self.deliver_aex(eid, thread, AexCause::PageFault);
+        let (cost, opened) = self.paging_cost(eid, thread, evicted);
+        self.emit(opened.as_slice());
+        self.clock.advance(cost);
+        // Stamp events after the cost so timestamps reflect completion.
+        for ev in &mut events {
+            if let DriverEvent::Paging { time, .. } = ev {
+                *time = self.clock.now();
             }
         }
         self.emit(&events);
@@ -920,54 +802,29 @@ impl Machine {
         let mut events = Vec::new();
         let range = {
             let mut inner = self.inner.lock();
-            {
-                let st = Self::state(&inner, eid)?;
-                let padding: Vec<usize> = st
-                    .pages
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, p)| p.kind == PageKind::Padding)
-                    .map(|(i, _)| i)
-                    .take(pages + 1)
-                    .collect();
-                if padding.len() < pages {
-                    return Err(SimError::OutOfEnclaveSpace {
-                        enclave: eid,
-                        requested: pages,
-                        available: padding.len(),
-                    });
-                }
+            let Inner { epc, enclaves, .. } = &mut *inner;
+            let st = enclaves
+                .get_mut(&eid.0)
+                .ok_or(SimError::UnknownEnclave(eid))?;
+            // The padding reserve is the enclave's tail (the layout pads
+            // at the end and each call converts its first pages).
+            let total = st.pages.len();
+            let first = st
+                .pages
+                .iter()
+                .position(|p| p.kind == PageKind::Padding)
+                .unwrap_or(total);
+            if total - first < pages {
+                return Err(SimError::OutOfEnclaveSpace {
+                    enclave: eid,
+                    requested: pages,
+                    available: total - first,
+                });
             }
-            // Convert the first `pages` padding pages (they are contiguous
-            // by construction) and make them resident.
-            let mut first = None;
-            let mut converted = 0;
-            let total = Self::state(&inner, eid)?.layout.total_pages();
-            for idx in 0..total {
-                if converted == pages {
-                    break;
-                }
-                let is_padding = {
-                    let st = Self::state(&inner, eid)?;
-                    st.pages[idx].kind == PageKind::Padding
-                };
-                if !is_padding {
-                    continue;
-                }
-                first.get_or_insert(idx);
-                if let Some(victim) = inner.epc.insert((eid, idx)) {
-                    Self::mark_evicted(&mut inner.enclaves, victim);
-                    events.push(self.paging_event(PagingDirection::Out, victim, &inner.enclaves));
-                }
-                let st = Self::state_mut(&mut inner, eid)?;
-                let page = &mut st.pages[idx];
-                page.kind = PageKind::Heap;
-                page.natural_perms = PageKind::Heap.natural_perms();
-                page.mmu_perms = page.natural_perms;
-                page.resident = true;
-                converted += 1;
+            for index in first..first + pages {
+                self.page_in(epc, (eid, index), &mut events);
+                st.pages[index] = PageState::new(PageKind::Heap);
             }
-            let first = first.expect("checked padding availability");
             first..first + pages
         };
         self.clock.advance(EAUG_PAGE * pages as u64);
@@ -984,71 +841,24 @@ impl Machine {
     pub fn prefetch(&self, eid: EnclaveId, pages: Range<usize>) -> Result<usize, SimError> {
         let mut paged_in = 0;
         for index in pages {
-            let mut fault_event = None;
-            let (faulted, events) = {
+            let key = (eid, index);
+            let mut events = Vec::new();
+            let opened = {
                 let mut inner = self.inner.lock();
-                let st = Self::state(&inner, eid)?;
-                if st.lost {
-                    return Err(SimError::EnclaveLost(eid));
+                Self::live_page(&inner, eid, index)?;
+                if inner.epc.contains(key) {
+                    inner.epc.touch(key);
+                    continue;
                 }
-                let total = st.layout.total_pages();
-                if index >= total {
-                    return Err(SimError::PageOutOfRange {
-                        enclave: eid,
-                        page: index,
-                        total,
-                    });
-                }
-                if st.pages[index].resident {
-                    inner.epc.touch((eid, index));
-                    (false, Vec::new())
-                } else {
-                    let mut events = Vec::new();
-                    let mut evicted = false;
-                    if let Some(victim) = inner.epc.insert((eid, index)) {
-                        Self::mark_evicted(&mut inner.enclaves, victim);
-                        events.push(self.paging_event(
-                            PagingDirection::Out,
-                            victim,
-                            &inner.enclaves,
-                        ));
-                        evicted = true;
-                    }
-                    let st = Self::state_mut(&mut inner, eid)?;
-                    st.pages[index].resident = true;
-                    let vaddr = st.base + (index * PAGE_SIZE) as u64;
-                    let mut cost = self.cost.page_in;
-                    if evicted {
-                        cost += self.cost.page_out;
-                    }
-                    // EWB/ELDU slowdowns hit driver-side paging too.
-                    if let Some(inj) = self.fault_injector() {
-                        if let Some(slow) = inj.paging_slowdown(self.clock.now()) {
-                            if slow.opened {
-                                let code = paging_slow_code();
-                                let magnitude = slow.factor as u64;
-                                fault_event =
-                                    Some(self.injected(eid, ThreadToken::MAIN, code, magnitude));
-                            }
-                            cost = cost.scale(slow.factor);
-                        }
-                    }
-                    self.clock.advance(cost);
-                    events.push(DriverEvent::Paging {
-                        direction: PagingDirection::In,
-                        enclave: eid,
-                        vaddr,
-                        time: self.clock.now(),
-                    });
-                    (true, events)
-                }
+                let evicted = self.page_in(&mut inner.epc, key, &mut events);
+                // EWB/ELDU slowdowns hit driver-side paging too.
+                let (cost, opened) = self.paging_cost(eid, ThreadToken::MAIN, evicted);
+                self.clock.advance(cost);
+                events.push(self.paging_event(PagingDirection::In, key));
+                opened
             };
-            if faulted {
-                paged_in += 1;
-            }
-            if let Some(ev) = fault_event {
-                self.emit(&[ev]);
-            }
+            paged_in += 1;
+            self.emit(opened.as_slice());
             self.emit(&events);
         }
         Ok(paged_in)
@@ -1059,29 +869,18 @@ impl Machine {
     /// enclave). Charges no time: models the driver reclaiming pages while
     /// the enclave is idle.
     pub fn evict_all(&self, eid: EnclaveId) -> Result<usize, SimError> {
-        let mut events = Vec::new();
-        let count = {
+        let events: Vec<DriverEvent> = {
             let mut inner = self.inner.lock();
-            Self::state(&inner, eid)?;
-            let mut count = 0;
-            let st = inner.enclaves.get_mut(&eid.0).expect("checked above");
-            for (index, page) in st.pages.iter_mut().enumerate() {
-                if page.resident {
-                    page.resident = false;
-                    count += 1;
-                    events.push(DriverEvent::Paging {
-                        direction: PagingDirection::Out,
-                        enclave: eid,
-                        vaddr: st.base + (index * PAGE_SIZE) as u64,
-                        time: self.clock.now(),
-                    });
-                }
-            }
+            let total = Self::state(&inner, eid)?.layout.total_pages();
+            let events = (0..total)
+                .filter(|&index| inner.epc.contains((eid, index)))
+                .map(|index| self.paging_event(PagingDirection::Out, (eid, index)))
+                .collect();
             inner.epc.remove_enclave(eid);
-            count
+            events
         };
         self.emit(&events);
-        Ok(count)
+        Ok(events.len())
     }
 
     // ------------------------------------------------------------------
@@ -1102,26 +901,63 @@ impl Machine {
             .ok_or(SimError::UnknownEnclave(eid))
     }
 
-    fn mark_evicted(enclaves: &mut HashMap<u32, EnclaveState>, victim: (EnclaveId, usize)) {
-        if let Some(st) = enclaves.get_mut(&victim.0 .0) {
-            st.pages[victim.1].resident = false;
+    /// Page `index` of enclave `eid`, which must not be lost.
+    fn live_page(inner: &Inner, eid: EnclaveId, index: usize) -> Result<&PageState, SimError> {
+        let st = Self::state(inner, eid)?;
+        if st.lost {
+            return Err(SimError::EnclaveLost(eid));
         }
+        let total = st.layout.total_pages();
+        if index >= total {
+            return Err(SimError::PageOutOfRange {
+                enclave: eid,
+                page: index,
+                total,
+            });
+        }
+        Ok(&st.pages[index])
     }
 
-    fn paging_event(
+    /// Makes `key` resident, recording the page-out of the victim it
+    /// evicts, if any. Returns whether it evicted one.
+    fn page_in(&self, epc: &mut Epc, key: PageKey, events: &mut Vec<DriverEvent>) -> bool {
+        let victim = epc.insert(key);
+        if let Some(victim) = victim {
+            events.push(self.paging_event(PagingDirection::Out, victim));
+        }
+        victim.is_some()
+    }
+
+    /// What paging one page in costs: an `ELDU`, plus an `EWB` when it
+    /// `evicted` a page, inflated by any active `paging-slow` window.
+    /// Also returns the fault event of the poll that opens the window.
+    fn paging_cost(
         &self,
-        direction: PagingDirection,
-        key: (EnclaveId, usize),
-        enclaves: &HashMap<u32, EnclaveState>,
-    ) -> DriverEvent {
-        let vaddr = enclaves
-            .get(&key.0 .0)
-            .map(|st| st.base + (key.1 * PAGE_SIZE) as u64)
-            .unwrap_or(0);
+        eid: EnclaveId,
+        thread: ThreadToken,
+        evicted: bool,
+    ) -> (Nanos, Option<DriverEvent>) {
+        let mut cost = self.cost.page_in;
+        if evicted {
+            cost += self.cost.page_out;
+        }
+        let Some(slow) = self
+            .fault_injector()
+            .and_then(|inj| inj.paging_slowdown(self.clock.now()))
+        else {
+            return (cost, None);
+        };
+        let opened = slow
+            .opened
+            .then(|| self.injected(eid, thread, paging_slow_code(), slow.factor as u64));
+        (cost.scale(slow.factor), opened)
+    }
+
+    fn paging_event(&self, direction: PagingDirection, key: PageKey) -> DriverEvent {
         DriverEvent::Paging {
             direction,
             enclave: key.0,
-            vaddr,
+            vaddr: vaddr(key.0, key.1),
             time: self.clock.now(),
         }
     }
@@ -1163,7 +999,6 @@ impl Machine {
         eid: EnclaveId,
         thread: ThreadToken,
         index: usize,
-        vaddr: u64,
     ) -> Result<(), SimError> {
         let handler = self.hooks.lock().mmu_fault.clone();
         let Some(handler) = handler else {
@@ -1180,14 +1015,9 @@ impl Machine {
             enclave: eid,
             thread,
             page_index: index,
-            vaddr,
+            vaddr: vaddr(eid, index),
             time: self.clock.now(),
         });
-        // The handler (working-set estimator) restores permissions so the
-        // access can proceed; the machine performs the actual restore.
-        let mut inner = self.inner.lock();
-        let st = Self::state_mut(&mut inner, eid)?;
-        st.pages[index].mmu_perms = st.pages[index].natural_perms;
         Ok(())
     }
 }
@@ -1418,129 +1248,17 @@ mod tests {
     }
 
     #[test]
-    fn vaddr_mapping_roundtrips() {
-        let m = machine();
-        let eid = m.create_enclave(&EnclaveConfig::default()).unwrap();
-        let va = m.page_vaddr(eid, 5).unwrap();
-        assert_eq!(m.vaddr_to_page(va), Some((eid, 5)));
-        assert_eq!(m.vaddr_to_page(0xdead), None);
-    }
-
-    #[test]
-    fn vaddr_mapping_survives_fleet_churn() {
-        // Many enclaves, one destroyed in the middle: the base index must
-        // keep translating live enclaves and reject the destroyed one's
-        // addresses plus inter-enclave gaps.
-        let m = machine();
-        let eids: Vec<EnclaveId> = (0..8)
-            .map(|_| m.create_enclave(&EnclaveConfig::default()).unwrap())
-            .collect();
-        m.destroy_enclave(eids[3]).unwrap();
-        for (i, &eid) in eids.iter().enumerate() {
-            if i == 3 {
-                continue;
-            }
-            let va = m.page_vaddr(eid, 7).unwrap();
-            assert_eq!(m.vaddr_to_page(va), Some((eid, 7)));
-        }
-        // An address in the destroyed enclave's old range no longer maps.
-        let dead_base = (eids[3].0 as u64 + 1) << 36;
-        assert_eq!(m.vaddr_to_page(dead_base + 4096), None);
-        // Just past the end of a live enclave falls into the gap.
-        let info = m.enclave_info(eids[0]).unwrap();
-        let past_end = info.base_vaddr + (info.total_pages * PAGE_SIZE) as u64;
-        assert_eq!(m.vaddr_to_page(past_end), None);
-    }
-
-    #[test]
     fn per_enclave_residency_is_tracked() {
         let m = machine();
         let a = m.create_enclave(&EnclaveConfig::default()).unwrap();
         let b = m.create_enclave(&EnclaveConfig::default()).unwrap();
+        let resident = |eid| m.enclave_info(eid).unwrap().resident_pages;
         let total = m.enclave_info(a).unwrap().total_pages;
-        assert_eq!(m.epc_resident_of(a), total);
-        assert_eq!(m.epc_resident_of(b), total);
+        assert_eq!(resident(a), total);
+        assert_eq!(resident(b), total);
         m.evict_all(a).unwrap();
-        assert_eq!(m.epc_resident_of(a), 0);
-        assert_eq!(m.epc_resident_of(b), total);
-    }
-
-    /// Each page's resident flag, in page order.
-    fn resident_flags(m: &Machine, eid: EnclaveId) -> Vec<bool> {
-        let inner = m.inner.lock();
-        let st = Machine::state(&inner, eid).unwrap();
-        st.pages.iter().map(|p| p.resident).collect()
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
-
-        /// `enclave_info` reads the EPC's per-enclave count; after any
-        /// churn that count, the EPC's per-page membership and the pages'
-        /// own resident flags must all agree.
-        #[test]
-        fn resident_count_agrees_with_page_flags(
-            ops in proptest::collection::vec(
-                (0u8..6, 0usize..1024, 0usize..64, 1usize..16),
-                1..40,
-            ),
-            epc_pages in 64usize..512,
-            lru in proptest::prelude::any::<bool>(),
-        ) {
-            let m = Machine::with_params(
-                Clock::new(),
-                HwProfile::Unpatched,
-                MachineParams {
-                    epc_pages,
-                    eviction: if lru { EvictionPolicy::Lru } else { EvictionPolicy::Fifo },
-                    sgx_version: SgxVersion::V2,
-                },
-            );
-            let mut live: Vec<EnclaveId> = Vec::new();
-            for (op, pick, offset, len) in ops {
-                if op == 0 || live.is_empty() {
-                    let config = EnclaveConfig {
-                        heap_kib: 8 + offset * 4,
-                        ..EnclaveConfig::default()
-                    };
-                    live.push(m.create_enclave(&config).unwrap());
-                    continue;
-                }
-                let eid = live[pick % live.len()];
-                let heap = m.heap_range(eid).unwrap();
-                let start = heap.start + offset.min(heap.len() - 1);
-                let pages = start..(start + len).min(heap.end);
-                match op {
-                    1 => {
-                        m.touch(eid, ThreadToken::MAIN, pages, AccessKind::Write).unwrap();
-                    }
-                    2 => {
-                        m.prefetch(eid, pages).unwrap();
-                    }
-                    // May run out of padding reserve, which is fine.
-                    3 => drop(m.extend_heap(eid, len % 8 + 1)),
-                    4 => {
-                        m.evict_all(eid).unwrap();
-                    }
-                    _ => {
-                        live.retain(|&e| e != eid);
-                        m.destroy_enclave(eid).unwrap();
-                    }
-                }
-                for &eid in &live {
-                    let flags = resident_flags(&m, eid);
-                    let flagged = flags.iter().filter(|&&f| f).count();
-                    proptest::prop_assert_eq!(
-                        m.enclave_info(eid).unwrap().resident_pages,
-                        m.epc_resident_of(eid)
-                    );
-                    proptest::prop_assert_eq!(m.epc_resident_of(eid), flagged);
-                    for (page, &flag) in flags.iter().enumerate() {
-                        proptest::prop_assert_eq!(m.is_resident(eid, page).unwrap(), flag);
-                    }
-                }
-            }
-        }
+        assert_eq!(resident(a), 0);
+        assert_eq!(resident(b), total);
     }
 
     #[test]
@@ -1558,20 +1276,6 @@ mod tests {
         assert_eq!(m.entry_pages(eid, 2), Ok(None));
         m.destroy_enclave(eid).unwrap();
         assert_eq!(m.entry_pages(eid, 0), Err(SimError::UnknownEnclave(eid)));
-    }
-
-    #[test]
-    fn access_counts_accumulate() {
-        let m = machine();
-        let eid = m.create_enclave(&EnclaveConfig::default()).unwrap();
-        let heap = m.heap_range(eid).unwrap();
-        let p = heap.start;
-        for _ in 0..3 {
-            m.touch(eid, ThreadToken::MAIN, p..p + 1, AccessKind::Read)
-                .unwrap();
-        }
-        let counts = m.access_counts(eid).unwrap();
-        assert_eq!(counts[p], 3);
     }
 
     fn v2_machine() -> Machine {
@@ -1627,6 +1331,32 @@ mod tests {
         let eid = m.create_enclave(&EnclaveConfig::default()).unwrap();
         let err = m.extend_heap(eid, 1_000_000).unwrap_err();
         assert!(matches!(err, SimError::OutOfEnclaveSpace { .. }));
+    }
+
+    #[test]
+    fn eaug_of_zero_pages_is_an_empty_range_at_the_reserve() {
+        let m = v2_machine();
+        let eid = m.create_enclave(&EnclaveConfig::default()).unwrap();
+        let layout = EnclaveLayout::new(&EnclaveConfig::default());
+        let first = layout.iter().position(|k| k == PageKind::Padding).unwrap();
+        let total = layout.total_pages();
+        let events = Arc::new(AtomicUsize::new(0));
+        let e2 = Arc::clone(&events);
+        m.add_driver_hook(Arc::new(move |_| {
+            e2.fetch_add(1, Ordering::SeqCst);
+        }));
+        let grow_none = |at: usize| {
+            let (seen, before) = (events.load(Ordering::SeqCst), m.clock().now());
+            assert_eq!(m.extend_heap(eid, 0), Ok(at..at));
+            assert_eq!(m.clock().now(), before);
+            assert_eq!(events.load(Ordering::SeqCst), seen);
+        };
+        grow_none(first);
+        assert_eq!(m.extend_heap(eid, 3), Ok(first..first + 3));
+        grow_none(first + 3);
+        // With the reserve used up, the empty range sits at the end.
+        m.extend_heap(eid, total - first - 3).unwrap();
+        grow_none(total);
     }
 
     #[test]

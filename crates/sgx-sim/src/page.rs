@@ -75,30 +75,21 @@ impl fmt::Display for Perms {
     }
 }
 
-/// State of one enclave page inside the simulated machine.
+/// State of one enclave page inside the simulated machine. Whether the
+/// page is resident is the EPC's record, not the page's.
 #[derive(Debug, Clone)]
 pub(crate) struct PageState {
     pub kind: PageKind,
-    /// Whether the page currently lives in the EPC (vs. swapped out).
-    pub resident: bool,
-    /// Current MMU permissions.
+    /// Current MMU permissions; a working-set fault restores the kind's
+    /// natural ones.
     pub mmu_perms: Perms,
-    /// The natural permissions for this page kind, restored after a
-    /// working-set fault.
-    pub natural_perms: Perms,
-    /// How many times the page has been accessed (any kind).
-    pub access_count: u64,
 }
 
 impl PageState {
     pub fn new(kind: PageKind) -> PageState {
-        let natural = kind.natural_perms();
         PageState {
             kind,
-            resident: false,
-            mmu_perms: natural,
-            natural_perms: natural,
-            access_count: 0,
+            mmu_perms: kind.natural_perms(),
         }
     }
 }
@@ -134,8 +125,6 @@ mod tests {
     #[test]
     fn page_state_starts_non_resident_with_natural_perms() {
         let st = PageState::new(PageKind::Heap);
-        assert!(!st.resident);
         assert_eq!(st.mmu_perms, Perms::RW);
-        assert_eq!(st.access_count, 0);
     }
 }

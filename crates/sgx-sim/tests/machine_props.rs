@@ -1,17 +1,19 @@
-//! Property tests of the machine's EPC bookkeeping: under arbitrary
-//! sequences of enclave lifecycle and memory operations, the per-page
-//! residency flags and the EPC occupancy map must never disagree.
+//! Property tests of the machine's EPC bookkeeping. The EPC is the only
+//! record of which pages are resident; under arbitrary sequences of
+//! enclave lifecycle, memory and fault operations, its per-enclave counts
+//! must match its per-page membership and sum to its total.
 //!
-//! (This invariant is exactly what a real bug in enclave creation once
-//! violated: pages evicted during their own enclave's creation stayed
-//! flagged resident.)
+//! (The machine once kept per-page resident flags beside the EPC, and a
+//! bug in enclave creation made them disagree: pages evicted during their
+//! own enclave's creation stayed flagged resident.)
 
 use proptest::prelude::*;
 use sgx_sim::{
     AccessKind, EnclaveConfig, EnclaveId, EvictionPolicy, Machine, MachineParams, SgxVersion,
     ThreadToken,
 };
-use sim_core::{Clock, HwProfile};
+use sim_core::fault::FaultPlan;
+use sim_core::{Clock, HwProfile, Nanos};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -38,6 +40,14 @@ enum Op {
     Destroy {
         enclave: usize,
     },
+    /// An `enclave_lost` fault at the next entry drops every page.
+    Lose {
+        enclave: usize,
+    },
+    /// An `evict-storm` fault during enclave execution evicts every page.
+    EvictStorm {
+        enclave: usize,
+    },
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -56,18 +66,23 @@ fn arb_op() -> impl Strategy<Value = Op> {
         any::<usize>().prop_map(|enclave| Op::EvictAll { enclave }),
         (any::<usize>(), 1usize..8).prop_map(|(enclave, pages)| Op::ExtendHeap { enclave, pages }),
         any::<usize>().prop_map(|enclave| Op::Destroy { enclave }),
+        any::<usize>().prop_map(|enclave| Op::Lose { enclave }),
+        any::<usize>().prop_map(|enclave| Op::EvictStorm { enclave }),
     ]
 }
 
 fn check_invariants(machine: &Machine, live: &[EnclaveId]) {
     // 1. EPC never over-full.
     assert!(machine.epc_resident() <= machine.epc_capacity());
-    // 2. Per-page flags agree with the EPC occupancy map, page by page
-    //    and in total.
-    let mut flagged_total = 0;
+    // 2. Each enclave's count agrees with the EPC's per-page membership,
+    //    and the counts sum to the EPC's total.
+    let mut counted_total = 0;
     for &eid in live {
         let info = machine.enclave_info(eid).expect("live enclave");
-        flagged_total += info.resident_pages;
+        if machine.is_lost(eid).expect("live enclave") {
+            assert_eq!(info.resident_pages, 0, "{eid} is lost");
+        }
+        counted_total += info.resident_pages;
         let mut in_epc = 0;
         for page in 0..info.total_pages {
             if machine.is_resident(eid, page).expect("valid page") {
@@ -76,18 +91,24 @@ fn check_invariants(machine: &Machine, live: &[EnclaveId]) {
         }
         assert_eq!(
             info.resident_pages, in_epc,
-            "{eid}: flags say {} resident, EPC holds {in_epc}",
+            "{eid}: counted {} resident, EPC holds {in_epc}",
             info.resident_pages
         );
     }
-    assert_eq!(flagged_total, machine.epc_resident());
+    assert_eq!(counted_total, machine.epc_resident());
+}
+
+/// Arms a fault plan that fires once.
+fn arm(machine: &Machine, plan: &str) {
+    let plan: FaultPlan = plan.parse().unwrap();
+    machine.set_fault_plan(Some(&plan));
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn epc_and_page_flags_never_disagree(
+    fn resident_counts_match_epc_membership(
         ops in proptest::collection::vec(arb_op(), 1..40),
         epc_pages in 64usize..512,
         lru in any::<bool>(),
@@ -145,6 +166,23 @@ proptest! {
                 Op::Destroy { enclave } if !live.is_empty() => {
                     let eid = live.remove(enclave % live.len());
                     machine.destroy_enclave(eid).unwrap();
+                }
+                Op::Lose { enclave } if !live.is_empty() => {
+                    let eid = live[enclave % live.len()];
+                    arm(&machine, "enclave_lost@call=1");
+                    machine.enter_enclave(eid, ThreadToken::MAIN).unwrap_err();
+                    // Checked once while lost, then destroyed, as a
+                    // supervisor would before rebuilding it.
+                    check_invariants(&machine, &live);
+                    live.retain(|&e| e != eid);
+                    machine.destroy_enclave(eid).unwrap();
+                }
+                Op::EvictStorm { enclave } if !live.is_empty() => {
+                    let eid = live[enclave % live.len()];
+                    arm(&machine, "evict-storm@call=1");
+                    machine
+                        .execute_in_enclave(eid, ThreadToken::MAIN, Nanos::from_micros(1))
+                        .unwrap();
                 }
                 _ => {}
             }
