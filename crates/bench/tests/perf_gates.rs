@@ -19,6 +19,10 @@
 //!   enclave with a 16 MiB heap must cost under 2x one into an enclave
 //!   with a 64 KiB heap (a per-ecall walk of the enclave's pages made it
 //!   about 9x).
+//! * `logged_ecall_cost_is_independent_of_live_ocall_tables`: a logged
+//!   no-op ecall into the newest of 256 live enclaves, each with its own
+//!   ocall table, must cost under 2x one into a runtime with one live
+//!   enclave (a per-ecall scan of the logger's stub cache made it 5-8x).
 //!
 //! A floor variable that is set but does not parse as a finite number
 //! fails the gate; an unset one means the default.
@@ -26,8 +30,9 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use sgx_perf::{Logger, LoggerConfig};
 use sgx_perf_bench::scaled_count;
-use sgx_sdk::{CallData, OcallTableBuilder, Runtime, ThreadCtx};
+use sgx_sdk::{CallData, Enclave, OcallTable, OcallTableBuilder, Runtime, ThreadCtx};
 use sgx_sim::{EnclaveConfig, EnclaveId, EvictionPolicy, Machine, MachineParams};
 use sim_core::campaign::CampaignSpec;
 use sim_core::{Clock, HwProfile};
@@ -179,33 +184,49 @@ fn eviction_cost_is_sublinear_in_enclave_count() {
 }
 
 /// Returns the best-of-3 real time per no-op `Runtime::ecall`, in
-/// nanoseconds, into one enclave with a `heap_kib` heap.
-fn per_ecall_ns(heap_kib: usize, iters: u64) -> f64 {
+/// nanoseconds, into the newest of `live` enclaves with a `heap_kib` heap,
+/// each with its own ocall table. With `logged`, the logger is attached
+/// first and every table passes through it once before the timing.
+fn per_ecall_ns(heap_kib: usize, live: usize, logged: bool, iters: u64) -> f64 {
     let machine = Arc::new(Machine::new(Clock::new(), HwProfile::Unpatched));
     let rt = Runtime::new(machine);
+    let logger = logged.then(|| Logger::attach(&rt, LoggerConfig::default()));
     let spec = sgx_edl::parse("enclave { trusted { public void ecall_noop(); }; };").unwrap();
     let config = EnclaveConfig {
         heap_kib,
         ..EnclaveConfig::default()
     };
-    let enclave = rt.create_enclave(&spec, &config).unwrap();
-    enclave.register_ecall("ecall_noop", |_, _| Ok(())).unwrap();
-    let table = Arc::new(OcallTableBuilder::new(enclave.spec()).build().unwrap());
     let tcx = ThreadCtx::main();
+    let ecall = |enclave: &Enclave, table: &Arc<OcallTable>| {
+        rt.ecall(
+            &tcx,
+            enclave.id(),
+            "ecall_noop",
+            table,
+            &mut CallData::new(0),
+        )
+        .unwrap();
+    };
+    let enclaves: Vec<_> = (0..live)
+        .map(|_| {
+            let enclave = rt.create_enclave(&spec, &config).unwrap();
+            enclave.register_ecall("ecall_noop", |_, _| Ok(())).unwrap();
+            let table = Arc::new(OcallTableBuilder::new(enclave.spec()).build().unwrap());
+            ecall(&enclave, &table);
+            (enclave, table)
+        })
+        .collect();
+    let (enclave, table) = enclaves.last().expect("at least one enclave");
     let mut best = f64::INFINITY;
     for _ in 0..3 {
         let start = Instant::now();
         for _ in 0..iters {
-            rt.ecall(
-                &tcx,
-                enclave.id(),
-                "ecall_noop",
-                &table,
-                &mut CallData::new(0),
-            )
-            .unwrap();
+            ecall(enclave, table);
         }
         best = best.min(start.elapsed().as_nanos() as f64 / iters as f64);
+    }
+    if let Some(logger) = logger {
+        assert_eq!(logger.counts().0 as u64, live as u64 + 3 * iters);
     }
     best
 }
@@ -214,8 +235,8 @@ fn per_ecall_ns(heap_kib: usize, iters: u64) -> f64 {
 #[ignore = "timing gate: release build, run alone by CI's perf-gate job"]
 fn ecall_cost_is_independent_of_enclave_size() {
     let iters = scaled_count(20_000, 4_000);
-    let small = per_ecall_ns(64, iters);
-    let large = per_ecall_ns(16 * 1024, iters);
+    let small = per_ecall_ns(64, 1, false, iters);
+    let large = per_ecall_ns(16 * 1024, 1, false, iters);
     let ratio = large / small;
     println!(
         "per-ecall: {small:.0} ns with a 64 KiB heap, {large:.0} ns with 16 MiB — {ratio:.2}x"
@@ -224,6 +245,23 @@ fn ecall_cost_is_independent_of_enclave_size() {
         ratio < 2.0,
         "ecall entry cost grows with enclave size: {large:.0} ns with a 16 MiB heap \
          vs {small:.0} ns with 64 KiB ({ratio:.2}x)"
+    );
+}
+
+#[test]
+#[ignore = "timing gate: release build, run alone by CI's perf-gate job"]
+fn logged_ecall_cost_is_independent_of_live_ocall_tables() {
+    let iters = scaled_count(20_000, 4_000);
+    let one = per_ecall_ns(64, 1, true, iters);
+    let many = per_ecall_ns(64, 256, true, iters);
+    let ratio = many / one;
+    println!(
+        "per logged ecall: {one:.0} ns with 1 live ocall table, {many:.0} ns with 256 — {ratio:.2}x"
+    );
+    assert!(
+        ratio < 2.0,
+        "logged ecall cost grows with the live ocall tables: {many:.0} ns with 256 \
+         vs {one:.0} ns with 1 ({ratio:.2}x)"
     );
 }
 

@@ -15,6 +15,7 @@
 //! AEX and ≈1,118 ns per traced AEX.
 
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 
@@ -85,18 +86,131 @@ struct FrameEntry {
     aex: u64,
 }
 
+/// Hashes the logger's integer keys (thread tokens, enclave ids and
+/// ocall-table addresses) with one multiply instead of SipHash, whose
+/// resistance to chosen collisions buys nothing on keys that come from
+/// the program being traced. Every call looks its thread up.
+#[derive(Default)]
+struct IntHasher(u64);
+
+impl Hasher for IntHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        // The table picks buckets from the low bits, which a multiply
+        // leaves as unmixed as the key's (table addresses end in zeros).
+        self.0.rotate_left(26)
+    }
+}
+
+type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
+type IntSet<K> = HashSet<K, BuildHasherDefault<IntHasher>>;
+
+/// Generated stub tables, found by the original table's pointer identity.
+/// "Call stub and table creation is only needed once per ocall table"
+/// (§4.1.2).
+#[derive(Default)]
+struct StubCache {
+    /// Original table address → the original, held weakly, and its stub.
+    /// The weak handle keeps the allocation, so no other table can take
+    /// the address while its entry exists.
+    by_table: IntMap<usize, (Weak<OcallTable>, Arc<OcallTable>)>,
+    /// Addresses of the stubs themselves: a nested ecall passes the saved
+    /// (stub) table back in. Each stub is held by its `by_table` entry.
+    stubs: IntSet<usize>,
+    /// `by_table`'s size at which dead entries are next dropped.
+    prune_at: usize,
+}
+
+impl StubCache {
+    /// The stub for `table` (`table` itself if it is a stub), generated by
+    /// `generate` on first sight.
+    fn stub_for(
+        &mut self,
+        table: &Arc<OcallTable>,
+        generate: impl FnOnce() -> OcallTable,
+    ) -> Arc<OcallTable> {
+        let addr = Arc::as_ptr(table) as usize;
+        if let Some((_, stub)) = self.by_table.get(&addr) {
+            return Arc::clone(stub);
+        }
+        if self.stubs.contains(&addr) {
+            return Arc::clone(table);
+        }
+        if self.by_table.len() >= self.prune_at {
+            self.prune();
+        }
+        let stub = Arc::new(generate());
+        self.stubs.insert(Arc::as_ptr(&stub) as usize);
+        self.by_table
+            .insert(addr, (Arc::downgrade(table), Arc::clone(&stub)));
+        stub
+    }
+
+    /// Drops the entries of tables nobody holds any more. It runs once
+    /// the cache has doubled since the last prune, so a new table pays
+    /// amortised O(1) for it.
+    fn prune(&mut self) {
+        let stubs = &mut self.stubs;
+        self.by_table.retain(|_, (orig, stub)| {
+            let live = orig.strong_count() > 0;
+            if !live {
+                stubs.remove(&(Arc::as_ptr(stub) as usize));
+            }
+            live
+        });
+        self.prune_at = (2 * self.by_table.len()).max(16);
+    }
+}
+
+/// The four SDK synchronisation ocalls (§4.1.3), resolved from an ocall's
+/// name once, when its stub is generated.
+#[derive(Debug, Clone, Copy)]
+enum SyncOcall {
+    Wait,
+    Set,
+    SetWait,
+    SetMultiple,
+}
+
+impl SyncOcall {
+    fn of(name: &str) -> Option<SyncOcall> {
+        use sgx_sdk::sync_ocalls as so;
+        match name {
+            so::WAIT => Some(SyncOcall::Wait),
+            so::SET => Some(SyncOcall::Set),
+            so::SETWAIT => Some(SyncOcall::SetWait),
+            so::SET_MULTIPLE => Some(SyncOcall::SetMultiple),
+            _ => None,
+        }
+    }
+}
+
 #[derive(Default)]
 struct LogState {
     trace: TraceDb,
     /// Per-thread stack of in-flight calls (for direct parents and AEX
     /// attribution).
-    stacks: HashMap<u64, Vec<FrameEntry>>,
-    /// Generated stub tables, keyed by the original table's pointer
-    /// identity. "Call stub and table creation is only needed once per
-    /// ocall table" (§4.1.2).
-    stub_cache: Vec<(Weak<OcallTable>, Arc<OcallTable>)>,
+    stacks: IntMap<u64, Vec<FrameEntry>>,
+    stubs: StubCache,
     /// Enclaves whose interface symbols were already captured.
-    seen_enclaves: HashSet<u32>,
+    seen_enclaves: IntSet<u32>,
 }
 
 /// The attached event logger. See the [module docs](crate::logger).
@@ -344,16 +458,10 @@ impl Logger {
     /// Captures the interface symbols of an enclave the first time a call
     /// for it is traced (debug enclaves expose their interface).
     fn capture_symbols(&self, eid: EnclaveId) {
-        {
-            let st = self.state.lock();
-            if st.seen_enclaves.contains(&eid.0) {
-                return;
-            }
-        }
         let Ok(enclave) = self.urts.enclave(eid) else {
             return;
         };
-        let spec = enclave.spec().clone();
+        let spec = enclave.spec();
         let mut st = self.state.lock();
         if !st.seen_enclaves.insert(eid.0) {
             return;
@@ -392,40 +500,27 @@ impl Logger {
         }
     }
 
-    /// Returns the stub table for `table`, generating it on first sight.
-    /// If `table` already *is* one of our stub tables (a nested ecall
-    /// passing the saved table back in), it is reused as-is.
-    fn stub_table(self: &Arc<Self>, eid: EnclaveId, table: &Arc<OcallTable>) -> Arc<OcallTable> {
-        let mut st = self.state.lock();
-        st.stub_cache.retain(|(orig, _)| orig.strong_count() > 0);
-        for (orig, stub) in &st.stub_cache {
-            if Arc::ptr_eq(stub, table) {
-                return Arc::clone(stub);
-            }
-            if orig.upgrade().is_some_and(|o| Arc::ptr_eq(&o, table)) {
-                return Arc::clone(stub);
-            }
-        }
+    /// Generates the stub table for `table` (`oT_logger` in Figure 3).
+    /// A stub depends on its table alone: the enclave an ocall left comes
+    /// from its [`HostCtx`](sgx_sdk::HostCtx) at call time, since one
+    /// table may serve many enclaves.
+    fn generate_stubs(self: &Arc<Self>, table: &OcallTable) -> OcallTable {
         let logger = Arc::downgrade(self);
-        let stub = Arc::new(table.wrap(|index, name, orig| {
+        table.wrap(|index, name, orig| {
             let logger = Weak::clone(&logger);
-            let name = name.to_string();
+            let sync = SyncOcall::of(name);
             Arc::new(move |host, data: &mut CallData| match logger.upgrade() {
-                Some(l) if l.is_enabled() => l.traced_ocall(eid, index, &name, &orig, host, data),
+                Some(l) if l.is_enabled() => l.traced_ocall(index, sync, &orig, host, data),
                 _ => orig(host, data),
             })
-        }));
-        st.stub_cache
-            .push((Arc::downgrade(table), Arc::clone(&stub)));
-        stub
+        })
     }
 
     /// The body of a generated ocall stub: record, forward, record.
     fn traced_ocall(
         &self,
-        eid: EnclaveId,
         index: usize,
-        name: &str,
+        sync: Option<SyncOcall>,
         orig: &sgx_sdk::ocall::OcallFn,
         host: &mut sgx_sdk::HostCtx<'_>,
         data: &mut CallData,
@@ -435,24 +530,25 @@ impl Logger {
         clock.advance(half);
         let thread = host.thread.token.0 as u64;
         let row = {
-            let mut st = self.state.lock();
-            let parent_ecall = st.stacks.get(&thread).and_then(|s| {
-                s.iter()
-                    .rev()
-                    .find(|f| f.kind == CallKind::Ecall)
-                    .map(|f| f.row)
-            });
+            let mut guard = self.state.lock();
+            let st = &mut *guard;
+            let stack = st.stacks.entry(thread).or_default();
+            let parent_ecall = stack
+                .iter()
+                .rev()
+                .find(|f| f.kind == CallKind::Ecall)
+                .map(|f| f.row);
             let start = clock.now().as_nanos();
             let row = st.trace.ocalls.insert(OcallRow {
                 thread,
-                enclave: eid.0,
+                enclave: host.enclave_id().0,
                 call_index: index as u32,
                 start_ns: start,
                 end_ns: start,
                 parent_ecall,
                 failed: false,
             });
-            st.stacks.entry(thread).or_default().push(FrameEntry {
+            stack.push(FrameEntry {
                 kind: CallKind::Ocall,
                 row: row.0 as u64,
                 aex: 0,
@@ -472,7 +568,9 @@ impl Logger {
                 r.end_ns = end;
                 r.failed = result.is_err();
             }
-            self.classify_sync(&mut st, thread, row.0 as u64, name, data, end);
+            if let Some(sync) = sync {
+                Self::classify_sync(&mut st, thread, row.0 as u64, sync, data, end);
+            }
         }
         clock.advance(half);
         result
@@ -481,21 +579,18 @@ impl Logger {
     /// §4.1.3: the four sync ocalls reduce to sleep and wake-up events —
     /// an ocall's wake-ups first, then its sleep.
     fn classify_sync(
-        &self,
         st: &mut LogState,
         thread: u64,
         ocall_row: u64,
-        name: &str,
+        sync: SyncOcall,
         data: &CallData,
         time_ns: u64,
     ) {
-        use sgx_sdk::sync_ocalls as so;
-        let (wakes, sleeps): (&[u64], bool) = match name {
-            so::WAIT => (&[], true),
-            so::SET => (std::slice::from_ref(&data.scalar), false),
-            so::SETWAIT => (std::slice::from_ref(&data.scalar), true),
-            so::SET_MULTIPLE => (&data.aux, false),
-            _ => return,
+        let (wakes, sleeps): (&[u64], bool) = match sync {
+            SyncOcall::Wait => (&[], true),
+            SyncOcall::Set => (std::slice::from_ref(&data.scalar), false),
+            SyncOcall::SetWait => (std::slice::from_ref(&data.scalar), true),
+            SyncOcall::SetMultiple => (&data.aux, false),
         };
         let targets = wakes.iter().map(|&t| Some(t));
         for target_thread in targets.chain(sleeps.then_some(None)) {
@@ -534,19 +629,20 @@ impl EcallDispatcher for LoggerShim {
         let clock = logger.machine.clock();
         let half = ECALL_OVERHEAD / 2;
         clock.advance(half);
-        logger.capture_symbols(eid);
-        // We always replace the table, even if the ecall performs no
-        // ocalls — we cannot know beforehand (§4.1.2).
-        let stub = logger.stub_table(eid, table);
         let thread = tcx.token.0 as u64;
-        let row = {
-            let mut st = logger.state.lock();
-            let parent_ocall = st.stacks.get(&thread).and_then(|s| {
-                s.iter()
-                    .rev()
-                    .find(|f| f.kind == CallKind::Ocall)
-                    .map(|f| f.row)
-            });
+        let (stub, row, first_sight) = {
+            let mut guard = logger.state.lock();
+            let st = &mut *guard;
+            let first_sight = !st.seen_enclaves.contains(&eid.0);
+            // We always replace the table, even if the ecall performs no
+            // ocalls — we cannot know beforehand (§4.1.2).
+            let stub = st.stubs.stub_for(table, || logger.generate_stubs(table));
+            let stack = st.stacks.entry(thread).or_default();
+            let parent_ocall = stack
+                .iter()
+                .rev()
+                .find(|f| f.kind == CallKind::Ocall)
+                .map(|f| f.row);
             let start = clock.now().as_nanos();
             let row = st.trace.ecalls.insert(EcallRow {
                 thread,
@@ -558,13 +654,16 @@ impl EcallDispatcher for LoggerShim {
                 aex_count: 0,
                 failed: false,
             });
-            st.stacks.entry(thread).or_default().push(FrameEntry {
+            stack.push(FrameEntry {
                 kind: CallKind::Ecall,
                 row: row.0 as u64,
                 aex: 0,
             });
-            row
+            (stub, row, first_sight)
         };
+        if first_sight {
+            logger.capture_symbols(eid);
+        }
 
         let result = self.next.sgx_ecall(tcx, eid, index, &stub, data);
 

@@ -5,8 +5,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use sgx_perf::{AexMode, Logger, LoggerConfig};
-use sgx_sdk::{CallData, OcallTableBuilder, Runtime, SgxThreadMutex, ThreadCtx};
-use sgx_sim::{DriverEvent, EnclaveConfig, Machine};
+use sgx_sdk::{
+    CallData, OcallTableBuilder, Runtime, SgxThreadMutex, Supervisor, SupervisorConfig, ThreadCtx,
+};
+use sgx_sim::{DriverEvent, EnclaveConfig, Machine, ThreadToken};
+use sim_core::fault::FaultPlan;
 use sim_core::{Clock, HwProfile, Nanos};
 use sim_threads::Simulation;
 
@@ -411,6 +414,164 @@ fn stub_table_created_once_per_ocall_table() {
     assert!(costs.windows(2).all(|w| w[0] == w[1]), "{costs:?}");
     let trace = logger.finish();
     assert_eq!(trace.ocalls.len(), 5);
+}
+
+/// edger8r's untrusted proxies pass one static `ocall_table_<Edl>` to every
+/// instance of an enclave, so one table serves many enclaves: each ocall
+/// row names the enclave the ocall left, not the first one whose ecall
+/// passed the table.
+#[test]
+fn ocalls_through_a_shared_table_name_the_enclave_they_left() {
+    let machine = Arc::new(Machine::new(Clock::new(), HwProfile::Unpatched));
+    let rt = Runtime::new(machine);
+    let spec = sgx_edl::parse(
+        "enclave { trusted { public void ecall_io(); };
+                   untrusted { void ocall_io(); }; };",
+    )
+    .unwrap();
+    let enclaves: Vec<_> = (0..2)
+        .map(|_| {
+            let enclave = rt.create_enclave(&spec, &EnclaveConfig::default()).unwrap();
+            enclave
+                .register_ecall("ecall_io", |ctx, _| {
+                    ctx.ocall("ocall_io", &mut CallData::default())
+                })
+                .unwrap();
+            enclave
+        })
+        .collect();
+    let left = Arc::new(std::sync::Mutex::new(Vec::new()));
+    let sink = Arc::clone(&left);
+    let mut builder = OcallTableBuilder::new(enclaves[0].spec());
+    builder
+        .register("ocall_io", move |host, _| {
+            sink.lock().unwrap().push(host.enclave_id().0);
+            Ok(())
+        })
+        .unwrap();
+    let table = Arc::new(builder.build().unwrap());
+    let logger = Logger::attach(&rt, LoggerConfig::default());
+    for enclave in &enclaves {
+        rt.ecall(
+            &ThreadCtx::main(),
+            enclave.id(),
+            "ecall_io",
+            &table,
+            &mut CallData::default(),
+        )
+        .unwrap();
+    }
+    let trace = logger.finish();
+    let ids: Vec<u32> = enclaves.iter().map(|e| e.id().0).collect();
+    assert_eq!(*left.lock().unwrap(), ids);
+    let rows: Vec<u32> = trace.ocalls.iter().map(|o| o.enclave).collect();
+    assert_eq!(rows, ids);
+}
+
+/// `ThreadCtx`'s fields are public, so every token is legal: the logger's
+/// per-thread storage takes `usize::MAX` without sizing anything by it.
+#[test]
+fn a_thread_token_of_usize_max_is_recorded_with_its_parents() {
+    let app = app(HwProfile::Unpatched);
+    let logger = Logger::attach(&app.rt, LoggerConfig::default());
+    let tcx = ThreadCtx {
+        token: ThreadToken(usize::MAX),
+        sim: None,
+    };
+    app.rt
+        .ecall(
+            &tcx,
+            app.enclave.id(),
+            "ecall_io",
+            &app.table,
+            &mut CallData::default(),
+        )
+        .unwrap();
+    let trace = logger.finish();
+    let ecalls: Vec<_> = trace.ecalls.iter().collect();
+    let ocalls: Vec<_> = trace.ocalls.iter().collect();
+    assert_eq!((ecalls.len(), ocalls.len()), (1, 1));
+    assert_eq!(ecalls[0].thread, usize::MAX as u64);
+    assert_eq!(ecalls[0].parent_ocall, None);
+    assert_eq!(ocalls[0].thread, usize::MAX as u64);
+    assert_eq!(ocalls[0].parent_ecall, Some(0));
+}
+
+/// Enclaves created one after another from equal interfaces share one
+/// effective interface (a supervisor rebuild included); the symbols the
+/// logger records of each enclave are still its whole interface.
+#[test]
+fn enclaves_from_equal_interfaces_share_one() {
+    const EDL: &str = "enclave { trusted { public void ecall_noop(); }; };";
+    const OTHER: &str =
+        "enclave { trusted { public void ecall_noop(); public void ecall_more(); }; };";
+    let machine = Arc::new(Machine::new(Clock::new(), HwProfile::Unpatched));
+    let rt = Runtime::new(machine);
+    let create = |rt: &Arc<Runtime>, edl: &str| {
+        let spec = sgx_edl::parse(edl).map_err(|e| sgx_sdk::SdkError::Interface(e.to_string()))?;
+        let enclave = rt.create_enclave(&spec, &EnclaveConfig::default())?;
+        enclave.register_ecall("ecall_noop", |_, _| Ok(()))?;
+        Ok(enclave)
+    };
+    let logger = Logger::attach(&rt, LoggerConfig::default());
+    // Each enclave parses its own copy: equality, not identity, shares.
+    let a = create(&rt, EDL).unwrap();
+    let b = create(&rt, EDL).unwrap();
+    assert!(std::ptr::eq(a.spec(), b.spec()));
+    let other = create(&rt, OTHER).unwrap();
+    assert!(!std::ptr::eq(a.spec(), other.spec()));
+    let sup = Supervisor::launch(&rt, SupervisorConfig::default(), move |rt| {
+        create(rt, OTHER)
+    })
+    .unwrap();
+    let lost = sup.enclave();
+    assert!(std::ptr::eq(lost.spec(), other.spec()));
+
+    let tcx = ThreadCtx::main();
+    let table = Arc::new(OcallTableBuilder::new(a.spec()).build().unwrap());
+    for enclave in [&a, &b, &other] {
+        rt.ecall(
+            &tcx,
+            enclave.id(),
+            "ecall_noop",
+            &table,
+            &mut CallData::default(),
+        )
+        .unwrap();
+    }
+    let plan: FaultPlan = "enclave_lost@call=1".parse().unwrap();
+    rt.machine().set_fault_plan(Some(&plan));
+    sup.ecall(&tcx, "ecall_noop", &table, &mut CallData::default())
+        .unwrap();
+    let rebuilt = sup.enclave();
+    assert_eq!(sup.restarts(), 1);
+    assert_ne!(rebuilt.id(), lost.id());
+    assert!(std::ptr::eq(rebuilt.spec(), other.spec()));
+
+    let trace = logger.finish();
+    for enclave in [&a, &b, &other, &lost, &rebuilt] {
+        let spec = enclave.spec();
+        let declared: Vec<(bool, u32, &str)> = spec
+            .ecalls()
+            .iter()
+            .map(|e| (true, e.index as u32, e.name.as_str()))
+            .chain(
+                spec.ocalls()
+                    .iter()
+                    .map(|o| (false, o.index as u32, o.name.as_str())),
+            )
+            .collect();
+        let recorded: Vec<(bool, u32, &str)> = trace
+            .symbols
+            .iter()
+            .filter(|s| s.enclave == enclave.id().0)
+            .map(|s| (s.kind_is_ecall, s.index, s.name.as_str()))
+            .collect();
+        assert_eq!(recorded, declared, "{}", enclave.id());
+    }
+    // One ecall and four sync ocalls, or two ecalls and four; the lost
+    // enclave's symbols were captured at the entry that found it lost.
+    assert_eq!(trace.symbols.len(), 5 + 5 + 6 * 3);
 }
 
 /// The two rarer sync ocalls (§4.1.3): a fused `setwait` gives its wake

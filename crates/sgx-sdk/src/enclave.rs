@@ -58,7 +58,9 @@ struct ThreadState {
 /// Created through [`Runtime::create_enclave`](crate::Runtime::create_enclave).
 pub struct Enclave {
     id: EnclaveId,
-    spec: InterfaceSpec,
+    /// Shared with every enclave the runtime created from an equal
+    /// interface.
+    spec: Arc<InterfaceSpec>,
     machine: Arc<Machine>,
     ecalls: RwLock<Vec<Option<EcallFn>>>,
     threads: Mutex<ThreadState>,
@@ -85,7 +87,7 @@ impl fmt::Debug for Enclave {
 impl Enclave {
     pub(crate) fn new(
         id: EnclaveId,
-        spec: InterfaceSpec,
+        spec: Arc<InterfaceSpec>,
         machine: Arc<Machine>,
         tcs_count: usize,
     ) -> Enclave {
@@ -169,6 +171,15 @@ impl Enclave {
             .get(&token)
             .map(|b| b.frames.clone())
             .unwrap_or_default()
+    }
+
+    /// The innermost frame of the calling thread's call stack.
+    pub(crate) fn last_frame(&self, token: ThreadToken) -> Option<Frame> {
+        self.threads
+            .lock()
+            .bound
+            .get(&token)
+            .and_then(|b| b.frames.last().copied())
     }
 
     /// Binds the thread to a TCS (reusing an existing binding for nested
@@ -375,8 +386,7 @@ impl<'a> EcallCtx<'a> {
         let table = self.urts.saved_table(self.enclave.id())?;
         let entry = table
             .entry(index)
-            .ok_or_else(|| SdkError::BadOcall(format!("#{index}")))?
-            .clone();
+            .ok_or_else(|| SdkError::BadOcall(format!("#{index}")))?;
         self.enclave
             .push_frame(self.thread.token, Frame::Ocall(index));
         // EEXIT + dispatch + marshalling of [in] buffers out of the enclave.

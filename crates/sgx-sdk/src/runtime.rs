@@ -4,6 +4,7 @@ use std::sync::Arc;
 
 use sgx_edl::{InterfaceBuilder, InterfaceSpec, ParamSpec};
 use sgx_sim::{EnclaveConfig, EnclaveId, Machine};
+use sim_core::sync::Mutex;
 
 use crate::args::CallData;
 use crate::enclave::Enclave;
@@ -61,6 +62,10 @@ pub struct Runtime {
     machine: Arc<Machine>,
     urts: Arc<Urts>,
     loader: Arc<Loader>,
+    /// The last interface passed to [`Runtime::create_enclave`] and its
+    /// effective interface, which every enclave created from an equal
+    /// interface shares.
+    last_interface: Mutex<Option<(InterfaceSpec, Arc<InterfaceSpec>)>>,
 }
 
 impl Runtime {
@@ -73,6 +78,7 @@ impl Runtime {
             machine,
             urts,
             loader,
+            last_interface: Mutex::new(None),
         })
     }
 
@@ -93,7 +99,9 @@ impl Runtime {
 
     /// Creates an enclave from an interface and a build configuration:
     /// loads its pages into the EPC, appends the implicit sync ocalls to
-    /// the interface and registers the enclave with the URTS.
+    /// the interface and registers the enclave with the URTS. Enclaves
+    /// created one after another from equal interfaces share one effective
+    /// interface.
     ///
     /// # Errors
     ///
@@ -103,7 +111,7 @@ impl Runtime {
         spec: &InterfaceSpec,
         config: &EnclaveConfig,
     ) -> SdkResult<Arc<Enclave>> {
-        let effective = with_sync_ocalls(spec)?;
+        let effective = self.effective_interface(spec)?;
         let eid = self.machine.create_enclave(config)?;
         let enclave = Arc::new(Enclave::new(
             eid,
@@ -113,6 +121,20 @@ impl Runtime {
         ));
         self.urts.register_enclave(Arc::clone(&enclave));
         Ok(enclave)
+    }
+
+    /// `spec` with the implicit sync ocalls: the last one built, if it was
+    /// built from an equal interface, else a new one that replaces it.
+    fn effective_interface(&self, spec: &InterfaceSpec) -> SdkResult<Arc<InterfaceSpec>> {
+        let mut last = self.last_interface.lock();
+        if let Some((input, effective)) = &*last {
+            if input == spec {
+                return Ok(Arc::clone(effective));
+            }
+        }
+        let effective = Arc::new(with_sync_ocalls(spec)?);
+        *last = Some((spec.clone(), Arc::clone(&effective)));
+        Ok(effective)
     }
 
     /// Sets up the switchless subsystem for a loaded enclave: resolves the

@@ -161,6 +161,8 @@ impl RingState {
 /// [`Switchless::spawn_workers`].
 pub struct Switchless {
     enclave: Weak<Enclave>,
+    /// The id of `enclave`, read on every recorded event.
+    enclave_id: EnclaveId,
     /// Weak: the runtime owns the enclave, which owns this subsystem, so a
     /// strong handle would keep the runtime alive forever.
     urts: Weak<Urts>,
@@ -242,6 +244,7 @@ impl Switchless {
         let ring_ids = [bus.alloc_object(), bus.alloc_object()];
         Ok(Switchless {
             enclave: Arc::downgrade(enclave),
+            enclave_id: enclave.id(),
             urts: Arc::downgrade(urts),
             machine: Arc::clone(urts.machine()),
             config,
@@ -648,8 +651,7 @@ impl Switchless {
         let table = urts.saved_table(enclave.id())?;
         let entry = table
             .entry(index)
-            .ok_or_else(|| SdkError::BadOcall(format!("#{index}")))?
-            .clone();
+            .ok_or_else(|| SdkError::BadOcall(format!("#{index}")))?;
         let mut host = HostCtx {
             machine: &self.machine,
             urts: &urts,
@@ -699,11 +701,13 @@ impl Switchless {
             .ok_or_else(|| SdkError::Interface("switchless runtime torn down".to_string()))
     }
 
+    /// The enclave's id, or `EnclaveId(0)` once it is torn down.
     fn enclave_id(&self) -> EnclaveId {
-        self.enclave
-            .upgrade()
-            .map(|e| e.id())
-            .unwrap_or(EnclaveId(0))
+        if self.enclave.strong_count() > 0 {
+            self.enclave_id
+        } else {
+            EnclaveId(0)
+        }
     }
 
     fn emit_fallback(&self, kind: CallKind, index: usize, thread: ThreadToken, spins: u64) {

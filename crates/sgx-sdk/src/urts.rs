@@ -119,29 +119,26 @@ impl EcallDispatcher for Urts {
         // which is what lets a preloaded logger substitute its own.
         self.save_table(eid, table);
 
-        let spec_ecall = enclave
-            .spec()
+        let spec = enclave.spec();
+        let spec_ecall = spec
             .ecalls()
             .get(index)
-            .ok_or_else(|| SdkError::BadEcall(format!("#{index}")))?
-            .clone();
+            .ok_or_else(|| SdkError::BadEcall(format!("#{index}")))?;
 
         // Interface security rules (§3.6): private ecalls only during an
         // ocall, and only if that ocall's allow() list permits them.
-        let frames = enclave.frames_of(tcx.token);
-        match frames.last() {
+        match enclave.last_frame(tcx.token) {
             Some(Frame::Ocall(ocall_idx)) => {
-                if !enclave.spec().is_ecall_allowed_from(index, *ocall_idx) {
-                    let ocall_name = enclave.spec().ocalls()[*ocall_idx].name.clone();
+                if !spec.is_ecall_allowed_from(index, ocall_idx) {
                     return Err(SdkError::EcallNotAllowed {
-                        ecall: spec_ecall.name,
-                        ocall: ocall_name,
+                        ecall: spec_ecall.name.clone(),
+                        ocall: spec.ocalls()[ocall_idx].name.clone(),
                     });
                 }
             }
             _ => {
                 if !spec_ecall.public {
-                    return Err(SdkError::PrivateEcall(spec_ecall.name));
+                    return Err(SdkError::PrivateEcall(spec_ecall.name.clone()));
                 }
             }
         }

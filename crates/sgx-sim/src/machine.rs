@@ -793,6 +793,8 @@ impl Machine {
     /// # Errors
     ///
     /// [`SimError::RequiresSgxV2`] on a v1 machine;
+    /// [`SimError::EnclaveLost`] when the enclave is lost (nothing is
+    /// paged in, charged or emitted);
     /// [`SimError::OutOfEnclaveSpace`] when the padding reserve is too
     /// small.
     pub fn extend_heap(&self, eid: EnclaveId, pages: usize) -> Result<Range<usize>, SimError> {
@@ -806,6 +808,9 @@ impl Machine {
             let st = enclaves
                 .get_mut(&eid.0)
                 .ok_or(SimError::UnknownEnclave(eid))?;
+            if st.lost {
+                return Err(SimError::EnclaveLost(eid));
+            }
             // The padding reserve is the enclave's tail (the layout pads
             // at the end and each call converts its first pages).
             let total = st.pages.len();
@@ -1357,6 +1362,40 @@ mod tests {
         // With the reserve used up, the empty range sits at the end.
         m.extend_heap(eid, total - first - 3).unwrap();
         grow_none(total);
+    }
+
+    #[test]
+    fn eaug_into_a_lost_enclave_pages_nothing_in() {
+        use sim_core::fault::FaultPlan;
+        let m = Machine::with_params(
+            Clock::new(),
+            HwProfile::Unpatched,
+            MachineParams {
+                sgx_version: SgxVersion::V2,
+                epc_pages: 96,
+                ..MachineParams::default()
+            },
+        );
+        let eid = m.create_enclave(&EnclaveConfig::default()).unwrap();
+        let plan: FaultPlan = "enclave_lost@call=1".parse().unwrap();
+        m.set_fault_plan(Some(&plan));
+        assert_eq!(
+            m.enter_enclave(eid, ThreadToken::MAIN),
+            Err(SimError::EnclaveLost(eid))
+        );
+        assert_eq!(m.enclave_info(eid).unwrap().resident_pages, 0);
+        let paging = Arc::new(AtomicUsize::new(0));
+        let p2 = Arc::clone(&paging);
+        m.add_driver_hook(Arc::new(move |ev| {
+            if matches!(ev, DriverEvent::Paging { .. }) {
+                p2.fetch_add(1, Ordering::SeqCst);
+            }
+        }));
+        let before = m.clock().now();
+        assert_eq!(m.extend_heap(eid, 4), Err(SimError::EnclaveLost(eid)));
+        assert_eq!(m.enclave_info(eid).unwrap().resident_pages, 0);
+        assert_eq!(paging.load(Ordering::SeqCst), 0);
+        assert_eq!(m.clock().now(), before);
     }
 
     #[test]
