@@ -424,7 +424,8 @@ fn run_scatter(args: &Args) -> Result<ExitCode, String> {
 
 fn run_info(args: &Args) -> Result<ExitCode, String> {
     let path = args.operands[0];
-    let store = eventdb::Store::load(path).map_err(|e| format!("cannot load {path}: {e}"))?;
+    let data = std::fs::read(path).map_err(|e| format!("cannot load {path}: i/o error: {e}"))?;
+    let store = eventdb::Store::parse(&data).map_err(|e| format!("cannot load {path}: {e}"))?;
     let trace = TraceDb::from_store(&store).map_err(|e| format!("cannot load {path}: {e}"))?;
     let counts: Vec<String> = trace
         .table_rows()

@@ -356,6 +356,57 @@ fn bad_inputs_fail_cleanly() {
     assert!(stderr.contains("unknown command"), "{stderr}");
 }
 
+/// A trace whose `symbols` section is 8 MiB of 0xff bytes claiming one
+/// row per byte.
+fn write_overclaiming_symbols_trace(tag: &str) -> std::path::PathBuf {
+    const BYTES: usize = 8 << 20;
+    let store = TraceDb::default().to_store();
+    let mut out = eventdb::Encoder::new();
+    for &b in b"EVDB" {
+        out.u8(b);
+    }
+    out.u8(1);
+    out.u32(store.tags().len() as u32);
+    for tag in store.tags() {
+        out.str(tag);
+        let mut blob = eventdb::Encoder::new();
+        if tag == "symbols" {
+            blob.usize(BYTES);
+            let mut bytes = blob.into_bytes();
+            bytes.resize(8 + BYTES, 0xff);
+            out.bytes(&bytes);
+        } else {
+            blob.usize(0);
+            out.bytes(&blob.into_bytes());
+        }
+    }
+    let dir = std::env::temp_dir().join("sgxperf-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("{tag}.evdb"));
+    std::fs::write(&path, out.into_bytes()).unwrap();
+    path
+}
+
+/// A corrupt row count exits 1 with the decoder's error, also under an
+/// address-space limit far below what reserving the claimed rows takes
+/// (8 Mi symbol rows of 88 bytes), instead of aborting in the allocator.
+#[test]
+fn corrupt_row_count_exits_one_within_a_memory_limit() {
+    let trace = write_overclaiming_symbols_trace("overclaiming-symbols");
+    for cmd in ["info", "report"] {
+        let out = Command::new("sh")
+            .args(["-c", "ulimit -v 600000 && exec \"$0\" \"$1\" \"$2\""])
+            .arg(env!("CARGO_BIN_EXE_sgxperf"))
+            .arg(cmd)
+            .arg(&trace)
+            .output()
+            .expect("spawn sh");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{cmd}: {stderr}");
+        assert!(stderr.contains("row count 8388608"), "{cmd}: {stderr}");
+    }
+}
+
 #[test]
 fn unknown_command_prints_usage() {
     let trace = record_trace("usage");

@@ -6,7 +6,7 @@ use std::fmt;
 
 use crate::events::{CallKind, CallRef};
 
-use super::parents::Instances;
+use super::parents::{CallId, Instances};
 use super::report::Totals;
 use super::stats::CallStats;
 use super::Analyzer;
@@ -434,15 +434,16 @@ fn detect_reorder(instances: &Instances) -> Vec<Detection> {
         end_10: usize,
         end_20: usize,
     }
-    let mut groups: BTreeMap<CallRef, Acc> = BTreeMap::new();
-    for i in &instances.all {
+    let table = instances.table();
+    let mut groups: Vec<Acc> = (0..table.len()).map(|_| Acc::default()).collect();
+    for (i, id) in instances.all.iter().zip(instances.ids()) {
         let Some((pkind, prow)) = i.direct_parent else {
             continue;
         };
         let Some(parent) = instances.by_row(pkind, prow) else {
             continue;
         };
-        let acc = groups.entry(i.call).or_default();
+        let acc = &mut groups[id.index()];
         acc.total += 1;
         let from_start = i.start_ns.saturating_sub(parent.start_ns);
         let to_end = parent.end_ns.saturating_sub(i.end_ns);
@@ -458,7 +459,7 @@ fn detect_reorder(instances: &Instances) -> Vec<Detection> {
         }
     }
     let mut out = Vec::new();
-    for (call, acc) in groups {
+    for (id, acc) in table.ids().zip(groups) {
         if acc.total < MIN_CALLS {
             continue;
         }
@@ -467,7 +468,8 @@ fn detect_reorder(instances: &Instances) -> Vec<Detection> {
             + acc.start_20 as f64 / total * REORDER_BETA;
         let score_end =
             acc.end_10 as f64 / total * REORDER_ALPHA + acc.end_20 as f64 / total * REORDER_BETA;
-        let name = instances.name(call).into_owned();
+        let call = table.call(id);
+        let name = table.name(id).into_owned();
         if score_start >= REORDER_GAMMA {
             out.push(Detection {
                 target: call,
@@ -509,26 +511,35 @@ fn detect_merge_batch(instances: &Instances) -> Vec<Detection> {
         gap_10: usize,
         gap_20: usize,
     }
-    let mut pair_stats: BTreeMap<(CallRef, CallRef), Acc> = BTreeMap::new();
-    for i in &instances.all {
-        let Some(p) = i.indirect_parent else { continue };
-        let parent = &instances.all[p];
-        let acc = pair_stats.entry((i.call, parent.call)).or_default();
-        acc.pairs += 1;
-        let gap = i.start_ns.saturating_sub(parent.end_ns);
-        if gap < 1_000 {
-            acc.gap_1 += 1;
-        } else if gap < 5_000 {
-            acc.gap_5 += 1;
-        } else if gap < 10_000 {
-            acc.gap_10 += 1;
-        } else if gap < 20_000 {
-            acc.gap_20 += 1;
-        }
-    }
+    // Each (child, indirect parent) pair with its gap, grouped by
+    // sorting; call numbers sort like the calls they stand for.
+    let ids = instances.ids();
+    let mut gaps: Vec<(CallId, CallId, u64)> = (instances.all.iter().enumerate())
+        .filter_map(|(idx, i)| {
+            let p = i.indirect_parent?;
+            let gap = i.start_ns.saturating_sub(instances.all[p].end_ns);
+            Some((ids[idx], ids[p], gap))
+        })
+        .collect();
+    gaps.sort_unstable_by_key(|&(child, parent, _)| (child, parent));
+    let table = instances.table();
     let mut out = Vec::new();
-    for ((child, parent), acc) in pair_stats {
-        let child_total = instances.of_call(child).len();
+    for run in gaps.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+        let mut acc = Acc::default();
+        for &(_, _, gap) in run {
+            acc.pairs += 1;
+            if gap < 1_000 {
+                acc.gap_1 += 1;
+            } else if gap < 5_000 {
+                acc.gap_5 += 1;
+            } else if gap < 10_000 {
+                acc.gap_10 += 1;
+            } else if gap < 20_000 {
+                acc.gap_20 += 1;
+            }
+        }
+        let (child_id, parent_id, _) = run[0];
+        let child_total = instances.members(child_id).len();
         if child_total < MIN_CALLS {
             continue;
         }
@@ -544,8 +555,9 @@ fn detect_merge_batch(instances: &Instances) -> Vec<Detection> {
         if score < MERGE_EPSILON {
             continue;
         }
-        let child_name = instances.name(child).into_owned();
-        let parent_name = instances.name(parent).into_owned();
+        let (child, parent) = (table.call(child_id), table.call(parent_id));
+        let child_name = table.name(child_id).into_owned();
+        let parent_name = table.name(parent_id).into_owned();
         let evidence = format!(
             "{} of {} executions follow `{}` closely (gap score {:.2})",
             acc.pairs, child_total, parent_name, score

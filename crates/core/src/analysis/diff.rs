@@ -34,11 +34,11 @@ use sgx_sdk::SwitchlessEventKind;
 use sim_core::fault::FaultAction;
 use sim_core::{LifecycleStage, Nanos};
 
-use crate::events::{CallKind, CallRef};
+use crate::events::CallKind;
 use crate::json;
 use crate::trace::TraceDb;
 
-use super::parents::CallNames;
+use super::parents::CallTable;
 use super::report::Totals;
 use super::stats::CallStats;
 
@@ -326,33 +326,50 @@ fn recovery_windows(trace: &TraceDb) -> Vec<(u64, u64)> {
 /// call *site* as a developer names it, which is what survives across
 /// two separate runs (enclave ids need not).
 fn per_name(trace: &TraceDb) -> BTreeMap<(CallKind, String), SideStats> {
-    let ecalls = trace
-        .ecalls
-        .iter()
-        .map(|e| (e.call_ref(), e.start_ns, e.end_ns, e.aex_count));
-    let ocalls = trace
-        .ocalls
-        .iter()
-        .map(|o| (o.call_ref(), o.start_ns, o.end_ns, 0));
-    let mut per_call: BTreeMap<CallRef, SideStats> = BTreeMap::new();
-    for (call, start_ns, end_ns, aex_count) in ecalls.chain(ocalls) {
-        let side = per_call.entry(call).or_default();
+    let table = CallTable::of(trace);
+    let ecalls = (trace.ecalls.iter())
+        .zip(table.row_ids(CallKind::Ecall))
+        .map(|(e, &id)| (id, e.start_ns, e.end_ns, e.aex_count));
+    let ocalls = (trace.ocalls.iter())
+        .zip(table.row_ids(CallKind::Ocall))
+        .map(|(o, &id)| (id, o.start_ns, o.end_ns, 0));
+    let mut rows = vec![0usize; table.len()];
+    for (id, ..) in ecalls.clone().chain(ocalls.clone()) {
+        rows[id.index()] += 1;
+    }
+    // Name each call with rows once; the calls that share a (kind, name)
+    // share a group, sized before its rows arrive. Every statistic taken
+    // from a group is independent of the order of its rows.
+    let mut index: BTreeMap<(CallKind, String), usize> = BTreeMap::new();
+    let mut group_of = vec![0usize; table.len()];
+    let mut sizes: Vec<usize> = Vec::new();
+    for id in table.ids().filter(|id| rows[id.index()] > 0) {
+        let next = index.len();
+        let group = *index
+            .entry((table.call(id).kind, table.name(id).into_owned()))
+            .or_insert(next);
+        if group == sizes.len() {
+            sizes.push(0);
+        }
+        sizes[group] += rows[id.index()];
+        group_of[id.index()] = group;
+    }
+    let mut sides: Vec<SideStats> = (sizes.iter())
+        .map(|&n| SideStats {
+            durations: Vec::with_capacity(n),
+            aex_total: 0,
+            windows: Vec::with_capacity(n),
+        })
+        .collect();
+    for (id, start_ns, end_ns, aex_count) in ecalls.chain(ocalls) {
+        let side = &mut sides[group_of[id.index()]];
         side.durations.push(end_ns.saturating_sub(start_ns));
         side.aex_total = side.aex_total.saturating_add(aex_count);
         side.windows.push((start_ns, end_ns));
     }
-    // Name each call once, then merge the calls that share a name.
-    let names = CallNames::of(trace);
-    let mut grouped: BTreeMap<(CallKind, String), SideStats> = BTreeMap::new();
-    for (call, side) in per_call {
-        let entry = grouped
-            .entry((call.kind, names.get(call).into_owned()))
-            .or_default();
-        entry.durations.extend(side.durations);
-        entry.aex_total = entry.aex_total.saturating_add(side.aex_total);
-        entry.windows.extend(side.windows);
-    }
-    grouped
+    (index.into_iter())
+        .map(|(key, group)| (key, std::mem::take(&mut sides[group])))
+        .collect()
 }
 
 impl TraceDiff {

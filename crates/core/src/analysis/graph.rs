@@ -2,11 +2,9 @@
 //! parent relationships, dashed edges indirect parents, edge labels carry
 //! call counts.
 
-use std::collections::BTreeMap;
-
 use crate::events::{CallKind, CallRef};
 
-use super::parents::Instances;
+use super::parents::{CallId, Instances};
 
 /// One node of the call graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -45,42 +43,40 @@ pub struct CallGraph {
 impl CallGraph {
     /// Builds the graph from the instance view.
     pub fn build(instances: &Instances) -> CallGraph {
-        let mut direct: BTreeMap<(CallRef, CallRef), usize> = BTreeMap::new();
-        let mut indirect: BTreeMap<(CallRef, CallRef), usize> = BTreeMap::new();
-        for i in &instances.all {
+        let ids = instances.ids();
+        let mut direct: Vec<(CallId, CallId)> = Vec::new();
+        let mut indirect: Vec<(CallId, CallId)> = Vec::new();
+        for (idx, i) in instances.all.iter().enumerate() {
             if let Some((kind, row)) = i.direct_parent {
-                if let Some(parent) = instances.by_row(kind, row) {
-                    *direct.entry((parent.call, i.call)).or_default() += 1;
+                if let Some(p) = instances.position(kind, row) {
+                    direct.push((ids[p], ids[idx]));
                 }
             }
             if let Some(p) = i.indirect_parent {
-                let parent = &instances.all[p];
-                *indirect.entry((parent.call, i.call)).or_default() += 1;
+                indirect.push((ids[p], ids[idx]));
             }
         }
+        let table = instances.table();
         let nodes = instances
-            .calls()
-            .map(|call| GraphNode {
-                call,
-                name: instances.name(call).into_owned(),
-                count: instances.of_call(call).len(),
+            .call_ids()
+            .map(|id| GraphNode {
+                call: table.call(id),
+                name: table.name(id).into_owned(),
+                count: instances.members(id).len(),
             })
             .collect();
-        let mut edges: Vec<GraphEdge> = direct
-            .into_iter()
-            .map(|((from, to), count)| GraphEdge {
-                from,
-                to,
-                count,
-                indirect: false,
-            })
-            .chain(indirect.into_iter().map(|((from, to), count)| GraphEdge {
-                from,
-                to,
-                count,
-                indirect: true,
-            }))
-            .collect();
+        // Count each (parent, child) pair by sorting; call numbers sort
+        // like the calls they stand for.
+        let mut edges: Vec<GraphEdge> = Vec::new();
+        for (mut pairs, indirect) in [(direct, false), (indirect, true)] {
+            pairs.sort_unstable();
+            edges.extend(pairs.chunk_by(|a, b| a == b).map(|run| GraphEdge {
+                from: table.call(run[0].0),
+                to: table.call(run[0].1),
+                count: run.len(),
+                indirect,
+            }));
+        }
         edges.sort_by_key(|e| (e.from, e.to, e.indirect));
         CallGraph { nodes, edges }
     }

@@ -12,12 +12,15 @@
 //!   the static twin of the security analysis' make-private
 //!   recommendation (§3.6): unused surface should be removed.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use sgx_edl::ast::EdlFile;
 use sgx_edl::lint::{codes, lint_file, Diagnostic, LintConfig, Severity};
 
+use crate::events::CallKind;
 use crate::trace::TraceDb;
+
+use super::parents::CallTable;
 
 /// Lints a parsed EDL interface, cross-checking against `trace` when one
 /// is supplied. Diagnostics come back sorted by source position.
@@ -37,21 +40,16 @@ pub fn lint_interface(
 /// Number of recorded executions per symbol name (ecalls and ocalls):
 /// each symbol row adds the rows of its (enclave, kind, index), so a
 /// duplicated symbol row counts its calls twice.
-fn execution_counts(trace: &TraceDb) -> HashMap<String, usize> {
-    let mut rows: HashMap<(u32, bool, u32), usize> = HashMap::new();
-    for r in trace.ecalls.iter() {
-        *rows.entry((r.enclave, true, r.call_index)).or_default() += 1;
+fn execution_counts(trace: &TraceDb) -> BTreeMap<&str, usize> {
+    let table = CallTable::of(trace);
+    let mut rows = vec![0usize; table.len()];
+    let ids = table.row_ids(CallKind::Ecall).iter();
+    for id in ids.chain(table.row_ids(CallKind::Ocall)) {
+        rows[id.index()] += 1;
     }
-    for r in trace.ocalls.iter() {
-        *rows.entry((r.enclave, false, r.call_index)).or_default() += 1;
-    }
-    let mut counts: HashMap<String, usize> = HashMap::new();
-    for sym in trace.symbols.iter() {
-        let n = rows
-            .get(&(sym.enclave, sym.kind_is_ecall, sym.index))
-            .copied()
-            .unwrap_or(0);
-        *counts.entry(sym.name.clone()).or_default() += n;
+    let mut counts: BTreeMap<&str, usize> = BTreeMap::new();
+    for (sym, id) in trace.symbols.iter().zip(table.symbol_ids()) {
+        *counts.entry(&sym.name).or_default() += rows[id.index()];
     }
     counts
 }
@@ -65,7 +63,7 @@ fn cross_check(file: &EdlFile, trace: &TraceDb, diags: &mut Vec<Diagnostic>) {
             continue;
         }
         let Some(func) = &d.function else { continue };
-        let n = counts.get(func).copied().unwrap_or(0);
+        let n = counts.get(func.as_str()).copied().unwrap_or(0);
         if n > 0 {
             d.severity = Severity::Error;
             d.message
@@ -75,7 +73,7 @@ fn cross_check(file: &EdlFile, trace: &TraceDb, diags: &mut Vec<Diagnostic>) {
 
     // Public ecalls the trace never exercised: candidates for removal.
     for decl in file.trusted.iter().filter(|d| d.public) {
-        if counts.get(&decl.name).copied().unwrap_or(0) > 0 {
+        if counts.get(decl.name.as_str()).copied().unwrap_or(0) > 0 {
             continue;
         }
         diags.push(Diagnostic {

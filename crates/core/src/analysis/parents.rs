@@ -1,5 +1,5 @@
 //! The flattened call-instance view with direct and indirect parents
-//! (Figure 4), grouped per call and named once per trace.
+//! (Figure 4), over one frozen call table per trace.
 //!
 //! *Direct* parents are logged by the event logger: an ecall E is the
 //! direct parent of an ocall O iff O was called during E's execution (and
@@ -7,14 +7,17 @@
 //! previous completed call **of the same kind** that belongs to the **same
 //! direct parent** (or, for top-level calls, the previous top-level call of
 //! the same kind on the same thread).
+//!
+//! The call table numbers each distinct [`CallRef`] of a trace once, in
+//! `CallRef` order, and names it once; every per-row lookup after that
+//! indexes vectors by the number.
 
 use std::borrow::Cow;
-use std::collections::{BTreeMap, HashMap};
-use std::ops::Range;
+use std::collections::BTreeMap;
 
 use sim_core::CostModel;
 
-use crate::events::{CallKind, CallRef};
+use crate::events::{CallKind, CallRef, SymbolRow};
 use crate::trace::TraceDb;
 
 /// One call occurrence with resolved parent links.
@@ -43,41 +46,183 @@ pub struct CallInstance {
     pub aex_count: u64,
 }
 
-/// The call names of one trace: the first symbol row recorded for a call
-/// names it; a call without one gets its positional name
-/// (`enclave1/ecall#3`). The names are copied once, back to back, into
-/// one buffer, so building the table allocates nothing per symbol.
-#[derive(Debug, Default)]
-pub(crate) struct CallNames {
-    text: String,
-    spans: HashMap<CallRef, Range<usize>>,
+/// The number of one distinct call of a trace: its rank, in `CallRef`
+/// order, among the calls the trace's ecall, ocall and symbol rows name.
+/// Sorting by `CallId` therefore sorts by `CallRef`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct CallId(u32);
+
+impl CallId {
+    /// The number as a vector index.
+    pub(crate) fn index(self) -> usize {
+        self.0 as usize
+    }
 }
 
-impl CallNames {
-    /// Indexes the trace's symbol table.
-    pub(crate) fn of(trace: &TraceDb) -> CallNames {
-        let mut text = String::new();
-        let mut spans = HashMap::with_capacity(trace.symbols.len());
-        for s in trace.symbols.iter() {
-            spans.entry(s.call_ref()).or_insert_with(|| {
-                let start = text.len();
-                text.push_str(&s.name);
-                start..text.len()
-            });
+/// A vector index as a `u32`, checked: the call table and the instance
+/// view keep their side arrays compact.
+fn to_u32(n: usize) -> u32 {
+    u32::try_from(n).expect("a trace's rows and names fit 32-bit indexes")
+}
+
+/// The frozen call table of one trace: every distinct call its ecall,
+/// ocall and symbol rows name, numbered once by sorting, named once, and
+/// the number of every ecall, ocall and symbol row's call.
+///
+/// A call's name is its first symbol row's; a call without one gets its
+/// positional name (`enclave1/ecall#3`). The names are copied once, back
+/// to back, into one buffer.
+#[derive(Debug, Default)]
+pub(crate) struct CallTable {
+    /// The calls, sorted and distinct: a call's number is its index.
+    calls: Vec<CallRef>,
+    /// Each call's recorded name as a span of `text`.
+    names: Vec<Option<(u32, u32)>>,
+    text: String,
+    /// The call of each ecall row, of each ocall row and of each symbol
+    /// row, by row id.
+    rows: [Vec<CallId>; 3],
+}
+
+impl CallTable {
+    /// Numbers and names the calls of a trace with one sort: every ecall,
+    /// ocall and symbol row becomes one packed (call, source, row) key, so
+    /// the sorted keys list each call's rows together, symbol rows last
+    /// and in row order. One walk then numbers the calls, gives each row
+    /// its call's number and names each call after its first symbol row.
+    pub(crate) fn of(trace: &TraceDb) -> CallTable {
+        const ROW_BITS: u32 = 32;
+        const CALL_SHIFT: u32 = ROW_BITS + 2;
+        let pack = |call: CallRef, source: u128, row: usize| -> u128 {
+            let call = (u128::from(call.enclave) << 33)
+                | ((call.kind as u128) << 32)
+                | u128::from(call.index);
+            (call << CALL_SHIFT) | (source << ROW_BITS) | u128::from(to_u32(row))
+        };
+        let symbols = trace.symbols.iter().as_slice();
+        let lens = [trace.ecalls.len(), trace.ocalls.len(), symbols.len()];
+        let mut keys: Vec<u128> = Vec::with_capacity(lens.iter().sum());
+        let mut push_runs = |source: u128, calls: &mut dyn Iterator<Item = CallRef>| {
+            // A row that repeats the previous row's call takes its number
+            // after the walk; only a run's first row needs sorting.
+            let mut last = None;
+            for (row, call) in calls.enumerate() {
+                if last != Some(call) {
+                    keys.push(pack(call, source, row));
+                    last = Some(call);
+                }
+            }
+        };
+        push_runs(0, &mut trace.ecalls.iter().map(|e| e.call_ref()));
+        push_runs(1, &mut trace.ocalls.iter().map(|o| o.call_ref()));
+        push_runs(2, &mut symbols.iter().map(SymbolRow::call_ref));
+        keys.sort_unstable();
+
+        const UNSET: CallId = CallId(u32::MAX);
+        let mut table = CallTable {
+            rows: lens.map(|len| vec![UNSET; len]),
+            ..CallTable::default()
+        };
+        let mut last_call = None;
+        for key in keys {
+            let call = key >> CALL_SHIFT;
+            if last_call != Some(call) {
+                last_call = Some(call);
+                table.calls.push(CallRef {
+                    enclave: (call >> 33) as u32,
+                    kind: if call >> 32 & 1 == 0 {
+                        CallKind::Ecall
+                    } else {
+                        CallKind::Ocall
+                    },
+                    index: call as u32,
+                });
+                table.names.push(None);
+            }
+            let id = CallId(to_u32(table.calls.len() - 1));
+            let row = (key as u32) as usize;
+            let source = ((key >> ROW_BITS) & 0b11) as usize;
+            table.rows[source][row] = id;
+            let name = table.names.last_mut().expect("a call was pushed");
+            if source == 2 && name.is_none() {
+                let start = to_u32(table.text.len());
+                table.text.push_str(&symbols[row].name);
+                *name = Some((start, to_u32(table.text.len())));
+            }
         }
-        CallNames { text, spans }
+        for ids in &mut table.rows {
+            for row in 1..ids.len() {
+                if ids[row] == UNSET {
+                    ids[row] = ids[row - 1];
+                }
+            }
+        }
+        table
+    }
+
+    /// The number of a call, if the trace names it in any row.
+    pub(crate) fn id(&self, call: CallRef) -> Option<CallId> {
+        self.calls
+            .binary_search(&call)
+            .ok()
+            .map(|i| CallId(i as u32))
+    }
+
+    /// How many calls the table numbers.
+    pub(crate) fn len(&self) -> usize {
+        self.calls.len()
+    }
+
+    /// Every number, in order.
+    pub(crate) fn ids(&self) -> impl Iterator<Item = CallId> {
+        (0..self.calls.len() as u32).map(CallId)
+    }
+
+    /// The call a number stands for.
+    pub(crate) fn call(&self, id: CallId) -> CallRef {
+        self.calls[id.index()]
+    }
+
+    /// The call of each row of one kind's table, by row id.
+    pub(crate) fn row_ids(&self, kind: CallKind) -> &[CallId] {
+        &self.rows[kind as usize]
+    }
+
+    /// The call of each symbol row, by row id.
+    pub(crate) fn symbol_ids(&self) -> &[CallId] {
+        &self.rows[2]
     }
 
     /// The recorded name, if the trace has a symbol row for the call.
-    pub(crate) fn recorded(&self, call: CallRef) -> Option<&str> {
-        self.spans.get(&call).map(|span| &self.text[span.clone()])
+    pub(crate) fn recorded(&self, id: CallId) -> Option<&str> {
+        self.names[id.index()].map(|(start, end)| &self.text[start as usize..end as usize])
     }
 
     /// The recorded name, falling back to the positional one.
-    pub(crate) fn get(&self, call: CallRef) -> Cow<'_, str> {
-        self.recorded(call)
-            .map_or_else(|| Cow::Owned(call.to_string()), Cow::Borrowed)
+    pub(crate) fn name(&self, id: CallId) -> Cow<'_, str> {
+        self.recorded(id)
+            .map_or_else(|| Cow::Owned(self.call(id).to_string()), Cow::Borrowed)
     }
+
+    /// The name of any call, numbered or not.
+    pub(crate) fn name_of(&self, call: CallRef) -> Cow<'_, str> {
+        match self.id(call) {
+            Some(id) => self.name(id),
+            None => Cow::Owned(call.to_string()),
+        }
+    }
+}
+
+/// A table's row ids in start order, or `None` when the rows already are
+/// in start order (the logger appends a row when its call starts). The
+/// sort is stable, so equal starts stay in row order.
+fn start_order<R>(rows: &[R], start: impl Fn(&R) -> u64) -> Option<Vec<u32>> {
+    if rows.iter().is_sorted_by_key(&start) {
+        return None;
+    }
+    let mut order: Vec<u32> = (0..to_u32(rows.len())).collect();
+    order.sort_by_key(|&r| start(&rows[r as usize]));
+    Some(order)
 }
 
 /// The instance view over a whole trace.
@@ -87,76 +232,153 @@ pub struct Instances {
     pub all: Vec<CallInstance>,
     /// Each row's index in [`Instances::all`], per kind (ecalls, then
     /// ocalls). Row ids are dense, so the row id is the vector index.
-    positions: [Vec<usize>; 2],
-    /// Each call's indexes into [`Instances::all`], in start order.
-    by_call: BTreeMap<CallRef, Vec<usize>>,
-    names: CallNames,
+    positions: [Vec<u32>; 2],
+    /// Each instance's call, by index in [`Instances::all`].
+    ids: Vec<CallId>,
+    /// Each call's indexes into [`Instances::all`], in start order:
+    /// `members[starts[c]..starts[c + 1]]` for call number `c`.
+    starts: Vec<u32>,
+    members: Vec<u32>,
+    table: CallTable,
 }
 
 impl Instances {
-    /// Builds the view: merges the ecall and ocall tables, sorts by start
-    /// time, resolves indirect parents, groups the instances per call and
-    /// names the calls.
+    /// Builds the view: numbers and names the calls, merges the ecall and
+    /// ocall tables in start order, resolves indirect parents and lists
+    /// each call's instances.
     pub fn build(trace: &TraceDb, cost: &CostModel) -> Instances {
         let transition = cost.sdk_ecall_overhead().as_nanos();
-        let mut all: Vec<CallInstance> = Vec::with_capacity(trace.event_count());
-        for (row, e) in trace.ecalls.iter_with_ids() {
-            let duration = e.end_ns.saturating_sub(e.start_ns);
-            all.push(CallInstance {
-                call: e.call_ref(),
-                row: row.0 as u64,
-                thread: e.thread,
-                start_ns: e.start_ns,
-                end_ns: e.end_ns,
-                duration_ns: duration,
-                adjusted_ns: duration.saturating_sub(transition),
-                direct_parent: e.parent_ocall.map(|r| (CallKind::Ocall, r)),
-                indirect_parent: None,
-                aex_count: e.aex_count,
+        let table = CallTable::of(trace);
+        let ecalls = trace.ecalls.iter().as_slice();
+        let ocalls = trace.ocalls.iter().as_slice();
+        let orders = [
+            start_order(ecalls, |e| e.start_ns),
+            start_order(ocalls, |o| o.start_ns),
+        ];
+        let lens = [ecalls.len(), ocalls.len()];
+
+        // Merge the two tables by (start, kind, row): at equal starts the
+        // ecall comes first.
+        let total = to_u32(lens[0] + lens[1]) as usize;
+        let mut all: Vec<CallInstance> = Vec::with_capacity(total);
+        let mut ids: Vec<CallId> = Vec::with_capacity(total);
+        let mut positions = [vec![0u32; lens[0]], vec![0u32; lens[1]]];
+        let mut merged = [0usize; 2];
+        for idx in 0..total {
+            let next = |k: usize| {
+                (merged[k] < lens[k]).then(|| {
+                    orders[k]
+                        .as_ref()
+                        .map_or(merged[k], |o| o[merged[k]] as usize)
+                })
+            };
+            let (kind, row) = match (next(0), next(1)) {
+                (Some(e), Some(o)) if ocalls[o].start_ns < ecalls[e].start_ns => {
+                    (CallKind::Ocall, o)
+                }
+                (Some(e), _) => (CallKind::Ecall, e),
+                (None, o) => (CallKind::Ocall, o.expect("rows remain")),
+            };
+            merged[kind as usize] += 1;
+            positions[kind as usize][row] = idx as u32;
+            ids.push(table.row_ids(kind)[row]);
+            all.push(match kind {
+                CallKind::Ecall => {
+                    let r = &ecalls[row];
+                    let duration = r.end_ns.saturating_sub(r.start_ns);
+                    CallInstance {
+                        call: r.call_ref(),
+                        row: row as u64,
+                        thread: r.thread,
+                        start_ns: r.start_ns,
+                        end_ns: r.end_ns,
+                        duration_ns: duration,
+                        adjusted_ns: duration.saturating_sub(transition),
+                        direct_parent: r.parent_ocall.map(|p| (CallKind::Ocall, p)),
+                        indirect_parent: None,
+                        aex_count: r.aex_count,
+                    }
+                }
+                CallKind::Ocall => {
+                    let r = &ocalls[row];
+                    let duration = r.end_ns.saturating_sub(r.start_ns);
+                    CallInstance {
+                        call: r.call_ref(),
+                        row: row as u64,
+                        thread: r.thread,
+                        start_ns: r.start_ns,
+                        end_ns: r.end_ns,
+                        duration_ns: duration,
+                        adjusted_ns: duration,
+                        direct_parent: r.parent_ecall.map(|p| (CallKind::Ecall, p)),
+                        indirect_parent: None,
+                        aex_count: 0,
+                    }
+                }
             });
         }
-        for (row, o) in trace.ocalls.iter_with_ids() {
-            let duration = o.end_ns.saturating_sub(o.start_ns);
-            all.push(CallInstance {
-                call: o.call_ref(),
-                row: row.0 as u64,
-                thread: o.thread,
-                start_ns: o.start_ns,
-                end_ns: o.end_ns,
-                duration_ns: duration,
-                adjusted_ns: duration,
-                direct_parent: o.parent_ecall.map(|r| (CallKind::Ecall, r)),
-                indirect_parent: None,
-                aex_count: 0,
-            });
-        }
-        all.sort_by_key(|i| (i.start_ns, i.call.kind, i.row));
 
-        let mut positions = [vec![0; trace.ecalls.len()], vec![0; trace.ocalls.len()]];
-        for (idx, i) in all.iter().enumerate() {
-            positions[i.call.kind as usize][i.row as usize] = idx;
-        }
-
-        // Indirect parents: within each (thread, direct-parent, kind)
-        // group, link each call to the previous one (Figure 4).
-        type GroupKey = (u64, Option<(CallKind, u64)>, CallKind);
-        let mut last_in_group: HashMap<GroupKey, usize> = HashMap::new();
-        let mut by_call: BTreeMap<CallRef, Vec<usize>> = BTreeMap::new();
-        for (idx, inst) in all.iter_mut().enumerate() {
-            let key = (inst.thread, inst.direct_parent, inst.call.kind);
-            if let Some(&prev) = last_in_group.get(&key) {
-                inst.indirect_parent = Some(prev);
-            }
-            last_in_group.insert(key, idx);
-            by_call.entry(inst.call).or_default().push(idx);
-        }
-
-        Instances {
+        let mut view = Instances {
             all,
             positions,
-            by_call,
-            names: CallNames::of(trace),
+            ids,
+            starts: Vec::new(),
+            members: Vec::new(),
+            table,
+        };
+        view.link_indirect_parents();
+        view.list_members();
+        view
+    }
+
+    /// Indirect parents: within each (thread, direct-parent, kind) group,
+    /// link each call to the previous one (Figure 4). A parent instance's
+    /// children all have the other kind, so a child on its parent's thread
+    /// finds its group in the parent's slot; top-level calls, dangling
+    /// links and cross-thread children key an ordered map by their thread.
+    fn link_indirect_parents(&mut self) {
+        const NONE: u32 = u32::MAX;
+        let mut last_child = vec![NONE; self.all.len()];
+        type GroupKey = (u64, Option<(CallKind, u64)>, CallKind);
+        let mut last_in_group: BTreeMap<GroupKey, u32> = BTreeMap::new();
+        for idx in 0..self.all.len() {
+            let inst = &self.all[idx];
+            let parent = inst
+                .direct_parent
+                .and_then(|(kind, row)| self.position(kind, row))
+                .filter(|&p| self.all[p].thread == inst.thread);
+            let slot = match parent {
+                Some(p) => &mut last_child[p],
+                None => last_in_group
+                    .entry((inst.thread, inst.direct_parent, inst.call.kind))
+                    .or_insert(NONE),
+            };
+            let prev = std::mem::replace(slot, to_u32(idx));
+            if prev != NONE {
+                self.all[idx].indirect_parent = Some(prev as usize);
+            }
         }
+    }
+
+    /// Lists each call's instances in start order, as one vector of
+    /// indexes cut at `starts`.
+    fn list_members(&mut self) {
+        let mut starts = vec![0u32; self.table.len() + 1];
+        for id in &self.ids {
+            starts[id.index() + 1] += 1;
+        }
+        for c in 1..starts.len() {
+            starts[c] += starts[c - 1];
+        }
+        let mut next = starts.clone();
+        let mut members = vec![0u32; self.ids.len()];
+        for (idx, id) in self.ids.iter().enumerate() {
+            let at = &mut next[id.index()];
+            members[*at as usize] = idx as u32;
+            *at += 1;
+        }
+        self.starts = starts;
+        self.members = members;
     }
 
     /// Looks up an instance by its source (kind, row id); `None` for a
@@ -168,29 +390,174 @@ impl Instances {
     /// The index in [`Instances::all`] of a source (kind, row id).
     pub(crate) fn position(&self, kind: CallKind, row: u64) -> Option<usize> {
         let row = usize::try_from(row).ok()?;
-        self.positions[kind as usize].get(row).copied()
+        self.positions[kind as usize].get(row).map(|&i| i as usize)
+    }
+
+    /// The trace's call table.
+    pub(crate) fn table(&self) -> &CallTable {
+        &self.table
+    }
+
+    /// Each instance's call, by index in [`Instances::all`].
+    pub(crate) fn ids(&self) -> &[CallId] {
+        &self.ids
+    }
+
+    /// The numbers of the calls with at least one instance, in order.
+    pub(crate) fn call_ids(&self) -> impl Iterator<Item = CallId> + '_ {
+        self.starts
+            .windows(2)
+            .enumerate()
+            .filter(|(_, w)| w[0] < w[1])
+            .map(|(c, _)| CallId(c as u32))
+    }
+
+    /// The indexes into [`Instances::all`] of one call's instances, in
+    /// start order.
+    pub(crate) fn members(&self, id: CallId) -> &[u32] {
+        let c = id.index();
+        &self.members[self.starts[c] as usize..self.starts[c + 1] as usize]
+    }
+
+    /// All instances of one numbered call, in start order.
+    pub(crate) fn of_id(&self, id: CallId) -> impl ExactSizeIterator<Item = &CallInstance> {
+        self.members(id).iter().map(|&i| &self.all[i as usize])
     }
 
     /// The calls with at least one instance, sorted.
     pub(crate) fn calls(&self) -> impl Iterator<Item = CallRef> + '_ {
-        self.by_call.keys().copied()
+        self.call_ids().map(|id| self.table.call(id))
     }
 
     /// All instances of one call, in start order.
     pub fn of_call(&self, call: CallRef) -> impl ExactSizeIterator<Item = &CallInstance> {
-        let group = self.by_call.get(&call).map_or(&[][..], Vec::as_slice);
-        group.iter().map(|&i| &self.all[i])
+        let group = self.table.id(call).map_or(&[][..], |id| self.members(id));
+        group.iter().map(|&i| &self.all[i as usize])
     }
 
     /// The call's name: its first symbol row's, or the positional one.
     pub(crate) fn name(&self, call: CallRef) -> Cow<'_, str> {
-        self.names.get(call)
+        self.table.name_of(call)
     }
 
     /// The lowest call with instances that is named `name` — the call a
     /// name selects when several enclaves share it.
     pub fn call_named(&self, name: &str) -> Option<CallRef> {
-        self.calls().find(|&call| self.name(call) == name)
+        self.call_ids()
+            .find(|&id| self.table.name(id) == name)
+            .map(|id| self.table.call(id))
+    }
+}
+
+/// `Instances::build` and the call names as they were before the call
+/// table, kept as the model the table is held to: one stable sort of the
+/// instances, SipHash groups for the indirect parents, a
+/// `BTreeMap<CallRef, _>` per call and a `HashMap<CallRef, _>` of names.
+#[cfg(test)]
+pub(crate) mod reference {
+    use std::collections::{BTreeMap, HashMap};
+
+    use super::*;
+
+    /// The reference view.
+    pub(crate) struct Reference {
+        pub(crate) all: Vec<CallInstance>,
+        positions: [Vec<usize>; 2],
+        by_call: BTreeMap<CallRef, Vec<usize>>,
+        names: HashMap<CallRef, String>,
+    }
+
+    impl Reference {
+        pub(crate) fn build(trace: &TraceDb, cost: &CostModel) -> Reference {
+            let transition = cost.sdk_ecall_overhead().as_nanos();
+            let mut all: Vec<CallInstance> = Vec::with_capacity(trace.event_count());
+            for (row, e) in trace.ecalls.iter_with_ids() {
+                let duration = e.end_ns.saturating_sub(e.start_ns);
+                all.push(CallInstance {
+                    call: e.call_ref(),
+                    row: row.0 as u64,
+                    thread: e.thread,
+                    start_ns: e.start_ns,
+                    end_ns: e.end_ns,
+                    duration_ns: duration,
+                    adjusted_ns: duration.saturating_sub(transition),
+                    direct_parent: e.parent_ocall.map(|r| (CallKind::Ocall, r)),
+                    indirect_parent: None,
+                    aex_count: e.aex_count,
+                });
+            }
+            for (row, o) in trace.ocalls.iter_with_ids() {
+                let duration = o.end_ns.saturating_sub(o.start_ns);
+                all.push(CallInstance {
+                    call: o.call_ref(),
+                    row: row.0 as u64,
+                    thread: o.thread,
+                    start_ns: o.start_ns,
+                    end_ns: o.end_ns,
+                    duration_ns: duration,
+                    adjusted_ns: duration,
+                    direct_parent: o.parent_ecall.map(|r| (CallKind::Ecall, r)),
+                    indirect_parent: None,
+                    aex_count: 0,
+                });
+            }
+            all.sort_by_key(|i| (i.start_ns, i.call.kind, i.row));
+
+            let mut positions = [vec![0; trace.ecalls.len()], vec![0; trace.ocalls.len()]];
+            for (idx, i) in all.iter().enumerate() {
+                positions[i.call.kind as usize][i.row as usize] = idx;
+            }
+
+            type GroupKey = (u64, Option<(CallKind, u64)>, CallKind);
+            let mut last_in_group: HashMap<GroupKey, usize> = HashMap::new();
+            let mut by_call: BTreeMap<CallRef, Vec<usize>> = BTreeMap::new();
+            for (idx, inst) in all.iter_mut().enumerate() {
+                let key = (inst.thread, inst.direct_parent, inst.call.kind);
+                if let Some(&prev) = last_in_group.get(&key) {
+                    inst.indirect_parent = Some(prev);
+                }
+                last_in_group.insert(key, idx);
+                by_call.entry(inst.call).or_default().push(idx);
+            }
+
+            let mut names = HashMap::new();
+            for s in trace.symbols.iter() {
+                names.entry(s.call_ref()).or_insert_with(|| s.name.clone());
+            }
+            Reference {
+                all,
+                positions,
+                by_call,
+                names,
+            }
+        }
+
+        pub(crate) fn by_row(&self, kind: CallKind, row: u64) -> Option<&CallInstance> {
+            let row = usize::try_from(row).ok()?;
+            self.positions[kind as usize]
+                .get(row)
+                .map(|&i| &self.all[i])
+        }
+
+        pub(crate) fn calls(&self) -> impl Iterator<Item = CallRef> + '_ {
+            self.by_call.keys().copied()
+        }
+
+        pub(crate) fn of_call(&self, call: CallRef) -> impl Iterator<Item = &CallInstance> {
+            let group = self.by_call.get(&call).map_or(&[][..], Vec::as_slice);
+            group.iter().map(|&i| &self.all[i])
+        }
+
+        pub(crate) fn name(&self, call: CallRef) -> Cow<'_, str> {
+            self.names.get(&call).map_or_else(
+                || Cow::Owned(call.to_string()),
+                |n| Cow::Borrowed(n.as_str()),
+            )
+        }
+
+        pub(crate) fn call_named(&self, name: &str) -> Option<CallRef> {
+            self.calls().find(|&call| self.name(call) == name)
+        }
     }
 }
 
@@ -379,7 +746,8 @@ mod tests {
 
         assert_eq!(inst.name(call(1, 0)), "ecall_first");
         assert_eq!(inst.name(call(1, 1)), "enclave1/ecall#1");
-        assert_eq!(CallNames::of(&trace).recorded(call(1, 1)), None);
+        let table = CallTable::of(&trace);
+        assert_eq!(table.id(call(1, 1)).and_then(|id| table.recorded(id)), None);
 
         // enclave1/ecall#2 sorts before enclave2/ecall#0.
         let shared = inst.call_named("ecall_shared").unwrap();
@@ -392,5 +760,53 @@ mod tests {
         assert_eq!(of_call, [50]);
         let calls: Vec<CallRef> = inst.calls().collect();
         assert_eq!(calls, [call(1, 0), call(1, 1), call(1, 2), call(2, 0)]);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(400))]
+
+        /// The call table and the merged instance order give exactly the
+        /// view of the reference model: the same instances in the same
+        /// order with the same parents, the same rows, calls, groups and
+        /// names.
+        #[test]
+        fn call_table_matches_the_reference_model(
+            trace in crate::tracegen::Traces { max_rows: 40 },
+        ) {
+            use super::reference::Reference;
+            let cost = HwProfile::Unpatched.cost_model();
+            let inst = Instances::build(&trace, &cost);
+            let model = Reference::build(&trace, &cost);
+            proptest::prop_assert_eq!(format!("{:?}", inst.all), format!("{:?}", model.all));
+            for (kind, rows) in [
+                (CallKind::Ecall, trace.ecalls.len() as u64),
+                (CallKind::Ocall, trace.ocalls.len() as u64),
+            ] {
+                for row in (0..rows + 2).chain([u64::MAX]) {
+                    proptest::prop_assert_eq!(
+                        format!("{:?}", inst.by_row(kind, row)),
+                        format!("{:?}", model.by_row(kind, row))
+                    );
+                }
+            }
+            let calls: Vec<CallRef> = inst.calls().collect();
+            proptest::prop_assert_eq!(&calls, &model.calls().collect::<Vec<_>>());
+            let named = trace.symbols.iter().map(|s| s.call_ref());
+            let absent = CallRef { enclave: 7, kind: CallKind::Ocall, index: 7 };
+            for call in calls.iter().copied().chain(named).chain([absent]) {
+                let rows = |it: &mut dyn Iterator<Item = &CallInstance>| -> Vec<(CallKind, u64)> {
+                    it.map(|i| (i.call.kind, i.row)).collect()
+                };
+                proptest::prop_assert_eq!(
+                    rows(&mut inst.of_call(call)),
+                    rows(&mut model.of_call(call))
+                );
+                proptest::prop_assert_eq!(inst.name(call), model.name(call));
+            }
+            for s in trace.symbols.iter() {
+                proptest::prop_assert_eq!(inst.call_named(&s.name), model.call_named(&s.name));
+            }
+            proptest::prop_assert_eq!(inst.call_named("enclave1/ecall#1"), model.call_named("enclave1/ecall#1"));
+        }
     }
 }

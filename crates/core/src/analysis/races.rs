@@ -34,10 +34,11 @@ use sgx_sdk::sync::LockPath;
 use sgx_sdk::sync_ocalls;
 use sim_core::syncev::{SyncOp, EXTERNAL_THREAD};
 
+use crate::events::CallKind;
 use crate::json;
 use crate::trace::TraceDb;
 
-use super::parents::CallNames;
+use super::parents::CallTable;
 
 /// Stable finding codes, usable in deny lists and CI greps.
 pub mod codes {
@@ -583,15 +584,20 @@ pub fn analyze(trace: &TraceDb) -> RaceReport {
     }
 
     // Locks held across (non-sync) ocalls: the §3.4 re-entrancy hazard.
-    let call_names = CallNames::of(trace);
+    let call_table = if intervals.is_empty() {
+        CallTable::default()
+    } else {
+        CallTable::of(trace)
+    };
+    let ocall_ids = call_table.row_ids(CallKind::Ocall);
     let mut across: BTreeMap<(u64, String), usize> = BTreeMap::new();
     for (&lock, ivs) in &intervals {
         for &(thread, start, end) in ivs {
-            for o in trace.ocalls.iter() {
+            for (o, &id) in trace.ocalls.iter().zip(ocall_ids) {
                 if o.thread != thread || o.start_ns < start || o.start_ns >= end {
                     continue;
                 }
-                let name = call_names.recorded(o.call_ref()).unwrap_or("?");
+                let name = call_table.recorded(id).unwrap_or("?");
                 if sync_ocalls::is_sync_ocall(name) {
                     continue; // the lock's own sleep/wake traffic
                 }

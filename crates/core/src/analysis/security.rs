@@ -13,12 +13,10 @@
 //! 3. **`user_check` pointers**: highlight calls with `user_check`
 //!    parameters so the developer re-checks their validation.
 
-use std::collections::{BTreeMap, BTreeSet};
-
 use crate::events::{CallKind, CallRef};
 
 use super::detect::{Detection, Problem, Recommendation, PRIO_SECURITY};
-use super::parents::Instances;
+use super::parents::{CallId, Instances};
 use super::Analyzer;
 
 /// Runs the three security checks.
@@ -32,18 +30,19 @@ pub fn analyze(analyzer: &Analyzer<'_>, instances: &Instances) -> Vec<Detection>
 
 fn private_candidates(analyzer: &Analyzer<'_>, instances: &Instances) -> Vec<Detection> {
     let trace = analyzer.trace();
+    let table = instances.table();
+    let symbols = trace.symbols.iter().zip(table.symbol_ids());
     let mut out = Vec::new();
-    for sym in trace.symbols.iter().filter(|s| s.kind_is_ecall && s.public) {
-        let call = sym.call_ref();
+    for (sym, &id) in symbols.filter(|(s, _)| s.kind_is_ecall && s.public) {
         let mut total = 0usize;
-        let mut parent_ocalls: BTreeSet<CallRef> = BTreeSet::new();
+        let mut parent_ocalls: Vec<CallId> = Vec::new();
         let mut all_nested = true;
-        for i in instances.of_call(call) {
+        for i in instances.of_id(id) {
             total += 1;
             match i.direct_parent {
                 Some((CallKind::Ocall, row)) => {
-                    if let Some(parent) = instances.by_row(CallKind::Ocall, row) {
-                        parent_ocalls.insert(parent.call);
+                    if let Some(p) = instances.position(CallKind::Ocall, row) {
+                        parent_ocalls.push(instances.ids()[p]);
                     }
                 }
                 _ => all_nested = false,
@@ -52,12 +51,14 @@ fn private_candidates(analyzer: &Analyzer<'_>, instances: &Instances) -> Vec<Det
         if total == 0 || !all_nested {
             continue;
         }
+        parent_ocalls.sort_unstable();
+        parent_ocalls.dedup();
         let allow_from: Vec<String> = parent_ocalls
             .iter()
-            .map(|&o| instances.name(o).into_owned())
+            .map(|&o| table.name(o).into_owned())
             .collect();
         out.push(Detection {
-            target: call,
+            target: table.call(id),
             name: sym.name.clone(),
             problem: Problem::Interface,
             recommendation: Recommendation::MakePrivate { allow_from },
@@ -72,24 +73,26 @@ fn private_candidates(analyzer: &Analyzer<'_>, instances: &Instances) -> Vec<Det
 
 fn allow_list_minimisation(analyzer: &Analyzer<'_>, instances: &Instances) -> Vec<Detection> {
     let trace = analyzer.trace();
-    // Observed nested-ecall sets per ocall.
-    let mut observed: BTreeMap<CallRef, BTreeSet<u32>> = BTreeMap::new();
+    // Observed nested ecalls as (ocall number, ecall index) pairs, sorted
+    // and distinct: each ocall's observed set is one run.
+    let table = instances.table();
+    let mut observed: Vec<(CallId, u32)> = Vec::new();
     for i in &instances.all {
         if i.call.kind != CallKind::Ecall {
             continue;
         }
         if let Some((CallKind::Ocall, row)) = i.direct_parent {
-            if let Some(parent) = instances.by_row(CallKind::Ocall, row) {
-                observed
-                    .entry(parent.call)
-                    .or_default()
-                    .insert(i.call.index);
+            if let Some(p) = instances.position(CallKind::Ocall, row) {
+                observed.push((instances.ids()[p], i.call.index));
             }
         }
     }
+    observed.sort_unstable();
+    observed.dedup();
     let mut out = Vec::new();
-    for sym in trace.symbols.iter().filter(|s| !s.kind_is_ecall) {
-        let call = sym.call_ref();
+    let symbols = trace.symbols.iter().zip(table.symbol_ids());
+    for (sym, &id) in symbols.filter(|(s, _)| !s.kind_is_ecall) {
+        let call = table.call(id);
         // Prefer the supplied EDL's declaration when available.
         let declared: Option<Vec<u32>> = match analyzer.edl() {
             Some(spec) => spec
@@ -97,12 +100,14 @@ fn allow_list_minimisation(analyzer: &Analyzer<'_>, instances: &Instances) -> Ve
                 .map(|o| o.allowed_ecalls.iter().map(|&i| i as u32).collect()),
             None => Some(sym.allowed_ecalls.clone()),
         };
-        let used = observed.get(&call).cloned().unwrap_or_default();
+        let run = observed.partition_point(|&(o, _)| o < id);
+        let len = observed[run..].partition_point(|&(o, _)| o == id);
+        let used = &observed[run..run + len];
         let Some(declared) = declared else { continue };
         let excess: Vec<u32> = declared
             .iter()
             .copied()
-            .filter(|i| !used.contains(i))
+            .filter(|&i| used.binary_search_by_key(&i, |&(_, e)| e).is_err())
             .collect();
         if excess.is_empty() {
             continue;

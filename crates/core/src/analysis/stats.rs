@@ -93,17 +93,16 @@ impl CallStats {
 /// call reference.
 pub fn per_call_stats(instances: &Instances) -> Vec<(CallRef, CallStats)> {
     instances
-        .calls()
-        .map(|call| {
-            let field = |f: fn(&CallInstance) -> u64| -> Vec<u64> {
-                instances.of_call(call).map(f).collect()
-            };
+        .call_ids()
+        .map(|id| {
+            let field =
+                |f: fn(&CallInstance) -> u64| -> Vec<u64> { instances.of_id(id).map(f).collect() };
             let stats = CallStats::from_durations(
                 &field(|i| i.duration_ns),
                 &field(|i| i.adjusted_ns),
                 &field(|i| i.aex_count),
             );
-            (call, stats)
+            (instances.table().call(id), stats)
         })
         .collect()
 }

@@ -134,6 +134,8 @@ pub enum AexCauseCode {
 }
 
 impl Field for AexCauseCode {
+    const MIN_BYTES: usize = 1;
+
     fn write(&self, out: &mut Encoder) {
         out.u8(*self as u8);
     }

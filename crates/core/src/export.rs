@@ -30,16 +30,16 @@
 //! assert_eq!(export::folded_stacks(&trace, &cost), "");
 //! ```
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt::Write;
 
 use sgx_sdk::SwitchlessEventKind;
 use sim_core::fault::FaultAction;
 use sim_core::CostModel;
 
-use crate::analysis::parents::{CallInstance, CallNames};
+use crate::analysis::parents::{CallId, CallTable};
 use crate::analysis::Instances;
-use crate::events::CallRef;
+use crate::events::CallKind;
 use crate::json;
 use crate::trace::TraceDb;
 
@@ -157,11 +157,11 @@ impl Events {
 
     /// A call's name as a JSON string; positional names
     /// (`enclave1/ecall#3`) need no escaping.
-    fn call(&mut self, names: &CallNames, call: CallRef) -> &mut Events {
-        match names.recorded(call) {
+    fn call(&mut self, table: &CallTable, id: CallId) -> &mut Events {
+        match table.recorded(id) {
             Some(name) => json::push_string(&mut self.out, name),
             None => {
-                let _ = write!(self.out, "\"{call}\"");
+                let _ = write!(self.out, "\"{}\"", table.call(id));
             }
         }
         self
@@ -179,7 +179,7 @@ impl Events {
 /// cost model frames the inner `[enclave]` span of each ecall.
 pub fn chrome_trace(trace: &TraceDb, cost: &CostModel) -> String {
     let lanes = thread_lanes(trace);
-    let names = CallNames::of(trace);
+    let table = CallTable::of(trace);
     let overhead = cost.sdk_ecall_overhead().as_nanos();
     // About the bytes each row renders to, so the buffer rarely grows.
     let capacity = 96 * lanes.len()
@@ -209,11 +209,12 @@ pub fn chrome_trace(trace: &TraceDb, cost: &CostModel) -> String {
 
     // Calls: complete spans. Ecalls additionally get the nested [enclave]
     // span — the slice between the enter and exit transitions.
-    for (row, e) in trace.ecalls.iter_with_ids() {
+    let ecalls = trace.ecalls.iter_with_ids();
+    for ((row, e), &id) in ecalls.zip(table.row_ids(CallKind::Ecall)) {
         let lane = lanes[&e.thread];
         let dur = e.end_ns.saturating_sub(e.start_ns);
         ev.begin("{\"name\": ")
-            .call(&names, e.call_ref())
+            .call(&table, id)
             .str(", \"cat\": \"ecall\", \"ph\": \"X\", \"pid\": 1, \"tid\": ")
             .u64(lane)
             .str(", \"ts\": ")
@@ -245,9 +246,10 @@ pub fn chrome_trace(trace: &TraceDb, cost: &CostModel) -> String {
             .str("}}");
         }
     }
-    for (row, o) in trace.ocalls.iter_with_ids() {
+    let ocalls = trace.ocalls.iter_with_ids();
+    for ((row, o), &id) in ocalls.zip(table.row_ids(CallKind::Ocall)) {
         ev.begin("{\"name\": ")
-            .call(&names, o.call_ref())
+            .call(&table, id)
             .str(", \"cat\": \"ocall\", \"ph\": \"X\", \"pid\": 1, \"tid\": ")
             .u64(lanes[&o.thread])
             .str(", \"ts\": ")
@@ -314,7 +316,7 @@ pub fn chrome_trace(trace: &TraceDb, cost: &CostModel) -> String {
     // `id` carries the page address so begin/end pair up; an eviction with
     // no later page-in stays open (chrome renders it to the trace end).
     let mut async_id = 0u64;
-    let mut open: HashMap<(u32, u64), u64> = HashMap::new();
+    let mut open: BTreeMap<(u32, u64), u64> = BTreeMap::new();
     for p in trace.paging.iter() {
         if p.out {
             async_id += 1;
@@ -360,37 +362,55 @@ pub fn chrome_trace(trace: &TraceDb, cost: &CostModel) -> String {
 
 /// Call chains interned as a trie: node `n` is the chain of its parent
 /// node (none for the outermost call) extended by one call.
-#[derive(Default)]
 struct Chains {
-    nodes: Vec<(Option<usize>, CallRef)>,
-    ids: HashMap<(Option<usize>, CallRef), usize>,
+    nodes: Vec<(Option<usize>, CallId)>,
+    /// The one-call chain of each call, by number (`NONE` until seen).
+    roots: Vec<usize>,
+    /// The longer chains, by (parent node, call).
+    children: BTreeMap<(usize, CallId), usize>,
 }
 
 impl Chains {
-    fn intern(&mut self, parent: Option<usize>, call: CallRef) -> usize {
-        let nodes = &mut self.nodes;
-        *self.ids.entry((parent, call)).or_insert_with(|| {
-            nodes.push((parent, call));
-            nodes.len() - 1
-        })
+    const NONE: usize = usize::MAX;
+
+    /// An empty trie over a table of `calls` calls.
+    fn new(calls: usize) -> Chains {
+        Chains {
+            nodes: Vec::new(),
+            roots: vec![Chains::NONE; calls],
+            children: BTreeMap::new(),
+        }
+    }
+
+    fn intern(&mut self, parent: Option<usize>, call: CallId) -> usize {
+        let slot = match parent {
+            None => &mut self.roots[call.index()],
+            Some(p) => self.children.entry((p, call)).or_insert(Chains::NONE),
+        };
+        if *slot == Chains::NONE {
+            *slot = self.nodes.len();
+            self.nodes.push((parent, call));
+        }
+        *slot
     }
 
     /// The calls of a chain, innermost first.
-    fn calls(&self, node: usize) -> impl Iterator<Item = CallRef> + '_ {
+    fn calls(&self, node: usize) -> impl Iterator<Item = CallId> + '_ {
         std::iter::successors(Some(node), |&n| self.nodes[n].0).map(|n| self.nodes[n].1)
     }
 
-    /// Each instance's chain: its call under its direct parent's chain
-    /// (`parents` holds the parents' indexes in `all`). The walk up the
-    /// parent links stops at the first instance already on the current
-    /// chain, so a cyclic link ends the stack instead of looping: every
-    /// instance on a cycle is the leaf of its own rotation of the cycle.
-    fn of_instances(&mut self, all: &[CallInstance], parents: &[Option<usize>]) -> Vec<usize> {
+    /// Each instance's chain: its call (`ids` holds each instance's call)
+    /// under its direct parent's chain (`parents` holds the parents'
+    /// indexes). The walk up the parent links stops at the first instance
+    /// already on the current chain, so a cyclic link ends the stack
+    /// instead of looping: every instance on a cycle is the leaf of its
+    /// own rotation of the cycle.
+    fn of_instances(&mut self, ids: &[CallId], parents: &[Option<usize>]) -> Vec<usize> {
         const UNRESOLVED: usize = usize::MAX;
-        let mut node = vec![UNRESOLVED; all.len()];
-        let mut on_chain = vec![false; all.len()];
+        let mut node = vec![UNRESOLVED; ids.len()];
+        let mut on_chain = vec![false; ids.len()];
         let mut chain: Vec<usize> = Vec::new();
-        for start in 0..all.len() {
+        for start in 0..ids.len() {
             if node[start] != UNRESOLVED {
                 continue;
             }
@@ -414,7 +434,7 @@ impl Chains {
                     for (t, &leaf) in cycle.iter().enumerate() {
                         // Walking up from `leaf` visits cycle[t], cycle[t + 1],
                         // ... around to cycle[t - 1]; intern it outermost first.
-                        let member = |k: usize| all[cycle[(t + k) % len]].call;
+                        let member = |k: usize| ids[cycle[(t + k) % len]];
                         let mut n = self.intern(None, member(len - 1));
                         for k in (0..len - 1).rev() {
                             n = self.intern(Some(n), member(k));
@@ -431,7 +451,7 @@ impl Chains {
             }
             // The rest of the walk extends the chain above it.
             for &at in chain.iter().rev() {
-                let n = self.intern(above, all[at].call);
+                let n = self.intern(above, ids[at]);
                 node[at] = n;
                 above = Some(n);
             }
@@ -448,6 +468,7 @@ impl Chains {
 pub fn folded_stacks(trace: &TraceDb, cost: &CostModel) -> String {
     let instances = Instances::build(trace, cost);
     let all = &instances.all;
+    let table = instances.table();
     // Direct parents as indexes into `all`; a dangling link ends the
     // stack like a top-level call.
     let parents: Vec<Option<usize>> = all
@@ -466,29 +487,30 @@ pub fn folded_stacks(trace: &TraceDb, cost: &CostModel) -> String {
         }
     }
 
-    // Self time per distinct (thread, call chain).
-    let mut chains = Chains::default();
-    let nodes = chains.of_instances(all, &parents);
-    let mut stacks: HashMap<(u64, usize), u64> = HashMap::new();
-    for ((inst, node), spent) in all.iter().zip(nodes).zip(child_ns) {
-        let self_ns = inst.duration_ns.saturating_sub(spent);
-        let total = stacks.entry((inst.thread, node)).or_default();
-        *total = total.saturating_add(self_ns);
-    }
+    // Self time per distinct (thread, call chain): sort the instances by
+    // that pair, then sum each run.
+    let mut chains = Chains::new(table.len());
+    let nodes = chains.of_instances(instances.ids(), &parents);
+    let mut stacks: Vec<(u64, usize, u64)> = (all.iter().zip(nodes).zip(child_ns))
+        .map(|((inst, node), spent)| (inst.thread, node, inst.duration_ns.saturating_sub(spent)))
+        .collect();
+    stacks.sort_unstable_by_key(|&(thread, node, _)| (thread, node));
 
     // Render each distinct stack once, then merge the stacks whose text
     // coincides: two calls can share a name.
     let mut folded: BTreeMap<String, u64> = BTreeMap::new();
-    let mut calls: Vec<CallRef> = Vec::new();
+    let mut calls: Vec<CallId> = Vec::new();
     let mut stack = String::new();
-    for ((thread, node), self_ns) in stacks {
+    for run in stacks.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+        let (thread, node, _) = run[0];
+        let self_ns = run.iter().fold(0u64, |sum, s| sum.saturating_add(s.2));
         calls.clear();
         calls.extend(chains.calls(node));
         stack.clear();
         let _ = write!(stack, "thread-{thread}");
         for &call in calls.iter().rev() {
             stack.push(';');
-            stack.push_str(&instances.name(call));
+            stack.push_str(&table.name(call));
         }
         match folded.get_mut(stack.as_str()) {
             Some(total) => *total = total.saturating_add(self_ns),

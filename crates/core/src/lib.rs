@@ -65,6 +65,8 @@ pub mod export;
 pub mod json;
 pub mod logger;
 pub mod trace;
+#[cfg(test)]
+mod tracegen;
 pub mod wse;
 
 pub use analysis::detect::{Detection, Priority, Problem, Recommendation};

@@ -2,7 +2,7 @@
 
 use std::path::Path;
 
-use eventdb::{DbError, Record, Store, Table};
+use eventdb::{DbError, Record, Store, StoreOf, Table};
 
 use crate::events::{
     AexRow, EcallRow, EnclaveRow, FaultRow, FleetRow, LifecycleRow, OcallRow, PagingRow,
@@ -29,7 +29,7 @@ impl Presence {
         }
     }
 
-    fn get<R: Record>(self, store: &Store) -> Result<Table<R>, DbError> {
+    fn get<R: Record>(self, store: &StoreOf<'_>) -> Result<Table<R>, DbError> {
         match store.get() {
             Err(DbError::MissingTable(_)) if self != Presence::Required => Ok(Table::default()),
             got => got,
@@ -64,12 +64,13 @@ macro_rules! trace_tables {
             }
 
             /// Parses a trace from a generic table container (e.g. one
-            /// salvaged from a segmented recording).
+            /// salvaged from a segmented recording), decoding each table
+            /// straight from the store's section bytes.
             ///
             /// # Errors
             ///
             /// Corruption or missing tables.
-            pub fn from_store(store: &Store) -> Result<TraceDb, DbError> {
+            pub fn from_store(store: &StoreOf<'_>) -> Result<TraceDb, DbError> {
                 Ok(TraceDb {
                     $($field: Presence::$presence.get(store)?,)*
                 })
@@ -163,14 +164,14 @@ impl TraceDb {
         self.to_store().to_bytes()
     }
 
-    /// Parses a trace from container bytes.
+    /// Parses a trace from container bytes, decoding every table in
+    /// place: no section is copied.
     ///
     /// # Errors
     ///
     /// Corruption or missing tables.
     pub fn from_bytes(data: &[u8]) -> Result<TraceDb, DbError> {
-        let store = Store::from_bytes(data)?;
-        TraceDb::from_store(&store)
+        TraceDb::from_store(&Store::from_bytes(data)?)
     }
 
     /// Writes the trace to a file.
@@ -182,14 +183,15 @@ impl TraceDb {
         self.to_store().save(path)
     }
 
-    /// Loads a trace from a file.
+    /// Loads a trace from a file of either layout ([`Store::parse`]):
+    /// the file is read once and its tables decode from those bytes.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors and corruption.
     pub fn load(path: impl AsRef<Path>) -> Result<TraceDb, DbError> {
-        let store = Store::load(path)?;
-        TraceDb::from_store(&store)
+        let data = std::fs::read(path)?;
+        TraceDb::from_store(&Store::parse(&data)?)
     }
 
     /// Total recorded call events (ecalls + ocalls).

@@ -1,0 +1,323 @@
+//! Generated traces for property tests, and the relations every trace
+//! already satisfies.
+//!
+//! [`Traces`] fills all 12 tables with rows whose values mix zero, small
+//! numbers and values at the top of their type, in the shapes the
+//! analyzer treats specially: tables out of start order, equal start
+//! times across kinds, dangling, cross-thread and cyclic parent links,
+//! duplicate and missing symbol rows, one name shared by several
+//! enclaves, enclave ids near `u32::MAX` and thread tokens near
+//! `u64::MAX`.
+
+use eventdb::Table;
+use proptest::prelude::*;
+
+use crate::events::{
+    AexCauseCode, AexRow, EcallRow, EnclaveRow, FaultRow, FleetRow, LifecycleRow, OcallRow,
+    PagingRow, SwitchlessRow, SymbolRow, SyncEvRow, SyncRow,
+};
+use crate::trace::TraceDb;
+
+/// Traces of up to `max_rows` rows per call table.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Traces {
+    pub(crate) max_rows: u64,
+}
+
+/// One of a few values, so that rows collide on keys.
+fn one_of<T: Copy>(rng: &mut TestRng, values: &[T]) -> T {
+    values[rng.below(values.len() as u64) as usize]
+}
+
+/// Zero, a small number, a mid-sized one or a value near `u64::MAX`.
+fn any_u64(rng: &mut TestRng) -> u64 {
+    match rng.below(4) {
+        0 => 0,
+        1 => rng.below(16),
+        2 => rng.below(1 << 40),
+        _ => u64::MAX - rng.below(4),
+    }
+}
+
+fn any_u32(rng: &mut TestRng) -> u32 {
+    match rng.below(3) {
+        0 => 0,
+        1 => rng.below(16) as u32,
+        _ => u32::MAX - rng.below(4) as u32,
+    }
+}
+
+fn maybe<T>(rng: &mut TestRng, value: impl FnOnce(&mut TestRng) -> T) -> Option<T> {
+    (rng.below(3) != 0).then(|| value(rng))
+}
+
+fn thread(rng: &mut TestRng) -> u64 {
+    one_of(rng, &[0, 1, 2, u64::MAX - 1, u64::MAX])
+}
+
+fn enclave(rng: &mut TestRng) -> u32 {
+    one_of(rng, &[0, 1, 2, u32::MAX - 1, u32::MAX])
+}
+
+fn call_index(rng: &mut TestRng) -> u32 {
+    one_of(rng, &[0, 1, 2, 3, u32::MAX])
+}
+
+/// `n` call start times: a few distinct values shared by both call
+/// tables, so starts tie within and across kinds, plus the odd value
+/// near `u64::MAX`; in order unless the table is to be out of order.
+fn starts(rng: &mut TestRng, n: usize) -> Vec<u64> {
+    let mut starts: Vec<u64> = (0..n)
+        .map(|_| match rng.below(8) {
+            0 => u64::MAX - rng.below(2),
+            _ => rng.below(6) * 1_000,
+        })
+        .collect();
+    if rng.below(3) != 0 {
+        starts.sort_unstable();
+    }
+    starts
+}
+
+fn end(rng: &mut TestRng, start: u64) -> u64 {
+    match rng.below(6) {
+        0 => 0,
+        1 => u64::MAX,
+        _ => start.saturating_add(rng.below(30_000)),
+    }
+}
+
+/// A parent link: none, a row of the other table, or a row past its end.
+fn parent(rng: &mut TestRng, rows: usize) -> Option<u64> {
+    maybe(rng, |rng| rng.below(rows as u64 + 2))
+}
+
+impl Strategy for Traces {
+    type Value = TraceDb;
+
+    fn generate(&self, rng: &mut TestRng) -> TraceDb {
+        let mut t = TraceDb::default();
+        let ecalls = rng.below(self.max_rows + 1) as usize;
+        let ocalls = rng.below(self.max_rows + 1) as usize;
+        for start_ns in starts(rng, ecalls) {
+            t.ecalls.insert(EcallRow {
+                thread: thread(rng),
+                enclave: enclave(rng),
+                call_index: call_index(rng),
+                start_ns,
+                end_ns: end(rng, start_ns),
+                parent_ocall: parent(rng, ocalls),
+                aex_count: any_u64(rng),
+                failed: rng.below(4) == 0,
+            });
+        }
+        for start_ns in starts(rng, ocalls) {
+            t.ocalls.insert(OcallRow {
+                thread: thread(rng),
+                enclave: enclave(rng),
+                call_index: call_index(rng),
+                start_ns,
+                end_ns: end(rng, start_ns),
+                parent_ecall: parent(rng, ecalls),
+                failed: rng.below(4) == 0,
+            });
+        }
+        for _ in 0..rng.below(12) {
+            let kind_is_ecall = rng.below(2) == 0;
+            t.symbols.insert(SymbolRow {
+                enclave: enclave(rng),
+                kind_is_ecall,
+                index: call_index(rng),
+                name: one_of(rng, &["ecall_a", "ecall_b", "shared", "ocall_x", ""]).to_string(),
+                public: kind_is_ecall && rng.below(2) == 0,
+                allowed_ecalls: (0..rng.below(3)).map(|_| call_index(rng)).collect(),
+                user_check_params: (0..rng.below(2)).map(|_| "p".to_string()).collect(),
+            });
+        }
+        for _ in 0..rng.below(6) {
+            t.aex.insert(AexRow {
+                thread: thread(rng),
+                enclave: enclave(rng),
+                time_ns: any_u64(rng),
+                during_ecall: parent(rng, ecalls),
+                cause: maybe(rng, |rng| {
+                    one_of(
+                        rng,
+                        &[
+                            AexCauseCode::Interrupt,
+                            AexCauseCode::PageFault,
+                            AexCauseCode::AccessFault,
+                        ],
+                    )
+                }),
+            });
+        }
+        for _ in 0..rng.below(6) {
+            t.paging.insert(PagingRow {
+                enclave: enclave(rng),
+                out: rng.below(2) == 0,
+                vaddr: one_of(rng, &[0, 0x1000, u64::MAX]),
+                time_ns: any_u64(rng),
+            });
+        }
+        for _ in 0..rng.below(6) {
+            t.sync.insert(SyncRow {
+                thread: thread(rng),
+                time_ns: any_u64(rng),
+                sleep: rng.below(2) == 0,
+                target_thread: maybe(rng, thread),
+                ocall_row: rng.below(ocalls as u64 + 2),
+            });
+        }
+        for _ in 0..rng.below(4) {
+            t.enclaves.insert(EnclaveRow {
+                enclave: enclave(rng),
+                total_pages: any_u64(rng),
+                created_ns: any_u64(rng),
+            });
+        }
+        for _ in 0..rng.below(6) {
+            t.switchless.insert(SwitchlessRow {
+                thread: thread(rng),
+                enclave: enclave(rng),
+                kind: rng.below(8) as u8,
+                call_index: maybe(rng, call_index),
+                worker: maybe(rng, any_u32),
+                spins: any_u64(rng),
+                time_ns: any_u64(rng),
+            });
+        }
+        for _ in 0..rng.below(4) {
+            t.faults.insert(FaultRow {
+                thread: thread(rng),
+                enclave: enclave(rng),
+                fault: rng.below(10) as u8,
+                action: rng.below(6) as u8,
+                call_index: maybe(rng, call_index),
+                magnitude: any_u64(rng),
+                time_ns: any_u64(rng),
+            });
+        }
+        for _ in 0..rng.below(4) {
+            t.lifecycle.insert(LifecycleRow {
+                enclave: enclave(rng),
+                stage: rng.below(8) as u8,
+                thread: thread(rng),
+                attempt: any_u32(rng),
+                magnitude: any_u64(rng),
+                time_ns: any_u64(rng),
+            });
+        }
+        for _ in 0..rng.below(8) {
+            t.syncev.insert(SyncEvRow {
+                thread: thread(rng),
+                op: rng.below(24) as u8,
+                object: maybe(rng, |rng| rng.below(4)),
+                target: maybe(rng, thread),
+                aux: any_u64(rng),
+                label: one_of(rng, &["", "m", "cell"]).to_string(),
+                time_ns: any_u64(rng),
+            });
+        }
+        for _ in 0..rng.below(4) {
+            t.fleet.insert(FleetRow {
+                slot: any_u32(rng),
+                spin_ups: any_u32(rng),
+                restarts: any_u32(rng),
+                requests: any_u64(rng),
+                completed: any_u64(rng),
+                shed: any_u64(rng),
+                failed: any_u64(rng),
+                p50_ns: any_u64(rng),
+                p99_ns: any_u64(rng),
+                page_ins: any_u64(rng),
+                page_outs: any_u64(rng),
+            });
+        }
+        t
+    }
+}
+
+/// The trace with thread tokens 0 and 1 swapped in every table.
+fn swap_threads_0_and_1(trace: &TraceDb) -> TraceDb {
+    fn swap(thread: &mut u64) {
+        *thread = match *thread {
+            0 => 1,
+            1 => 0,
+            other => other,
+        };
+    }
+    fn each<R: Clone>(table: &mut Table<R>, relabel: impl Fn(&mut R)) {
+        *table = (table.iter().cloned())
+            .map(|mut row| {
+                relabel(&mut row);
+                row
+            })
+            .collect();
+    }
+    let mut t = trace.clone();
+    each(&mut t.ecalls, |r| swap(&mut r.thread));
+    each(&mut t.ocalls, |r| swap(&mut r.thread));
+    each(&mut t.aex, |r| swap(&mut r.thread));
+    each(&mut t.sync, |r| {
+        swap(&mut r.thread);
+        r.target_thread.as_mut().map(swap);
+    });
+    each(&mut t.switchless, |r| swap(&mut r.thread));
+    each(&mut t.faults, |r| swap(&mut r.thread));
+    each(&mut t.lifecycle, |r| swap(&mut r.thread));
+    each(&mut t.syncev, |r| {
+        swap(&mut r.thread);
+        r.target.as_mut().map(swap);
+    });
+    t
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::analysis::diff::{DiffConfig, TraceDiff, Verdict};
+    use crate::analysis::Analyzer;
+    use sim_core::HwProfile;
+
+    const TRACES: Traces = Traces { max_rows: 24 };
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        /// Decoding a trace's bytes and encoding it again gives the same
+        /// bytes.
+        #[test]
+        fn encoding_round_trips_byte_identically(trace in TRACES) {
+            let bytes = trace.to_bytes();
+            let back = TraceDb::from_bytes(&bytes).expect("own bytes decode");
+            prop_assert!(back.to_bytes() == bytes);
+        }
+
+        /// A trace diffed against itself is neutral: exit 0, and no
+        /// regression, improvement or call on one side only.
+        #[test]
+        fn self_diff_is_neutral(trace in TRACES) {
+            let diff = TraceDiff::compute(&trace, &trace, DiffConfig::default());
+            prop_assert_eq!(diff.verdict, Verdict::Neutral);
+            prop_assert_eq!(diff.exit_code(), 0);
+            prop_assert!(diff.regressions.is_empty(), "{:?}", diff.regressions);
+            prop_assert!(diff.improvements.is_empty(), "{:?}", diff.improvements);
+            prop_assert!(diff.only_in_a.is_empty() && diff.only_in_b.is_empty());
+        }
+
+        /// Relabelling threads 0 and 1 in every table leaves the set of
+        /// detections unchanged.
+        #[test]
+        fn swapping_threads_0_and_1_keeps_the_detections(trace in TRACES) {
+            let detections = |t: &TraceDb| {
+                let report = Analyzer::new(t, HwProfile::Unpatched.cost_model()).analyze();
+                let mut found: Vec<String> =
+                    report.detections.iter().map(|d| format!("{d:?}")).collect();
+                found.sort();
+                found
+            };
+            prop_assert_eq!(detections(&trace), detections(&swap_threads_0_and_1(&trace)));
+        }
+    }
+}

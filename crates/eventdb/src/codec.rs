@@ -104,45 +104,68 @@ impl<'a> Decoder<'a> {
         self.remaining() == 0
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8], DbError> {
         if self.remaining() < n {
-            return Err(DbError::Corrupt(format!(
-                "truncated input: wanted {n} bytes at offset {}, {} remain",
-                self.pos,
-                self.remaining()
-            )));
+            return Err(self.truncated(n));
         }
         let slice = &self.data[self.pos..self.pos + n];
         self.pos += n;
         Ok(slice)
     }
 
+    /// Reads exactly `N` bytes.
+    #[inline]
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], DbError> {
+        let bytes = self.take(N)?;
+        Ok(bytes.try_into().expect("take returns exactly N bytes"))
+    }
+
+    /// The error of a read past the end, built out of line so that the
+    /// bounds-checked reads stay small enough to inline into each row's
+    /// decode.
+    #[cold]
+    #[inline(never)]
+    fn truncated(&self, n: usize) -> DbError {
+        DbError::Corrupt(format!(
+            "truncated input: wanted {n} bytes at offset {}, {} remain",
+            self.pos,
+            self.remaining()
+        ))
+    }
+
     /// Reads one byte.
+    #[inline]
     pub fn u8(&mut self) -> Result<u8, DbError> {
         Ok(self.take(1)?[0])
     }
 
     /// Reads a little-endian u32.
+    #[inline]
     pub fn u32(&mut self) -> Result<u32, DbError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        self.array().map(u32::from_le_bytes)
     }
 
     /// Reads a little-endian u64.
+    #[inline]
     pub fn u64(&mut self) -> Result<u64, DbError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        self.array().map(u64::from_le_bytes)
     }
 
     /// Reads a little-endian i64.
+    #[inline]
     pub fn i64(&mut self) -> Result<i64, DbError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        self.array().map(i64::from_le_bytes)
     }
 
     /// Reads an IEEE-754 double.
+    #[inline]
     pub fn f64(&mut self) -> Result<f64, DbError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        self.array().map(f64::from_le_bytes)
     }
 
     /// Reads a boolean; any byte other than 0/1 is corruption.
+    #[inline]
     pub fn bool(&mut self) -> Result<bool, DbError> {
         match self.u8()? {
             0 => Ok(false),
@@ -165,10 +188,13 @@ impl<'a> Decoder<'a> {
 
     /// Reads a length-prefixed UTF-8 string.
     pub fn str(&mut self) -> Result<String, DbError> {
+        self.borrowed_str().map(str::to_string)
+    }
+
+    /// Reads a length-prefixed UTF-8 string in place, borrowing the input.
+    pub(crate) fn borrowed_str(&mut self) -> Result<&'a str, DbError> {
         let raw = self.bytes()?;
-        std::str::from_utf8(raw)
-            .map(str::to_string)
-            .map_err(|e| DbError::Corrupt(format!("invalid utf-8 string: {e}")))
+        std::str::from_utf8(raw).map_err(|e| DbError::Corrupt(format!("invalid utf-8 string: {e}")))
     }
 }
 
@@ -176,6 +202,10 @@ impl<'a> Decoder<'a> {
 /// derives a row's codec from its fields' `Field` impls, in declaration
 /// order.
 pub trait Field: Sized {
+    /// Fewest bytes an encoded value takes. [`record!`](crate::record)
+    /// sums a row's fields into [`Record::MIN_BYTES`](crate::Record::MIN_BYTES).
+    const MIN_BYTES: usize;
+
     /// Appends the value.
     fn write(&self, out: &mut Encoder);
 
@@ -188,11 +218,14 @@ pub trait Field: Sized {
 }
 
 macro_rules! scalar_fields {
-    ($($ty:ident),*) => {$(
+    ($($ty:ident: $bytes:literal),*) => {$(
         impl Field for $ty {
+            const MIN_BYTES: usize = $bytes;
+            #[inline]
             fn write(&self, out: &mut Encoder) {
                 out.$ty(*self);
             }
+            #[inline]
             fn read(r: &mut Decoder<'_>) -> Result<Self, DbError> {
                 r.$ty()
             }
@@ -200,9 +233,11 @@ macro_rules! scalar_fields {
     )*};
 }
 
-scalar_fields!(u8, u32, u64, i64, f64, bool);
+scalar_fields!(u8: 1, u32: 4, u64: 8, i64: 8, f64: 8, bool: 1);
 
+/// A u32 byte length, then the UTF-8 bytes.
 impl Field for String {
+    const MIN_BYTES: usize = 4;
     fn write(&self, out: &mut Encoder) {
         out.str(self);
     }
@@ -213,12 +248,15 @@ impl Field for String {
 
 /// A presence byte, then the value when present.
 impl<T: Field> Field for Option<T> {
+    const MIN_BYTES: usize = 1;
+    #[inline]
     fn write(&self, out: &mut Encoder) {
         out.bool(self.is_some());
         if let Some(value) = self {
             value.write(out);
         }
     }
+    #[inline]
     fn read(r: &mut Decoder<'_>) -> Result<Self, DbError> {
         if r.bool()? {
             T::read(r).map(Some)
@@ -234,6 +272,7 @@ const LIST_PREALLOC: usize = 1024;
 
 /// A u64 item count, then the items.
 impl<T: Field> Field for Vec<T> {
+    const MIN_BYTES: usize = 8;
     fn write(&self, out: &mut Encoder) {
         out.usize(self.len());
         for item in self {

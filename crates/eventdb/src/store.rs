@@ -25,10 +25,14 @@
 //!   crc   u32             CRC-32 over the frame's tag+blob bytes
 //! ```
 //!
-//! Frames are full-table snapshots; [`Store::load`] keeps the *last* valid
-//! frame per tag and salvages a torn tail back to the last valid frame
-//! boundary.
+//! Frames are full-table snapshots; [`Store::parse`] keeps the *last*
+//! valid frame per tag and salvages a torn tail back to the last valid
+//! frame boundary.
+//!
+//! Parsing copies no section: a parsed store borrows every tag and table
+//! blob from the container bytes, and tables decode straight from them.
 
+use std::borrow::Cow;
 use std::fs;
 use std::io::Write;
 use std::path::Path;
@@ -72,27 +76,31 @@ pub struct SectionInfo {
 /// A set of encoded tables, addressable by their [`Record::TAG`], with
 /// binary (de)serialisation. This is the trace *file*; live recording
 /// happens in typed [`Table`]s which are `put` here at flush time.
+///
+/// A store parsed from container bytes borrows its sections from them
+/// for `'a`; a section [`put`](StoreOf::put) into it is owned.
 #[derive(Debug, Default, Clone)]
-pub struct Store {
-    sections: Vec<(String, Vec<u8>)>,
+pub struct StoreOf<'a> {
+    sections: Vec<(Cow<'a, str>, Cow<'a, [u8]>)>,
 }
 
-impl Store {
+/// A store that owns its sections, as [`Store::new`] and
+/// [`put`](StoreOf::put) build it. Its parsers ([`Store::from_bytes`],
+/// [`Store::parse`], the segmented ones) return stores that borrow the
+/// parsed bytes instead.
+pub type Store = StoreOf<'static>;
+
+impl<'a> StoreOf<'a> {
     /// Creates an empty store.
-    pub fn new() -> Store {
-        Store::default()
+    pub fn new() -> StoreOf<'a> {
+        StoreOf::default()
     }
 
     /// Adds (or replaces) the section for `table`.
     pub fn put<R: Record>(&mut self, table: &Table<R>) {
         let mut enc = Encoder::new();
         table.encode(&mut enc);
-        let blob = enc.into_bytes();
-        if let Some(slot) = self.sections.iter_mut().find(|(tag, _)| tag == R::TAG) {
-            slot.1 = blob;
-        } else {
-            self.sections.push((R::TAG.to_string(), blob));
-        }
+        self.put_section(Cow::Borrowed(R::TAG), Cow::Owned(enc.into_bytes()));
     }
 
     /// Decodes the table for record type `R`.
@@ -123,7 +131,7 @@ impl Store {
 
     /// Tags of all sections in insertion order.
     pub fn tags(&self) -> Vec<&str> {
-        self.sections.iter().map(|(tag, _)| tag.as_str()).collect()
+        self.sections.iter().map(|(tag, _)| &**tag).collect()
     }
 
     /// Enumerates sections in insertion order *without decoding records*:
@@ -146,7 +154,7 @@ impl Store {
                 ))
             })?;
             Ok(SectionInfo {
-                tag: tag.clone(),
+                tag: tag.to_string(),
                 rows,
                 bytes: blob.len(),
             })
@@ -174,8 +182,34 @@ impl Store {
         enc.into_bytes()
     }
 
-    /// Parses a store from bytes.
-    pub fn from_bytes(data: &[u8]) -> Result<Store, DbError> {
+    /// Writes the store to a file.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem errors.
+    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), DbError> {
+        fs::write(path, self.to_bytes())?;
+        Ok(())
+    }
+
+    fn put_section(&mut self, tag: Cow<'a, str>, blob: Cow<'a, [u8]>) {
+        if let Some(slot) = self.sections.iter_mut().find(|(t, _)| *t == tag) {
+            slot.1 = blob;
+        } else {
+            self.sections.push((tag, blob));
+        }
+    }
+}
+
+impl Store {
+    /// Parses an `EVDB` container strictly; the store borrows every
+    /// section from `data`.
+    ///
+    /// # Errors
+    ///
+    /// [`DbError::Corrupt`] on a bad header, a truncated section or
+    /// trailing bytes.
+    pub fn from_bytes(data: &[u8]) -> Result<StoreOf<'_>, DbError> {
         let mut dec = Decoder::new(data);
         let mut magic = [0u8; 4];
         for b in &mut magic {
@@ -193,9 +227,9 @@ impl Store {
         let count = dec.u32()? as usize;
         let mut sections = Vec::with_capacity(count.min(1024));
         for _ in 0..count {
-            let tag = dec.str()?;
-            let blob = dec.bytes()?.to_vec();
-            sections.push((tag, blob));
+            let tag = dec.borrowed_str()?;
+            let blob = dec.bytes()?;
+            sections.push((Cow::Borrowed(tag), Cow::Borrowed(blob)));
         }
         if !dec.is_exhausted() {
             return Err(DbError::Corrupt(format!(
@@ -203,34 +237,23 @@ impl Store {
                 dec.remaining()
             )));
         }
-        Ok(Store { sections })
+        Ok(StoreOf { sections })
     }
 
-    /// Writes the store to a file.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), DbError> {
-        fs::write(path, self.to_bytes())?;
-        Ok(())
-    }
-
-    /// Reads a store from a file, auto-detecting the layout by magic: the
-    /// atomic `EVDB` container is parsed strictly, a segmented `EVSG`
+    /// Parses the bytes of a trace file, detecting the layout by magic:
+    /// the atomic `EVDB` container is parsed strictly, a segmented `EVSG`
     /// recording is *salvaged* — a torn tail (writer killed mid-append) is
     /// dropped back to the last valid frame boundary rather than failing
-    /// the whole load.
+    /// the whole load. The store borrows every section from `data`.
     ///
     /// # Errors
     ///
-    /// Propagates filesystem errors and corruption.
-    pub fn load(path: impl AsRef<Path>) -> Result<Store, DbError> {
-        let data = fs::read(path)?;
+    /// Corruption.
+    pub fn parse(data: &[u8]) -> Result<StoreOf<'_>, DbError> {
         if data.starts_with(SEG_MAGIC) {
-            return Store::salvage_segmented(&data).map(|(store, _)| store);
+            return Store::salvage_segmented(data).map(|(store, _)| store);
         }
-        Store::from_bytes(&data)
+        Store::from_bytes(data)
     }
 
     // ------------------------------------------------------------------
@@ -259,7 +282,7 @@ impl Store {
     ///
     /// [`DbError::Corrupt`] on a bad header;
     /// [`DbError::TruncatedFrame`] when the data ends in a torn frame.
-    pub fn from_segmented_bytes(data: &[u8]) -> Result<Store, DbError> {
+    pub fn from_segmented_bytes(data: &[u8]) -> Result<StoreOf<'_>, DbError> {
         let (store, dropped, torn) = Store::parse_segmented(data)?;
         if dropped > 0 {
             let (table, offset) = torn.expect("dropped bytes imply a torn frame");
@@ -277,7 +300,7 @@ impl Store {
     ///
     /// [`DbError::Corrupt`] only when the header itself is bad — a file
     /// that never got past `open_segmented` is not a recording at all.
-    pub fn salvage_segmented(data: &[u8]) -> Result<(Store, usize), DbError> {
+    pub fn salvage_segmented(data: &[u8]) -> Result<(StoreOf<'_>, usize), DbError> {
         let (store, dropped, _) = Store::parse_segmented(data)?;
         Ok((store, dropped))
     }
@@ -286,7 +309,9 @@ impl Store {
     /// snapshot per tag wins), the count of dropped tail bytes, and the
     /// torn frame's (tag, offset) when there is one.
     #[allow(clippy::type_complexity)]
-    fn parse_segmented(data: &[u8]) -> Result<(Store, usize, Option<(String, usize)>), DbError> {
+    fn parse_segmented(
+        data: &[u8],
+    ) -> Result<(StoreOf<'_>, usize, Option<(String, usize)>), DbError> {
         if data.len() < SEG_MAGIC.len() + 1 || &data[..4] != SEG_MAGIC {
             return Err(DbError::Corrupt("bad segmented magic".into()));
         }
@@ -296,47 +321,34 @@ impl Store {
                 "unsupported segmented version {version} (supported: {SEG_VERSION})"
             )));
         }
-        let mut store = Store::new();
+        let mut store = StoreOf::new();
         let mut pos = SEG_MAGIC.len() + 1;
         while pos < data.len() {
             let frame = &data[pos..];
             let mut dec = Decoder::new(frame);
-            let tag = match dec.str() {
+            let tag = match dec.borrowed_str() {
                 Ok(tag) => tag,
                 Err(_) => {
                     return Ok((store, data.len() - pos, Some(("?".into(), pos))));
                 }
             };
-            let blob = match dec.bytes() {
-                Ok(blob) => blob.to_vec(),
-                Err(_) => {
-                    return Ok((store, data.len() - pos, Some((tag, pos))));
-                }
+            let torn = || Some((tag.to_string(), pos));
+            let Ok(blob) = dec.bytes() else {
+                return Ok((store, data.len() - pos, torn()));
             };
             let body_len = frame.len() - dec.remaining();
-            let stored_crc = match dec.u32() {
-                Ok(crc) => crc,
-                Err(_) => {
-                    return Ok((store, data.len() - pos, Some((tag, pos))));
-                }
+            let Ok(stored_crc) = dec.u32() else {
+                return Ok((store, data.len() - pos, torn()));
             };
             if stored_crc != crc32(&frame[..body_len]) {
                 // A bad checksum means the kill landed inside this frame's
                 // body; everything before it is still good.
-                return Ok((store, data.len() - pos, Some((tag, pos))));
+                return Ok((store, data.len() - pos, torn()));
             }
-            store.put_section(tag, blob);
+            store.put_section(Cow::Borrowed(tag), Cow::Borrowed(blob));
             pos += frame.len() - dec.remaining();
         }
         Ok((store, 0, None))
-    }
-
-    fn put_section(&mut self, tag: String, blob: Vec<u8>) {
-        if let Some(slot) = self.sections.iter_mut().find(|(t, _)| *t == tag) {
-            slot.1 = blob;
-        } else {
-            self.sections.push((tag, blob));
-        }
     }
 }
 
@@ -366,7 +378,7 @@ impl SegmentedWriter {
     /// # Errors
     ///
     /// Propagates filesystem errors.
-    pub fn append_store(&mut self, store: &Store) -> Result<(), DbError> {
+    pub fn append_store(&mut self, store: &StoreOf<'_>) -> Result<(), DbError> {
         for (tag, blob) in &store.sections {
             self.write_frame(tag, blob)?;
         }
@@ -517,7 +529,7 @@ mod tests {
     #[test]
     fn truncated_section_enumeration_fails_closed() {
         let mut s = Store::new();
-        s.sections.push(("bad".into(), vec![1, 2, 3]));
+        s.sections.push(("bad".into(), vec![1, 2, 3].into()));
         let got = s.sections().next().unwrap();
         assert!(matches!(got, Err(DbError::Corrupt(_))), "{got:?}");
     }
@@ -528,7 +540,8 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("trace.evdb");
         sample_store().save(&path).unwrap();
-        let s = Store::load(&path).unwrap();
+        let data = fs::read(&path).unwrap();
+        let s = Store::parse(&data).unwrap();
         assert_eq!(s.tags(), vec!["a", "b"]);
         fs::remove_file(path).unwrap();
     }
@@ -642,9 +655,11 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join(format!("load-{:x}.evdb", std::process::id()));
         let data = segmented_bytes();
-        // Write a torn recording; load must salvage it transparently.
+        // Write a torn recording; parsing the file must salvage it
+        // transparently.
         fs::write(&path, &data[..data.len() - 3]).unwrap();
-        let s = Store::load(&path).unwrap();
+        let data = fs::read(&path).unwrap();
+        let s = Store::parse(&data).unwrap();
         assert_eq!(s.tags(), vec!["a"]);
         fs::remove_file(path).unwrap();
     }

@@ -11,6 +11,12 @@ pub trait Record: Sized {
     /// [`Store`](crate::Store).
     const TAG: &'static str;
 
+    /// Fewest bytes one encoded row takes, so that [`Table::decode`] can
+    /// reject a row count the input cannot hold before it reserves room
+    /// for the rows. [`record!`](crate::record) sums it from the fields;
+    /// a hand-written row is assumed to take at least one byte.
+    const MIN_BYTES: usize = 1;
+
     /// Serialises the record.
     fn encode(&self, out: &mut Encoder);
 
@@ -25,8 +31,10 @@ pub trait Record: Sized {
 
 /// Declares a row struct with named fields and derives its [`Record`]
 /// impl: fields are written and read in declaration order, each through
-/// its [`Field`](crate::Field) impl. The string after the struct name is
-/// the table tag. The [crate-level example](crate) declares one.
+/// its [`Field`](crate::Field) impl, and the row's
+/// [`MIN_BYTES`](Record::MIN_BYTES) is the sum of its fields'. The string
+/// after the struct name is the table tag. The [crate-level
+/// example](crate) declares one.
 #[macro_export]
 macro_rules! record {
     (
@@ -42,6 +50,7 @@ macro_rules! record {
 
         impl $crate::Record for $name {
             const TAG: &'static str = $tag;
+            const MIN_BYTES: usize = 0 $(+ <$ty as $crate::Field>::MIN_BYTES)*;
             fn encode(&self, out: &mut $crate::Encoder) {
                 $($crate::Field::write(&self.$field, out);)*
             }
@@ -157,13 +166,18 @@ impl<R: Record> Table<R> {
     }
 
     /// Deserialises a table written by [`Table::encode`].
+    ///
+    /// # Errors
+    ///
+    /// [`DbError::Corrupt`] on malformed rows, and before anything is
+    /// reserved when the row count needs more bytes than remain (each
+    /// row takes at least [`Record::MIN_BYTES`], and at least one).
     pub fn decode(r: &mut Decoder<'_>) -> Result<Table<R>, DbError> {
         let count = r.usize()?;
-        // Guard against absurd counts from corrupt headers: each row needs
-        // at least one byte.
-        if count > r.remaining() {
+        let min_bytes = R::MIN_BYTES.max(1);
+        if count > r.remaining() / min_bytes {
             return Err(DbError::Corrupt(format!(
-                "row count {count} exceeds remaining bytes {}",
+                "row count {count} exceeds remaining bytes {} ({min_bytes} or more per row)",
                 r.remaining()
             )));
         }
@@ -254,6 +268,50 @@ mod tests {
             Table::<Row>::decode(&mut d).unwrap_err(),
             DbError::Corrupt(_)
         ));
+    }
+
+    crate::record! {
+        /// The field shape of a trace's symbol rows: 30 bytes at least.
+        #[derive(Debug)]
+        struct SymbolShaped: "symbols" {
+            enclave: u32,
+            kind_is_ecall: bool,
+            index: u32,
+            name: String,
+            public: bool,
+            allowed_ecalls: Vec<u32>,
+            user_check_params: Vec<String>,
+        }
+    }
+
+    #[test]
+    fn min_bytes_sum_the_fields() {
+        assert_eq!(Row::MIN_BYTES, 8 + 4);
+        assert_eq!(SymbolShaped::MIN_BYTES, 4 + 1 + 4 + 4 + 1 + 8 + 8);
+    }
+
+    /// An 8 MiB section of 0xff bytes that claims one row per byte: the
+    /// count fails before any room is reserved for the rows (88 bytes
+    /// each), not at the first row's bool byte.
+    #[test]
+    fn row_count_the_bytes_cannot_hold_is_corrupt() {
+        const BYTES: usize = 8 << 20;
+        let mut e = Encoder::new();
+        e.usize(BYTES);
+        let mut bytes = e.into_bytes();
+        bytes.resize(8 + BYTES, 0xff);
+        let err = Table::<SymbolShaped>::decode(&mut Decoder::new(&bytes)).unwrap_err();
+        assert!(
+            matches!(&err, DbError::Corrupt(m) if m.starts_with("row count 8388608 exceeds")),
+            "{err}"
+        );
+        // A count the bytes can hold still decodes row by row.
+        let mut e = Encoder::new();
+        e.usize(BYTES / SymbolShaped::MIN_BYTES);
+        let mut bytes = e.into_bytes();
+        bytes.resize(8 + BYTES, 0xff);
+        let err = Table::<SymbolShaped>::decode(&mut Decoder::new(&bytes)).unwrap_err();
+        assert!(err.to_string().contains("invalid bool byte 255"), "{err}");
     }
 
     #[test]

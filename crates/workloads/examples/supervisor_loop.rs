@@ -1,7 +1,7 @@
 //! Crash-consistent recovery demo: the supervised SecureKeeper-style
 //! server loses its enclave mid-run, recovers, and persists a trace
 //! snapshot into a *segmented* event store after every completed request.
-//! Kill the process at any point (`kill -9`) and `Store::load` salvages
+//! Kill the process at any point (`kill -9`) and `TraceDb::load` salvages
 //! the file back to the last intact frame boundary — `sgxperf info` and
 //! `sgxperf report` consume the survivor without ceremony.
 //!
