@@ -23,6 +23,12 @@
 //!   no-op ecall into the newest of 256 live enclaves, each with its own
 //!   ocall table, must cost under 2x one into a runtime with one live
 //!   enclave (a per-ecall scan of the logger's stub cache made it 5-8x).
+//! * `hostile_traces_analyse_in_near_linear_time`: a self-diff of one
+//!   ecall with n executions, n injected faults and n recovery windows,
+//!   and the race analysis of n lock holds with one ocall inside each,
+//!   must each cost under 16x more at n = 40,000 than at n = 5,000
+//!   (testing every fault or ocall against every window or hold made
+//!   them about 64x and 60x).
 //!
 //! A floor variable that is set but does not parse as a finite number
 //! fails the gate; an unset one means the default.
@@ -30,12 +36,17 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use sgx_perf::{Logger, LoggerConfig};
+use sgx_perf::analysis::diff::{DiffConfig, TraceDiff};
+use sgx_perf::analysis::races;
+use sgx_perf::events::{EcallRow, FaultRow, LifecycleRow, OcallRow, SymbolRow, SyncEvRow};
+use sgx_perf::{Logger, LoggerConfig, TraceDb};
 use sgx_perf_bench::scaled_count;
 use sgx_sdk::{CallData, Enclave, OcallTable, OcallTableBuilder, Runtime, ThreadCtx};
 use sgx_sim::{EnclaveConfig, EnclaveId, EvictionPolicy, Machine, MachineParams};
 use sim_core::campaign::CampaignSpec;
-use sim_core::{Clock, HwProfile};
+use sim_core::fault::FaultAction;
+use sim_core::syncev::SyncOp;
+use sim_core::{Clock, HwProfile, LifecycleStage};
 use sim_threads::{with_engine, Engine, Simulation};
 use workloads::campaign::matrix::{self, MatrixPlan};
 use workloads::chaos;
@@ -263,6 +274,139 @@ fn logged_ecall_cost_is_independent_of_live_ocall_tables() {
         "logged ecall cost grows with the live ocall tables: {many:.0} ns with 256 \
          vs {one:.0} ns with 1 ({ratio:.2}x)"
     );
+}
+
+/// One ecall run `n` times, 1 µs apart, with `n` injected faults and `n`
+/// enclave losses each recovered, all between the executions.
+fn faulted_trace(n: u64) -> TraceDb {
+    let mut trace = TraceDb::default();
+    for i in 0..n {
+        let at = i * 1_000;
+        trace.ecalls.insert(EcallRow {
+            thread: 0,
+            enclave: 1,
+            call_index: 0,
+            start_ns: at,
+            end_ns: at + 100,
+            parent_ocall: None,
+            aex_count: 0,
+            failed: false,
+        });
+        trace.faults.insert(FaultRow {
+            thread: 0,
+            enclave: 1,
+            fault: 3,
+            action: FaultAction::Injected.code(),
+            call_index: Some(0),
+            magnitude: 1,
+            time_ns: at + 500,
+        });
+        for (stage, time_ns) in [
+            (LifecycleStage::Lost, at + 600),
+            (LifecycleStage::Recovered, at + 700),
+        ] {
+            trace.lifecycle.insert(LifecycleRow {
+                enclave: 1,
+                stage: stage.code(),
+                thread: 0,
+                attempt: 1,
+                magnitude: 100,
+                time_ns,
+            });
+        }
+    }
+    trace
+}
+
+/// One thread holding mutex `m` `n` times, 100 ns apart, with one
+/// `ocall_io` inside each hold.
+fn held_lock_trace(n: u64) -> TraceDb {
+    let mut trace = TraceDb::default();
+    trace.symbols.insert(SymbolRow {
+        enclave: 1,
+        kind_is_ecall: false,
+        index: 0,
+        name: "ocall_io".to_string(),
+        public: false,
+        allowed_ecalls: vec![],
+        user_check_params: vec![],
+    });
+    for i in 0..n {
+        let at = i * 100;
+        for (op, time_ns) in [(SyncOp::LockAcquire, at), (SyncOp::LockRelease, at + 50)] {
+            trace.syncev.insert(SyncEvRow {
+                thread: 0,
+                op: op.code(),
+                object: Some(1),
+                target: None,
+                aux: 0,
+                label: "m".to_string(),
+                time_ns,
+            });
+        }
+        trace.ocalls.insert(OcallRow {
+            thread: 0,
+            enclave: 1,
+            call_index: 0,
+            start_ns: at + 10,
+            end_ns: at + 20,
+            parent_ecall: None,
+            failed: false,
+        });
+    }
+    trace
+}
+
+/// Best-of-3 real time of `work`, in nanoseconds. Each run starts after
+/// 64 MiB of other writes, so that a small input is not timed from a warm
+/// cache that a large one does not fit in.
+fn best_of_3_ns(mut work: impl FnMut()) -> f64 {
+    let mut flush = vec![0u8; 64 << 20];
+    (0..3u8)
+        .map(|run| {
+            flush.fill(run);
+            std::hint::black_box(&flush);
+            let start = Instant::now();
+            work();
+            start.elapsed().as_nanos() as f64
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+#[test]
+#[ignore = "timing gate: release build, run alone by CI's perf-gate job"]
+fn hostile_traces_analyse_in_near_linear_time() {
+    let (small, large) = (5_000, 40_000);
+    let diff_ns = |n| {
+        let trace = faulted_trace(n);
+        best_of_3_ns(|| {
+            let diff = TraceDiff::compute(&trace, &trace, DiffConfig::default());
+            assert_eq!(diff.attributed_faults(), 0);
+        })
+    };
+    let races_ns = |n| {
+        let trace = held_lock_trace(n);
+        best_of_3_ns(|| {
+            let report = races::analyze(&trace);
+            assert_eq!(report.findings.len(), 1, "{}", report.render());
+        })
+    };
+    for (label, time) in [
+        ("self-diff", &diff_ns as &dyn Fn(u64) -> f64),
+        ("races", &races_ns),
+    ] {
+        let (t_small, t_large) = (time(small), time(large));
+        let ratio = t_large / t_small;
+        println!(
+            "{label}: {:.1} ms at n = {small}, {:.1} ms at n = {large} — {ratio:.1}x",
+            t_small / 1e6,
+            t_large / 1e6
+        );
+        assert!(
+            ratio < 16.0,
+            "{label} is not near-linear in trace size: {ratio:.1}x the time at 8x the size"
+        );
+    }
 }
 
 #[test]

@@ -321,6 +321,58 @@ fn recovery_windows(trace: &TraceDb) -> Vec<(u64, u64)> {
     windows
 }
 
+/// How many of the sorted fault times fall inside a window (both ends
+/// included) of `windows`, sorted by end. One merge from the latest end
+/// down: a fault after a window's end lies after every earlier-ending
+/// window's end too, and one a later-ending window counted is not counted
+/// again.
+fn faults_in_windows(faults: &[u64], windows: &[(u64, u64)]) -> usize {
+    let (mut count, mut rest) = (0, faults.len());
+    for &(start, end) in windows.iter().rev() {
+        while rest > 0 && faults[rest - 1] > end {
+            rest -= 1;
+        }
+        let to = rest;
+        while rest > 0 && faults[rest - 1] >= start {
+            rest -= 1;
+        }
+        count += to - rest;
+    }
+    count
+}
+
+/// Windows sorted by start, each end raised to the latest end so far:
+/// the windows starting at or before a time reach as far as the last of
+/// them does.
+struct Reach(Vec<(u64, u64)>);
+
+impl Reach {
+    fn of(mut windows: Vec<(u64, u64)>) -> Reach {
+        windows.sort_unstable();
+        let mut reach = 0;
+        for (_, end) in &mut windows {
+            reach = reach.max(*end);
+            *end = reach;
+        }
+        Reach(windows)
+    }
+
+    /// How many of `windows`, sorted by end, overlap one of these windows
+    /// (both ends included), in one merge: a window overlaps iff the
+    /// windows starting by its end reach its start.
+    fn overlapping(&self, windows: &[(u64, u64)]) -> usize {
+        let mut started = 0;
+        (windows.iter())
+            .filter(|&&(start, end)| {
+                while self.0.get(started).is_some_and(|&(s, _)| s <= end) {
+                    started += 1;
+                }
+                started > 0 && self.0[started - 1].1 >= start
+            })
+            .count()
+    }
+}
+
 /// Groups a trace's call events by (kind, resolved name). Calls with the
 /// same name in different enclaves merge — the alignment unit is the
 /// call *site* as a developer names it, which is what survives across
@@ -377,13 +429,14 @@ impl TraceDiff {
     pub fn compute(a: &TraceDb, b: &TraceDb, config: DiffConfig) -> TraceDiff {
         let mut side_a = per_name(a);
         let mut side_b = per_name(b);
-        let injected: Vec<u64> = b
+        let mut injected: Vec<u64> = b
             .faults
             .iter()
             .filter(|f| FaultAction::from_code(f.action) == Some(FaultAction::Injected))
             .map(|f| f.time_ns)
             .collect();
-        let recoveries = recovery_windows(b);
+        injected.sort_unstable();
+        let recoveries = Reach::of(recovery_windows(b));
 
         let keys: Vec<(CallKind, String)> = side_a
             .keys()
@@ -406,7 +459,7 @@ impl TraceDiff {
             match (sa, sb) {
                 (Some(_), None) => only_in_a.push(format!("{name} ({kind})")),
                 (None, Some(_)) => only_in_b.push(format!("{name} ({kind})")),
-                (Some(sa), Some(sb)) => {
+                (Some(sa), Some(mut sb)) => {
                     // Only raw durations: the short-call fractions and the
                     // mean AEX of these stats stay unused.
                     let ca = CallStats::from_durations(&sa.durations, &[], &[]);
@@ -437,15 +490,10 @@ impl TraceDiff {
                             }
                         }
                     }
-                    let attributed = injected
-                        .iter()
-                        .filter(|&&t| sb.windows.iter().any(|&(s, e)| t >= s && t <= e))
-                        .count();
-                    let overlapping = sb
-                        .windows
-                        .iter()
-                        .filter(|(s, e)| recoveries.iter().any(|(rs, re)| s <= re && e >= rs))
-                        .count();
+                    sb.windows
+                        .sort_unstable_by_key(|&(start, end)| (end, start));
+                    let attributed = faults_in_windows(&injected, &sb.windows);
+                    let overlapping = recoveries.overlapping(&sb.windows);
                     let line = |flags: &[String]| {
                         let fault_note = if attributed > 0 {
                             format!(" [{attributed} injected fault(s) in window]")
@@ -821,6 +869,47 @@ impl fmt::Display for TraceDiff {
 mod tests {
     use super::*;
     use crate::events::{EcallRow, FaultRow, OcallRow, PagingRow, SwitchlessRow};
+    use proptest::prelude::{Strategy, TestRng};
+
+    /// Over generated (A, B) pairs, every aligned call's fault attributions
+    /// and recovery overlaps are those of the reference model (every fault
+    /// against every window, every window against every recovery), and
+    /// the pairs have both.
+    #[test]
+    fn fault_and_recovery_counts_match_the_nested_loops() {
+        let traces = crate::tracegen::Traces { max_rows: 24 };
+        let mut rng = TestRng::from_name("fault_and_recovery_counts_match_the_nested_loops");
+        let (mut attributed, mut overlapping) = (0, 0);
+        for case in 0..300 {
+            let (a, b) = (traces.generate(&mut rng), traces.generate(&mut rng));
+            let diff = TraceDiff::compute(&a, &b, DiffConfig::default());
+            let injected: Vec<u64> = (b.faults.iter())
+                .filter(|f| FaultAction::from_code(f.action) == Some(FaultAction::Injected))
+                .map(|f| f.time_ns)
+                .collect();
+            let recoveries = recovery_windows(&b);
+            let sides = per_name(&b);
+            for call in &diff.calls {
+                let windows = &sides[&(call.kind, call.name.clone())].windows;
+                let expected = (
+                    (injected.iter())
+                        .filter(|&&t| windows.iter().any(|&(s, e)| t >= s && t <= e))
+                        .count(),
+                    (windows.iter())
+                        .filter(|(s, e)| recoveries.iter().any(|(rs, re)| s <= re && e >= rs))
+                        .count(),
+                );
+                let got = (call.attributed_faults, call.recovery_overlaps);
+                assert_eq!(got, expected, "case {case}, {}: {a:?} {b:?}", call.name);
+                attributed += got.0;
+                overlapping += got.1;
+            }
+        }
+        assert!(
+            attributed >= 30 && overlapping >= 30,
+            "{attributed} attributions and {overlapping} overlaps in 300 pairs"
+        );
+    }
 
     fn trace_with_ecalls(durations: &[u64]) -> TraceDb {
         let mut trace = TraceDb::default();

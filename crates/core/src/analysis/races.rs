@@ -311,6 +311,46 @@ fn access_label(a: &Access) -> String {
 /// Runs the happens-before, lockset and lock-order analyses over the
 /// trace's `syncev` table. An empty table yields an empty (clean) report.
 pub fn analyze(trace: &TraceDb) -> RaceReport {
+    analyze_with(trace, ocalls_under_locks)
+}
+
+/// Completed lock holds: lock → `(thread, acquire_ns, release_ns)` per
+/// hold.
+type Holds = BTreeMap<u64, Vec<(u64, u64, u64)>>;
+
+/// Counts, per (lock, ocall name), the non-sync ocalls that started on the
+/// holding thread inside one of the lock's holds.
+type HeldAcross = for<'t> fn(&TraceDb, &'t CallTable, &Holds) -> BTreeMap<(u64, &'t str), usize>;
+
+/// [`HeldAcross`] in `O((holds + ocalls) · log ocalls)` plus one step per
+/// counted ocall: each thread's ocall starts are listed in order once, so
+/// a hold finds the ocalls inside it by binary search.
+fn ocalls_under_locks<'t>(
+    trace: &TraceDb,
+    table: &'t CallTable,
+    holds: &Holds,
+) -> BTreeMap<(u64, &'t str), usize> {
+    let mut starts: Vec<(u64, u64, &str)> = (trace.ocalls.iter())
+        .zip(table.row_ids(CallKind::Ocall))
+        .map(|(o, &id)| (o.thread, o.start_ns, table.recorded(id).unwrap_or("?")))
+        // The lock's own sleep/wake traffic.
+        .filter(|&(.., name)| !sync_ocalls::is_sync_ocall(name))
+        .collect();
+    starts.sort_unstable_by_key(|&(thread, start, _)| (thread, start));
+    let mut counts = BTreeMap::new();
+    for (&lock, holds) in holds {
+        for &(thread, acquired, released) in holds {
+            let from = starts.partition_point(|&(t, s, _)| (t, s) < (thread, acquired));
+            let to = starts.partition_point(|&(t, s, _)| (t, s) < (thread, released));
+            for &(.., name) in starts.get(from..to).unwrap_or_default() {
+                *counts.entry((lock, name)).or_default() += 1;
+            }
+        }
+    }
+    counts
+}
+
+fn analyze_with(trace: &TraceDb, held_across: HeldAcross) -> RaceReport {
     let mut names: HashMap<u64, String> = HashMap::new();
     for row in trace.syncev.iter() {
         if let Some(obj) = row.object {
@@ -338,8 +378,7 @@ pub fn analyze(trace: &TraceDb) -> RaceReport {
     let mut held: HashMap<u64, Vec<(u64, u64)>> = HashMap::new();
     // Lock-order edges: (held, acquired) → first observed evidence.
     let mut order_edges: BTreeMap<(u64, u64), String> = BTreeMap::new();
-    // Completed hold intervals: lock → [(thread, acquire_ns, release_ns)].
-    let mut intervals: BTreeMap<u64, Vec<(u64, u64, u64)>> = BTreeMap::new();
+    let mut intervals = Holds::new();
     let mut cells: BTreeMap<u64, CellState> = BTreeMap::new();
     let mut locks_seen: BTreeSet<u64> = BTreeSet::new();
     let mut threads_seen: BTreeSet<u64> = BTreeSet::new();
@@ -589,23 +628,7 @@ pub fn analyze(trace: &TraceDb) -> RaceReport {
     } else {
         CallTable::of(trace)
     };
-    let ocall_ids = call_table.row_ids(CallKind::Ocall);
-    let mut across: BTreeMap<(u64, String), usize> = BTreeMap::new();
-    for (&lock, ivs) in &intervals {
-        for &(thread, start, end) in ivs {
-            for (o, &id) in trace.ocalls.iter().zip(ocall_ids) {
-                if o.thread != thread || o.start_ns < start || o.start_ns >= end {
-                    continue;
-                }
-                let name = call_table.recorded(id).unwrap_or("?");
-                if sync_ocalls::is_sync_ocall(name) {
-                    continue; // the lock's own sleep/wake traffic
-                }
-                *across.entry((lock, name.to_string())).or_default() += 1;
-            }
-        }
-    }
-    for ((lock, ocall), count) in across {
+    for ((lock, ocall), count) in held_across(trace, &call_table, &intervals) {
         findings.push(RaceFinding {
             code: codes::LOCK_ACROSS_OCALL,
             severity: Severity::Warning,
@@ -620,7 +643,7 @@ pub fn analyze(trace: &TraceDb) -> RaceReport {
             help: Some("release the lock before the ocall, or move the ocall out of the critical section".to_string()),
             kind: RaceKind::LockAcrossOcall {
                 lock: names.get(&lock).cloned().unwrap_or_else(|| format!("#{lock}")),
-                ocall,
+                ocall: ocall.to_string(),
                 occurrences: count,
             },
         });
@@ -705,6 +728,58 @@ pub fn decode_lock_path(aux: u64) -> Option<LockPath> {
 mod tests {
     use super::*;
     use crate::events::SyncEvRow;
+    use proptest::prelude::{Strategy, TestRng};
+
+    /// The reference model of [`ocalls_under_locks`]: every ocall row
+    /// against every hold.
+    fn ocalls_under_locks_reference<'t>(
+        trace: &TraceDb,
+        table: &'t CallTable,
+        holds: &Holds,
+    ) -> BTreeMap<(u64, &'t str), usize> {
+        let ocall_ids = table.row_ids(CallKind::Ocall);
+        let mut across = BTreeMap::new();
+        for (&lock, holds) in holds {
+            for &(thread, start, end) in holds {
+                for (o, &id) in trace.ocalls.iter().zip(ocall_ids) {
+                    if o.thread != thread || o.start_ns < start || o.start_ns >= end {
+                        continue;
+                    }
+                    let name = table.recorded(id).unwrap_or("?");
+                    if sync_ocalls::is_sync_ocall(name) {
+                        continue;
+                    }
+                    *across.entry((lock, name)).or_default() += 1;
+                }
+            }
+        }
+        across
+    }
+
+    /// Over generated traces, the report is the one the nested loop
+    /// gives, and the traces do hold locks across ocalls.
+    #[test]
+    fn held_across_counts_match_the_nested_loop() {
+        let traces = crate::tracegen::Traces { max_rows: 24 };
+        let mut rng = TestRng::from_name("held_across_counts_match_the_nested_loop");
+        let mut held_across = 0;
+        for case in 0..300 {
+            let trace = traces.generate(&mut rng);
+            let report = analyze(&trace);
+            let reference = analyze_with(&trace, ocalls_under_locks_reference);
+            assert_eq!(
+                report.findings, reference.findings,
+                "case {case}: {trace:?}"
+            );
+            held_across += (report.findings.iter())
+                .filter(|f| matches!(f.kind, RaceKind::LockAcrossOcall { .. }))
+                .count();
+        }
+        assert!(
+            held_across >= 30,
+            "{held_across} lock-across-ocall findings in 300 traces"
+        );
+    }
 
     fn ev(thread: u64, op: SyncOp, object: Option<u64>, target: Option<u64>) -> SyncEvRow {
         SyncEvRow {

@@ -7,10 +7,12 @@
 //! times across kinds, dangling, cross-thread and cyclic parent links,
 //! duplicate and missing symbol rows, one name shared by several
 //! enclaves, enclave ids near `u32::MAX` and thread tokens near
-//! `u64::MAX`.
+//! `u64::MAX`. Some faults and lifecycle stages fall among the calls, and
+//! some lock holds span ocall starts on the ocall's own thread.
 
 use eventdb::Table;
 use proptest::prelude::*;
+use sim_core::syncev::SyncOp;
 
 use crate::events::{
     AexCauseCode, AexRow, EcallRow, EnclaveRow, FaultRow, FleetRow, LifecycleRow, OcallRow,
@@ -84,6 +86,14 @@ fn end(rng: &mut TestRng, start: u64) -> u64 {
         0 => 0,
         1 => u64::MAX,
         _ => start.saturating_add(rng.below(30_000)),
+    }
+}
+
+/// Any time, or one among the calls' starts and ends.
+fn event_time(rng: &mut TestRng) -> u64 {
+    match rng.below(2) {
+        0 => any_u64(rng),
+        _ => rng.below(8_000),
     }
 }
 
@@ -195,7 +205,7 @@ impl Strategy for Traces {
                 action: rng.below(6) as u8,
                 call_index: maybe(rng, call_index),
                 magnitude: any_u64(rng),
-                time_ns: any_u64(rng),
+                time_ns: event_time(rng),
             });
         }
         for _ in 0..rng.below(4) {
@@ -205,7 +215,7 @@ impl Strategy for Traces {
                 thread: thread(rng),
                 attempt: any_u32(rng),
                 magnitude: any_u64(rng),
-                time_ns: any_u64(rng),
+                time_ns: event_time(rng),
             });
         }
         for _ in 0..rng.below(8) {
@@ -218,6 +228,28 @@ impl Strategy for Traces {
                 label: one_of(rng, &["", "m", "cell"]).to_string(),
                 time_ns: any_u64(rng),
             });
+        }
+        let ocall_starts: Vec<(u64, u64)> =
+            (t.ocalls.iter()).map(|o| (o.thread, o.start_ns)).collect();
+        for _ in 0..rng.below(4).min(ocall_starts.len() as u64) {
+            let (thread, start) = ocall_starts[rng.below(ocall_starts.len() as u64) as usize];
+            let object = maybe(rng, |rng| rng.below(4));
+            let acquired = start.saturating_sub(rng.below(2_000));
+            let released = start.saturating_add(rng.below(3_000));
+            for (op, time_ns) in [
+                (SyncOp::LockAcquire, acquired),
+                (SyncOp::LockRelease, released),
+            ] {
+                t.syncev.insert(SyncEvRow {
+                    thread,
+                    op: op.code(),
+                    object,
+                    target: None,
+                    aux: 0,
+                    label: "m".to_string(),
+                    time_ns,
+                });
+            }
         }
         for _ in 0..rng.below(4) {
             t.fleet.insert(FleetRow {
@@ -277,7 +309,10 @@ fn swap_threads_0_and_1(trace: &TraceDb) -> TraceDb {
 mod tests {
     use super::*;
     use crate::analysis::diff::{DiffConfig, TraceDiff, Verdict};
+    use crate::analysis::races;
+    use crate::analysis::stats::{scatter, scatter_csv, scatter_json, Histogram};
     use crate::analysis::Analyzer;
+    use crate::{export, FleetReport};
     use sim_core::HwProfile;
 
     const TRACES: Traces = Traces { max_rows: 24 };
@@ -304,6 +339,35 @@ mod tests {
             prop_assert!(diff.regressions.is_empty(), "{:?}", diff.regressions);
             prop_assert!(diff.improvements.is_empty(), "{:?}", diff.improvements);
             prop_assert!(diff.only_in_a.is_empty() && diff.only_in_b.is_empty());
+        }
+
+        /// Every analyzer entry point runs to the end on any trace: no
+        /// panic, and in a debug build no arithmetic overflow.
+        #[test]
+        fn no_entry_point_panics(a in TRACES, b in TRACES) {
+            let cost = HwProfile::Unpatched.cost_model();
+            let analyzer = Analyzer::new(&a, cost.clone());
+            let report = analyzer.analyze();
+            let _ = (report.render(), report.to_json());
+            let _ = analyzer.call_graph().to_dot();
+            let _ = (analyzer.aex_impact(), analyzer.aex_bursts(100_000, 3));
+            let _ = (export::chrome_trace(&a, &cost), export::folded_stacks(&a, &cost));
+            let races = races::analyze(&a);
+            let _ = (races.render(), races.to_json());
+            let fleet = FleetReport::from_trace(&a);
+            let _ = (fleet.render(20), fleet.to_json(), fleet.summary_line());
+            for candidate in [&b, &a] {
+                let diff = TraceDiff::compute(&a, candidate, DiffConfig::default());
+                let _ = (diff.render(), diff.to_json());
+            }
+            let instances = analyzer.instances();
+            for call in instances.calls() {
+                if let Some(hist) = Histogram::of_call(&instances, call, 100) {
+                    let _ = (hist.render_ascii(24, 48), hist.to_csv(), hist.to_json());
+                }
+                let points = scatter(&instances, call);
+                let _ = (scatter_csv(&points), scatter_json(&points));
+            }
         }
 
         /// Relabelling threads 0 and 1 in every table leaves the set of

@@ -1,5 +1,6 @@
 //! The enclave object and its trusted execution context (TRTS side).
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
@@ -13,7 +14,7 @@ use sim_core::Nanos;
 
 use crate::args::CallData;
 use crate::error::{SdkError, SdkResult};
-use crate::ocall::HostCtx;
+use crate::ocall::{HostCtx, OcallTable};
 use crate::switchless::Switchless;
 use crate::thread_ctx::ThreadCtx;
 use crate::urts::Urts;
@@ -31,6 +32,32 @@ pub(crate) fn fault_backoff(attempt: u32) -> Nanos {
     Nanos::from_micros(1u64 << attempt.min(10))
 }
 
+/// Where an injected fault hit: the fields every [`FaultEvent`] of one
+/// site shares.
+pub(crate) struct FaultSite<'a> {
+    pub(crate) machine: &'a Machine,
+    pub(crate) code: u8,
+    pub(crate) enclave: EnclaveId,
+    pub(crate) thread: ThreadToken,
+    pub(crate) call_index: Option<usize>,
+}
+
+impl FaultSite<'_> {
+    /// Emits one step of the fault to the machine's hooks, stamped with
+    /// the virtual time of the emission.
+    pub(crate) fn emit(&self, action: FaultAction, magnitude: u64) {
+        self.machine.emit(&[DriverEvent::Fault(FaultEvent {
+            code: self.code,
+            action,
+            enclave: self.enclave.0,
+            thread: self.thread.0 as u64,
+            call_index: self.call_index.map(|i| i as u32),
+            magnitude,
+            time: self.machine.clock().now(),
+        })]);
+    }
+}
+
 /// One frame of a thread's enclave call stack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Frame {
@@ -46,14 +73,20 @@ struct BoundThread {
     frames: Vec<Frame>,
 }
 
+/// What every ecall and ocall into one enclave reads and writes, behind
+/// one lock.
 #[derive(Debug)]
-struct ThreadState {
+struct CallState {
     free_tcs: Vec<usize>,
+    /// Each thread inside the enclave: its TCS and call stack.
     bound: HashMap<ThreadToken, BoundThread>,
+    /// The ocall table the last ecall passed, which the URTS "saves for
+    /// later use" (Figure 3): the enclave's ocalls dispatch through it.
+    table: Option<Arc<OcallTable>>,
 }
 
-/// A loaded enclave: interface, registered trusted functions, TCS pool and
-/// per-thread call stacks.
+/// A loaded enclave: interface, registered trusted functions, TCS pool,
+/// per-thread call stacks and the saved ocall table.
 ///
 /// Created through [`Runtime::create_enclave`](crate::Runtime::create_enclave).
 pub struct Enclave {
@@ -63,7 +96,7 @@ pub struct Enclave {
     spec: Arc<InterfaceSpec>,
     machine: Arc<Machine>,
     ecalls: RwLock<Vec<Option<EcallFn>>>,
-    threads: Mutex<ThreadState>,
+    calls: Mutex<CallState>,
     switchless: RwLock<Option<Arc<Switchless>>>,
 }
 
@@ -97,9 +130,10 @@ impl Enclave {
             spec,
             machine,
             ecalls: RwLock::new(vec![None; ecall_count]),
-            threads: Mutex::new(ThreadState {
+            calls: Mutex::new(CallState {
                 free_tcs: (0..tcs_count).rev().collect(),
                 bound: HashMap::new(),
+                table: None,
             }),
             switchless: RwLock::new(None),
         }
@@ -162,66 +196,71 @@ impl Enclave {
             .ok_or_else(|| SdkError::UnregisteredEcall(name()))
     }
 
-    /// The calling thread's current call stack (empty if it is not inside
-    /// the enclave).
-    pub fn frames_of(&self, token: ThreadToken) -> Vec<Frame> {
-        self.threads
-            .lock()
-            .bound
-            .get(&token)
-            .map(|b| b.frames.clone())
-            .unwrap_or_default()
+    /// The ocall table the last ecall into this enclave passed: the table
+    /// its ocalls dispatch through.
+    ///
+    /// # Errors
+    ///
+    /// [`SdkError::OcallOutsideEcall`] before the first ecall, or once the
+    /// enclave is destroyed.
+    pub fn saved_table(&self) -> SdkResult<Arc<OcallTable>> {
+        self.calls.lock().table.clone().ok_or_else(|| {
+            SdkError::OcallOutsideEcall(format!("no ocall table saved for {}", self.id))
+        })
+    }
+
+    /// Saves the table an ecall passed "for later use"; every ecall
+    /// replaces it, which is what lets a preloaded logger substitute its
+    /// own. `None` drops it.
+    pub(crate) fn save_table(&self, table: Option<&Arc<OcallTable>>) {
+        self.calls.lock().table = table.cloned();
     }
 
     /// The innermost frame of the calling thread's call stack.
     pub(crate) fn last_frame(&self, token: ThreadToken) -> Option<Frame> {
-        self.threads
+        self.calls
             .lock()
             .bound
             .get(&token)
             .and_then(|b| b.frames.last().copied())
     }
 
-    /// Binds the thread to a TCS (reusing an existing binding for nested
-    /// calls) and returns the TCS index.
-    pub(crate) fn bind_tcs(&self, token: ThreadToken) -> SdkResult<usize> {
-        let mut st = self.threads.lock();
-        if let Some(bound) = st.bound.get(&token) {
-            return Ok(bound.tcs_index);
-        }
-        let tcs_index = st.free_tcs.pop().ok_or(SdkError::OutOfTcs(self.id))?;
-        st.bound.insert(
-            token,
-            BoundThread {
-                tcs_index,
+    /// Pushes `frame` on the thread's call stack, binding a free TCS on
+    /// its outermost entry (nested calls reuse the binding). Returns the
+    /// TCS index.
+    ///
+    /// # Errors
+    ///
+    /// [`SdkError::OutOfTcs`] when every TCS is bound to another thread.
+    pub(crate) fn enter(&self, token: ThreadToken, frame: Frame) -> SdkResult<usize> {
+        let mut calls = self.calls.lock();
+        let CallState {
+            free_tcs, bound, ..
+        } = &mut *calls;
+        let thread = match bound.entry(token) {
+            Entry::Occupied(thread) => thread.into_mut(),
+            Entry::Vacant(slot) => slot.insert(BoundThread {
+                tcs_index: free_tcs.pop().ok_or(SdkError::OutOfTcs(self.id))?,
                 frames: Vec::new(),
-            },
-        );
-        Ok(tcs_index)
-    }
-
-    pub(crate) fn push_frame(&self, token: ThreadToken, frame: Frame) {
-        let mut st = self.threads.lock();
-        st.bound
-            .get_mut(&token)
-            .expect("push_frame on unbound thread")
-            .frames
-            .push(frame);
-    }
-
-    pub(crate) fn pop_frame(&self, token: ThreadToken) {
-        let mut st = self.threads.lock();
-        let release = {
-            let bound = st
-                .bound
-                .get_mut(&token)
-                .expect("pop_frame on unbound thread");
-            bound.frames.pop();
-            bound.frames.is_empty()
+            }),
         };
-        if release {
-            let bound = st.bound.remove(&token).expect("checked above");
-            st.free_tcs.push(bound.tcs_index);
+        thread.frames.push(frame);
+        Ok(thread.tcs_index)
+    }
+
+    /// Pops the thread's innermost frame; leaving the outermost one frees
+    /// its TCS.
+    pub(crate) fn exit(&self, token: ThreadToken) {
+        let mut calls = self.calls.lock();
+        let CallState {
+            free_tcs, bound, ..
+        } = &mut *calls;
+        let Entry::Occupied(mut thread) = bound.entry(token) else {
+            panic!("exit on a thread outside the enclave");
+        };
+        thread.get_mut().frames.pop();
+        if thread.get().frames.is_empty() {
+            free_tcs.push(thread.remove().tcs_index);
         }
     }
 }
@@ -231,11 +270,11 @@ impl Enclave {
 /// Gives trusted code the operations real enclave code has: CPU time
 /// ([`EcallCtx::compute`], subject to AEX injection), enclave memory
 /// accesses ([`EcallCtx::touch`], subject to EPC paging), and ocalls
-/// ([`EcallCtx::ocall`], dispatched through the ocall table saved in the
-/// URTS — so a logger-substituted table sees them).
+/// ([`EcallCtx::ocall`], dispatched through the ocall table saved by the
+/// last ecall — so a logger-substituted table sees them).
 pub struct EcallCtx<'a> {
-    pub(crate) enclave: &'a Arc<Enclave>,
-    pub(crate) urts: &'a Arc<Urts>,
+    pub(crate) urts: &'a Urts,
+    pub(crate) enclave: &'a Enclave,
     pub(crate) thread: ThreadCtx<'a>,
     pub(crate) tcs_index: usize,
 }
@@ -349,8 +388,8 @@ impl<'a> EcallCtx<'a> {
     }
 
     /// Issues an ocall by index — the `sgx_ocall` path of the TRTS: leave
-    /// the enclave, look up the function pointer in the ocall table saved
-    /// in the URTS, run it, re-enter.
+    /// the enclave, look up the function pointer in the saved ocall table,
+    /// run it, re-enter.
     ///
     /// # Errors
     ///
@@ -383,20 +422,18 @@ impl<'a> EcallCtx<'a> {
     fn ocall_index_sync(&mut self, index: usize, data: &mut CallData) -> SdkResult<()> {
         let machine = self.urts.machine();
         let cm = machine.cost_model();
-        let table = self.urts.saved_table(self.enclave.id())?;
+        let table = self.enclave.saved_table()?;
         let entry = table
             .entry(index)
             .ok_or_else(|| SdkError::BadOcall(format!("#{index}")))?;
-        self.enclave
-            .push_frame(self.thread.token, Frame::Ocall(index));
+        self.enclave.enter(self.thread.token, Frame::Ocall(index))?;
         // EEXIT + dispatch + marshalling of [in] buffers out of the enclave.
         machine
             .clock()
             .advance(cm.eexit + cm.ocall_dispatch + cm.copy_cost(data.in_bytes));
         let mut host = HostCtx {
-            machine,
             urts: self.urts,
-            enclave_id: self.enclave.id(),
+            enclave: self.enclave,
             thread: self.thread,
         };
         let result = (entry.func)(&mut host, data);
@@ -404,7 +441,7 @@ impl<'a> EcallCtx<'a> {
         machine
             .clock()
             .advance(cm.eenter + cm.copy_cost(data.out_bytes));
-        self.enclave.pop_frame(self.thread.token);
+        self.enclave.exit(self.thread.token);
         result
     }
 
@@ -420,7 +457,7 @@ impl<'a> EcallCtx<'a> {
         data: &mut CallData,
         fault: OcallFault,
     ) -> SdkResult<()> {
-        let machine = Arc::clone(self.urts.machine());
+        let machine = self.urts.machine();
         let (code, delay, times) = match fault {
             OcallFault::Fail { times } => (FaultKind::OcallFail { times }.code(), None, times),
             OcallFault::Timeout { delay, times } => (
@@ -429,29 +466,20 @@ impl<'a> EcallCtx<'a> {
                 times,
             ),
         };
-        let enclave_id = self.enclave.id().0;
-        let thread = self.thread.token.0 as u64;
-        let event = {
-            let machine = Arc::clone(&machine);
-            move |action: FaultAction, magnitude: u64| {
-                [DriverEvent::Fault(FaultEvent {
-                    code,
-                    action,
-                    enclave: enclave_id,
-                    thread,
-                    call_index: Some(index as u32),
-                    magnitude,
-                    time: machine.clock().now(),
-                })]
-            }
+        let site = FaultSite {
+            machine,
+            code,
+            enclave: self.enclave.id(),
+            thread: self.thread.token,
+            call_index: Some(index),
         };
         let mut failures = 0u32;
         while failures < times {
             failures += 1;
-            machine.emit(&event(
+            site.emit(
                 FaultAction::Injected,
                 delay.map_or(u64::from(failures), |d| d.as_nanos()),
-            ));
+            );
             // The failed attempt still pays the round-trip it wasted.
             let cm = machine.cost_model();
             machine
@@ -462,7 +490,7 @@ impl<'a> EcallCtx<'a> {
             }
             machine.clock().advance(cm.eenter);
             if failures > MAX_FAULT_RETRIES {
-                machine.emit(&event(FaultAction::GaveUp, u64::from(failures)));
+                site.emit(FaultAction::GaveUp, u64::from(failures));
                 let call = self
                     .enclave
                     .spec()
@@ -476,10 +504,10 @@ impl<'a> EcallCtx<'a> {
             }
             let backoff = fault_backoff(failures);
             machine.clock().advance(backoff);
-            machine.emit(&event(FaultAction::Retried, backoff.as_nanos()));
+            site.emit(FaultAction::Retried, backoff.as_nanos());
         }
         self.ocall_index_sync(index, data)?;
-        machine.emit(&event(FaultAction::Recovered, u64::from(failures)));
+        site.emit(FaultAction::Recovered, u64::from(failures));
         Ok(())
     }
 

@@ -5,7 +5,8 @@
 //!
 //! * the application calls ecalls through a single [`sgx_ecall`]-shaped
 //!   entry point in the **URTS** ([`urts`]), passing a per-enclave
-//!   [`OcallTable`]; the URTS saves that table pointer for later ocalls,
+//!   [`OcallTable`]; the URTS saves that table pointer on the [`Enclave`]
+//!   for later ocalls,
 //! * the **TRTS** trampoline inside the enclave dispatches the numeric call
 //!   id to the registered trusted function ([`enclave`]),
 //! * symbol resolution goes through a **dynamic-loader model** ([`loader`])
@@ -48,7 +49,6 @@ pub mod error;
 pub mod loader;
 pub mod ocall;
 pub mod runtime;
-pub mod signals;
 pub mod supervisor;
 pub mod switchless;
 pub mod sync;

@@ -2,11 +2,11 @@
 //!
 //! On a real system the sgx-perf logger is a shared library preloaded via
 //! `LD_PRELOAD`; the dynamic linker then resolves the application's calls
-//! to `sgx_ecall` (and to `signal`/`sigaction`) to the logger's shadow
-//! implementations, which forward to the real URTS (Figure 2). [`Loader`]
-//! reproduces that resolution step: the application always calls
-//! [`Loader::sgx_ecall`]; [`Loader::preload`] pushes an interposing
-//! [`EcallDispatcher`] on top of the chain.
+//! to `sgx_ecall` to the logger's shadow implementation, which forwards to
+//! the real URTS (Figure 2). [`Loader`] reproduces that resolution step:
+//! the application always calls [`Loader::sgx_ecall`]; [`Loader::preload`]
+//! pushes an interposing [`EcallDispatcher`] on top of the chain. The
+//! logger's `signal`/`sigaction` shadowing is not modelled.
 
 use std::sync::Arc;
 
@@ -16,7 +16,6 @@ use sim_core::sync::RwLock;
 use crate::args::CallData;
 use crate::error::SdkResult;
 use crate::ocall::OcallTable;
-use crate::signals::SignalRegistry;
 use crate::thread_ctx::ThreadCtx;
 use crate::urts::Urts;
 
@@ -37,9 +36,7 @@ pub trait EcallDispatcher: Send + Sync {
 
 /// The process's symbol-resolution state for the SDK entry points.
 pub struct Loader {
-    urts: Arc<Urts>,
     top: RwLock<Arc<dyn EcallDispatcher>>,
-    signals: SignalRegistry,
 }
 
 impl std::fmt::Debug for Loader {
@@ -51,15 +48,8 @@ impl std::fmt::Debug for Loader {
 impl Loader {
     pub(crate) fn new(urts: Arc<Urts>) -> Loader {
         Loader {
-            top: RwLock::new(Arc::clone(&urts) as Arc<dyn EcallDispatcher>),
-            urts,
-            signals: SignalRegistry::new(),
+            top: RwLock::new(urts),
         }
-    }
-
-    /// The real URTS at the bottom of the chain.
-    pub fn urts_arc(&self) -> Arc<Urts> {
-        Arc::clone(&self.urts)
     }
 
     /// Preloads an interposition library: `wrap` receives the current top
@@ -88,11 +78,5 @@ impl Loader {
     ) -> SdkResult<()> {
         let top = Arc::clone(&*self.top.read());
         top.sgx_ecall(tcx, eid, index, table, data)
-    }
-
-    /// The process signal registry (also interposable — the logger shadows
-    /// `signal`/`sigaction` to keep other handlers alive behind its own).
-    pub fn signals(&self) -> &SignalRegistry {
-        &self.signals
     }
 }

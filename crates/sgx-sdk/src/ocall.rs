@@ -1,8 +1,8 @@
 //! Ocall tables and the untrusted-side call context.
 //!
 //! The SDK constructs a table mapping numeric ocall identifiers to function
-//! pointers which is passed to `sgx_ecall` and saved inside the URTS for
-//! later use (Figure 3 of the paper). Because the table is plain data, a
+//! pointers which is passed to `sgx_ecall` and saved for later use (Figure
+//! 3 of the paper; here on the [`Enclave`]). Because the table is plain data, a
 //! preloaded library can substitute its own table whose entries are
 //! generated call stubs — exactly what the sgx-perf logger does.
 
@@ -10,11 +10,12 @@ use std::fmt;
 use std::sync::Arc;
 
 use sgx_edl::InterfaceSpec;
-use sgx_sim::{EnclaveId, Machine, ThreadToken};
+use sgx_sim::{EnclaveId, ThreadToken};
 use sim_core::{Clock, Nanos};
 use sim_threads::LogicalThreadId;
 
 use crate::args::CallData;
+use crate::enclave::Enclave;
 use crate::error::{SdkError, SdkResult};
 use crate::sync_ocalls;
 use crate::thread_ctx::ThreadCtx;
@@ -189,9 +190,9 @@ fn default_sync_impl(name: &str) -> Option<OcallFn> {
 /// interposed libraries see them), and park/unpark logical threads (the
 /// sync ocalls).
 pub struct HostCtx<'a> {
-    pub(crate) machine: &'a Arc<Machine>,
-    pub(crate) urts: &'a Arc<Urts>,
-    pub(crate) enclave_id: EnclaveId,
+    pub(crate) urts: &'a Urts,
+    /// The enclave this ocall left.
+    pub(crate) enclave: &'a Enclave,
     /// The calling thread.
     pub thread: ThreadCtx<'a>,
 }
@@ -199,7 +200,7 @@ pub struct HostCtx<'a> {
 impl fmt::Debug for HostCtx<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("HostCtx")
-            .field("enclave", &self.enclave_id)
+            .field("enclave", &self.enclave.id())
             .field("thread", &self.thread.token)
             .finish()
     }
@@ -208,18 +209,18 @@ impl fmt::Debug for HostCtx<'_> {
 impl<'a> HostCtx<'a> {
     /// The virtual clock.
     pub fn clock(&self) -> &Clock {
-        self.machine.clock()
+        self.urts.machine().clock()
     }
 
     /// The enclave this ocall left.
     pub fn enclave_id(&self) -> EnclaveId {
-        self.enclave_id
+        self.enclave.id()
     }
 
     /// Performs `dur` of untrusted computation (no AEXs are modelled
     /// outside the enclave; plain clock advance).
     pub fn compute(&self, dur: Nanos) {
-        self.machine.clock().advance(dur);
+        self.clock().advance(dur);
     }
 
     /// Issues a nested ecall by name through the dynamic loader (so any
@@ -231,17 +232,17 @@ impl<'a> HostCtx<'a> {
     /// `allow()` list does not include the ecall, plus all usual dispatch
     /// errors.
     pub fn ecall(&self, name: &str, data: &mut CallData) -> SdkResult<()> {
-        let enclave = self.urts.enclave(self.enclave_id)?;
-        let index = enclave
-            .spec()
-            .ecall_by_name(name)
+        // Nested ecalls pass the enclave's saved table (the generated code
+        // reuses it). An ocall only runs once a table is saved, so none
+        // left means the enclave was destroyed since.
+        let eid = self.enclave.id();
+        let table = (self.enclave.saved_table()).map_err(|_| SdkError::UnknownEnclave(eid))?;
+        let index = (self.enclave.spec().ecall_by_name(name))
             .ok_or_else(|| SdkError::BadEcall(name.to_string()))?
             .index;
-        let loader = self.urts.loader()?;
-        // Nested ecalls pass the table currently saved in the URTS (the
-        // generated code reuses the enclave's table).
-        let table = self.urts.saved_table(self.enclave_id)?;
-        loader.sgx_ecall(&self.thread, self.enclave_id, index, &table, data)
+        self.urts
+            .loader()?
+            .sgx_ecall(&self.thread, eid, index, &table, data)
     }
 
     /// Parks the calling logical thread until unparked.

@@ -87,12 +87,12 @@ impl Runtime {
         &self.machine
     }
 
-    /// The URTS (enclave registry, saved ocall tables).
+    /// The URTS (enclave registry, `sgx_ecall`).
     pub fn urts(&self) -> &Arc<Urts> {
         &self.urts
     }
 
-    /// The dynamic loader (preload interposition, signals).
+    /// The dynamic loader (preload interposition).
     pub fn loader(&self) -> &Arc<Loader> {
         &self.loader
     }
@@ -189,7 +189,7 @@ impl Runtime {
             .ecall_by_name(name)
             .ok_or_else(|| SdkError::BadEcall(name.to_string()))?
             .index;
-        self.ecall_index(tcx, eid, index, table, data)
+        self.dispatch(tcx, &enclave, index, table, data)
     }
 
     /// Issues an ecall by index through the loader.
@@ -205,17 +205,29 @@ impl Runtime {
         table: &Arc<OcallTable>,
         data: &mut CallData,
     ) -> SdkResult<()> {
+        let enclave = self.urts.enclave(eid)?;
+        self.dispatch(tcx, &enclave, index, table, data)
+    }
+
+    fn dispatch(
+        &self,
+        tcx: &ThreadCtx<'_>,
+        enclave: &Enclave,
+        index: usize,
+        table: &Arc<OcallTable>,
+        data: &mut CallData,
+    ) -> SdkResult<()> {
         // Switchless-eligible ecalls try the ring first. A `Some` result
         // means a trusted worker served the call: `sgx_ecall` (and any
         // library interposing on it) was bypassed — no transition happened.
         // The table must still be saved so the trusted body can ocall.
-        if let Some(sw) = self.urts.enclave(eid)?.switchless() {
-            self.urts.save_table(eid, table);
+        if let Some(sw) = enclave.switchless() {
+            enclave.save_table(Some(table));
             if let Some(result) = sw.try_ecall(tcx, index, data) {
                 return result;
             }
         }
-        self.loader.sgx_ecall(tcx, eid, index, table, data)
+        self.loader.sgx_ecall(tcx, enclave.id(), index, table, data)
     }
 }
 

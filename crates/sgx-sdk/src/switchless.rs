@@ -36,14 +36,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 
 use sgx_sim::{DriverEvent, EnclaveId, Machine, SwitchlessEvent, SwitchlessEventKind, ThreadToken};
-use sim_core::fault::{FaultAction, FaultEvent, FaultKind};
+use sim_core::fault::{FaultAction, FaultKind};
 use sim_core::sync::Mutex;
 use sim_core::syncev::SyncOp;
 use sim_core::{Cycles, Nanos};
 use sim_threads::{LogicalThreadId, SimCtx, Simulation};
 
 use crate::args::CallData;
-use crate::enclave::{EcallCtx, Enclave, Frame};
+use crate::enclave::{EcallCtx, Enclave, FaultSite, Frame};
 use crate::error::{SdkError, SdkResult};
 use crate::ocall::HostCtx;
 use crate::sync_ocalls;
@@ -411,15 +411,14 @@ impl Switchless {
         // as the fallback the caller observes.
         if let Some(inj) = machine.fault_injector() {
             if inj.take_ring_full(machine.clock().now()) {
-                machine.emit(&[DriverEvent::Fault(FaultEvent {
+                FaultSite {
+                    machine,
                     code: FaultKind::RingFull { calls: 1 }.code(),
-                    action: FaultAction::Injected,
-                    enclave: self.enclave_id().0,
-                    thread: tcx.token.0 as u64,
-                    call_index: Some(index as u32),
-                    magnitude: 1,
-                    time: machine.clock().now(),
-                })]);
+                    enclave: self.enclave_id(),
+                    thread: tcx.token,
+                    call_index: Some(index),
+                }
+                .emit(FaultAction::Injected, 1);
                 self.emit_fallback(kind, index, tcx.token, 0);
                 return None;
             }
@@ -544,15 +543,14 @@ impl Switchless {
                 .fault_injector()
                 .and_then(|inj| inj.take_worker_stall(machine.clock().now()))
             {
-                machine.emit(&[DriverEvent::Fault(FaultEvent {
+                FaultSite {
+                    machine,
                     code: FaultKind::WorkerStall { delay }.code(),
-                    action: FaultAction::Injected,
-                    enclave: self.enclave_id().0,
-                    thread: worker_tcx.token.0 as u64,
+                    enclave: self.enclave_id(),
+                    thread: worker_tcx.token,
                     call_index: None,
-                    magnitude: delay.as_nanos(),
-                    time: machine.clock().now(),
-                })]);
+                }
+                .emit(FaultAction::Injected, delay.as_nanos());
                 // Not `ctx.sleep`: the scheduler only wakes sleepers once
                 // the run queue drains, and the spinning callers keep it
                 // populated — a sleeping worker would stall for the whole
@@ -648,14 +646,13 @@ impl Switchless {
     ) -> SdkResult<()> {
         let enclave = self.enclave()?;
         let urts = self.urts()?;
-        let table = urts.saved_table(enclave.id())?;
+        let table = enclave.saved_table()?;
         let entry = table
             .entry(index)
             .ok_or_else(|| SdkError::BadOcall(format!("#{index}")))?;
         let mut host = HostCtx {
-            machine: &self.machine,
             urts: &urts,
-            enclave_id: enclave.id(),
+            enclave: &enclave,
             thread: *worker_tcx,
         };
         (entry.func)(&mut host, data)
@@ -674,18 +671,15 @@ impl Switchless {
         let enclave = self.enclave()?;
         let urts = self.urts()?;
         let body = enclave.ecall_impl(index)?;
-        let tcs_index = enclave.bind_tcs(worker_tcx.token)?;
-        enclave.push_frame(worker_tcx.token, Frame::Ecall(index));
-        let result = {
-            let mut ectx = EcallCtx {
-                enclave: &enclave,
-                urts: &urts,
-                thread: *worker_tcx,
-                tcs_index,
-            };
-            body(&mut ectx, data)
+        let tcs_index = enclave.enter(worker_tcx.token, Frame::Ecall(index))?;
+        let mut ectx = EcallCtx {
+            urts: &urts,
+            enclave: &enclave,
+            thread: *worker_tcx,
+            tcs_index,
         };
-        enclave.pop_frame(worker_tcx.token);
+        let result = body(&mut ectx, data);
+        enclave.exit(worker_tcx.token);
         result
     }
 

@@ -1,20 +1,20 @@
 //! The Untrusted Runtime System.
 //!
-//! Owns the enclave registry, the saved per-enclave ocall tables
-//! (Figure 3: "the pointer to the table is saved inside the URTS for later
-//! use") and implements the real `sgx_ecall` — TCS lookup, transition cost
+//! Owns the enclave registry and implements the real `sgx_ecall` — saving
+//! the ocall table on the enclave (Figure 3: "the pointer to the table is
+//! saved inside the URTS for later use"), TCS lookup, transition cost
 //! accounting, TRTS trampoline dispatch.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, OnceLock, Weak};
 
-use sgx_sim::{AccessKind, DriverEvent, EnclaveId, Machine};
-use sim_core::fault::{FaultAction, FaultEvent, FaultKind};
-use sim_core::sync::{Mutex, RwLock};
+use sgx_sim::{AccessKind, EnclaveId, Machine};
+use sim_core::fault::{FaultAction, FaultKind};
+use sim_core::sync::RwLock;
 
 use crate::args::CallData;
-use crate::enclave::{fault_backoff, EcallCtx, Enclave, Frame, MAX_FAULT_RETRIES};
+use crate::enclave::{fault_backoff, EcallCtx, Enclave, FaultSite, Frame, MAX_FAULT_RETRIES};
 use crate::error::{SdkError, SdkResult};
 use crate::loader::{EcallDispatcher, Loader};
 use crate::ocall::OcallTable;
@@ -24,7 +24,6 @@ use crate::thread_ctx::ThreadCtx;
 pub struct Urts {
     machine: Arc<Machine>,
     enclaves: RwLock<HashMap<u32, Arc<Enclave>>>,
-    saved_tables: Mutex<HashMap<u32, Arc<OcallTable>>>,
     loader: OnceLock<Weak<Loader>>,
 }
 
@@ -41,7 +40,6 @@ impl Urts {
         Urts {
             machine,
             enclaves: RwLock::new(HashMap::new()),
-            saved_tables: Mutex::new(HashMap::new()),
             loader: OnceLock::new(),
         }
     }
@@ -66,13 +64,13 @@ impl Urts {
         self.enclaves.write().insert(enclave.id().0, enclave);
     }
 
+    /// Removes `eid` from the registry and drops its saved ocall table, so
+    /// an ocall that outlives the enclave fails as outside any ecall.
     pub(crate) fn unregister_enclave(&self, eid: EnclaveId) -> SdkResult<()> {
-        self.saved_tables.lock().remove(&eid.0);
-        self.enclaves
-            .write()
-            .remove(&eid.0)
-            .map(|_| ())
-            .ok_or(SdkError::UnknownEnclave(eid))
+        let enclave =
+            (self.enclaves.write().remove(&eid.0)).ok_or(SdkError::UnknownEnclave(eid))?;
+        enclave.save_table(None);
+        Ok(())
     }
 
     /// Looks up a loaded enclave.
@@ -82,22 +80,6 @@ impl Urts {
             .get(&eid.0)
             .cloned()
             .ok_or(SdkError::UnknownEnclave(eid))
-    }
-
-    /// Saves the ocall table for `eid` without an ecall. Switchless ecalls
-    /// bypass `sgx_ecall` (which normally saves it), but the trusted body
-    /// may still issue ocalls that need the table.
-    pub(crate) fn save_table(&self, eid: EnclaveId, table: &Arc<OcallTable>) {
-        self.saved_tables.lock().insert(eid.0, Arc::clone(table));
-    }
-
-    /// The ocall table most recently passed to `sgx_ecall` for `eid`.
-    pub fn saved_table(&self, eid: EnclaveId) -> SdkResult<Arc<OcallTable>> {
-        self.saved_tables
-            .lock()
-            .get(&eid.0)
-            .cloned()
-            .ok_or_else(|| SdkError::OcallOutsideEcall(format!("no ocall table saved for {eid}")))
     }
 }
 
@@ -115,9 +97,8 @@ impl EcallDispatcher for Urts {
         data: &mut CallData,
     ) -> SdkResult<()> {
         let enclave = self.enclave(eid)?;
-        // Save the table pointer "for later use" — every call replaces it,
-        // which is what lets a preloaded logger substitute its own.
-        self.save_table(eid, table);
+        // Save the table pointer "for later use".
+        enclave.save_table(Some(table));
 
         let spec = enclave.spec();
         let spec_ecall = spec
@@ -148,8 +129,7 @@ impl EcallDispatcher for Urts {
         // destroys at this very entry) rejects the call before any
         // transition cost is charged. Only a supervisor rebuild clears it.
         self.machine.enter_enclave(eid, tcx.token)?;
-        let tcs_index = self.bind_tcs_faulted(&enclave, tcx, index)?;
-        enclave.push_frame(tcx.token, Frame::Ecall(index));
+        let tcs_index = self.enter_faulted(&enclave, tcx, index)?;
 
         let cm = self.machine.cost_model();
         // URTS: find free TCS, set up the call frame; then EENTER and
@@ -166,10 +146,9 @@ impl EcallDispatcher for Urts {
         self.machine.clock().advance(cm.trts_dispatch);
 
         let result = touch_result.and_then(|()| {
-            let urts_arc = self.loader()?.urts_arc();
             let mut ctx = EcallCtx {
+                urts: self,
                 enclave: &enclave,
-                urts: &urts_arc,
                 thread: *tcx,
                 tcs_index,
             };
@@ -180,65 +159,55 @@ impl EcallDispatcher for Urts {
         self.machine
             .clock()
             .advance(cm.eexit + cm.copy_cost(data.out_bytes));
-        enclave.pop_frame(tcx.token);
+        enclave.exit(tcx.token);
         result
     }
 }
 
 impl Urts {
-    /// Binds a TCS, riding out injected TCS-exhaustion faults: each bind
-    /// attempt that finds all TCS pages "busy" backs off exponentially and
-    /// retries, up to [`MAX_FAULT_RETRIES`] retries, after which the fault
-    /// surfaces as [`SdkError::InjectedFault`]. Without an armed injector
-    /// this is exactly `bind_tcs`.
-    fn bind_tcs_faulted(
+    /// Enters the enclave with the ecall's frame, riding out injected
+    /// TCS-exhaustion faults: each attempt that finds all TCS pages "busy"
+    /// backs off exponentially and retries, up to [`MAX_FAULT_RETRIES`]
+    /// retries, after which the fault surfaces as
+    /// [`SdkError::InjectedFault`]. Without an armed injector this is
+    /// exactly [`Enclave::enter`].
+    fn enter_faulted(
         &self,
-        enclave: &Arc<Enclave>,
+        enclave: &Enclave,
         tcx: &ThreadCtx<'_>,
         index: usize,
     ) -> SdkResult<usize> {
+        let frame = Frame::Ecall(index);
         let Some(inj) = self.machine.fault_injector() else {
-            return enclave.bind_tcs(tcx.token);
+            return enclave.enter(tcx.token, frame);
         };
-        let code = FaultKind::TcsExhaust { times: 1 }.code();
-        let event = |action: FaultAction, magnitude: u64| {
-            [DriverEvent::Fault(FaultEvent {
-                code,
-                action,
-                enclave: enclave.id().0,
-                thread: tcx.token.0 as u64,
-                call_index: Some(index as u32),
-                magnitude,
-                time: self.machine.clock().now(),
-            })]
+        let site = FaultSite {
+            machine: &self.machine,
+            code: FaultKind::TcsExhaust { times: 1 }.code(),
+            enclave: enclave.id(),
+            thread: tcx.token,
+            call_index: Some(index),
         };
         let mut attempts = 0u32;
-        loop {
-            if inj.take_tcs_exhaust(self.machine.clock().now()) {
-                attempts += 1;
-                self.machine
-                    .emit(&event(FaultAction::Injected, u64::from(attempts)));
-                if attempts > MAX_FAULT_RETRIES {
-                    self.machine
-                        .emit(&event(FaultAction::GaveUp, u64::from(attempts)));
-                    return Err(SdkError::InjectedFault {
-                        call: "tcs".to_string(),
-                        attempts,
-                    });
-                }
-                let backoff = fault_backoff(attempts);
-                self.machine.clock().advance(backoff);
-                self.machine
-                    .emit(&event(FaultAction::Retried, backoff.as_nanos()));
-                continue;
+        while inj.take_tcs_exhaust(self.machine.clock().now()) {
+            attempts += 1;
+            site.emit(FaultAction::Injected, u64::from(attempts));
+            if attempts > MAX_FAULT_RETRIES {
+                site.emit(FaultAction::GaveUp, u64::from(attempts));
+                return Err(SdkError::InjectedFault {
+                    call: "tcs".to_string(),
+                    attempts,
+                });
             }
-            let tcs = enclave.bind_tcs(tcx.token)?;
-            if attempts > 0 {
-                self.machine
-                    .emit(&event(FaultAction::Recovered, u64::from(attempts)));
-            }
-            return Ok(tcs);
+            let backoff = fault_backoff(attempts);
+            self.machine.clock().advance(backoff);
+            site.emit(FaultAction::Retried, backoff.as_nanos());
         }
+        let tcs = enclave.enter(tcx.token, frame)?;
+        if attempts > 0 {
+            site.emit(FaultAction::Recovered, u64::from(attempts));
+        }
+        Ok(tcs)
     }
 
     fn touch_entry_pages(
