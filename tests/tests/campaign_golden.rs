@@ -4,6 +4,11 @@
 //! the shipped chaos spec must deterministically trip the regression
 //! gate. These are the contracts CI's campaign-smoke job enforces on the
 //! release binary; here they run against the library in debug.
+//!
+//! Those comparisons hold two runs of one build against each other, so a
+//! byte change applied everywhere passes them. `shipped_spec_archives_are_pinned`
+//! pins each shipped spec's archive itself: exit code, file count and a
+//! digest over every archived file.
 
 use std::path::PathBuf;
 
@@ -107,4 +112,50 @@ fn chaos_spec_trips_the_gate_identically_on_both_engines() {
             cell.fault_rows,
         );
     }
+}
+
+/// 64-bit FNV-1a, continued from `hash`.
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// (spec, exit code, archived files, FNV-1a digest over the sorted
+/// (name, length, bytes) of every archived file) of each shipped spec.
+const PINNED_ARCHIVES: &[(&str, u8, usize, u64)] = &[
+    ("smoke", 0, 7, 0x11fa38222fbdb31b),
+    ("stressors", 0, 99, 0x311e45491a4a78cb),
+    ("chaos_matrix", 3, 11, 0xf411bdbccdf26e95),
+    ("faulty", 4, 5, 0x6e7ec54bd46d7a9b),
+];
+
+#[test]
+fn shipped_spec_archives_are_pinned() {
+    let mut actual = Vec::new();
+    for &(name, ..) in PINNED_ARCHIVES {
+        let plan = spec(name);
+        let dir = temp_dir(&format!("pinned-{name}"));
+        let run = matrix::run(&plan, Engine::Fast, 1, Some(&dir), false).unwrap();
+        let files = artifacts(&dir);
+        let digest = files
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325, |h, (file, bytes)| {
+                let h = fnv1a(h, file.as_bytes());
+                let h = fnv1a(h, &(bytes.len() as u64).to_le_bytes());
+                fnv1a(h, bytes)
+            });
+        actual.push((name, run.exit_code(), files.len(), digest));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+    let table: String = actual
+        .iter()
+        .map(|(name, code, files, digest)| {
+            format!("    (\"{name}\", {code}, {files}, 0x{digest:016x}),\n")
+        })
+        .collect();
+    assert_eq!(
+        actual, PINNED_ARCHIVES,
+        "campaign archives changed; new values:\n{table}"
+    );
 }
