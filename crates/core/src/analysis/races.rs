@@ -129,7 +129,7 @@ impl RaceFinding {
 }
 
 /// Result of the three analyses over one trace.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RaceReport {
     /// All findings, errors first, in deterministic order.
     pub findings: Vec<RaceFinding>,
@@ -351,6 +351,13 @@ fn ocalls_under_locks<'t>(
 }
 
 fn analyze_with(trace: &TraceDb, held_across: HeldAcross) -> RaceReport {
+    let names = object_names(trace);
+    let replay = replay(trace, &names);
+    report(trace, &names, replay, held_across)
+}
+
+/// Each sync object's first recorded label.
+fn object_names(trace: &TraceDb) -> HashMap<u64, String> {
     let mut names: HashMap<u64, String> = HashMap::new();
     for row in trace.syncev.iter() {
         if let Some(obj) = row.object {
@@ -359,19 +366,58 @@ fn analyze_with(trace: &TraceDb, held_across: HeldAcross) -> RaceReport {
             }
         }
     }
-    let display = |obj: u64| -> String {
-        names
-            .get(&obj)
-            .map(|n| format!("`{n}`"))
-            .unwrap_or_else(|| format!("`#{obj}`"))
-    };
+    names
+}
 
-    // --- replay state ---
-    let mut vcs: HashMap<u64, Vc> = HashMap::new();
-    let mut ticks: HashMap<u64, u64> = HashMap::new();
-    let vc_of = |vcs: &mut HashMap<u64, Vc>, t: u64| -> Vc {
-        vcs.entry(t).or_insert_with(|| Vc::from([(t, 1)])).clone()
-    };
+/// A sync object as findings quote it: its label, or `#id`.
+fn quoted(names: &HashMap<u64, String>, obj: u64) -> String {
+    names
+        .get(&obj)
+        .map(|n| format!("`{n}`"))
+        .unwrap_or_else(|| format!("`#{obj}`"))
+}
+
+/// Each thread's vector clock, updated in place. A thread's own
+/// component is its tick, 1 when the thread is first seen.
+#[derive(Default)]
+struct Clocks(HashMap<u64, Vc>);
+
+impl Clocks {
+    fn of(&mut self, t: u64) -> &mut Vc {
+        self.0.entry(t).or_insert_with(|| Vc::from([(t, 1)]))
+    }
+
+    fn tick(&mut self, t: u64) {
+        *self.of(t).entry(t).or_insert(1) += 1;
+    }
+
+    /// Orders everything thread `from` has done before what thread `to`
+    /// does next.
+    fn join(&mut self, to: u64, from: u64) {
+        if to != from {
+            let from_vc = std::mem::take(self.of(from));
+            vc_join(self.of(to), &from_vc);
+            *self.of(from) = from_vc;
+        }
+    }
+}
+
+/// What replaying the `syncev` table leaves for the findings.
+struct Replay {
+    /// Lock-order edges: (held, acquired) → first observed evidence.
+    order_edges: BTreeMap<(u64, u64), String>,
+    /// Every completed lock hold.
+    intervals: Holds,
+    cells: BTreeMap<u64, CellState>,
+    locks_seen: BTreeSet<u64>,
+    threads_seen: BTreeSet<u64>,
+}
+
+/// Replays the `syncev` rows in order through the vector clocks, the
+/// held locks and the per-cell access state.
+fn replay(trace: &TraceDb, names: &HashMap<u64, String>) -> Replay {
+    let display = |obj: u64| quoted(names, obj);
+    let mut clocks = Clocks::default();
     // Release clocks of locks / condvars / rings (symmetric merge objects).
     let mut object_vc: HashMap<u64, Vc> = HashMap::new();
     // Locks currently held per thread, with acquire timestamps.
@@ -389,39 +435,26 @@ fn analyze_with(trace: &TraceDb, held_across: HeldAcross) -> RaceReport {
         };
         let t = row.thread;
         threads_seen.insert(t);
-        let mut my_vc = vc_of(&mut vcs, t);
-        let tick = |vcs: &mut HashMap<u64, Vc>, ticks: &mut HashMap<u64, u64>, t: u64| {
-            let c = ticks.entry(t).or_insert(1);
-            *c += 1;
-            vcs.get_mut(&t)
-                .expect("vc exists after vc_of")
-                .insert(t, *c);
-        };
         match op {
             SyncOp::ThreadSpawn => {
                 if let Some(child) = row.target {
                     threads_seen.insert(child);
-                    let mut child_vc = vc_of(&mut vcs, child);
-                    vc_join(&mut child_vc, &my_vc);
-                    vcs.insert(child, child_vc);
-                    tick(&mut vcs, &mut ticks, t);
+                    clocks.join(child, t);
+                    clocks.tick(t);
                 }
             }
             SyncOp::ThreadJoin => {
                 // `Simulation::run` blocks until every logical thread is
                 // done, so driver-side events after the run happen-after
                 // each completion under every schedule.
-                let mut ext = vc_of(&mut vcs, EXTERNAL_THREAD);
-                vc_join(&mut ext, &my_vc);
-                vcs.insert(EXTERNAL_THREAD, ext);
-                tick(&mut vcs, &mut ticks, t);
+                clocks.join(EXTERNAL_THREAD, t);
+                clocks.tick(t);
             }
             SyncOp::LockAcquire => {
                 let Some(lock) = row.object else { continue };
                 locks_seen.insert(lock);
                 if let Some(rel) = object_vc.get(&lock) {
-                    vc_join(&mut my_vc, rel);
-                    vcs.insert(t, my_vc.clone());
+                    vc_join(clocks.of(t), rel);
                 }
                 let held_by_me = held.entry(t).or_default();
                 for &(h, _) in held_by_me.iter() {
@@ -440,8 +473,8 @@ fn analyze_with(trace: &TraceDb, held_across: HeldAcross) -> RaceReport {
             SyncOp::LockRelease => {
                 let Some(lock) = row.object else { continue };
                 locks_seen.insert(lock);
-                object_vc.insert(lock, my_vc.clone());
-                tick(&mut vcs, &mut ticks, t);
+                object_vc.insert(lock, clocks.of(t).clone());
+                clocks.tick(t);
                 let held_by_me = held.entry(t).or_default();
                 if let Some(pos) = held_by_me.iter().rposition(|&(l, _)| l == lock) {
                     let (_, acquired_ns) = held_by_me.remove(pos);
@@ -455,46 +488,40 @@ fn analyze_with(trace: &TraceDb, held_across: HeldAcross) -> RaceReport {
                 // The paired mutex release was emitted separately; the
                 // wait itself releases the waiter's clock into the condvar.
                 let Some(cv) = row.object else { continue };
-                let e = object_vc.entry(cv).or_default();
-                vc_join(e, &my_vc);
-                tick(&mut vcs, &mut ticks, t);
+                vc_join(object_vc.entry(cv).or_default(), clocks.of(t));
+                clocks.tick(t);
             }
             SyncOp::CondSignal => {
                 // The wake happens-before the waiter's resumption, which
                 // the replay order places strictly later.
                 if let Some(w) = row.target {
                     threads_seen.insert(w);
-                    let mut wv = vc_of(&mut vcs, w);
-                    vc_join(&mut wv, &my_vc);
-                    vcs.insert(w, wv);
-                    tick(&mut vcs, &mut ticks, t);
+                    clocks.join(w, t);
+                    clocks.tick(t);
                 }
             }
             SyncOp::RingPost | SyncOp::RingComplete => {
                 // Symmetric merge through the ring object: the post/claim
                 // hand-off orders caller and worker both ways.
                 let Some(ring) = row.object else { continue };
-                if let Some(rv) = object_vc.get(&ring) {
-                    vc_join(&mut my_vc, rv);
-                }
-                object_vc.insert(ring, my_vc.clone());
-                vcs.insert(t, my_vc.clone());
+                let (mine, rv) = (clocks.of(t), object_vc.entry(ring).or_default());
+                vc_join(mine, rv);
+                vc_join(rv, mine);
                 if op == SyncOp::RingComplete {
                     if let Some(caller) = row.target {
                         threads_seen.insert(caller);
-                        let mut cv = vc_of(&mut vcs, caller);
-                        vc_join(&mut cv, &my_vc);
-                        vcs.insert(caller, cv);
+                        clocks.join(caller, t);
                     }
                 }
-                tick(&mut vcs, &mut ticks, t);
+                clocks.tick(t);
             }
             SyncOp::SharedRead | SyncOp::SharedWrite => {
                 let Some(cell_id) = row.object else { continue };
                 let write = op == SyncOp::SharedWrite;
+                let mine = clocks.of(t);
                 let access = Access {
                     thread: t,
-                    clock: my_vc.get(&t).copied().unwrap_or(1),
+                    clock: mine.get(&t).copied().unwrap_or(1),
                     write,
                     time_ns: row.time_ns,
                 };
@@ -510,13 +537,13 @@ fn analyze_with(trace: &TraceDb, held_across: HeldAcross) -> RaceReport {
                 };
                 if cell.race.is_none() {
                     if let Some(w) = &cell.last_write {
-                        if !ordered(w, &my_vc) {
+                        if !ordered(w, mine) {
                             cell.race = Some((w.clone(), access.clone()));
                         }
                     }
                     // …and, for writes, against reads since that write.
                     if write {
-                        if let Some(r) = cell.reads.iter().find(|r| !ordered(r, &my_vc)) {
+                        if let Some(r) = cell.reads.iter().find(|r| !ordered(r, mine)) {
                             cell.race = Some((r.clone(), access.clone()));
                         }
                     }
@@ -541,7 +568,30 @@ fn analyze_with(trace: &TraceDb, held_across: HeldAcross) -> RaceReport {
         }
     }
 
-    // --- findings ---
+    Replay {
+        order_edges,
+        intervals,
+        cells,
+        locks_seen,
+        threads_seen,
+    }
+}
+
+/// The findings of one replay.
+fn report(
+    trace: &TraceDb,
+    names: &HashMap<u64, String>,
+    replay: Replay,
+    held_across: HeldAcross,
+) -> RaceReport {
+    let Replay {
+        order_edges,
+        intervals,
+        cells,
+        locks_seen,
+        threads_seen,
+    } = replay;
+    let display = |obj: u64| quoted(names, obj);
     let mut findings = Vec::new();
 
     for (&cell_id, cell) in &cells {
@@ -754,6 +804,224 @@ mod tests {
             }
         }
         across
+    }
+
+    /// The reference replay: every row works on a clone of the acting
+    /// thread's clock, and a second map mirrors each thread's own
+    /// component.
+    fn replay_reference(trace: &TraceDb, names: &HashMap<u64, String>) -> Replay {
+        let display = |obj: u64| quoted(names, obj);
+        let mut vcs: HashMap<u64, Vc> = HashMap::new();
+        let mut ticks: HashMap<u64, u64> = HashMap::new();
+        let vc_of = |vcs: &mut HashMap<u64, Vc>, t: u64| -> Vc {
+            vcs.entry(t).or_insert_with(|| Vc::from([(t, 1)])).clone()
+        };
+        // Release clocks of locks / condvars / rings (symmetric merge objects).
+        let mut object_vc: HashMap<u64, Vc> = HashMap::new();
+        // Locks currently held per thread, with acquire timestamps.
+        let mut held: HashMap<u64, Vec<(u64, u64)>> = HashMap::new();
+        // Lock-order edges: (held, acquired) → first observed evidence.
+        let mut order_edges: BTreeMap<(u64, u64), String> = BTreeMap::new();
+        let mut intervals = Holds::new();
+        let mut cells: BTreeMap<u64, CellState> = BTreeMap::new();
+        let mut locks_seen: BTreeSet<u64> = BTreeSet::new();
+        let mut threads_seen: BTreeSet<u64> = BTreeSet::new();
+
+        for row in trace.syncev.iter() {
+            let Some(op) = SyncOp::from_code(row.op) else {
+                continue; // unknown op from a newer writer: skip, stay loadable
+            };
+            let t = row.thread;
+            threads_seen.insert(t);
+            let mut my_vc = vc_of(&mut vcs, t);
+            let tick = |vcs: &mut HashMap<u64, Vc>, ticks: &mut HashMap<u64, u64>, t: u64| {
+                let c = ticks.entry(t).or_insert(1);
+                *c += 1;
+                vcs.get_mut(&t)
+                    .expect("vc exists after vc_of")
+                    .insert(t, *c);
+            };
+            match op {
+                SyncOp::ThreadSpawn => {
+                    if let Some(child) = row.target {
+                        threads_seen.insert(child);
+                        let mut child_vc = vc_of(&mut vcs, child);
+                        vc_join(&mut child_vc, &my_vc);
+                        vcs.insert(child, child_vc);
+                        tick(&mut vcs, &mut ticks, t);
+                    }
+                }
+                SyncOp::ThreadJoin => {
+                    // `Simulation::run` blocks until every logical thread is
+                    // done, so driver-side events after the run happen-after
+                    // each completion under every schedule.
+                    let mut ext = vc_of(&mut vcs, EXTERNAL_THREAD);
+                    vc_join(&mut ext, &my_vc);
+                    vcs.insert(EXTERNAL_THREAD, ext);
+                    tick(&mut vcs, &mut ticks, t);
+                }
+                SyncOp::LockAcquire => {
+                    let Some(lock) = row.object else { continue };
+                    locks_seen.insert(lock);
+                    if let Some(rel) = object_vc.get(&lock) {
+                        vc_join(&mut my_vc, rel);
+                        vcs.insert(t, my_vc.clone());
+                    }
+                    let held_by_me = held.entry(t).or_default();
+                    for &(h, _) in held_by_me.iter() {
+                        order_edges.entry((h, lock)).or_insert_with(|| {
+                            format!(
+                                "{} acquired {} while holding {} @ {}",
+                                thread_name(t),
+                                display(lock),
+                                display(h),
+                                time_label(row.time_ns)
+                            )
+                        });
+                    }
+                    held_by_me.push((lock, row.time_ns));
+                }
+                SyncOp::LockRelease => {
+                    let Some(lock) = row.object else { continue };
+                    locks_seen.insert(lock);
+                    object_vc.insert(lock, my_vc.clone());
+                    tick(&mut vcs, &mut ticks, t);
+                    let held_by_me = held.entry(t).or_default();
+                    if let Some(pos) = held_by_me.iter().rposition(|&(l, _)| l == lock) {
+                        let (_, acquired_ns) = held_by_me.remove(pos);
+                        intervals
+                            .entry(lock)
+                            .or_default()
+                            .push((t, acquired_ns, row.time_ns));
+                    }
+                }
+                SyncOp::CondWait => {
+                    // The paired mutex release was emitted separately; the
+                    // wait itself releases the waiter's clock into the condvar.
+                    let Some(cv) = row.object else { continue };
+                    let e = object_vc.entry(cv).or_default();
+                    vc_join(e, &my_vc);
+                    tick(&mut vcs, &mut ticks, t);
+                }
+                SyncOp::CondSignal => {
+                    // The wake happens-before the waiter's resumption, which
+                    // the replay order places strictly later.
+                    if let Some(w) = row.target {
+                        threads_seen.insert(w);
+                        let mut wv = vc_of(&mut vcs, w);
+                        vc_join(&mut wv, &my_vc);
+                        vcs.insert(w, wv);
+                        tick(&mut vcs, &mut ticks, t);
+                    }
+                }
+                SyncOp::RingPost | SyncOp::RingComplete => {
+                    // Symmetric merge through the ring object: the post/claim
+                    // hand-off orders caller and worker both ways.
+                    let Some(ring) = row.object else { continue };
+                    if let Some(rv) = object_vc.get(&ring) {
+                        vc_join(&mut my_vc, rv);
+                    }
+                    object_vc.insert(ring, my_vc.clone());
+                    vcs.insert(t, my_vc.clone());
+                    if op == SyncOp::RingComplete {
+                        if let Some(caller) = row.target {
+                            threads_seen.insert(caller);
+                            let mut cv = vc_of(&mut vcs, caller);
+                            vc_join(&mut cv, &my_vc);
+                            vcs.insert(caller, cv);
+                        }
+                    }
+                    tick(&mut vcs, &mut ticks, t);
+                }
+                SyncOp::SharedRead | SyncOp::SharedWrite => {
+                    let Some(cell_id) = row.object else { continue };
+                    let write = op == SyncOp::SharedWrite;
+                    let access = Access {
+                        thread: t,
+                        clock: my_vc.get(&t).copied().unwrap_or(1),
+                        write,
+                        time_ns: row.time_ns,
+                    };
+                    let cell = cells.entry(cell_id).or_default();
+                    cell.threads.insert(t);
+                    cell.phase.access(t, write);
+                    if write {
+                        cell.writes += 1;
+                    }
+                    // Happens-before check against the last write…
+                    let ordered = |prev: &Access, now_vc: &Vc| {
+                        prev.thread == t
+                            || now_vc.get(&prev.thread).copied().unwrap_or(0) >= prev.clock
+                    };
+                    if cell.race.is_none() {
+                        if let Some(w) = &cell.last_write {
+                            if !ordered(w, &my_vc) {
+                                cell.race = Some((w.clone(), access.clone()));
+                            }
+                        }
+                        // …and, for writes, against reads since that write.
+                        if write {
+                            if let Some(r) = cell.reads.iter().find(|r| !ordered(r, &my_vc)) {
+                                cell.race = Some((r.clone(), access.clone()));
+                            }
+                        }
+                    }
+                    if write {
+                        cell.last_write = Some(access);
+                        cell.reads.clear();
+                    } else {
+                        cell.reads.retain(|r| r.thread != t);
+                        cell.reads.push(access);
+                    }
+                    // Eraser lockset refinement.
+                    let held_now: BTreeSet<u64> = held
+                        .get(&t)
+                        .map(|v| v.iter().map(|&(l, _)| l).collect())
+                        .unwrap_or_default();
+                    match &mut cell.lockset {
+                        None => cell.lockset = Some(held_now),
+                        Some(ls) => *ls = ls.intersection(&held_now).copied().collect(),
+                    }
+                }
+            }
+        }
+
+        Replay {
+            order_edges,
+            intervals,
+            cells,
+            locks_seen,
+            threads_seen,
+        }
+    }
+
+    /// Over generated traces, the report is the one the cloning replay
+    /// gives, and the rows reach every sync op and every finding the
+    /// replay makes.
+    #[test]
+    fn in_place_replay_matches_the_cloning_reference() {
+        let traces = crate::tracegen::Traces { max_rows: 24 };
+        let mut rng = TestRng::from_name("in_place_replay_matches_the_cloning_reference");
+        let (mut ops, mut codes) = (BTreeSet::new(), BTreeSet::new());
+        for case in 0..300 {
+            let trace = traces.generate(&mut rng);
+            let names = object_names(&trace);
+            let reference = report(
+                &trace,
+                &names,
+                replay_reference(&trace, &names),
+                ocalls_under_locks,
+            );
+            assert_eq!(analyze(&trace), reference, "case {case}: {trace:?}");
+            ops.extend(
+                (trace.syncev.iter()).filter_map(|r| SyncOp::from_code(r.op).map(SyncOp::code)),
+            );
+            codes.extend(reference.findings.iter().map(|f| f.code));
+        }
+        assert_eq!(ops.len(), SyncOp::ALL.len(), "ops reached: {ops:?}");
+        for code in [codes::DATA_RACE, codes::LOCKSET, codes::LOCK_ORDER] {
+            assert!(codes.contains(code), "{code} never found: {codes:?}");
+        }
     }
 
     /// Over generated traces, the report is the one the nested loop

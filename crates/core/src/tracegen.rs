@@ -7,12 +7,15 @@
 //! times across kinds, dangling, cross-thread and cyclic parent links,
 //! duplicate and missing symbol rows, one name shared by several
 //! enclaves, enclave ids near `u32::MAX` and thread tokens near
-//! `u64::MAX`. Some faults and lifecycle stages fall among the calls, and
-//! some lock holds span ocall starts on the ocall's own thread.
+//! `u64::MAX`. Some faults and lifecycle stages fall among the calls,
+//! some lock holds span ocall starts on the ocall's own thread, some
+//! threads nest two locks, and some cells pass from one thread to
+//! another through a spawn, a lock, a signal, a ring (either way) or a
+//! thread's end.
 
 use eventdb::Table;
 use proptest::prelude::*;
-use sim_core::syncev::SyncOp;
+use sim_core::syncev::{SyncOp, EXTERNAL_THREAD};
 
 use crate::events::{
     AexCauseCode, AexRow, EcallRow, EnclaveRow, FaultRow, FleetRow, LifecycleRow, OcallRow,
@@ -248,6 +251,66 @@ impl Strategy for Traces {
                     aux: 0,
                     label: "m".to_string(),
                     time_ns,
+                });
+            }
+        }
+        // The shapes the race analyses look for: two threads each
+        // nesting the same two locks, in either order; and a cell one
+        // thread writes and hands to another through a spawn, a lock, a
+        // signal, a ring (either way) or its own end, perhaps accesses
+        // again, and the other then accesses.
+        for _ in 0..rng.below(4) {
+            let (from, mut to) = (thread(rng), thread(rng));
+            let (a, b) = (rng.below(4), rng.below(4));
+            let mut rows = Vec::new();
+            if rng.below(3) == 0 {
+                let (outer, inner) = one_of(rng, &[(a, b), (b, a)]);
+                for (thread, outer, inner) in [(from, a, b), (to, outer, inner)] {
+                    rows.extend([
+                        (thread, SyncOp::LockAcquire, Some(outer), None),
+                        (thread, SyncOp::LockAcquire, Some(inner), None),
+                        (thread, SyncOp::LockRelease, Some(inner), None),
+                        (thread, SyncOp::LockRelease, Some(outer), None),
+                    ]);
+                }
+            } else {
+                let hand_off = rng.below(6);
+                if hand_off == 1 {
+                    rows.push((from, SyncOp::LockAcquire, Some(b), None));
+                }
+                rows.push((from, SyncOp::SharedWrite, Some(a), None));
+                match hand_off {
+                    0 => rows.push((from, SyncOp::ThreadSpawn, None, Some(to))),
+                    1 => rows.extend([
+                        (from, SyncOp::LockRelease, Some(b), None),
+                        (to, SyncOp::LockAcquire, Some(b), None),
+                    ]),
+                    2 => rows.push((from, SyncOp::CondSignal, Some(b), Some(to))),
+                    3 => rows.extend([
+                        (from, SyncOp::RingPost, Some(b), None),
+                        (to, SyncOp::RingComplete, Some(b), Some(from)),
+                    ]),
+                    4 => rows.push((from, SyncOp::RingComplete, Some(b), Some(to))),
+                    _ => {
+                        rows.push((from, SyncOp::ThreadJoin, None, None));
+                        to = EXTERNAL_THREAD;
+                    }
+                }
+                let accesses = [SyncOp::SharedRead, SyncOp::SharedWrite];
+                if rng.below(2) == 0 {
+                    rows.push((from, one_of(rng, &accesses), Some(a), None));
+                }
+                rows.push((to, one_of(rng, &accesses), Some(a), None));
+            }
+            for (thread, op, object, target) in rows {
+                t.syncev.insert(SyncEvRow {
+                    thread,
+                    op: op.code(),
+                    object,
+                    target,
+                    aux: 0,
+                    label: one_of(rng, &["", "m", "cell"]).to_string(),
+                    time_ns: event_time(rng),
                 });
             }
         }

@@ -316,13 +316,13 @@ impl CampaignSpec {
             Robustness,
         }
         let mut section = Section::None;
-        let mut name: Option<(usize, String)> = None;
+        let mut name: Option<String> = None;
         let mut jobs: Option<u32> = None;
         let mut threshold: Option<u32> = None;
-        let mut workloads: Option<(usize, Vec<String>)> = None;
-        let mut profiles: Option<(usize, Vec<HwProfile>)> = None;
-        let mut switchless: Option<(usize, Vec<SwitchlessAxis>)> = None;
-        let mut seeds: Option<(usize, Vec<u64>)> = None;
+        let mut workloads: Option<Vec<String>> = None;
+        let mut profiles: Option<Vec<HwProfile>> = None;
+        let mut switchless: Option<Vec<SwitchlessAxis>> = None;
+        let mut seeds: Option<Vec<u64>> = None;
         let mut plans: Vec<(String, FaultPlan)> = Vec::new();
         let mut faults_declared = false;
         let mut baseline_plan: Option<(usize, String)> = None;
@@ -384,7 +384,7 @@ impl CampaignSpec {
                         if !is_ident(v) {
                             return err(ln, format!("bad campaign name `{v}` (want [a-z0-9_-]+)"));
                         }
-                        set_once!(name, (ln, v.to_string()));
+                        set_once!(name, v.to_string());
                     }
                     "jobs" => {
                         let v = value.as_int(ln, key)?;
@@ -432,7 +432,7 @@ impl CampaignSpec {
                             return err(ln, "`workloads` must not be empty");
                         }
                         no_duplicates(ln, key, &out)?;
-                        set_once!(workloads, (ln, out));
+                        set_once!(workloads, out);
                     }
                     "profiles" => {
                         let items = value.as_str_list(ln, key)?;
@@ -453,7 +453,7 @@ impl CampaignSpec {
                             return err(ln, "`profiles` must not be empty");
                         }
                         no_duplicates(ln, key, &out)?;
-                        set_once!(profiles, (ln, out));
+                        set_once!(profiles, out);
                     }
                     "switchless" => {
                         let items = value.as_str_list(ln, key)?;
@@ -471,7 +471,7 @@ impl CampaignSpec {
                             return err(ln, "`switchless` must not be empty");
                         }
                         no_duplicates(ln, key, &out)?;
-                        set_once!(switchless, (ln, out));
+                        set_once!(switchless, out);
                     }
                     "seeds" => {
                         let out = value.as_int_list(ln, key)?;
@@ -479,7 +479,7 @@ impl CampaignSpec {
                             return err(ln, "`seeds` must not be empty");
                         }
                         no_duplicates(ln, key, &out)?;
-                        set_once!(seeds, (ln, out));
+                        set_once!(seeds, out);
                     }
                     other => {
                         return err(
@@ -551,19 +551,19 @@ impl CampaignSpec {
             }
         }
 
-        let Some((_, name)) = name else {
+        let Some(name) = name else {
             return err(0, "missing `name` in [campaign]");
         };
-        let Some((_, workloads)) = workloads else {
+        let Some(workloads) = workloads else {
             return err(0, "missing `workloads` axis in [matrix]");
         };
-        let Some((_, profiles)) = profiles else {
+        let Some(profiles) = profiles else {
             return err(0, "missing `profiles` axis in [matrix]");
         };
-        let Some((_, seeds)) = seeds else {
+        let Some(seeds) = seeds else {
             return err(0, "missing `seeds` axis in [matrix]");
         };
-        let switchless = switchless.map_or_else(|| vec![SwitchlessAxis::Off], |(_, s)| s);
+        let switchless = switchless.unwrap_or_else(|| vec![SwitchlessAxis::Off]);
         if faults_declared && plans.is_empty() {
             return err(0, "[faults] section declares no plans");
         }

@@ -41,7 +41,7 @@
 use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 use sgx_perf::analysis::diff::{DiffConfig, TraceDiff, Verdict, REGRESSION_EXIT_CODE};
@@ -49,13 +49,13 @@ use sgx_perf::{json, Logger, LoggerConfig, TraceDb};
 use sim_core::campaign::{CampaignSpec, CellCoord, SwitchlessAxis};
 use sim_core::fault::{fmt_duration, FaultPlan};
 use sim_threads::{
-    with_budget, with_engine, Engine, SimBudget, EVENT_BUDGET_EXHAUSTED, SIM_CANCELLED,
+    with_budget, with_engine, Engine, SimBudget, Simulation, EVENT_BUDGET_EXHAUSTED, SIM_CANCELLED,
 };
 
-use super::Workload;
+use super::{Workload, FLAKY_FIXTURE_MSG, PANICKING_FIXTURE_MSG};
 use crate::harness::Harness;
-use crate::stressors::StressorConfig;
-use crate::{chaos, fleet, racy_fixture, stressors, supervisor_loop};
+use crate::stressors::{self, Stressor, StressorConfig};
+use crate::{chaos, fleet, racy_fixture, supervisor_loop};
 
 /// A validated, runnable campaign: the spec plus its workload names
 /// resolved against the registry.
@@ -132,15 +132,16 @@ impl MatrixPlan {
 
     /// Executes one cell on the calling thread's current engine and
     /// returns the serialised trace. `attempt` is the zero-based retry
-    /// counter the supervisor threads through so flaky fixtures (and any
-    /// future attempt-aware workload) can observe it; deterministic
-    /// workloads ignore it.
+    /// counter the supervisor threads through; only the `flaky` fixture
+    /// reads it, and its retries' bytes do not depend on it.
     ///
     /// # Panics
     ///
     /// Panics if the workload fails under the cell's fault plan — the
     /// supervised runner in [`run`] catches this and records a
-    /// [`CellOutcome`] instead of unwinding the campaign.
+    /// [`CellOutcome`] instead of unwinding the campaign. The `panicking`
+    /// fixture always panics, `flaky` on attempt 0, and `hanging` when —
+    /// and only when — a supervisor budget or cancellation trips it.
     #[must_use]
     pub fn run_cell(&self, c: &CellCoord, attempt: u32) -> Vec<u8> {
         let plan = self.effective_plan(c);
@@ -150,13 +151,25 @@ impl MatrixPlan {
                 SwitchlessAxis::Off => None,
                 SwitchlessAxis::On { workers } => Some(workers as usize),
             },
-            attempt,
         };
         match self.workloads[c.workload] {
             Workload::Stress(s) => stressors::trace(s, c.profile, plan.as_ref(), &stressor_cfg),
-            Workload::Fixture(f) => {
-                stressors::fixture_trace(f, c.profile, plan.as_ref(), &stressor_cfg)
+            Workload::Panicking => panic!("{PANICKING_FIXTURE_MSG}"),
+            Workload::Hanging => {
+                let sim = Simulation::new(sim_core::Clock::new());
+                sim.spawn("hang", |ctx| loop {
+                    ctx.yield_now();
+                });
+                sim.run();
+                unreachable!("hanging fixture ended without supervision")
             }
+            Workload::Flaky if attempt == 0 => panic!("{FLAKY_FIXTURE_MSG}"),
+            Workload::Flaky => stressors::trace(
+                Stressor::EcallStorm,
+                c.profile,
+                plan.as_ref(),
+                &stressor_cfg,
+            ),
             Workload::Antipatterns => chaos::antipatterns_trace(c.profile, plan.as_ref()),
             Workload::Switchless => chaos::switchless_trace(c.profile, plan.as_ref()),
             Workload::Supervisor => {
@@ -575,37 +588,47 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), String> {
     std::fs::rename(&tmp, path).map_err(|e| format!("rename to {}: {e}", path.display()))
 }
 
-/// One row of `manifest.json`: a completed cell with enough information
-/// to revalidate its archived trace on resume.
+/// The supervised record of one executed cell, after all its attempts:
+/// one row of `manifest.json`, plus the trace while the run needs it.
 #[derive(Debug, Clone)]
-struct ManifestEntry {
+struct CellRecord {
     index: usize,
+    /// Archive filename (pure function of the coordinates).
     file: String,
     outcome: CellOutcome,
     attempts: u32,
     flaky: bool,
+    /// Trace size (0 for failed cells).
     bytes: usize,
+    /// FNV-1a of the trace (0 for failed cells and for runs without an
+    /// archive: only the manifest reads it).
     checksum: u64,
+    /// The trace, until the verdict phase; never in `manifest.json`.
+    trace: Option<Vec<u8>>,
 }
 
-fn render_manifest(spec_checksum: u64, entries: &[ManifestEntry]) -> String {
+fn render_manifest<'r>(
+    spec_checksum: u64,
+    records: impl Iterator<Item = &'r CellRecord>,
+) -> String {
     let mut out = String::from("{\n");
     out.push_str(&format!("  \"spec_checksum\": \"{spec_checksum:016x}\",\n"));
     out.push_str("  \"cells\": [\n");
-    for (i, e) in entries.iter().enumerate() {
-        let comma = if i + 1 == entries.len() { "" } else { "," };
+    let mut records = records.peekable();
+    while let Some(r) = records.next() {
+        let comma = if records.peek().is_some() { "," } else { "" };
         out.push_str(&format!(
             "    {{\"index\": {}, \"file\": \"{}\", \"outcome\": \"{}\", \
              \"detail\": {}, \"attempts\": {}, \"flaky\": {}, \
              \"bytes\": {}, \"checksum\": \"{:016x}\"}}{}\n",
-            e.index,
-            e.file,
-            e.outcome.label(),
-            json::string(e.outcome.detail()),
-            e.attempts,
-            e.flaky,
-            e.bytes,
-            e.checksum,
+            r.index,
+            r.file,
+            r.outcome.label(),
+            json::string(r.outcome.detail()),
+            r.attempts,
+            r.flaky,
+            r.bytes,
+            r.checksum,
             comma,
         ));
     }
@@ -613,9 +636,9 @@ fn render_manifest(spec_checksum: u64, entries: &[ManifestEntry]) -> String {
     out
 }
 
-fn parse_manifest(text: &str) -> Option<(u64, Vec<ManifestEntry>)> {
+fn parse_manifest(text: &str) -> Option<(u64, Vec<CellRecord>)> {
     let mut spec_checksum = None;
-    let mut entries = Vec::new();
+    let mut records = Vec::new();
     for line in text.lines() {
         let t = line.trim_start();
         if t.starts_with("\"spec_checksum\"") {
@@ -625,7 +648,7 @@ fn parse_manifest(text: &str) -> Option<(u64, Vec<ManifestEntry>)> {
                 &json_str_field(line, "outcome")?,
                 &json_str_field(line, "detail")?,
             )?;
-            entries.push(ManifestEntry {
+            records.push(CellRecord {
                 index: json_raw_field(line, "index")?.parse().ok()?,
                 file: json_str_field(line, "file")?,
                 outcome,
@@ -633,20 +656,11 @@ fn parse_manifest(text: &str) -> Option<(u64, Vec<ManifestEntry>)> {
                 flaky: json_raw_field(line, "flaky")? == "true",
                 bytes: json_raw_field(line, "bytes")?.parse().ok()?,
                 checksum: u64::from_str_radix(&json_str_field(line, "checksum")?, 16).ok()?,
+                trace: None,
             });
         }
     }
-    Some((spec_checksum?, entries))
-}
-
-/// The supervised result of one cell, after all attempts.
-#[derive(Debug)]
-struct CellResult {
-    outcome: CellOutcome,
-    trace: Option<Vec<u8>>,
-    attempts: u32,
-    flaky: bool,
-    checksum: u64,
+    Some((spec_checksum?, records))
 }
 
 /// Maps a caught panic payload to a structured outcome: budget
@@ -665,12 +679,27 @@ fn classify_panic(payload: Box<dyn std::any::Any + Send>) -> CellOutcome {
     }
 }
 
-/// Runs one attempt of one cell under `catch_unwind` and the spec's
-/// supervision budget. With a wall-clock deadline the attempt runs on
-/// its own thread; on expiry the watchdog cancels the budget handle so
-/// the simulation unwinds cooperatively at its next scheduling point,
-/// and only a cell hard-hung outside any simulation is abandoned after a
-/// grace period.
+/// One attempt of one cell on `engine` under `catch_unwind` and `budget`.
+fn supervised(
+    plan: &MatrixPlan,
+    engine: Engine,
+    coord: &CellCoord,
+    attempt: u32,
+    budget: Arc<SimBudget>,
+) -> Result<Vec<u8>, CellOutcome> {
+    let body = || {
+        with_engine(engine, || {
+            with_budget(budget, || plan.run_cell(coord, attempt))
+        })
+    };
+    panic::catch_unwind(AssertUnwindSafe(body)).map_err(classify_panic)
+}
+
+/// Runs one attempt of one cell under the spec's supervision budget.
+/// With a wall-clock deadline the attempt runs on its own thread; on
+/// expiry the watchdog cancels the budget handle so the simulation
+/// unwinds cooperatively at its next scheduling point, and only a cell
+/// hard-hung outside any simulation is abandoned after a grace period.
 fn run_attempt(
     plan: &MatrixPlan,
     engine: Engine,
@@ -685,27 +714,14 @@ fn run_attempt(
     };
     let deadline_ns = spec.cell_deadline.as_nanos();
     if deadline_ns == 0 {
-        let body = AssertUnwindSafe(|| {
-            with_engine(engine, || {
-                with_budget(budget.clone(), || plan.run_cell(coord, attempt))
-            })
-        });
-        return panic::catch_unwind(body).map_err(classify_panic);
+        return supervised(plan, engine, coord, attempt, budget);
     }
     let (tx, rx) = mpsc::channel();
     let watchdog = budget.clone();
-    {
-        let plan = plan.clone();
-        let coord = *coord;
-        std::thread::spawn(move || {
-            let body = AssertUnwindSafe(|| {
-                with_engine(engine, || {
-                    with_budget(budget, || plan.run_cell(&coord, attempt))
-                })
-            });
-            let _ = tx.send(panic::catch_unwind(body).map_err(classify_panic));
-        });
-    }
+    let (plan, coord) = (plan.clone(), *coord);
+    std::thread::spawn(move || {
+        let _ = tx.send(supervised(&plan, engine, &coord, attempt, budget));
+    });
     match rx.recv_timeout(Duration::from_nanos(deadline_ns)) {
         Ok(result) => result,
         Err(mpsc::RecvTimeoutError::Timeout) => {
@@ -732,57 +748,58 @@ fn execute_cell(
     engine: Engine,
     coord: &CellCoord,
     out_dir: Option<&Path>,
-) -> CellResult {
+) -> CellRecord {
     let max_attempts = plan.spec.retries.saturating_add(1);
-    let mut attempt = 0u32;
+    let mut record = CellRecord {
+        index: coord.index,
+        file: plan.file_name(coord),
+        outcome: CellOutcome::Ok,
+        attempts: 0,
+        flaky: false,
+        bytes: 0,
+        checksum: 0,
+        trace: None,
+    };
     loop {
-        let result = run_attempt(plan, engine, coord, attempt).and_then(|bytes| match out_dir {
-            Some(dir) => write_atomic(&dir.join(plan.file_name(coord)), &bytes)
-                .map(|()| bytes)
-                .map_err(CellOutcome::IoError),
-            None => Ok(bytes),
-        });
+        let result =
+            run_attempt(plan, engine, coord, record.attempts).and_then(|bytes| match out_dir {
+                Some(dir) => write_atomic(&dir.join(&record.file), &bytes)
+                    .map(|()| bytes)
+                    .map_err(CellOutcome::IoError),
+                None => Ok(bytes),
+            });
+        record.attempts += 1;
         match result {
             Ok(bytes) => {
-                return CellResult {
-                    outcome: CellOutcome::Ok,
-                    // Only the archive's manifest reads the checksum.
-                    checksum: out_dir.map_or(0, |_| fnv1a(&bytes)),
-                    trace: Some(bytes),
-                    attempts: attempt + 1,
-                    flaky: attempt > 0,
-                };
+                record.flaky = record.attempts > 1;
+                record.bytes = bytes.len();
+                record.checksum = out_dir.map_or(0, |_| fnv1a(&bytes));
+                record.trace = Some(bytes);
+                return record;
             }
-            Err(outcome) => {
-                attempt += 1;
-                if attempt >= max_attempts {
-                    return CellResult {
-                        outcome,
-                        trace: None,
-                        attempts: attempt,
-                        flaky: false,
-                        checksum: 0,
-                    };
-                }
-                std::thread::sleep(Duration::from_millis(
-                    (10u64 << (attempt - 1).min(6)).min(1000),
-                ));
+            Err(outcome) if record.attempts >= max_attempts => {
+                record.outcome = outcome;
+                return record;
             }
+            Err(_) => std::thread::sleep(Duration::from_millis(
+                (10u64 << (record.attempts - 1).min(6)).min(1000),
+            )),
         }
     }
 }
 
 /// Salvages completed cells from an interrupted run's manifest. `Ok`
-/// entries are revalidated against the archived bytes (existence,
-/// length, checksum, parseability); failed entries are reused verbatim —
-/// their retries are already spent, and reuse keeps the resumed summary
-/// byte-identical. Anything missing or corrupt is simply left to re-run.
+/// records are revalidated against the archived bytes (existence,
+/// length, checksum, parseability); failed records are reused as they
+/// are — their retries are already spent, and reuse keeps the resumed
+/// summary byte-identical. Anything missing or corrupt is simply left to
+/// re-run.
 fn salvage(
     plan: &MatrixPlan,
     dir: &Path,
     spec_checksum: u64,
     cells: &[CellCoord],
-    out: &mut [Option<CellResult>],
+    out: &mut [Option<CellRecord>],
 ) -> Result<(), String> {
     if let Ok(entries) = std::fs::read_dir(dir) {
         for entry in entries.flatten() {
@@ -794,7 +811,7 @@ fn salvage(
     let Ok(text) = std::fs::read_to_string(dir.join("manifest.json")) else {
         return Ok(()); // no manifest — nothing to salvage
     };
-    let Some((recorded, entries)) = parse_manifest(&text) else {
+    let Some((recorded, records)) = parse_manifest(&text) else {
         return Ok(()); // corrupt manifest — re-run everything
     };
     if recorded != spec_checksum {
@@ -804,42 +821,29 @@ fn salvage(
             dir.display(),
         ));
     }
-    for e in entries {
-        let Some(coord) = cells.get(e.index) else {
+    for mut r in records {
+        let Some(coord) = cells.get(r.index) else {
             continue;
         };
-        if plan.file_name(coord) != e.file {
+        if plan.file_name(coord) != r.file {
             continue;
         }
-        match &e.outcome {
-            CellOutcome::Ok => {
-                let Ok(bytes) = std::fs::read(dir.join(&e.file)) else {
-                    continue;
-                };
-                if bytes.len() != e.bytes
-                    || fnv1a(&bytes) != e.checksum
-                    || TraceDb::from_bytes(&bytes).is_err()
-                {
-                    continue;
-                }
-                out[e.index] = Some(CellResult {
-                    outcome: CellOutcome::Ok,
-                    checksum: e.checksum,
-                    trace: Some(bytes),
-                    attempts: e.attempts,
-                    flaky: e.flaky,
-                });
+        if r.outcome == CellOutcome::Ok {
+            let Ok(bytes) = std::fs::read(dir.join(&r.file)) else {
+                continue;
+            };
+            if bytes.len() != r.bytes
+                || fnv1a(&bytes) != r.checksum
+                || TraceDb::from_bytes(&bytes).is_err()
+            {
+                continue;
             }
-            failed => {
-                out[e.index] = Some(CellResult {
-                    outcome: failed.clone(),
-                    trace: None,
-                    attempts: e.attempts,
-                    flaky: e.flaky,
-                    checksum: 0,
-                });
-            }
+            r.trace = Some(bytes);
+        } else {
+            (r.bytes, r.checksum) = (0, 0);
         }
+        let index = r.index;
+        out[index] = Some(r);
     }
     Ok(())
 }
@@ -868,14 +872,14 @@ fn par_map<T: Send>(jobs: usize, n: usize, f: impl Fn(usize) -> T + Sync) -> Vec
         .collect()
 }
 
-/// Runs the matrix: executes every cell in parallel on `engine` (claimed
-/// off a shared counter by `jobs` workers — 0 means the spec's `jobs`,
-/// which itself defaults to all cores), supervises each cell per the
-/// spec's `[robustness]` section (see the module docs), archives one
-/// trace per cell plus a checksummed `manifest.json` under `out_dir` (if
-/// given), then verdicts every cell against its declared baseline
-/// through the diff engine at the spec's threshold, on the same `jobs`
-/// workers, one baseline group per worker at a time.
+/// Runs the matrix: executes every cell in parallel on `engine` on `jobs`
+/// workers (0 means the spec's `jobs`, which itself defaults to all
+/// cores), supervises each cell per the spec's `[robustness]` section
+/// (see the module docs), archives one trace per cell plus a checksummed
+/// `manifest.json` under `out_dir` (if given), then verdicts every cell
+/// against its declared baseline through the diff engine at the spec's
+/// threshold, on the same `jobs` workers, one baseline group per worker
+/// at a time.
 ///
 /// With `resume`, cells already completed by an interrupted run (per the
 /// manifest) are revalidated and reused instead of re-run; the resulting
@@ -903,7 +907,7 @@ pub fn run(
             .map_err(|e| format!("create campaign output dir {}: {e}", dir.display()))?;
     }
     let cells = plan.cells();
-    let mut salvaged: Vec<Option<CellResult>> = (0..cells.len()).map(|_| None).collect();
+    let mut salvaged: Vec<Option<CellRecord>> = vec![None; cells.len()];
     if resume {
         salvage(
             plan,
@@ -918,52 +922,23 @@ pub fn run(
         (0, 0) => std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
         (0, n) | (n, _) => n,
     };
-    let next = AtomicUsize::new(0);
-    let results: Mutex<Vec<Option<CellResult>>> = Mutex::new(salvaged);
-    std::thread::scope(|scope| {
-        for _ in 0..jobs.min(cells.len()).max(1) {
-            scope.spawn(|| loop {
-                let index = next.fetch_add(1, Ordering::Relaxed);
-                let Some(coord) = cells.get(index) else {
-                    break;
-                };
-                if results.lock().unwrap()[index].is_some() {
-                    continue; // salvaged from the interrupted run
-                }
-                let result = execute_cell(plan, engine, coord, out_dir);
-                let mut slots = results.lock().unwrap();
-                slots[index] = Some(result);
-                if let Some(dir) = out_dir {
-                    // Rewrite the manifest after every completed cell (the
-                    // lock keeps it consistent); failure to persist it is
-                    // non-fatal — only resumability degrades.
-                    let entries: Vec<ManifestEntry> = slots
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(i, r)| {
-                            r.as_ref().map(|r| ManifestEntry {
-                                index: i,
-                                file: plan.file_name(&cells[i]),
-                                outcome: r.outcome.clone(),
-                                attempts: r.attempts,
-                                flaky: r.flaky,
-                                bytes: r.trace.as_ref().map_or(0, Vec::len),
-                                checksum: r.checksum,
-                            })
-                        })
-                        .collect();
-                    let _ = write_atomic(
-                        &dir.join("manifest.json"),
-                        render_manifest(spec_checksum, &entries).as_bytes(),
-                    );
-                }
-            });
+    let records = Mutex::new(salvaged);
+    par_map(jobs, cells.len(), |i| {
+        if records.lock().unwrap()[i].is_some() {
+            return; // salvaged from the interrupted run
+        }
+        let record = execute_cell(plan, engine, &cells[i], out_dir);
+        let mut slots = records.lock().unwrap();
+        slots[i] = Some(record);
+        if let Some(dir) = out_dir {
+            // Rewrite the manifest after every executed cell (the lock
+            // keeps it consistent); failure to persist it is non-fatal —
+            // only resumability degrades.
+            let manifest = render_manifest(spec_checksum, slots.iter().flatten());
+            let _ = write_atomic(&dir.join("manifest.json"), manifest.as_bytes());
         }
     });
-    let results: Vec<CellResult> = results
-        .into_inner()
-        .unwrap()
-        .into_iter()
+    let records: Vec<CellRecord> = (records.into_inner().unwrap().into_iter())
         .map(|r| r.expect("every cell visited"))
         .collect();
 
@@ -972,7 +947,7 @@ pub fn run(
         ..DiffConfig::default()
     };
     let decode = |i: usize| {
-        results[i]
+        records[i]
             .trace
             .as_deref()
             .map(|t| TraceDb::from_bytes(t).expect("cell trace"))
@@ -991,53 +966,44 @@ pub fn run(
         groups[g]
             .iter()
             .map(|&i| {
-                if i == b {
-                    let verdict = base.as_ref().map_or((0, CellVerdict::Failed, 0.0), |t| {
+                let (fault_rows, verdict, speedup) = if i == b {
+                    base.as_ref().map_or((0, CellVerdict::Failed, 0.0), |t| {
                         (t.faults.len(), CellVerdict::Baseline, 1.0)
-                    });
-                    return (i, verdict);
-                }
-                let verdict = match (decode(i), &base) {
-                    (None, _) => (0, CellVerdict::Failed, 0.0),
-                    // A healthy cell with a broken baseline cannot be
-                    // verdicted — skipped, not failed.
-                    (Some(trace), None) => (trace.faults.len(), CellVerdict::Skipped, 0.0),
-                    (Some(trace), Some(base)) => {
-                        let diff = TraceDiff::compute(base, &trace, diff_config);
-                        let verdict = match diff.verdict {
-                            Verdict::Improvement => CellVerdict::Improved,
-                            Verdict::Neutral => CellVerdict::Neutral,
-                            Verdict::Regression => CellVerdict::Regressed,
-                        };
-                        (trace.faults.len(), verdict, diff.speedup())
+                    })
+                } else {
+                    match (decode(i), &base) {
+                        (None, _) => (0, CellVerdict::Failed, 0.0),
+                        // A healthy cell with a broken baseline cannot be
+                        // verdicted — skipped, not failed.
+                        (Some(trace), None) => (trace.faults.len(), CellVerdict::Skipped, 0.0),
+                        (Some(trace), Some(base)) => {
+                            let diff = TraceDiff::compute(base, &trace, diff_config);
+                            let verdict = match diff.verdict {
+                                Verdict::Improvement => CellVerdict::Improved,
+                                Verdict::Neutral => CellVerdict::Neutral,
+                                Verdict::Regression => CellVerdict::Regressed,
+                            };
+                            (trace.faults.len(), verdict, diff.speedup())
+                        }
                     }
                 };
-                (i, verdict)
+                let r = &records[i];
+                MatrixCell {
+                    coord: cells[i],
+                    file: r.file.clone(),
+                    bytes: r.bytes,
+                    fault_rows,
+                    verdict,
+                    speedup,
+                    outcome: r.outcome.clone(),
+                    attempts: r.attempts,
+                    flaky: r.flaky,
+                }
             })
             .collect::<Vec<_>>()
     });
-    let mut verdicts = vec![(0, CellVerdict::Failed, 0.0); cells.len()];
-    for (i, verdict) in grouped.into_iter().flatten() {
-        verdicts[i] = verdict;
-    }
-    let cells = cells
-        .iter()
-        .zip(verdicts)
-        .map(|(coord, (fault_rows, verdict, speedup))| {
-            let r = &results[coord.index];
-            MatrixCell {
-                coord: *coord,
-                file: plan.file_name(coord),
-                bytes: r.trace.as_ref().map_or(0, Vec::len),
-                fault_rows,
-                verdict,
-                speedup,
-                outcome: r.outcome.clone(),
-                attempts: r.attempts,
-                flaky: r.flaky,
-            }
-        })
-        .collect();
+    let mut cells: Vec<MatrixCell> = grouped.into_iter().flatten().collect();
+    cells.sort_unstable_by_key(|c| c.coord.index);
     let run = MatrixRun {
         plan: plan.clone(),
         cells,
@@ -1155,6 +1121,45 @@ mod tests {
     }
 
     #[test]
+    fn fixtures_fail_the_way_they_advertise() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+
+        let msg = |p: Box<dyn std::any::Any + Send>| {
+            p.downcast_ref::<String>()
+                .cloned()
+                .or_else(|| p.downcast_ref::<&str>().map(|s| (*s).to_string()))
+                .unwrap_or_default()
+        };
+        let plan = fixture_spec("\"panicking\", \"hanging\", \"flaky\", \"ecall_storm\"", "");
+        let [panicking, hanging, flaky, storm] = plan.cells()[..] else {
+            panic!("one cell per workload");
+        };
+        let e = catch_unwind(AssertUnwindSafe(|| plan.run_cell(&panicking, 0)))
+            .map_err(msg)
+            .unwrap_err();
+        assert!(e.contains(PANICKING_FIXTURE_MSG), "{e}");
+
+        // The hanging fixture is only survivable under a budget.
+        let e = catch_unwind(AssertUnwindSafe(|| {
+            with_budget(SimBudget::with_events(50), || plan.run_cell(&hanging, 0))
+        }))
+        .map_err(msg)
+        .unwrap_err();
+        assert!(e.contains(EVENT_BUDGET_EXHAUSTED), "{e}");
+
+        // Flaky: fails on attempt 0, then matches a storm cell exactly.
+        let e = catch_unwind(AssertUnwindSafe(|| plan.run_cell(&flaky, 0)))
+            .map_err(msg)
+            .unwrap_err();
+        assert!(e.contains(FLAKY_FIXTURE_MSG), "{e}");
+        assert_eq!(
+            plan.run_cell(&flaky, 1),
+            plan.run_cell(&storm, 1),
+            "flaky retries must be byte-identical to an ecall_storm cell"
+        );
+    }
+
+    #[test]
     fn poisoned_cells_leave_siblings_intact() {
         let plan = fixture_spec("\"ecall_storm\", \"panicking\"", "retries = 0\n");
         let run = run(&plan, Engine::Fast, 2, None, false).unwrap();
@@ -1170,10 +1175,7 @@ mod tests {
             "{:?}",
             poisoned.outcome
         );
-        assert!(poisoned
-            .outcome
-            .detail()
-            .contains(stressors::PANICKING_FIXTURE_MSG));
+        assert!(poisoned.outcome.detail().contains(PANICKING_FIXTURE_MSG));
         assert_eq!(run.exit_code(), INCOMPLETE_EXIT_CODE);
         let text = run.render();
         assert!(text.contains("quarantine:"), "{text}");
@@ -1252,8 +1254,8 @@ mod tests {
 
     #[test]
     fn manifest_round_trips_through_its_parser() {
-        let entries = vec![
-            ManifestEntry {
+        let records = [
+            CellRecord {
                 index: 0,
                 file: "a.evdb".to_string(),
                 outcome: CellOutcome::Ok,
@@ -1261,8 +1263,9 @@ mod tests {
                 flaky: false,
                 bytes: 42,
                 checksum: 0xdead_beef,
+                trace: Some(vec![0; 42]),
             },
-            ManifestEntry {
+            CellRecord {
                 index: 3,
                 file: "b.evdb".to_string(),
                 outcome: CellOutcome::Panicked("tab\there \"quote\" \\ back\nline".to_string()),
@@ -1270,15 +1273,16 @@ mod tests {
                 flaky: false,
                 bytes: 0,
                 checksum: 0,
+                trace: None,
             },
         ];
-        let text = render_manifest(7, &entries);
+        let text = render_manifest(7, records.iter());
         let (checksum, parsed) = parse_manifest(&text).expect("round trip");
         assert_eq!(checksum, 7);
         assert_eq!(parsed.len(), 2);
         assert_eq!(parsed[0].index, 0);
         assert_eq!(parsed[0].checksum, 0xdead_beef);
-        assert_eq!(parsed[1].outcome, entries[1].outcome);
+        assert_eq!(parsed[1].outcome, records[1].outcome);
         assert_eq!(parsed[1].attempts, 3);
     }
 

@@ -4,9 +4,12 @@
 //! A [`sim_core::CampaignSpec`] names its workloads by label.
 //! [`matrix::MatrixPlan::from_spec`] resolves each label through
 //! [`Workload::parse`], and [`matrix::MatrixPlan::run_cell`] is the one
-//! place a workload becomes trace bytes. A cell's fault plan is never
-//! derived from its seed: it is the plan the spec names under `[faults]`,
-//! with the cell seed folded into the plan's jitter seed.
+//! place a workload becomes trace bytes: the four dedicated stressors
+//! through [`crate::stressors::trace`], the §5-style scenarios through their own
+//! modules, and the three fault fixtures (`panicking`, `hanging`,
+//! `flaky`) right there. A cell's fault plan is never derived from its
+//! seed: it is the plan the spec names under `[faults]`, with the cell
+//! seed folded into the plan's jitter seed.
 //!
 //! Every cell is a pure function of its coordinates, so an archive is
 //! byte-stable across runs, worker counts and engines. The cross-engine
@@ -15,7 +18,7 @@
 
 pub mod matrix;
 
-use crate::stressors::{self, Stressor};
+use crate::stressors::Stressor;
 
 /// A campaign-runnable workload, executed by
 /// [`matrix::MatrixPlan::run_cell`].
@@ -31,13 +34,25 @@ pub enum Workload {
     Racy,
     /// Fleet scenario at unit-test scale.
     Fleet,
-    /// A dedicated single-axis stressor (see [`stressors`]).
+    /// A dedicated single-axis stressor (see [`crate::stressors`]).
     Stress(Stressor),
-    /// A test-only fault fixture (see [`stressors::FaultFixture`]):
-    /// resolvable by name for supervision tests, but excluded from
-    /// [`Workload::ALL`] so default campaigns stay healthy.
-    Fixture(stressors::FaultFixture),
+    /// Fault fixture: panics with [`PANICKING_FIXTURE_MSG`] before any
+    /// simulation starts.
+    Panicking,
+    /// Fault fixture: spins at scheduling points forever; only a
+    /// supervisor event budget or wall-clock deadline ends the cell.
+    Hanging,
+    /// Fault fixture: panics with [`FLAKY_FIXTURE_MSG`] on attempt 0, then
+    /// runs as an `ecall_storm` cell on every retry, byte for byte — the
+    /// quarantine ledger's `flaky` classification.
+    Flaky,
 }
+
+/// Panic message of the [`Workload::Panicking`] fixture.
+pub const PANICKING_FIXTURE_MSG: &str = "injected fixture panic";
+
+/// Panic message of the [`Workload::Flaky`] fixture's first attempt.
+pub const FLAKY_FIXTURE_MSG: &str = "injected flaky failure (first attempt)";
 
 impl Workload {
     /// Every campaign-runnable workload.
@@ -53,6 +68,12 @@ impl Workload {
         Workload::Stress(Stressor::CpuCompute),
     ];
 
+    /// The fault fixtures, which exercise the campaign supervision layer:
+    /// each fails in exactly one way, deterministically, on both engines.
+    /// They resolve by name but stay out of [`Workload::ALL`], so default
+    /// campaigns stay healthy.
+    const FIXTURES: [Workload; 3] = [Workload::Panicking, Workload::Hanging, Workload::Flaky];
+
     /// Filename-safe label.
     pub fn label(self) -> &'static str {
         match self {
@@ -62,7 +83,9 @@ impl Workload {
             Workload::Racy => "racy",
             Workload::Fleet => "fleet",
             Workload::Stress(s) => s.label(),
-            Workload::Fixture(f) => f.label(),
+            Workload::Panicking => "panicking",
+            Workload::Hanging => "hanging",
+            Workload::Flaky => "flaky",
         }
     }
 
@@ -70,10 +93,9 @@ impl Workload {
     /// — the inverse of [`Workload::label`]. Fault fixtures resolve here
     /// too, even though they are not in [`Workload::ALL`].
     pub fn parse(name: &str) -> Option<Workload> {
-        Workload::ALL
-            .into_iter()
+        (Workload::ALL.into_iter())
+            .chain(Workload::FIXTURES)
             .find(|w| w.label() == name)
-            .or_else(|| stressors::FaultFixture::parse(name).map(Workload::Fixture))
     }
 }
 
@@ -86,5 +108,18 @@ mod tests {
         for w in Workload::ALL {
             assert_eq!(Workload::parse(w.label()), Some(w), "{}", w.label());
         }
+    }
+
+    #[test]
+    fn fixture_names_resolve_but_stay_out_of_the_stressor_axis() {
+        for f in Workload::FIXTURES {
+            assert_eq!(Workload::parse(f.label()), Some(f));
+            assert!(Stressor::ALL.iter().all(|s| s.label() != f.label()));
+            assert!(!Workload::ALL.contains(&f));
+        }
+        assert_eq!(
+            Workload::parse("ecall_storm"),
+            Some(Workload::Stress(Stressor::EcallStorm))
+        );
     }
 }

@@ -4,12 +4,12 @@
 //!
 //! Unlike the §5 application reproductions these are *pure* stressors —
 //! each saturates exactly one cost-model path so a campaign cell's diff
-//! verdict attributes cleanly to the axis under test. All four run their
-//! driver on the deterministic scheduler and accept an optional
-//! switchless worker count, so the campaign's switchless axis applies
-//! uniformly: transition-bound stressors route their hot calls through
-//! the rings, the others keep their calls synchronous but still carry
-//! the workers (a deliberate idle-worker configuration).
+//! verdict attributes cleanly to the axis under test. One recipe builds
+//! all four: an enclave with one ecall, called in a loop from one thread
+//! on the deterministic scheduler. A stressor is its EDL, enclave
+//! config, ecall body and ocalls. The campaign's switchless axis applies
+//! uniformly: with `n` workers, the hot calls (the ocalls where there are
+//! any, else the ecall) go through the rings, served by `n` workers.
 //!
 //! Determinism contract: a stressor trace is a pure function of
 //! (stressor, profile, fault plan, [`StressorConfig`]). The seed perturbs
@@ -26,7 +26,7 @@ use sim_core::fault::FaultPlan;
 use sim_core::{HwProfile, Nanos};
 use sim_threads::Simulation;
 
-use crate::harness::{Harness, RunStats, Variant};
+use crate::harness::Harness;
 
 /// The four stressor axes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,18 +70,14 @@ pub struct StressorConfig {
     /// `Some(n)` routes the stressor's hot calls through the switchless
     /// rings with `n` workers on the serving side.
     pub switchless_workers: Option<usize>,
-    /// 0-based supervision attempt (0 on the first run, 1 on the first
-    /// retry, ...). Real stressors must ignore it — trace bytes are
-    /// attempt-invariant — but the `flaky` fault fixture keys off it.
-    pub attempt: u32,
 }
 
 /// Heap pages the EPC-thrash enclave touches per sweep.
 const THRASH_HEAP_PAGES: usize = 128;
 
-/// Machine parameters for [`epc_thrash`]: an EPC half the thrash working
+/// Machine parameters for the EPC thrash: an EPC half the thrash working
 /// set, so every sweep evicts.
-pub fn epc_thrash_params() -> MachineParams {
+fn epc_thrash_params() -> MachineParams {
     MachineParams {
         epc_pages: THRASH_HEAP_PAGES / 2,
         ..MachineParams::default()
@@ -95,10 +91,9 @@ fn xorshift(state: &mut u64) -> u64 {
     *state
 }
 
-/// The seeded page visit order of one [`epc_thrash`] run: a Fisher–Yates
-/// shuffle of the heap pages. Public so tests can predict eviction
-/// patterns.
-pub fn thrash_order(seed: u64) -> Vec<usize> {
+/// The seeded page visit order of one EPC-thrash run: a Fisher–Yates
+/// shuffle of the heap pages.
+fn thrash_order(seed: u64) -> Vec<usize> {
     let mut order: Vec<usize> = (0..THRASH_HEAP_PAGES).collect();
     let mut state = seed ^ 0xE9C0_7412;
     for i in (1..order.len()).rev() {
@@ -108,200 +103,10 @@ pub fn thrash_order(seed: u64) -> Vec<usize> {
     order
 }
 
-/// Shared driver: runs `body` on a scheduler thread, with the switchless
-/// subsystem (if configured) brought up before and shut down after.
-fn drive(
-    harness: &Harness,
-    eid: sgx_sim::EnclaveId,
-    switchless: Option<SwitchlessConfig>,
-    ops: u64,
-    body: impl FnOnce(&ThreadCtx) + Send + 'static,
-) -> SdkResult<RunStats> {
-    let sim = Simulation::new(harness.clock().clone());
-    let sw = match switchless {
-        Some(cfg) => {
-            let sw = harness.runtime().enable_switchless(eid, cfg)?;
-            sw.spawn_workers(&sim);
-            Some(sw)
-        }
-        None => None,
-    };
-    let start = harness.clock().now();
-    sim.spawn("stressor", move |ctx| {
-        let tcx = ThreadCtx::from_sim(ctx);
-        body(&tcx);
-        if let Some(sw) = &sw {
-            sw.shutdown(ctx);
-        }
-    });
-    sim.run();
-    Ok(RunStats {
-        variant: Variant::Enclave,
-        operations: ops,
-        elapsed: harness.clock().now() - start,
-    })
-}
-
-/// EPC thrash: an enclave whose heap is twice the EPC, swept page by page
-/// in a seeded order. Every sweep forces ~half the working set through
-/// EWB/ELDU, charging the paging costs continuously. Build the harness
-/// with [`epc_thrash_params`].
-///
-/// # Errors
-///
-/// Propagates SDK failures.
-pub fn epc_thrash(harness: &Harness, sweeps: u64, cfg: &StressorConfig) -> SdkResult<RunStats> {
-    let spec = sgx_edl::parse("enclave { trusted { public void ecall_sweep(uint64_t pass); }; };")
-        .expect("static EDL");
-    let rt = harness.runtime();
-    let enclave = rt.create_enclave(
-        &spec,
-        &EnclaveConfig {
-            heap_kib: THRASH_HEAP_PAGES * 4, // 4 KiB pages
-            ..EnclaveConfig::default()
-        },
-    )?;
-    let heap = harness.machine().heap_range(enclave.id())?;
-    let order = thrash_order(cfg.seed);
-    enclave.register_ecall("ecall_sweep", move |ctx, _| {
-        for &page in &order {
-            let p = heap.start + page; // heap_range is in pages
-            ctx.touch(p..p + 1, AccessKind::Write)?;
-        }
-        ctx.compute(Nanos::from_micros(20))?;
-        Ok(())
-    })?;
-    let table = Arc::new(OcallTableBuilder::new(enclave.spec()).build()?);
-    let switchless = cfg.switchless_workers.map(|n| SwitchlessConfig {
-        trusted_workers: n,
-        force_ecalls: vec!["ecall_sweep".to_string()],
-        ..SwitchlessConfig::default()
-    });
-    let rt = Arc::clone(rt);
-    let eid = enclave.id();
-    drive(harness, eid, switchless, sweeps, move |tcx| {
-        for pass in 0..sweeps {
-            rt.ecall(tcx, eid, "ecall_sweep", &table, &mut CallData::new(pass))
-                .expect("epc_thrash sweep");
-        }
-    })
-}
-
-/// Ecall storm: a tight loop of sub-transition-time ecalls — nothing but
-/// transition overhead, the purest SISC shape. With switchless workers
-/// the storm routes through the trusted ring instead.
-///
-/// # Errors
-///
-/// Propagates SDK failures.
-pub fn ecall_storm(harness: &Harness, calls: u64, cfg: &StressorConfig) -> SdkResult<RunStats> {
-    let spec = sgx_edl::parse("enclave { trusted { public void ecall_spin(uint64_t i); }; };")
-        .expect("static EDL");
-    let rt = harness.runtime();
-    let enclave = rt.create_enclave(&spec, &EnclaveConfig::default())?;
-    enclave.register_ecall("ecall_spin", |ctx, _| {
-        ctx.compute(Nanos::from_nanos(200))?;
-        Ok(())
-    })?;
-    let table = Arc::new(OcallTableBuilder::new(enclave.spec()).build()?);
-    let switchless = cfg.switchless_workers.map(|n| SwitchlessConfig {
-        trusted_workers: n,
-        force_ecalls: vec!["ecall_spin".to_string()],
-        ..SwitchlessConfig::default()
-    });
-    let rt = Arc::clone(rt);
-    let eid = enclave.id();
-    drive(harness, eid, switchless, calls, move |tcx| {
-        for i in 0..calls {
-            rt.ecall(tcx, eid, "ecall_spin", &table, &mut CallData::new(i))
-                .expect("ecall_storm call");
-        }
-    })
-}
-
-/// IO/fsync loop: each request is one ecall issuing a write+fsync ocall
-/// pair — the naïve enclavised storage shape (§5.2.2), ocall-bound. With
-/// switchless workers the hot ocalls are served from the untrusted ring.
-///
-/// # Errors
-///
-/// Propagates SDK failures.
-pub fn io_fsync_loop(harness: &Harness, writes: u64, cfg: &StressorConfig) -> SdkResult<RunStats> {
-    let spec = sgx_edl::parse(
-        "enclave { trusted { public void ecall_append(uint64_t rec); };
-                   untrusted { void ocall_write(uint64_t len); void ocall_fsync(uint64_t f); }; };",
-    )
-    .expect("static EDL");
-    let rt = harness.runtime();
-    let enclave = rt.create_enclave(&spec, &EnclaveConfig::default())?;
-    enclave.register_ecall("ecall_append", |ctx, data| {
-        ctx.compute(Nanos::from_nanos(800))?; // serialize the record
-        ctx.ocall("ocall_write", &mut CallData::new(data.scalar))?;
-        ctx.ocall("ocall_fsync", &mut CallData::new(0))?;
-        Ok(())
-    })?;
-    let mut builder = OcallTableBuilder::new(enclave.spec());
-    builder.register("ocall_write", |host, _| {
-        host.compute(Nanos::from_micros(1));
-        Ok(())
-    })?;
-    builder.register("ocall_fsync", |host, _| {
-        host.compute(Nanos::from_micros(8)); // the flush dominates
-        Ok(())
-    })?;
-    let table = Arc::new(builder.build()?);
-    let switchless = cfg.switchless_workers.map(|n| SwitchlessConfig {
-        untrusted_workers: n,
-        force_ocalls: vec!["ocall_write".to_string(), "ocall_fsync".to_string()],
-        ..SwitchlessConfig::default()
-    });
-    let rt = Arc::clone(rt);
-    let eid = enclave.id();
-    drive(harness, eid, switchless, writes, move |tcx| {
-        for rec in 0..writes {
-            rt.ecall(tcx, eid, "ecall_append", &table, &mut CallData::new(rec))
-                .expect("io_fsync_loop append");
-        }
-    })
-}
-
-/// CPU compute: few long in-enclave bursts, each several timer quanta
-/// long — transition-free but AEX-bound (the paper's 45 ms ecall shape at
-/// small scale).
-///
-/// # Errors
-///
-/// Propagates SDK failures.
-pub fn cpu_compute(harness: &Harness, bursts: u64, cfg: &StressorConfig) -> SdkResult<RunStats> {
-    let spec = sgx_edl::parse("enclave { trusted { public void ecall_crunch(uint64_t n); }; };")
-        .expect("static EDL");
-    let rt = harness.runtime();
-    let enclave = rt.create_enclave(&spec, &EnclaveConfig::default())?;
-    enclave.register_ecall("ecall_crunch", |ctx, _| {
-        // ~2 timer quanta (quantum ≈ 3.94 ms): every burst takes AEXs.
-        ctx.compute(Nanos::from_micros(8_000))?;
-        Ok(())
-    })?;
-    let table = Arc::new(OcallTableBuilder::new(enclave.spec()).build()?);
-    let switchless = cfg.switchless_workers.map(|n| SwitchlessConfig {
-        trusted_workers: n,
-        force_ecalls: vec!["ecall_crunch".to_string()],
-        ..SwitchlessConfig::default()
-    });
-    let rt = Arc::clone(rt);
-    let eid = enclave.id();
-    drive(harness, eid, switchless, bursts, move |tcx| {
-        for n in 0..bursts {
-            rt.ecall(tcx, eid, "ecall_crunch", &table, &mut CallData::new(n))
-                .expect("cpu_compute burst");
-        }
-    })
-}
-
 /// Campaign-scale operation counts: small enough for the debug-build
 /// engine-diff matrix, large enough that each stressor's signature
 /// dominates its trace.
-pub fn default_ops(stressor: Stressor) -> u64 {
+fn default_ops(stressor: Stressor) -> u64 {
     match stressor {
         Stressor::EpcThrash => 3,
         Stressor::EcallStorm => 400,
@@ -312,7 +117,8 @@ pub fn default_ops(stressor: Stressor) -> u64 {
 
 /// Runs `stressor` under the logger with `plan` installed and returns the
 /// serialised trace — the campaign cell body. Builds the right harness
-/// ([`epc_thrash_params`] for the thrash axis, defaults otherwise).
+/// (an EPC half the thrash working set for the thrash axis, defaults
+/// otherwise).
 ///
 /// # Panics
 ///
@@ -330,95 +136,139 @@ pub fn trace(
     };
     let logger = Logger::attach(harness.runtime(), LoggerConfig::default());
     harness.machine().set_fault_plan(plan);
-    let ops = default_ops(stressor);
-    match stressor {
-        Stressor::EpcThrash => epc_thrash(&harness, ops, cfg),
-        Stressor::EcallStorm => ecall_storm(&harness, ops, cfg),
-        Stressor::IoFsyncLoop => io_fsync_loop(&harness, ops, cfg),
-        Stressor::CpuCompute => cpu_compute(&harness, ops, cfg),
-    }
-    .unwrap_or_else(|e| panic!("{} stressor cell: {e:?}", stressor.label()));
+    run(stressor, &harness, default_ops(stressor), cfg)
+        .unwrap_or_else(|e| panic!("{} stressor cell: {e:?}", stressor.label()));
     logger.finish().to_bytes()
 }
 
-/// Test-only fault fixtures exercising the campaign supervision layer:
-/// each fails in exactly one way, deterministically, so isolation,
-/// watchdog, retry and quarantine paths are testable on both engines.
-/// Deliberately *not* part of [`crate::campaign::Workload::ALL`] — they
-/// resolve by name in specs but never enter default campaign configs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultFixture {
-    /// Panics immediately, before any simulation starts.
-    Panicking,
-    /// Spins at scheduling points forever; only a supervisor event
-    /// budget or wall-clock deadline ends the cell.
-    Hanging,
-    /// Panics on attempt 0, then behaves as [`Stressor::EcallStorm`] on
-    /// every retry — the quarantine ledger's `flaky` classification.
-    Flaky,
-}
-
-/// Panic message of the [`FaultFixture::Panicking`] fixture.
-pub const PANICKING_FIXTURE_MSG: &str = "injected fixture panic";
-
-/// Panic message of the [`FaultFixture::Flaky`] fixture's first attempt.
-pub const FLAKY_FIXTURE_MSG: &str = "injected flaky failure (first attempt)";
-
-impl FaultFixture {
-    /// All fixtures, in declaration order.
-    pub const ALL: [FaultFixture; 3] = [
-        FaultFixture::Panicking,
-        FaultFixture::Hanging,
-        FaultFixture::Flaky,
-    ];
-
-    /// The campaign-spec workload name.
-    pub fn label(self) -> &'static str {
-        match self {
-            FaultFixture::Panicking => "panicking",
-            FaultFixture::Hanging => "hanging",
-            FaultFixture::Flaky => "flaky",
+/// The one stressor recipe: creates the stressor's enclave and registers
+/// its ecall, builds the host's ocall table, then issues `ops` ecalls
+/// from one scheduler thread, with the switchless workers (if
+/// configured) spawned before it and shut down by it.
+fn run(stressor: Stressor, harness: &Harness, ops: u64, cfg: &StressorConfig) -> SdkResult<()> {
+    let rt = harness.runtime();
+    let create = |edl: &str, config: &EnclaveConfig| {
+        rt.create_enclave(&sgx_edl::parse(edl).expect("static EDL"), config)
+    };
+    // Per stressor: the enclave with its one ecall registered, that
+    // ecall's name, what one ecall is called in panic messages, and the
+    // host cost of each ocall. The ocalls are the hot calls when there
+    // are any; otherwise the ecall is.
+    let (enclave, ecall, what, ocalls): (_, _, _, &[(&str, Nanos)]) = match stressor {
+        // Sweeps a heap twice the EPC page by page in a seeded order:
+        // every sweep forces ~half the working set through EWB/ELDU.
+        Stressor::EpcThrash => {
+            let enclave = create(
+                "enclave { trusted { public void ecall_sweep(uint64_t pass); }; };",
+                &EnclaveConfig {
+                    heap_kib: THRASH_HEAP_PAGES * 4, // 4 KiB pages
+                    ..EnclaveConfig::default()
+                },
+            )?;
+            let heap = harness.machine().heap_range(enclave.id())?;
+            let order = thrash_order(cfg.seed);
+            enclave.register_ecall("ecall_sweep", move |ctx, _| {
+                for &page in &order {
+                    let p = heap.start + page; // heap_range is in pages
+                    ctx.touch(p..p + 1, AccessKind::Write)?;
+                }
+                ctx.compute(Nanos::from_micros(20))?;
+                Ok(())
+            })?;
+            (enclave, "ecall_sweep", "sweep", &[])
         }
-    }
-
-    /// Resolves a fixture by its spec name.
-    pub fn parse(name: &str) -> Option<FaultFixture> {
-        FaultFixture::ALL.into_iter().find(|f| f.label() == name)
-    }
-}
-
-/// Runs a fault fixture as a campaign cell body. [`FaultFixture::Flaky`]
-/// retries produce bytes identical to an [`Stressor::EcallStorm`] cell
-/// with the same config (attempt-invariant, so resumed and uninterrupted
-/// summaries agree).
-///
-/// # Panics
-///
-/// By design: `Panicking` always, `Flaky` on attempt 0, `Hanging` when —
-/// and only when — a supervisor budget or cancellation trips it.
-pub fn fixture_trace(
-    fixture: FaultFixture,
-    profile: HwProfile,
-    plan: Option<&FaultPlan>,
-    cfg: &StressorConfig,
-) -> Vec<u8> {
-    match fixture {
-        FaultFixture::Panicking => panic!("{PANICKING_FIXTURE_MSG}"),
-        FaultFixture::Hanging => {
-            let sim = Simulation::new(sim_core::Clock::new());
-            sim.spawn("hang", |ctx| loop {
-                ctx.yield_now();
-            });
-            sim.run();
-            unreachable!("hanging fixture ended without supervision")
+        // Nothing but transition overhead: the purest SISC shape.
+        Stressor::EcallStorm => {
+            let enclave = create(
+                "enclave { trusted { public void ecall_spin(uint64_t i); }; };",
+                &EnclaveConfig::default(),
+            )?;
+            enclave.register_ecall("ecall_spin", |ctx, _| {
+                ctx.compute(Nanos::from_nanos(200))?;
+                Ok(())
+            })?;
+            (enclave, "ecall_spin", "call", &[])
         }
-        FaultFixture::Flaky => {
-            if cfg.attempt == 0 {
-                panic!("{FLAKY_FIXTURE_MSG}");
-            }
-            trace(Stressor::EcallStorm, profile, plan, cfg)
+        // The naïve enclavised storage shape (§5.2.2): a write+fsync
+        // ocall pair per record.
+        Stressor::IoFsyncLoop => {
+            let enclave = create(
+                "enclave { trusted { public void ecall_append(uint64_t rec); };
+                   untrusted { void ocall_write(uint64_t len); void ocall_fsync(uint64_t f); }; };",
+                &EnclaveConfig::default(),
+            )?;
+            enclave.register_ecall("ecall_append", |ctx, data| {
+                ctx.compute(Nanos::from_nanos(800))?; // serialize the record
+                ctx.ocall("ocall_write", &mut CallData::new(data.scalar))?;
+                ctx.ocall("ocall_fsync", &mut CallData::new(0))?;
+                Ok(())
+            })?;
+            // The flush dominates.
+            let ocalls = const {
+                &[
+                    ("ocall_write", Nanos::from_micros(1)),
+                    ("ocall_fsync", Nanos::from_micros(8)),
+                ]
+            };
+            (enclave, "ecall_append", "append", ocalls)
         }
+        // ~2 timer quanta per burst (quantum ≈ 3.94 ms): every burst
+        // takes AEXs (the paper's 45 ms ecall shape at small scale).
+        Stressor::CpuCompute => {
+            let enclave = create(
+                "enclave { trusted { public void ecall_crunch(uint64_t n); }; };",
+                &EnclaveConfig::default(),
+            )?;
+            enclave.register_ecall("ecall_crunch", |ctx, _| {
+                ctx.compute(Nanos::from_micros(8_000))?;
+                Ok(())
+            })?;
+            (enclave, "ecall_crunch", "burst", &[])
+        }
+    };
+    let mut builder = OcallTableBuilder::new(enclave.spec());
+    for &(name, cost) in ocalls {
+        builder.register(name, move |host, _| {
+            host.compute(cost);
+            Ok(())
+        })?;
     }
+    let table = Arc::new(builder.build()?);
+    let switchless = cfg.switchless_workers.map(|n| match ocalls {
+        [] => SwitchlessConfig {
+            trusted_workers: n,
+            force_ecalls: vec![ecall.to_string()],
+            ..SwitchlessConfig::default()
+        },
+        _ => SwitchlessConfig {
+            untrusted_workers: n,
+            force_ocalls: ocalls.iter().map(|(name, _)| name.to_string()).collect(),
+            ..SwitchlessConfig::default()
+        },
+    });
+    let eid = enclave.id();
+    let sim = Simulation::new(harness.clock().clone());
+    let sw = match switchless {
+        Some(config) => {
+            let sw = rt.enable_switchless(eid, config)?;
+            sw.spawn_workers(&sim);
+            Some(sw)
+        }
+        None => None,
+    };
+    let rt = Arc::clone(rt);
+    sim.spawn("stressor", move |ctx| {
+        let tcx = ThreadCtx::from_sim(ctx);
+        for i in 0..ops {
+            rt.ecall(&tcx, eid, ecall, &table, &mut CallData::new(i))
+                .unwrap_or_else(|e| panic!("{} {what}: {e:?}", stressor.label()));
+        }
+        if let Some(sw) = &sw {
+            sw.shutdown(ctx);
+        }
+    });
+    sim.run();
+    Ok(())
 }
 
 #[cfg(test)]
@@ -434,7 +284,7 @@ mod tests {
     fn epc_thrash_pages_continuously() {
         let h = Harness::with_machine_params(HwProfile::Unpatched, epc_thrash_params());
         let logger = Logger::attach(h.runtime(), LoggerConfig::default());
-        epc_thrash(&h, 3, &StressorConfig::default()).unwrap();
+        run(Stressor::EpcThrash, &h, 3, &StressorConfig::default()).unwrap();
         let paging = logger.finish().paging.len();
         // Half the working set misses on every sweep after the first.
         assert!(paging >= THRASH_HEAP_PAGES, "{paging} paging row(s)");
@@ -479,7 +329,7 @@ mod tests {
     fn ecall_storm_is_transition_bound() {
         let h = Harness::new(HwProfile::Unpatched);
         let logger = Logger::attach(h.runtime(), LoggerConfig::default());
-        ecall_storm(&h, 400, &StressorConfig::default()).unwrap();
+        run(Stressor::EcallStorm, &h, 400, &StressorConfig::default()).unwrap();
         let trace = logger.finish();
         assert_eq!(trace.ecalls.len(), 400);
         assert!(trace.ocalls.is_empty());
@@ -489,7 +339,7 @@ mod tests {
     fn io_fsync_loop_is_ocall_bound() {
         let h = Harness::new(HwProfile::Unpatched);
         let logger = Logger::attach(h.runtime(), LoggerConfig::default());
-        io_fsync_loop(&h, 50, &StressorConfig::default()).unwrap();
+        run(Stressor::IoFsyncLoop, &h, 50, &StressorConfig::default()).unwrap();
         let trace = logger.finish();
         assert_eq!(trace.ecalls.len(), 50);
         assert_eq!(trace.ocalls.len(), 100, "write + fsync per append");
@@ -505,7 +355,7 @@ mod tests {
                 ..LoggerConfig::default()
             },
         );
-        cpu_compute(&h, 3, &StressorConfig::default()).unwrap();
+        run(Stressor::CpuCompute, &h, 3, &StressorConfig::default()).unwrap();
         let trace = logger.finish();
         let aexs: u64 = trace.ecalls.iter().map(|e| e.aex_count).sum();
         assert!(aexs >= 3, "every burst spans a timer quantum, got {aexs}");
@@ -536,63 +386,6 @@ mod tests {
     }
 
     #[test]
-    fn fixtures_fail_the_way_they_advertise() {
-        use sim_threads::{with_budget, SimBudget, EVENT_BUDGET_EXHAUSTED};
-        use std::panic::{catch_unwind, AssertUnwindSafe};
-
-        let msg = |p: Box<dyn std::any::Any + Send>| {
-            p.downcast_ref::<String>()
-                .cloned()
-                .or_else(|| p.downcast_ref::<&str>().map(|s| (*s).to_string()))
-                .unwrap_or_default()
-        };
-        let cfg = StressorConfig::default();
-        let e = catch_unwind(AssertUnwindSafe(|| {
-            fixture_trace(FaultFixture::Panicking, HwProfile::Unpatched, None, &cfg)
-        }))
-        .map_err(msg)
-        .unwrap_err();
-        assert!(e.contains(PANICKING_FIXTURE_MSG), "{e}");
-
-        // The hanging fixture is only survivable under a budget.
-        let e = catch_unwind(AssertUnwindSafe(|| {
-            with_budget(SimBudget::with_events(50), || {
-                fixture_trace(FaultFixture::Hanging, HwProfile::Unpatched, None, &cfg)
-            })
-        }))
-        .map_err(msg)
-        .unwrap_err();
-        assert!(e.contains(EVENT_BUDGET_EXHAUSTED), "{e}");
-
-        // Flaky: fails on attempt 0, then matches a storm cell exactly.
-        let e = catch_unwind(AssertUnwindSafe(|| {
-            fixture_trace(FaultFixture::Flaky, HwProfile::Unpatched, None, &cfg)
-        }))
-        .map_err(msg)
-        .unwrap_err();
-        assert!(e.contains(FLAKY_FIXTURE_MSG), "{e}");
-        let retry = StressorConfig {
-            attempt: 1,
-            ..StressorConfig::default()
-        };
-        let bytes = fixture_trace(FaultFixture::Flaky, HwProfile::Unpatched, None, &retry);
-        assert_eq!(
-            bytes,
-            trace(Stressor::EcallStorm, HwProfile::Unpatched, None, &retry),
-            "flaky retries must be byte-identical to an ecall_storm cell"
-        );
-    }
-
-    #[test]
-    fn fixture_names_resolve_but_stay_out_of_the_stressor_axis() {
-        for f in FaultFixture::ALL {
-            assert_eq!(FaultFixture::parse(f.label()), Some(f));
-            assert!(Stressor::ALL.iter().all(|s| s.label() != f.label()));
-        }
-        assert_eq!(FaultFixture::parse("ecall_storm"), None);
-    }
-
-    #[test]
     fn traces_are_deterministic_per_cell() {
         for stressor in Stressor::ALL {
             for cfg in [
@@ -600,7 +393,6 @@ mod tests {
                 StressorConfig {
                     seed: 9,
                     switchless_workers: Some(2),
-                    ..StressorConfig::default()
                 },
             ] {
                 let a = trace(stressor, HwProfile::Spectre, None, &cfg);
