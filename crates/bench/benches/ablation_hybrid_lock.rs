@@ -117,7 +117,7 @@ fn main() {
     println!(
         "  {:<28} {:>14} {:>14} {:>16.3}",
         "SDK mutex (sleep always)",
-        sdk_time.to_string(),
+        sdk_time,
         sdk_sync,
         sdk_sync as f64 / total_ops as f64
     );
@@ -126,7 +126,7 @@ fn main() {
         println!(
             "  {:<28} {:>14} {:>14} {:>16.3}",
             format!("hybrid, spin budget {budget}"),
-            time.to_string(),
+            time,
             sync,
             sync as f64 / total_ops as f64
         );

@@ -115,7 +115,7 @@ fn main() {
                 epc,
                 format!("{policy:?}"),
                 "no",
-                time.to_string(),
+                time,
                 ins
             );
         }
@@ -128,7 +128,7 @@ fn main() {
             96,
             "Lru",
             if preload { "yes" } else { "no" },
-            time.to_string(),
+            time,
             ins
         );
     }

@@ -96,21 +96,17 @@ fn main() {
     );
     println!(
         "  {:<26} {:>14} {:>18}",
-        "native",
-        native_single.to_string(),
-        native_ocall.to_string()
+        "native", native_single, native_ocall
     );
     println!(
         "  {:<26} {:>14} {:>18}",
-        "with logging",
-        logged_single.to_string(),
-        logged_ocall.to_string()
+        "with logging", logged_single, logged_ocall
     );
     println!(
         "  {:<26} {:>14} {:>18}",
         "overhead",
-        (logged_single - native_single).to_string(),
-        (logged_ocall - native_ocall).to_string()
+        logged_single - native_single,
+        logged_ocall - native_ocall
     );
     row("paper native", "4,205ns / 8,013ns");
     row("paper with logging", "5,572ns / 10,699ns");
@@ -145,10 +141,7 @@ fn main() {
         };
         println!(
             "  {:<26} {:>16} {:>12.2} {:>16}",
-            label,
-            mean.to_string(),
-            mean_aex,
-            per_aex
+            label, mean, mean_aex, per_aex
         );
     }
     row(

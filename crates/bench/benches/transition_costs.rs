@@ -66,9 +66,9 @@ fn main() {
         println!(
             "  {:<16} {:>16} {:>14} {:>18} {:>9.2}x",
             profile.label(),
-            raw.to_string(),
+            raw,
             cm.reported_roundtrip_cycles.get(),
-            full.to_string(),
+            full,
             raw.as_nanos() as f64 / base_ns as f64,
         );
     }

@@ -150,21 +150,18 @@ impl fmt::Display for Recommendation {
                 "reduce enclave memory usage, pre-load pages before ecalls, or manage memory \
                  inside the enclave instead of relying on SGX paging",
             ),
-            Recommendation::MakePrivate { allow_from } => write!(
-                f,
-                "declare this ecall private and allow() it from: {}",
-                allow_from.join(", ")
-            ),
-            Recommendation::RestrictAllowedEcalls { remove } => write!(
-                f,
-                "remove never-used ecalls from the allow() list: {}",
-                remove.join(", ")
-            ),
-            Recommendation::ReviewUserCheck { params } => write!(
-                f,
-                "review user_check pointer parameter(s): {}",
-                params.join(", ")
-            ),
+            Recommendation::MakePrivate { allow_from } => {
+                f.write_str("declare this ecall private and allow() it from: ")?;
+                write_list(f, allow_from)
+            }
+            Recommendation::RestrictAllowedEcalls { remove } => {
+                f.write_str("remove never-used ecalls from the allow() list: ")?;
+                write_list(f, remove)
+            }
+            Recommendation::ReviewUserCheck { params } => {
+                f.write_str("review user_check pointer parameter(s): ")?;
+                write_list(f, params)
+            }
             Recommendation::UseSwitchless => f.write_str(
                 "mark the call switchless (transition_using_threads) so ring workers serve it \
                  without a transition",
@@ -178,11 +175,10 @@ impl fmt::Display for Recommendation {
                 "guard every access to `{cell}` with one mutex, or order the accesses with \
                  thread spawn/join"
             ),
-            Recommendation::FixLockOrder { cycle } => write!(
-                f,
-                "impose a global acquisition order on locks: {}",
-                cycle.join(", ")
-            ),
+            Recommendation::FixLockOrder { cycle } => {
+                f.write_str("impose a global acquisition order on locks: ")?;
+                write_list(f, cycle)
+            }
             Recommendation::AvoidLockAcrossOcall { ocall } => write!(
                 f,
                 "release the lock before `{ocall}`, or move the ocall out of the critical \
@@ -190,6 +186,17 @@ impl fmt::Display for Recommendation {
             ),
         }
     }
+}
+
+/// Writes `items` as `items.join(", ")` reads, without joining them.
+fn write_list(f: &mut fmt::Formatter<'_>, items: &[String]) -> fmt::Result {
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            f.write_str(", ")?;
+        }
+        f.write_str(item)?;
+    }
+    Ok(())
 }
 
 /// Recommendation priority (§4.3.2): lower is to be evaluated first.
@@ -634,21 +641,23 @@ fn detect_ssc(analyzer: &Analyzer<'_>, instances: &Instances) -> Vec<Detection> 
 /// §3.5: paging events observed at all mean the enclave's working set
 /// exceeded the (shared) EPC.
 fn detect_paging(analyzer: &Analyzer<'_>) -> Vec<Detection> {
-    let trace = analyzer.trace();
-    let mut per_enclave: BTreeMap<u32, (usize, usize)> = BTreeMap::new();
-    for p in trace.paging.iter() {
-        let entry = per_enclave.entry(p.enclave).or_default();
-        if p.out {
-            entry.0 += 1;
-        } else {
-            entry.1 += 1;
-        }
-    }
+    // Paging rows come in runs of one enclave: count each run, then sum
+    // the runs by enclave, in enclave order.
+    let rows = analyzer.trace().paging.iter().as_slice();
+    let mut runs: Vec<(u32, usize, usize)> = rows
+        .chunk_by(|a, b| a.enclave == b.enclave)
+        .map(|run| {
+            let outs = run.iter().filter(|p| p.out).count();
+            (run[0].enclave, outs, run.len() - outs)
+        })
+        .collect();
+    runs.sort_unstable_by_key(|&(enclave, _, _)| enclave);
     let mut out = Vec::new();
-    for (enclave, (outs, ins)) in per_enclave {
-        if outs == 0 && ins == 0 {
-            continue;
-        }
+    for same in runs.chunk_by(|a, b| a.0 == b.0) {
+        let enclave = same[0].0;
+        let (outs, ins) = same
+            .iter()
+            .fold((0, 0), |(o, i), &(_, outs, ins)| (o + outs, i + ins));
         // Page-ins during creation are normal; only report enclaves with
         // actual evictions or faulted re-loads.
         if outs == 0 {
@@ -715,8 +724,13 @@ fn detect_concurrency(analyzer: &Analyzer<'_>) -> Vec<Detection> {
     }
     // No single ecall/ocall owns a sync finding; anchor on the first
     // observed enclave (the Paging/Recovery precedent for whole-enclave
-    // findings).
-    let enclave = trace.enclaves.iter().map(|e| e.enclave).next().unwrap_or(0);
+    // findings): the first created, else the first called. Only a trace
+    // that names no enclave gets the placeholder 0.
+    let enclave = (trace.enclaves.iter().map(|e| e.enclave))
+        .chain(trace.ecalls.iter().map(|e| e.enclave))
+        .chain(trace.ocalls.iter().map(|o| o.enclave))
+        .next()
+        .unwrap_or(0);
     let target = CallRef {
         enclave,
         kind: CallKind::Ecall,

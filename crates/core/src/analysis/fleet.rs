@@ -158,8 +158,8 @@ impl FleetReport {
                 s.restarts,
                 s.shed,
                 s.failed,
-                Nanos::from_nanos(s.p50_ns).to_string(),
-                Nanos::from_nanos(s.p99_ns).to_string(),
+                Nanos::from_nanos(s.p50_ns),
+                Nanos::from_nanos(s.p99_ns),
                 s.page_ins,
                 s.page_outs,
             ));

@@ -2,6 +2,8 @@
 //! parent relationships, dashed edges indirect parents, edge labels carry
 //! call counts.
 
+use std::fmt::{self, Write};
+
 use crate::events::{CallKind, CallRef};
 
 use super::parents::{CallId, Instances};
@@ -83,30 +85,33 @@ impl CallGraph {
 
     /// Renders the graph in Graphviz DOT: square nodes for ecalls, round
     /// nodes for ocalls, solid edges for direct parents, dashed for
-    /// indirect parents — the exact conventions of Figure 5.
+    /// indirect parents — the exact conventions of Figure 5. Symbol names
+    /// come from the trace, so `"` and `\` in them are escaped.
     pub fn to_dot(&self) -> String {
         let mut out = String::from("digraph calls {\n  rankdir=TB;\n");
+        // Writing into a `String` cannot fail.
         for n in &self.nodes {
             let shape = match n.call.kind {
                 CallKind::Ecall => "box",
                 CallKind::Ocall => "ellipse",
             };
-            out.push_str(&format!(
-                "  \"{}\" [shape={shape}, label=\"[{}] {}\"];\n",
-                node_id(n.call),
+            let _ = writeln!(
+                out,
+                "  \"{}\" [shape={shape}, label=\"[{}] {}\"];",
+                NodeId(n.call),
                 n.call.index,
-                n.name
-            ));
+                Escaped(&n.name)
+            );
         }
         for e in &self.edges {
             let style = if e.indirect { ", style=dashed" } else { "" };
-            out.push_str(&format!(
-                "  \"{}\" -> \"{}\" [label=\"{}\"{}];\n",
-                node_id(e.from),
-                node_id(e.to),
-                e.count,
-                style
-            ));
+            let _ = writeln!(
+                out,
+                "  \"{}\" -> \"{}\" [label=\"{}\"{style}];",
+                NodeId(e.from),
+                NodeId(e.to),
+                e.count
+            );
         }
         out.push_str("}\n");
         out
@@ -118,16 +123,34 @@ impl CallGraph {
     }
 }
 
-fn node_id(call: CallRef) -> String {
-    format!(
-        "e{}_{}{}",
-        call.enclave,
-        match call.kind {
+/// A call's DOT node id, such as `e1_ec0`.
+struct NodeId(CallRef);
+
+impl fmt::Display for NodeId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let kind = match self.0.kind {
             CallKind::Ecall => "ec",
             CallKind::Ocall => "oc",
-        },
-        call.index
-    )
+        };
+        write!(f, "e{}_{kind}{}", self.0.enclave, self.0.index)
+    }
+}
+
+/// Text for the inside of a DOT quoted string: `"` and `\` get a
+/// backslash, everything else is written as it is.
+struct Escaped<'a>(&'a str);
+
+impl fmt::Display for Escaped<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut rest = self.0;
+        while let Some(at) = rest.find(['"', '\\']) {
+            f.write_str(&rest[..at])?;
+            f.write_char('\\')?;
+            f.write_str(&rest[at..=at])?;
+            rest = &rest[at + 1..];
+        }
+        f.write_str(rest)
+    }
 }
 
 #[cfg(test)]
@@ -138,12 +161,16 @@ mod tests {
     use sim_core::HwProfile;
 
     fn sample_trace() -> TraceDb {
+        named_trace("ecall_read", "ocall_io")
+    }
+
+    fn named_trace(ecall: &str, ocall: &str) -> TraceDb {
         let mut trace = TraceDb::default();
         trace.symbols.insert(SymbolRow {
             enclave: 1,
             kind_is_ecall: true,
             index: 0,
-            name: "ecall_read".into(),
+            name: ecall.into(),
             public: true,
             allowed_ecalls: vec![],
             user_check_params: vec![],
@@ -152,7 +179,7 @@ mod tests {
             enclave: 1,
             kind_is_ecall: false,
             index: 0,
-            name: "ocall_io".into(),
+            name: ocall.into(),
             public: false,
             allowed_ecalls: vec![],
             user_check_params: vec![],
@@ -214,5 +241,27 @@ mod tests {
         assert!(dot.contains("style=dashed"), "{dot}");
         assert!(dot.contains("[0] ecall_read"), "{dot}");
         assert!(dot.starts_with("digraph"));
+    }
+
+    #[test]
+    fn dot_escapes_quotes_and_backslashes_in_names() {
+        let trace = named_trace("say \"hi\"", "dir\\");
+        let inst = Instances::build(&trace, &HwProfile::Unpatched.cost_model());
+        let dot = CallGraph::build(&inst).to_dot();
+        assert!(dot.contains(r#"label="[0] say \"hi\""];"#), "{dot}");
+        assert!(dot.contains(r#"label="[0] dir\\"];"#), "{dot}");
+        // Every quoted string closes: the unescaped quotes pair up.
+        for line in dot.lines() {
+            let (mut quotes, mut escaped) = (0, false);
+            for c in line.chars() {
+                match c {
+                    _ if escaped => escaped = false,
+                    '\\' => escaped = true,
+                    '"' => quotes += 1,
+                    _ => {}
+                }
+            }
+            assert_eq!(quotes % 2, 0, "{line}");
+        }
     }
 }

@@ -1,6 +1,6 @@
 //! The assembled analysis report and its text rendering.
 
-use std::fmt;
+use std::fmt::{self, Write};
 
 use sgx_sdk::SwitchlessEventKind;
 use sim_core::fault::FaultAction;
@@ -254,11 +254,19 @@ impl Report {
     }
 
     /// Renders the full text report (overview, per-call table, findings).
+    /// Every row is written straight into the one output string.
     pub fn render(&self) -> String {
         let mut out = String::new();
+        // Writing into a `String` cannot fail.
+        let _ = self.write_text(&mut out);
+        out
+    }
+
+    fn write_text(&self, out: &mut String) -> fmt::Result {
         out.push_str("== sgx-perf analysis report ==\n\n");
         let t = &self.totals;
-        out.push_str(&format!(
+        write!(
+            out,
             "events: {} ecalls ({} distinct), {} ocalls ({} distinct), {} AEX, \
              {} page-outs, {} page-ins, {} sleeps, {} wakes, {} enclave(s)\n\n",
             t.ecall_events,
@@ -271,21 +279,24 @@ impl Report {
             t.sync_sleeps,
             t.sync_wakes,
             t.enclaves,
-        ));
+        )?;
         if t.switchless_dispatched + t.switchless_fallbacks > 0 {
-            out.push_str(&format!(
+            write!(
+                out,
                 "switchless: {} dispatched, {} fell back to a transition\n\n",
                 t.switchless_dispatched, t.switchless_fallbacks,
-            ));
+            )?;
         }
         if t.faults_injected > 0 {
-            out.push_str(&format!(
+            write!(
+                out,
                 "faults: {} injected, {} recovered, {} gave up\n\n",
                 t.faults_injected, t.faults_recovered, t.faults_gave_up,
-            ));
+            )?;
         }
         if t.enclaves_lost > 0 {
-            out.push_str(&format!(
+            write!(
+                out,
                 "recovery: {} enclave loss(es), {} restart(s); rebuild {}, replay {}, \
                  total recovery {}\n\n",
                 t.enclaves_lost,
@@ -293,7 +304,7 @@ impl Report {
                 Nanos::from_nanos(t.rebuild_ns),
                 Nanos::from_nanos(t.replay_ns),
                 Nanos::from_nanos(t.recovery_ns),
-            ));
+            )?;
         }
         // Fleet-free traces keep the section out entirely, so pre-fleet
         // report output is unchanged byte for byte.
@@ -301,36 +312,40 @@ impl Report {
             out.push_str(&self.fleet.summary_line());
             out.push_str("\n\n");
         }
-        out.push_str(&format!(
+        write!(
+            out,
             "short calls (<10us adjusted): {:.2}% of ecalls, {:.2}% of ocalls\n\n",
             self.short_fraction(CallKind::Ecall) * 100.0,
             self.short_fraction(CallKind::Ocall) * 100.0,
-        ));
+        )?;
         out.push_str("-- call statistics --\n");
-        out.push_str(&format!(
-            "{:<40} {:>6} {:>12} {:>12} {:>12} {:>12} {:>12} {:>12}\n",
+        writeln!(
+            out,
+            "{:<40} {:>6} {:>12} {:>12} {:>12} {:>12} {:>12} {:>12}",
             "call", "count", "mean", "median", "stddev", "p90", "p95", "p99"
-        ));
+        )?;
         for ((call, stats), name) in self.call_stats.iter().zip(&self.call_names) {
-            out.push_str(&format!(
-                "{:<40} {:>6} {:>12} {:>12} {:>12} {:>12} {:>12} {:>12}\n",
-                format!("{} ({})", name, call.kind),
+            // `{:<40}` of the label, without building the label.
+            let label = out.len();
+            write!(out, "{name} ({})", call.kind)?;
+            let chars = out[label..].chars().count();
+            out.extend(std::iter::repeat_n(' ', 40usize.saturating_sub(chars)));
+            writeln!(
+                out,
+                " {:>6} {:>12} {:>12} {:>12} {:>12} {:>12} {:>12}",
                 stats.count,
-                Nanos::from_nanos(stats.mean_ns as u64).to_string(),
-                Nanos::from_nanos(stats.median_ns).to_string(),
-                Nanos::from_nanos(stats.stddev_ns as u64).to_string(),
-                Nanos::from_nanos(stats.p90_ns).to_string(),
-                Nanos::from_nanos(stats.p95_ns).to_string(),
-                Nanos::from_nanos(stats.p99_ns).to_string(),
-            ));
+                Nanos::from_nanos(stats.mean_ns as u64),
+                Nanos::from_nanos(stats.median_ns),
+                Nanos::from_nanos(stats.stddev_ns as u64),
+                Nanos::from_nanos(stats.p90_ns),
+                Nanos::from_nanos(stats.p95_ns),
+                Nanos::from_nanos(stats.p99_ns),
+            )?;
         }
         if !self.wake_edges.is_empty() {
             out.push_str("\n-- thread wake dependencies (waker -> sleeper) --\n");
             for e in self.wake_edges.iter().take(16) {
-                out.push_str(&format!(
-                    "t{} -> t{}: {} wake(s)\n",
-                    e.waker, e.sleeper, e.count
-                ));
+                writeln!(out, "t{} -> t{}: {} wake(s)", e.waker, e.sleeper, e.count)?;
             }
         }
         out.push_str("\n-- findings (sorted by priority; check applicability!) --\n");
@@ -338,18 +353,19 @@ impl Report {
             out.push_str("no problems detected\n");
         }
         for d in &self.detections {
-            out.push_str(&format!("{d}\n"));
+            writeln!(out, "{d}")?;
         }
         if !self.lint.is_empty() {
             out.push_str("\n-- edl lint findings (run `sgxperf lint` for source excerpts) --\n");
             for d in &self.lint {
-                out.push_str(&format!(
-                    "{}[{}] {}:{}: {}\n",
+                writeln!(
+                    out,
+                    "{}[{}] {}:{}: {}",
                     d.severity, d.code, d.span.start.line, d.span.start.col, d.message
-                ));
+                )?;
             }
         }
-        out
+        Ok(())
     }
 
     /// Renders the report as JSON for machine consumption
@@ -774,6 +790,43 @@ mod tests {
         let opens = json.matches('{').count() + json.matches('[').count();
         let closes = json.matches('}').count() + json.matches(']').count();
         assert_eq!(opens, closes);
+    }
+
+    #[test]
+    fn call_rows_pad_names_by_chars() {
+        use crate::events::SymbolRow;
+        let mut trace = trace_with_short_ecalls(3);
+        trace.ecalls.insert(EcallRow {
+            call_index: 1,
+            ..trace.ecalls.iter().next().unwrap().clone()
+        });
+        for (index, name) in [(0, "ecall_naïve_µs".to_string()), (1, "x".repeat(50))] {
+            trace.symbols.insert(SymbolRow {
+                enclave: 1,
+                kind_is_ecall: true,
+                index,
+                name,
+                public: true,
+                allowed_ecalls: vec![],
+                user_check_params: vec![],
+            });
+        }
+        let report = Analyzer::new(&trace, HwProfile::Unpatched.cost_model()).analyze();
+        let text = report.render();
+        for ((call, s), name) in report.call_stats.iter().zip(&report.call_names) {
+            let row = format!(
+                "{:<40} {:>6} {:>12} {:>12} {:>12} {:>12} {:>12} {:>12}\n",
+                format!("{} ({})", name, call.kind),
+                s.count,
+                Nanos::from_nanos(s.mean_ns as u64).to_string(),
+                Nanos::from_nanos(s.median_ns).to_string(),
+                Nanos::from_nanos(s.stddev_ns as u64).to_string(),
+                Nanos::from_nanos(s.p90_ns).to_string(),
+                Nanos::from_nanos(s.p95_ns).to_string(),
+                Nanos::from_nanos(s.p99_ns).to_string(),
+            );
+            assert!(text.contains(&row), "missing {row:?} in\n{text}");
+        }
     }
 
     #[test]

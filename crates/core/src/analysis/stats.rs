@@ -164,7 +164,7 @@ impl Histogram {
             let bar = (*count as usize * width).div_ceil(max as usize);
             out.push_str(&format!(
                 "{:>10} |{:<width$}| {}\n",
-                sim_core::Nanos::from_nanos(lo).to_string(),
+                sim_core::Nanos::from_nanos(lo),
                 "#".repeat(if *count > 0 { bar.max(1) } else { 0 }),
                 count,
                 width = width

@@ -333,6 +333,16 @@ impl Strategy for Traces {
     }
 }
 
+/// Rewrites every row of `table` in place.
+fn each<R: Clone>(table: &mut Table<R>, relabel: impl Fn(&mut R)) {
+    *table = (table.iter().cloned())
+        .map(|mut row| {
+            relabel(&mut row);
+            row
+        })
+        .collect();
+}
+
 /// The trace with thread tokens 0 and 1 swapped in every table.
 fn swap_threads_0_and_1(trace: &TraceDb) -> TraceDb {
     fn swap(thread: &mut u64) {
@@ -341,14 +351,6 @@ fn swap_threads_0_and_1(trace: &TraceDb) -> TraceDb {
             1 => 0,
             other => other,
         };
-    }
-    fn each<R: Clone>(table: &mut Table<R>, relabel: impl Fn(&mut R)) {
-        *table = (table.iter().cloned())
-            .map(|mut row| {
-                relabel(&mut row);
-                row
-            })
-            .collect();
     }
     let mut t = trace.clone();
     each(&mut t.ecalls, |r| swap(&mut r.thread));
@@ -366,6 +368,52 @@ fn swap_threads_0_and_1(trace: &TraceDb) -> TraceDb {
         r.target.as_mut().map(swap);
     });
     t
+}
+
+/// Renames the generator's enclave ids 0, 1 and 2 to 3, 4 and 5. Its
+/// other ids, `u32::MAX - 1` and `u32::MAX`, stay, so ids keep their order.
+fn shift_enclave(enclave: &mut u32) {
+    if *enclave <= 2 {
+        *enclave += 3;
+    }
+}
+
+/// The trace with every enclave id in every table renamed by
+/// [`shift_enclave`].
+fn shift_enclaves(trace: &TraceDb) -> TraceDb {
+    let mut t = trace.clone();
+    each(&mut t.ecalls, |r| shift_enclave(&mut r.enclave));
+    each(&mut t.ocalls, |r| shift_enclave(&mut r.enclave));
+    each(&mut t.symbols, |r| shift_enclave(&mut r.enclave));
+    each(&mut t.aex, |r| shift_enclave(&mut r.enclave));
+    each(&mut t.paging, |r| shift_enclave(&mut r.enclave));
+    each(&mut t.enclaves, |r| shift_enclave(&mut r.enclave));
+    each(&mut t.switchless, |r| shift_enclave(&mut r.enclave));
+    each(&mut t.faults, |r| shift_enclave(&mut r.enclave));
+    each(&mut t.lifecycle, |r| shift_enclave(&mut r.enclave));
+    t
+}
+
+/// `text` with the id of every `enclave<N>` token renamed by
+/// [`shift_enclave`].
+fn shift_enclave_tokens(text: &str) -> String {
+    let mut out = String::with_capacity(text.len());
+    let mut rest = text;
+    while let Some(at) = rest.find("enclave") {
+        let (head, tail) = rest.split_at(at + "enclave".len());
+        out.push_str(head);
+        let digits = tail.bytes().take_while(u8::is_ascii_digit).count();
+        match tail[..digits].parse::<u32>() {
+            Ok(mut id) => {
+                shift_enclave(&mut id);
+                out.push_str(&id.to_string());
+            }
+            Err(_) => out.push_str(&tail[..digits]),
+        }
+        rest = &tail[digits..];
+    }
+    out.push_str(rest);
+    out
 }
 
 #[cfg(test)]
@@ -445,6 +493,18 @@ mod tests {
                 found
             };
             prop_assert_eq!(detections(&trace), detections(&swap_threads_0_and_1(&trace)));
+        }
+
+        /// Renaming enclaves in every table, keeping their order, changes
+        /// the report only in its `enclave<N>` tokens, which rename the
+        /// same way.
+        #[test]
+        fn shifting_enclave_ids_renames_only_the_report_tokens(trace in TRACES) {
+            let render = |t: &TraceDb| {
+                Analyzer::new(t, HwProfile::Unpatched.cost_model()).analyze().render()
+            };
+            let shifted = render(&shift_enclaves(&trace));
+            prop_assert_eq!(shifted, shift_enclave_tokens(&render(&trace)));
         }
     }
 }

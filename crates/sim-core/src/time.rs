@@ -169,18 +169,80 @@ impl Sum for Nanos {
 }
 
 impl fmt::Display for Nanos {
-    /// Auto-scaling display: `742ns`, `5.120us`, `3.940ms`, `31.000s`.
+    /// Auto-scaling display: `742ns`, `5.120us`, `3.940ms`, `31.000s`,
+    /// each unit shown to three decimals. Width, fill, alignment and
+    /// precision apply as they do to a string: `{:>12}` right-aligns the
+    /// text in twelve columns.
+    ///
+    /// The digits are those of `f64` division printed with `{:.3}`. Integer
+    /// arithmetic gives them exactly, except where the binary rounding of
+    /// the quotient decides: a value exactly half-way between two
+    /// thousandths of a millisecond or second, and values from 2⁵³ ns on,
+    /// which `f64` cannot hold. Those few still go through `f64`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let ns = self.0;
-        if ns < 1_000 {
-            write!(f, "{ns}ns")
-        } else if ns < 1_000_000 {
-            write!(f, "{:.3}us", ns as f64 / 1_000.0)
-        } else if ns < 1_000_000_000 {
-            write!(f, "{:.3}ms", ns as f64 / 1_000_000.0)
+        // Nanoseconds in a thousandth of the unit; whole ns have none.
+        let (thousandth, unit) = match ns {
+            0..1_000 => (0, "ns"),
+            1_000..1_000_000 => (1, "us"),
+            1_000_000..1_000_000_000 => (1_000, "ms"),
+            _ => (1_000_000, "s"),
+        };
+        let mut text = Text::default();
+        if thousandth == 0 {
+            text.push_digits(ns, 1);
+            text.push(unit);
+        } else if ns % thousandth * 2 == thousandth || ns >= 1 << 53 {
+            let unit_ns = (thousandth * 1_000) as f64;
+            fmt::Write::write_fmt(&mut text, format_args!("{:.3}{unit}", ns as f64 / unit_ns))?;
         } else {
-            write!(f, "{:.3}s", ns as f64 / 1_000_000_000.0)
+            // Rounded to the nearest thousandth; no ties reach here.
+            let thousandths = ns / thousandth + u64::from(ns % thousandth * 2 > thousandth);
+            text.push_digits(thousandths / 1_000, 1);
+            text.push(".");
+            text.push_digits(thousandths % 1_000, 3);
+            text.push(unit);
         }
+        f.pad(text.as_str())
+    }
+}
+
+/// The text of one [`Nanos`] display, built on the stack. The longest,
+/// that of `u64::MAX`, is `18446744073.710s`.
+#[derive(Default)]
+struct Text {
+    buf: [u8; 24],
+    len: usize,
+}
+
+impl Text {
+    fn push(&mut self, s: &str) {
+        self.buf[self.len..self.len + s.len()].copy_from_slice(s.as_bytes());
+        self.len += s.len();
+    }
+
+    /// `n` in decimal, zero-padded to at least `width` digits.
+    fn push_digits(&mut self, mut n: u64, width: usize) {
+        let count = n.checked_ilog10().map_or(1, |d| d as usize + 1).max(width);
+        self.len += count;
+        for slot in self.buf[self.len - count..self.len].iter_mut().rev() {
+            *slot = b'0' + (n % 10) as u8;
+            n /= 10;
+        }
+    }
+
+    fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.buf[..self.len]).expect("digits and units are ASCII")
+    }
+}
+
+impl fmt::Write for Text {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        if self.len + s.len() > self.buf.len() {
+            return Err(fmt::Error);
+        }
+        self.push(s);
+        Ok(())
     }
 }
 
@@ -281,6 +343,90 @@ mod tests {
         assert_eq!(Nanos::from_nanos(5_120).to_string(), "5.120us");
         assert_eq!(Nanos::from_millis(3940).to_string(), "3.940s");
         assert_eq!(Nanos::from_micros(3940).to_string(), "3.940ms");
+    }
+
+    /// The display as it was before the integer paths: `f64` division
+    /// printed with `{:.3}`, ignoring width and alignment.
+    struct FloatDisplay(u64);
+
+    impl fmt::Display for FloatDisplay {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            let ns = self.0;
+            if ns < 1_000 {
+                write!(f, "{ns}ns")
+            } else if ns < 1_000_000 {
+                write!(f, "{:.3}us", ns as f64 / 1_000.0)
+            } else if ns < 1_000_000_000 {
+                write!(f, "{:.3}ms", ns as f64 / 1_000_000.0)
+            } else {
+                write!(f, "{:.3}s", ns as f64 / 1_000_000_000.0)
+            }
+        }
+    }
+
+    /// Asserts that every value displays as [`FloatDisplay`] does, reusing
+    /// two buffers so that millions of values stay cheap.
+    fn assert_matches_reference(values: impl IntoIterator<Item = u64>) {
+        use std::fmt::Write;
+        let (mut new, mut old) = (String::new(), String::new());
+        for ns in values {
+            new.clear();
+            old.clear();
+            write!(new, "{}", Nanos(ns)).unwrap();
+            write!(old, "{}", FloatDisplay(ns)).unwrap();
+            assert_eq!(new, old, "{ns} ns");
+        }
+    }
+
+    #[test]
+    fn display_matches_the_float_reference_below_3ms() {
+        assert_matches_reference(0..3_000_000);
+    }
+
+    #[test]
+    fn display_matches_the_float_reference_on_ties_and_extremes() {
+        let mut rng = crate::rng::seeded(31);
+        // Exactly half-way between two thousandths of a millisecond or a
+        // second: binary rounding decides these digits.
+        assert_matches_reference(
+            (0..50_000).map(|_| rng.gen_range(1_000..1_000_000u64) * 1_000 + 500),
+        );
+        assert_matches_reference(
+            (0..50_000).map(|_| rng.gen_range(1_000..20_000_000_000u64) * 1_000_000 + 500_000),
+        );
+        let edges = (0..64)
+            .map(|b| 1u64 << b)
+            .chain((0..20).map(|e| 10u64.pow(e)))
+            .flat_map(|p| p.saturating_sub(2_000)..=p.saturating_add(2_000));
+        assert_matches_reference(edges);
+        assert_matches_reference((1u64 << 53) - 2..=(1 << 53) + 2);
+        assert_matches_reference([u64::MAX]);
+        // Random magnitudes: a uniform u64 is nearly always past 2^53.
+        assert_matches_reference((0..200_000).map(|_| {
+            let shift = rng.gen_range(0..64u32);
+            rng.gen::<u64>() >> shift
+        }));
+    }
+
+    #[test]
+    fn display_pads_like_the_reference_string() {
+        let mut rng = crate::rng::seeded(32);
+        let ties = [1_000_500, 1_001_500, 2_500_000_000];
+        let values = (0..20_000)
+            .map(|_| rng.gen::<u64>() >> rng.gen_range(0..64u32))
+            .chain(ties)
+            .chain([0, 999, u64::MAX]);
+        for ns in values {
+            let old = FloatDisplay(ns).to_string();
+            let new = Nanos(ns);
+            assert_eq!(format!("{new:>12}"), format!("{old:>12}"), "{ns} ns");
+            assert_eq!(format!("{new:<12}"), format!("{old:<12}"), "{ns} ns");
+            assert_eq!(format!("{new:*^20}"), format!("{old:*^20}"), "{ns} ns");
+        }
+        assert_eq!(format!("[{:>10}]", Nanos(5_120)), "[   5.120us]");
+        assert_eq!(format!("[{:<8}]", Nanos(742)), "[742ns   ]");
+        // The f64 path pads too: 1,000,500 ns is a tie.
+        assert_eq!(format!("[{:>9}]", Nanos(1_000_500)), "[  1.000ms]");
     }
 
     #[test]
