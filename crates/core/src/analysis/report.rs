@@ -7,7 +7,7 @@ use sim_core::fault::FaultAction;
 use sim_core::{LifecycleStage, Nanos};
 
 use crate::events::{CallKind, CallRef};
-use crate::json::{f64 as json_f64, string as json_string};
+use crate::json::{Num, Quoted};
 use crate::trace::TraceDb;
 
 use super::detect::Detection;
@@ -374,9 +374,17 @@ impl Report {
     /// object with `totals`, `short_fraction`, `calls`, `wake_edges`,
     /// `detections` and `lint` keys.
     pub fn to_json(&self) -> String {
+        let mut out = String::new();
+        // Writing into a `String` cannot fail.
+        let _ = self.write_json(&mut out);
+        out
+    }
+
+    fn write_json(&self, out: &mut String) -> fmt::Result {
         let t = &self.totals;
-        let mut out = String::from("{\n  \"totals\": {");
-        out.push_str(&format!(
+        out.push_str("{\n  \"totals\": {");
+        write!(
+            out,
             "\"ecall_events\": {}, \"ocall_events\": {}, \"distinct_ecalls\": {}, \
              \"distinct_ocalls\": {}, \"aex_events\": {}, \"page_outs\": {}, \
              \"page_ins\": {}, \"sync_sleeps\": {}, \"sync_wakes\": {}, \
@@ -404,10 +412,11 @@ impl Report {
             t.rebuild_ns,
             t.replay_ns,
             t.recovery_ns,
-        ));
+        )?;
         out.push_str("},\n  \"fleet\": {");
         let ft = &self.fleet.totals;
-        out.push_str(&format!(
+        write!(
+            out,
             "\"slots\": {}, \"spin_ups\": {}, \"restarts\": {}, \"requests\": {}, \
              \"completed\": {}, \"shed\": {}, \"failed\": {}, \"page_ins\": {}, \
              \"page_outs\": {}, \"mean_p50_ns\": {}, \"max_p99_ns\": {}",
@@ -422,87 +431,92 @@ impl Report {
             ft.page_outs,
             ft.mean_p50_ns,
             ft.max_p99_ns,
-        ));
+        )?;
         out.push_str("},\n  \"short_fraction\": {");
-        out.push_str(&format!(
+        write!(
+            out,
             "\"ecalls\": {}, \"ocalls\": {}",
-            json_f64(self.short_fraction(CallKind::Ecall)),
-            json_f64(self.short_fraction(CallKind::Ocall)),
-        ));
+            Num(self.short_fraction(CallKind::Ecall)),
+            Num(self.short_fraction(CallKind::Ocall)),
+        )?;
         out.push_str("},\n  \"calls\": [\n");
         for (i, ((call, s), name)) in self.call_stats.iter().zip(&self.call_names).enumerate() {
             if i > 0 {
                 out.push_str(",\n");
             }
-            out.push_str(&format!(
+            write!(
+                out,
                 "    {{\"name\": {}, \"kind\": \"{}\", \"enclave\": {}, \"index\": {}, \
                  \"count\": {}, \"mean_ns\": {}, \"median_ns\": {}, \"stddev_ns\": {}, \
                  \"p90_ns\": {}, \"p95_ns\": {}, \"p99_ns\": {}, \"min_ns\": {}, \
                  \"max_ns\": {}, \"total_ns\": {}, \"mean_aex\": {}, \
                  \"frac_under_1us\": {}, \"frac_under_5us\": {}, \"frac_under_10us\": {}}}",
-                json_string(name),
+                Quoted(name),
                 call.kind,
                 call.enclave,
                 call.index,
                 s.count,
-                json_f64(s.mean_ns),
+                Num(s.mean_ns),
                 s.median_ns,
-                json_f64(s.stddev_ns),
+                Num(s.stddev_ns),
                 s.p90_ns,
                 s.p95_ns,
                 s.p99_ns,
                 s.min_ns,
                 s.max_ns,
                 s.total_ns,
-                json_f64(s.mean_aex),
-                json_f64(s.frac_under_1us),
-                json_f64(s.frac_under_5us),
-                json_f64(s.frac_under_10us),
-            ));
+                Num(s.mean_aex),
+                Num(s.frac_under_1us),
+                Num(s.frac_under_5us),
+                Num(s.frac_under_10us),
+            )?;
         }
         out.push_str("\n  ],\n  \"wake_edges\": [\n");
         for (i, e) in self.wake_edges.iter().enumerate() {
             if i > 0 {
                 out.push_str(",\n");
             }
-            out.push_str(&format!(
+            write!(
+                out,
                 "    {{\"waker\": {}, \"sleeper\": {}, \"count\": {}}}",
                 e.waker, e.sleeper, e.count
-            ));
+            )?;
         }
         out.push_str("\n  ],\n  \"detections\": [\n");
         for (i, d) in self.detections.iter().enumerate() {
             if i > 0 {
                 out.push_str(",\n");
             }
-            out.push_str(&format!(
+            write!(
+                out,
                 "    {{\"priority\": {}, \"problem\": {}, \"call\": {}, \"target\": {}, \
                  \"recommendation\": {}, \"evidence\": {}}}",
                 d.priority,
-                json_string(&d.problem.to_string()),
-                json_string(&d.name),
-                json_string(&d.target.to_string()),
-                json_string(&d.recommendation.to_string()),
-                json_string(&d.evidence),
-            ));
+                Quoted(&d.problem),
+                Quoted(&d.name),
+                Quoted(&d.target),
+                Quoted(&d.recommendation),
+                Quoted(&d.evidence),
+            )?;
         }
         out.push_str("\n  ],\n  \"lint\": [\n");
         for (i, d) in self.lint.iter().enumerate() {
             if i > 0 {
                 out.push_str(",\n");
             }
-            out.push_str(&format!(
+            write!(
+                out,
                 "    {{\"severity\": {}, \"code\": {}, \"line\": {}, \"col\": {}, \
                  \"message\": {}}}",
-                json_string(&d.severity.to_string()),
-                json_string(d.code),
+                Quoted(&d.severity),
+                Quoted(d.code),
                 d.span.start.line,
                 d.span.start.col,
-                json_string(&d.message),
-            ));
+                Quoted(&d.message),
+            )?;
         }
         out.push_str("\n  ]\n}\n");
-        out
+        Ok(())
     }
 }
 

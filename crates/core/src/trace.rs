@@ -2,7 +2,7 @@
 
 use std::path::Path;
 
-use eventdb::{DbError, Record, Store, StoreOf, Table};
+use eventdb::{DbError, Record, Section, Store, StoreOf, Table};
 
 use crate::events::{
     AexRow, EcallRow, EnclaveRow, FaultRow, FleetRow, LifecycleRow, OcallRow, PagingRow,
@@ -23,8 +23,18 @@ enum Presence {
 }
 
 impl Presence {
+    /// Whether `table` is written.
+    fn writes<R>(self, table: &Table<R>) -> bool {
+        self != Presence::WhenRows || !table.is_empty()
+    }
+
+    /// `table` as a section of the container, if it is written.
+    fn section<R: Record>(self, table: &Table<R>) -> Option<&dyn Section> {
+        self.writes(table).then_some(table)
+    }
+
     fn put<R: Record>(self, store: &mut Store, table: &Table<R>) {
-        if self != Presence::WhenRows || !table.is_empty() {
+        if self.writes(table) {
             store.put(table);
         }
     }
@@ -53,10 +63,17 @@ macro_rules! trace_tables {
         }
 
         impl TraceDb {
+            /// Serialises all tables into the container format in one
+            /// pass, into one buffer of exactly their size. The bytes are
+            /// those of [`to_store`](TraceDb::to_store)`().to_bytes()`.
+            pub fn to_bytes(&self) -> Vec<u8> {
+                let sections = [$(Presence::$presence.section(&self.$field)),*];
+                eventdb::encode_container(sections.into_iter().flatten())
+            }
+
             /// Lowers the trace to the generic table container — the form
-            /// both the monolithic writer ([`save`](TraceDb::save)) and the
-            /// crash-consistent segmented writer
-            /// ([`eventdb::SegmentedWriter`]) serialise.
+            /// the crash-consistent segmented writer
+            /// ([`eventdb::SegmentedWriter`]) serialises.
             pub fn to_store(&self) -> Store {
                 let mut store = Store::new();
                 $(Presence::$presence.put(&mut store, &self.$field);)*
@@ -87,6 +104,12 @@ macro_rules! trace_tables {
             /// Every table's tag and presence rule, in file order.
             const TABLES: &'static [(&'static str, Presence)] =
                 &[$((<$row as Record>::TAG, Presence::$presence)),*];
+
+            /// The tag and encoded byte length of every table, in file
+            /// order.
+            pub(crate) fn encoded_lens(&self) -> Vec<(&'static str, usize)> {
+                vec![$((<$row as Record>::TAG, self.$field.encoded_len())),*]
+            }
 
             /// A trace with one row in every table, each decoded from
             /// zero bytes.
@@ -159,11 +182,6 @@ trace_tables! {
 }
 
 impl TraceDb {
-    /// Serialises all tables into the container format.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        self.to_store().to_bytes()
-    }
-
     /// Parses a trace from container bytes, decoding every table in
     /// place: no section is copied.
     ///
@@ -180,7 +198,8 @@ impl TraceDb {
     ///
     /// Propagates filesystem errors.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), DbError> {
-        self.to_store().save(path)
+        std::fs::write(path, self.to_bytes())?;
+        Ok(())
     }
 
     /// Loads a trace from a file of either layout ([`Store::parse`]):

@@ -440,6 +440,20 @@ mod tests {
             prop_assert!(back.to_bytes() == bytes);
         }
 
+        /// The one-pass encoder writes the bytes the store path writes,
+        /// and each table's `encoded_len` is its section's byte length.
+        #[test]
+        fn one_pass_encoding_matches_the_store_and_sizes_every_table(trace in TRACES) {
+            let store = trace.to_store();
+            prop_assert!(trace.to_bytes() == store.to_bytes());
+            let lens = trace.encoded_lens();
+            for section in store.sections() {
+                let section = section.expect("own sections carry a row count");
+                let len = lens.iter().find(|(tag, _)| *tag == section.tag);
+                prop_assert_eq!(len.map(|&(_, len)| len), Some(section.bytes), "{}", section.tag);
+            }
+        }
+
         /// A trace diffed against itself is neutral: exit 0, and no
         /// regression, improvement or call on one side only.
         #[test]

@@ -1,7 +1,7 @@
-//! Rendering a report or a call graph writes every row into one string:
-//! the allocation calls stay far below one per row. A counting global
-//! allocator counts the calls each renderer makes on its own thread, so
-//! the two tests may run in parallel.
+//! Rendering a report (as text or JSON) or a call graph writes every row
+//! into one string: the allocation calls stay far below one per row. A
+//! counting global allocator counts the calls each renderer makes on its
+//! own thread, so the tests may run in parallel.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -122,6 +122,20 @@ fn report_render_allocates_far_less_than_once_per_row() {
     assert!(
         calls <= bound(rows),
         "Report::render made {calls} allocation calls for {rows} rows"
+    );
+}
+
+#[test]
+fn report_json_allocates_far_less_than_once_per_row() {
+    let trace = fleet_like(5_000);
+    let report = Analyzer::new(&trace, HwProfile::Unpatched.cost_model()).analyze();
+    let rows = report.call_stats.len() + report.detections.len();
+    assert!(rows >= 7_000, "{rows}");
+    let (calls, json) = allocations_by(|| report.to_json());
+    assert!(json.lines().count() > rows);
+    assert!(
+        calls <= bound(rows),
+        "Report::to_json made {calls} allocation calls for {rows} rows"
     );
 }
 

@@ -19,6 +19,14 @@ impl Encoder {
         Encoder::default()
     }
 
+    /// Creates an empty encoder with room for `bytes` bytes, so that
+    /// writing that many allocates once.
+    pub fn with_capacity(bytes: usize) -> Encoder {
+        Encoder {
+            buf: Vec::with_capacity(bytes),
+        }
+    }
+
     /// Consumes the encoder, returning the bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
@@ -71,14 +79,34 @@ impl Encoder {
 
     /// Writes a length-prefixed byte blob.
     pub fn bytes(&mut self, v: &[u8]) {
-        self.u32(u32::try_from(v.len()).expect("blob larger than 4 GiB"));
+        self.u32(blob_len(v.len()));
+        self.raw(v);
+    }
+
+    /// Writes bytes as they are, with no length prefix.
+    pub fn raw(&mut self, v: &[u8]) {
         self.buf.extend_from_slice(v);
+    }
+
+    /// Writes what `body` writes as a length-prefixed blob, in place: the
+    /// prefix is the number of bytes `body` actually wrote.
+    pub fn len_prefixed(&mut self, body: impl FnOnce(&mut Encoder)) {
+        let at = self.buf.len();
+        self.u32(0);
+        body(self);
+        let len = blob_len(self.buf.len() - at - 4);
+        self.buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
     }
 
     /// Writes a length-prefixed UTF-8 string.
     pub fn str(&mut self, v: &str) {
         self.bytes(v.as_bytes());
     }
+}
+
+/// A blob's length as its u32 prefix.
+fn blob_len(len: usize) -> u32 {
+    u32::try_from(len).expect("blob larger than 4 GiB")
 }
 
 /// Bounds-checked binary decoder over a byte slice.
@@ -206,6 +234,15 @@ pub trait Field: Sized {
     /// sums a row's fields into [`Record::MIN_BYTES`](crate::Record::MIN_BYTES).
     const MIN_BYTES: usize;
 
+    /// Bytes [`Field::write`] appends for this value: [`Field::MIN_BYTES`]
+    /// unless the value carries a payload. [`record!`](crate::record)
+    /// sums a row's fields into
+    /// [`Record::encoded_len`](crate::Record::encoded_len).
+    #[inline]
+    fn encoded_len(&self) -> usize {
+        Self::MIN_BYTES
+    }
+
     /// Appends the value.
     fn write(&self, out: &mut Encoder);
 
@@ -238,6 +275,10 @@ scalar_fields!(u8: 1, u32: 4, u64: 8, i64: 8, f64: 8, bool: 1);
 /// A u32 byte length, then the UTF-8 bytes.
 impl Field for String {
     const MIN_BYTES: usize = 4;
+    #[inline]
+    fn encoded_len(&self) -> usize {
+        4 + self.len()
+    }
     fn write(&self, out: &mut Encoder) {
         out.str(self);
     }
@@ -249,6 +290,10 @@ impl Field for String {
 /// A presence byte, then the value when present.
 impl<T: Field> Field for Option<T> {
     const MIN_BYTES: usize = 1;
+    #[inline]
+    fn encoded_len(&self) -> usize {
+        1 + self.as_ref().map_or(0, Field::encoded_len)
+    }
     #[inline]
     fn write(&self, out: &mut Encoder) {
         out.bool(self.is_some());
@@ -273,6 +318,9 @@ const LIST_PREALLOC: usize = 1024;
 /// A u64 item count, then the items.
 impl<T: Field> Field for Vec<T> {
     const MIN_BYTES: usize = 8;
+    fn encoded_len(&self) -> usize {
+        8 + self.iter().map(Field::encoded_len).sum::<usize>()
+    }
     fn write(&self, out: &mut Encoder) {
         out.usize(self.len());
         for item in self {
@@ -333,6 +381,7 @@ mod tests {
         value.write(&mut e);
         let bytes = e.into_bytes();
         assert_eq!(bytes.len(), len, "{value:?}");
+        assert_eq!(value.encoded_len(), len, "{value:?}");
         let mut d = Decoder::new(&bytes);
         assert_eq!(T::read(&mut d).unwrap(), value);
         assert!(d.is_exhausted());
@@ -357,6 +406,22 @@ mod tests {
         field_roundtrip(Some(9u64), 1 + 8);
         field_roundtrip(None::<u64>, 1);
         field_roundtrip(Some(Some(false)), 1 + 1 + 1);
+    }
+
+    #[test]
+    fn len_prefixed_writes_the_length_of_what_its_body_wrote() {
+        let mut e = Encoder::with_capacity(3);
+        e.u8(9);
+        e.len_prefixed(|e| {
+            e.str("ab");
+            e.u64(1);
+        });
+        e.len_prefixed(|_| {});
+        let mut want = Encoder::new();
+        want.u8(9);
+        want.bytes(&[2, 0, 0, 0, b'a', b'b', 1, 0, 0, 0, 0, 0, 0, 0]);
+        want.bytes(&[]);
+        assert_eq!(e.into_bytes(), want.into_bytes());
     }
 
     #[test]

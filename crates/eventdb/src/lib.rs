@@ -45,7 +45,7 @@ pub mod store;
 pub mod table;
 
 pub use codec::{Decoder, Encoder, Field};
-pub use store::{SectionInfo, SegmentedWriter, Store, StoreOf};
+pub use store::{encode_container, Section, SectionInfo, SegmentedWriter, Store, StoreOf};
 pub use table::{Record, RowId, Table};
 
 use std::fmt;

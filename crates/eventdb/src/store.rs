@@ -47,6 +47,94 @@ const VERSION: u8 = 1;
 const SEG_MAGIC: &[u8; 4] = b"EVSG";
 const SEG_VERSION: u8 = 1;
 
+/// Bytes of the `EVDB` header: magic, version and section count.
+const HEADER_BYTES: usize = MAGIC.len() + 1 + 4;
+
+/// One section of a container as the writer sees it: a tag and a blob
+/// it can size before writing.
+pub trait Section {
+    /// The section's tag.
+    fn tag(&self) -> &str;
+
+    /// Bytes [`Section::encode`] writes.
+    fn encoded_len(&self) -> usize;
+
+    /// Writes the blob, without its length prefix.
+    fn encode(&self, out: &mut Encoder);
+}
+
+impl<S: Section + ?Sized> Section for &S {
+    fn tag(&self) -> &str {
+        (**self).tag()
+    }
+
+    fn encoded_len(&self) -> usize {
+        (**self).encoded_len()
+    }
+
+    fn encode(&self, out: &mut Encoder) {
+        (**self).encode(out);
+    }
+}
+
+/// A typed table is the section its rows encode to.
+impl<R: Record> Section for Table<R> {
+    fn tag(&self) -> &str {
+        R::TAG
+    }
+
+    fn encoded_len(&self) -> usize {
+        Table::encoded_len(self)
+    }
+
+    fn encode(&self, out: &mut Encoder) {
+        Table::encode(self, out);
+    }
+}
+
+/// An already-encoded section of a [`StoreOf`].
+struct Blob<'b> {
+    tag: &'b str,
+    blob: &'b [u8],
+}
+
+impl Section for Blob<'_> {
+    fn tag(&self) -> &str {
+        self.tag
+    }
+
+    fn encoded_len(&self) -> usize {
+        self.blob.len()
+    }
+
+    fn encode(&self, out: &mut Encoder) {
+        out.raw(self.blob);
+    }
+}
+
+/// Writes an `EVDB` container of `sections`, in order, in one pass: the
+/// sections are sized first and then encoded straight into one buffer of
+/// that size. Each section's length prefix counts the bytes it actually
+/// wrote, so a wrong [`Section::encoded_len`] costs a regrowth, never a
+/// corrupt container. [`Store::to_bytes`] gives the same bytes for a
+/// store holding the same sections.
+pub fn encode_container<S: Section>(sections: impl Iterator<Item = S> + Clone) -> Vec<u8> {
+    let (count, bytes) = sections
+        .clone()
+        .fold((0, HEADER_BYTES), |(count, bytes), s| {
+            (count + 1, bytes + 4 + s.tag().len() + 4 + s.encoded_len())
+        });
+    let mut enc = Encoder::with_capacity(bytes);
+    enc.raw(MAGIC);
+    enc.u8(VERSION);
+    enc.u32(u32::try_from(count).expect("too many sections"));
+    for section in sections {
+        enc.str(section.tag());
+        enc.len_prefixed(|enc| section.encode(enc));
+    }
+    enc.into_bytes()
+}
+
 /// Bitwise CRC-32 (IEEE, reflected polynomial). Slow but dependency-free;
 /// frames are small and written once.
 fn crc32(data: &[u8]) -> u32 {
@@ -167,19 +255,9 @@ impl<'a> StoreOf<'a> {
         self.sections.iter().map(|(_, blob)| blob.len()).sum()
     }
 
-    /// Serialises the store to bytes.
+    /// Serialises the store to bytes, into one buffer of their size.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut enc = Encoder::new();
-        for b in MAGIC {
-            enc.u8(*b);
-        }
-        enc.u8(VERSION);
-        enc.u32(u32::try_from(self.sections.len()).expect("too many sections"));
-        for (tag, blob) in &self.sections {
-            enc.str(tag);
-            enc.bytes(blob);
-        }
-        enc.into_bytes()
+        encode_container(self.sections.iter().map(|(tag, blob)| Blob { tag, blob }))
     }
 
     /// Writes the store to a file.

@@ -17,6 +17,16 @@ pub trait Record: Sized {
     /// a hand-written row is assumed to take at least one byte.
     const MIN_BYTES: usize = 1;
 
+    /// Bytes [`Record::encode`] writes for this row, so that a table is
+    /// encoded into a buffer of the right size. [`record!`](crate::record)
+    /// sums it from the fields; a hand-written row is assumed to take
+    /// [`Record::MIN_BYTES`]. A wrong length costs a regrowth, never
+    /// wrong bytes.
+    #[inline]
+    fn encoded_len(&self) -> usize {
+        Self::MIN_BYTES
+    }
+
     /// Serialises the record.
     fn encode(&self, out: &mut Encoder);
 
@@ -32,8 +42,9 @@ pub trait Record: Sized {
 /// Declares a row struct with named fields and derives its [`Record`]
 /// impl: fields are written and read in declaration order, each through
 /// its [`Field`](crate::Field) impl, and the row's
-/// [`MIN_BYTES`](Record::MIN_BYTES) is the sum of its fields'. The string
-/// after the struct name is the table tag. The [crate-level
+/// [`MIN_BYTES`](Record::MIN_BYTES) and
+/// [`encoded_len`](Record::encoded_len) are the sums of its fields'. The
+/// string after the struct name is the table tag. The [crate-level
 /// example](crate) declares one.
 #[macro_export]
 macro_rules! record {
@@ -51,6 +62,10 @@ macro_rules! record {
         impl $crate::Record for $name {
             const TAG: &'static str = $tag;
             const MIN_BYTES: usize = 0 $(+ <$ty as $crate::Field>::MIN_BYTES)*;
+            #[inline]
+            fn encoded_len(&self) -> usize {
+                0 $(+ $crate::Field::encoded_len(&self.$field))*
+            }
             fn encode(&self, out: &mut $crate::Encoder) {
                 $($crate::Field::write(&self.$field, out);)*
             }
@@ -157,6 +172,11 @@ impl<R> Extend<R> for Table<R> {
 }
 
 impl<R: Record> Table<R> {
+    /// Bytes [`Table::encode`] writes: the row count and every row.
+    pub fn encoded_len(&self) -> usize {
+        8 + self.rows.iter().map(Record::encoded_len).sum::<usize>()
+    }
+
     /// Serialises the whole table (row count + rows).
     pub fn encode(&self, out: &mut Encoder) {
         out.usize(self.rows.len());

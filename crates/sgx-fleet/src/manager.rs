@@ -1,7 +1,7 @@
 //! The fleet manager: multiplexes thousands of logical enclaves over a
 //! bounded pool of live ones, with fleet-level recovery policy.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -12,7 +12,7 @@ use sgx_sdk::{
 };
 use sgx_sim::{DriverEvent, PagingDirection};
 use sim_core::sync::Mutex;
-use sim_core::{Clock, Nanos};
+use sim_core::{Clock, IntMap, Nanos};
 
 use crate::policy::FleetPolicy;
 use crate::stats::{FleetAggregate, SlotStats};
@@ -55,7 +55,7 @@ struct FleetInner {
 struct FleetShared {
     clock: Clock,
     /// Live enclave id -> slot, kept current across spin-ups and rebuilds.
-    eid_to_slot: Mutex<HashMap<u32, usize>>,
+    eid_to_slot: Mutex<IntMap<u32, usize>>,
     /// Per-slot (page-ins, page-outs) charged by the driver hook.
     paging: Mutex<Vec<(u64, u64)>>,
     /// Virtual time of the most recent rebuild (for spacing enforcement).
@@ -153,7 +153,7 @@ impl FleetManager {
         let clock = runtime.machine().clock().clone();
         let shared = Arc::new(FleetShared {
             clock,
-            eid_to_slot: Mutex::new(HashMap::new()),
+            eid_to_slot: Mutex::new(IntMap::default()),
             paging: Mutex::new(vec![(0, 0); slots]),
             last_rebuild: Mutex::new(None),
             restart_log: Mutex::new(VecDeque::new()),

@@ -1,7 +1,6 @@
 //! The enclave object and its trusted execution context (TRTS side).
 
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
@@ -10,7 +9,7 @@ use sgx_edl::InterfaceSpec;
 use sgx_sim::{AccessKind, DriverEvent, EnclaveId, Machine, ThreadToken, TouchStats};
 use sim_core::fault::{FaultAction, FaultEvent, FaultKind, OcallFault};
 use sim_core::sync::{Mutex, RwLock};
-use sim_core::Nanos;
+use sim_core::{IntMap, Nanos};
 
 use crate::args::CallData;
 use crate::error::{SdkError, SdkResult};
@@ -79,7 +78,7 @@ struct BoundThread {
 struct CallState {
     free_tcs: Vec<usize>,
     /// Each thread inside the enclave: its TCS and call stack.
-    bound: HashMap<ThreadToken, BoundThread>,
+    bound: IntMap<ThreadToken, BoundThread>,
     /// The ocall table the last ecall passed, which the URTS "saves for
     /// later use" (Figure 3): the enclave's ocalls dispatch through it.
     table: Option<Arc<OcallTable>>,
@@ -132,7 +131,7 @@ impl Enclave {
             ecalls: RwLock::new(vec![None; ecall_count]),
             calls: Mutex::new(CallState {
                 free_tcs: (0..tcs_count).rev().collect(),
-                bound: HashMap::new(),
+                bound: IntMap::default(),
                 table: None,
             }),
             switchless: RwLock::new(None),

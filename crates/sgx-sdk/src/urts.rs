@@ -5,13 +5,13 @@
 //! saved inside the URTS for later use"), TCS lookup, transition cost
 //! accounting, TRTS trampoline dispatch.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, OnceLock, Weak};
 
 use sgx_sim::{AccessKind, EnclaveId, Machine};
 use sim_core::fault::{FaultAction, FaultKind};
 use sim_core::sync::RwLock;
+use sim_core::IntMap;
 
 use crate::args::CallData;
 use crate::enclave::{fault_backoff, EcallCtx, Enclave, FaultSite, Frame, MAX_FAULT_RETRIES};
@@ -23,7 +23,7 @@ use crate::thread_ctx::ThreadCtx;
 /// The URTS: enclave registry + the base implementation of `sgx_ecall`.
 pub struct Urts {
     machine: Arc<Machine>,
-    enclaves: RwLock<HashMap<u32, Arc<Enclave>>>,
+    enclaves: RwLock<IntMap<u32, Arc<Enclave>>>,
     loader: OnceLock<Weak<Loader>>,
 }
 
@@ -39,7 +39,7 @@ impl Urts {
     pub(crate) fn new(machine: Arc<Machine>) -> Urts {
         Urts {
             machine,
-            enclaves: RwLock::new(HashMap::new()),
+            enclaves: RwLock::new(IntMap::default()),
             loader: OnceLock::new(),
         }
     }

@@ -1,13 +1,14 @@
 //! The simulated SGX machine: enclaves, EPC, AEX injection, MMU faults.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use sim_core::fault::{FaultAction, FaultEvent, FaultInjector, FaultKind, FaultPlan};
-use sim_core::sync::Mutex;
-use sim_core::{Clock, CostModel, HwProfile, LifecycleEvent, LifecycleStage, Nanos, SyncBus};
+use sim_core::sync::{Armed, Mutex};
+use sim_core::{
+    Clock, CostModel, HwProfile, IntMap, LifecycleEvent, LifecycleStage, Nanos, SyncBus,
+};
 
 use crate::epc::{Epc, EvictionPolicy, PageKey, DEFAULT_EPC_PAGES};
 use crate::events::{AexCause, AexEvent, DriverEvent, MmuFault, PagingDirection};
@@ -248,7 +249,7 @@ struct EnclaveState {
 struct Inner {
     /// The only record of which pages are resident.
     epc: Epc,
-    enclaves: HashMap<u32, EnclaveState>,
+    enclaves: IntMap<u32, EnclaveState>,
     next_eid: u32,
 }
 
@@ -261,11 +262,52 @@ fn vaddr(eid: EnclaveId, index: usize) -> u64 {
 type DriverHook = Arc<dyn Fn(&DriverEvent) + Send + Sync>;
 type FaultHandler = Arc<dyn Fn(&MmuFault) + Send + Sync>;
 
+/// The driver hooks in registration order: an append-only linked list
+/// whose links are set once, so an emission walks it with one atomic load
+/// per hook and no lock or reference count.
 #[derive(Default)]
-struct Hooks {
-    /// Replaced whole on registration, so an emission clones one `Arc`.
-    driver: Arc<[DriverHook]>,
-    mmu_fault: Option<FaultHandler>,
+struct HookList {
+    head: OnceLock<Box<HookNode>>,
+}
+
+struct HookNode {
+    hook: DriverHook,
+    next: OnceLock<Box<HookNode>>,
+}
+
+impl HookList {
+    /// Appends `hook` after the last registered one. Concurrent pushes
+    /// each land in the first empty link they find.
+    fn push(&self, hook: DriverHook) {
+        let mut node = Box::new(HookNode {
+            hook,
+            next: OnceLock::new(),
+        });
+        let mut link = &self.head;
+        loop {
+            match link.set(node) {
+                Ok(()) => return,
+                Err(back) => {
+                    node = back;
+                    link = &link.get().expect("a link that refused a node is set").next;
+                }
+            }
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &DriverHook> {
+        std::iter::successors(self.head.get(), |node| node.next.get()).map(|node| &node.hook)
+    }
+}
+
+impl Drop for HookList {
+    /// Unlinks the nodes one by one, so a long list does not recurse.
+    fn drop(&mut self) {
+        let mut next = self.head.take();
+        while let Some(mut node) = next {
+            next = node.next.take();
+        }
+    }
 }
 
 /// A simulated SGX-capable machine: shared virtual clock, one EPC, any
@@ -293,8 +335,11 @@ pub struct Machine {
     cost: CostModel,
     params: MachineParams,
     inner: Mutex<Inner>,
-    hooks: Mutex<Hooks>,
-    fault: Mutex<Option<Arc<FaultInjector>>>,
+    driver_hooks: HookList,
+    mmu_fault: Mutex<Option<FaultHandler>>,
+    /// Polled at every EENTER, in-enclave run, TCS bind and switchless
+    /// post; with no plan armed that is one load.
+    fault: Armed<FaultInjector>,
     sync_bus: Arc<SyncBus>,
 }
 
@@ -325,12 +370,13 @@ impl Machine {
             cost: profile.cost_model(),
             inner: Mutex::new(Inner {
                 epc: Epc::new(params.epc_pages, params.eviction),
-                enclaves: HashMap::new(),
+                enclaves: IntMap::default(),
                 next_eid: 1,
             }),
             params,
-            hooks: Mutex::new(Hooks::default()),
-            fault: Mutex::new(None),
+            driver_hooks: HookList::default(),
+            mmu_fault: Mutex::new(None),
+            fault: Armed::new(),
             sync_bus,
         }
     }
@@ -478,11 +524,9 @@ impl Machine {
     /// order, on the emitting thread — paging and enclave creation, each
     /// AEX before its `ERESUME`, and the fault, lifecycle and switchless
     /// events the machine and the SDK report through [`Machine::emit`].
+    /// Hooks fire in registration order; one may be added at any time.
     pub fn add_driver_hook(&self, hook: DriverHook) {
-        let mut hooks = self.hooks.lock();
-        let mut driver = hooks.driver.to_vec();
-        driver.push(hook);
-        hooks.driver = driver.into();
+        self.driver_hooks.push(hook);
     }
 
     /// Delivers `events` to every registered hook. The machine calls it
@@ -492,8 +536,7 @@ impl Machine {
         if events.is_empty() {
             return;
         }
-        let hooks = Arc::clone(&self.hooks.lock().driver);
-        for hook in hooks.iter() {
+        for hook in self.driver_hooks.iter() {
             for ev in events {
                 hook(ev);
             }
@@ -504,7 +547,7 @@ impl Machine {
     /// estimator. After the handler runs the machine restores the page's
     /// natural permissions and retries the access.
     pub fn set_mmu_fault_handler(&self, handler: Option<FaultHandler>) {
-        self.hooks.lock().mmu_fault = handler;
+        *self.mmu_fault.lock() = handler;
     }
 
     /// Arms a deterministic fault plan (or disarms injection with `None`).
@@ -512,13 +555,16 @@ impl Machine {
     /// see [`sim_core::fault`] for the determinism contract. With no plan
     /// armed every injection site is a structural no-op.
     pub fn set_fault_plan(&self, plan: Option<&FaultPlan>) {
-        *self.fault.lock() = plan.map(|p| Arc::new(FaultInjector::new(p)));
+        self.fault
+            .set(plan.map(|p| Arc::new(FaultInjector::new(p))));
     }
 
     /// The armed fault injector, if any. SDK layers poll this at their
-    /// own injection sites (ocalls, switchless, TCS binding).
+    /// own injection sites (ocalls, switchless, TCS binding). With no
+    /// plan armed it costs one atomic load.
+    #[inline]
     pub fn fault_injector(&self) -> Option<Arc<FaultInjector>> {
-        self.fault.lock().clone()
+        self.fault.get()
     }
 
     /// Strips all MMU permissions from every accessible page of the
@@ -1005,7 +1051,7 @@ impl Machine {
         thread: ThreadToken,
         index: usize,
     ) -> Result<(), SimError> {
-        let handler = self.hooks.lock().mmu_fault.clone();
+        let handler = self.mmu_fault.lock().clone();
         let Some(handler) = handler else {
             return Err(SimError::UnhandledMmuFault {
                 enclave: eid,
@@ -1054,6 +1100,90 @@ mod tests {
                 ..MachineParams::default()
             },
         )
+    }
+
+    /// Registers a hook that appends `id` to `log` for every enclave
+    /// creation it hears.
+    fn creation_logger(m: &Machine, log: &Arc<Mutex<Vec<usize>>>, id: usize) {
+        let log = Arc::clone(log);
+        m.add_driver_hook(Arc::new(move |ev| {
+            if let DriverEvent::EnclaveCreated { .. } = ev {
+                log.lock().push(id);
+            }
+        }));
+    }
+
+    #[test]
+    fn driver_hooks_fire_in_registration_order() {
+        let m = machine();
+        let log = Arc::new(Mutex::new(Vec::new()));
+        creation_logger(&m, &log, 0);
+        creation_logger(&m, &log, 1);
+        m.create_enclave(&EnclaveConfig::default()).unwrap();
+        // A hook added after emissions began hears every later event,
+        // after the hooks registered before it.
+        creation_logger(&m, &log, 2);
+        m.create_enclave(&EnclaveConfig::default()).unwrap();
+        assert_eq!(*log.lock(), [0, 1, 0, 1, 2]);
+    }
+
+    #[test]
+    fn hooks_added_from_many_threads_keep_each_threads_order() {
+        let m = Arc::new(machine());
+        let log = Arc::new(Mutex::new(Vec::new()));
+        std::thread::scope(|scope| {
+            for t in 0..4 {
+                let (m, log) = (&m, &log);
+                scope.spawn(move || {
+                    for i in 0..25 {
+                        creation_logger(m, log, t * 100 + i);
+                    }
+                });
+            }
+        });
+        m.create_enclave(&EnclaveConfig::default()).unwrap();
+        let heard = log.lock().clone();
+        assert_eq!(heard.len(), 100);
+        for t in 0..4 {
+            let mine: Vec<usize> = heard.iter().copied().filter(|id| id / 100 == t).collect();
+            assert_eq!(mine, (0..25).map(|i| t * 100 + i).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn a_fault_plan_rearms_and_a_disarmed_one_injects_nothing() {
+        let m = machine();
+        let eid = m.create_enclave(&EnclaveConfig::default()).unwrap();
+        let faults = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&faults);
+        m.add_driver_hook(Arc::new(move |ev| {
+            if let DriverEvent::Fault(_) = ev {
+                counter.fetch_add(1, Ordering::SeqCst);
+            }
+        }));
+        let run = || {
+            m.enter_enclave(eid, ThreadToken::MAIN).unwrap();
+            m.execute_in_enclave(eid, ThreadToken::MAIN, Nanos::from_nanos(10))
+                .unwrap()
+        };
+        let plan: FaultPlan = "seed=1;aex-storm@call=1:count=2".parse().unwrap();
+
+        m.set_fault_plan(Some(&plan));
+        assert!(run() > 0, "the armed storm fires at the first run");
+        assert_eq!(faults.load(Ordering::SeqCst), 1);
+
+        m.set_fault_plan(None);
+        assert!(m.fault_injector().is_none());
+        for _ in 0..3 {
+            assert_eq!(run(), 0);
+        }
+        assert_eq!(faults.load(Ordering::SeqCst), 1, "a disarmed plan injects");
+
+        // Re-arming builds a fresh injector: its first run fires again.
+        m.set_fault_plan(Some(&plan));
+        assert!(m.fault_injector().is_some());
+        assert!(run() > 0);
+        assert_eq!(faults.load(Ordering::SeqCst), 2);
     }
 
     #[test]

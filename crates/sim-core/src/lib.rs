@@ -9,6 +9,8 @@
 //!   Spectre-patched, fully patched incl. Foreshadow/L1TF) calibrated with
 //!   the measurements reported in §2.3.1 and Table 2 of the paper,
 //! * [`rng`] — seeded deterministic random number helpers,
+//! * [`hash`] — [`IntMap`] / [`IntSet`], the one hasher for keys the
+//!   simulation assigns (enclave ids, thread tokens, table addresses),
 //! * [`fault`] — seeded, schedulable fault plans ([`FaultPlan`]) and the
 //!   deterministic injector the stack's chaos hooks poll.
 //!
@@ -28,6 +30,7 @@
 pub mod campaign;
 pub mod clock;
 pub mod fault;
+pub mod hash;
 pub mod hw;
 pub mod lifecycle;
 pub mod rng;
@@ -38,6 +41,7 @@ pub mod time;
 pub use campaign::{CampaignSpec, CellCoord, SpecError, SwitchlessAxis};
 pub use clock::Clock;
 pub use fault::{FaultAction, FaultEvent, FaultInjector, FaultPlan};
+pub use hash::{IntHasher, IntMap, IntSet};
 pub use hw::{CostModel, HwProfile};
 pub use lifecycle::{LifecycleEvent, LifecycleStage};
 pub use syncev::{Shared, SyncBus, SyncEvent, SyncObserver, SyncOp};

@@ -12,7 +12,8 @@
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
-use std::sync;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{self, Arc};
 
 pub struct Mutex<T: ?Sized>(sync::Mutex<T>);
 
@@ -177,6 +178,61 @@ impl Condvar {
     }
 }
 
+/// An optional shared handle that costs one atomic load to read while
+/// empty: a fault injector nobody armed, a sync observer nobody attached.
+///
+/// [`set`](Armed::set) writes the handle and its armed flag under one
+/// lock; [`get`](Armed::get) returns `None` on the flag alone and takes
+/// the lock only when something is armed. Arming, disarming and
+/// re-arming behave as a plain `Mutex<Option<Arc<T>>>` does.
+pub struct Armed<T: ?Sized> {
+    /// Whether `slot` holds a handle. Stored (`Release`) only while the
+    /// lock is held and loaded (`Acquire`) before taking it; the handle
+    /// itself is read only under the lock.
+    armed: AtomicBool,
+    slot: Mutex<Option<Arc<T>>>,
+}
+
+impl<T: ?Sized> Armed<T> {
+    /// An empty slot.
+    pub const fn new() -> Self {
+        Armed {
+            armed: AtomicBool::new(false),
+            slot: Mutex::new(None),
+        }
+    }
+
+    /// Arms the slot with `value`, or empties it with `None`.
+    pub fn set(&self, value: Option<Arc<T>>) {
+        let mut slot = self.slot.lock();
+        self.armed.store(value.is_some(), Ordering::Release);
+        *slot = value;
+    }
+
+    /// The armed handle, if any.
+    #[inline]
+    pub fn get(&self) -> Option<Arc<T>> {
+        if !self.armed.load(Ordering::Acquire) {
+            return None;
+        }
+        self.slot.lock().clone()
+    }
+}
+
+impl<T: ?Sized> Default for Armed<T> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<T: ?Sized> fmt::Debug for Armed<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Armed")
+            .field("armed", &self.armed.load(Ordering::Relaxed))
+            .finish()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -246,5 +302,17 @@ mod tests {
         })
         .join();
         assert_eq!(*m.lock(), 1);
+    }
+
+    #[test]
+    fn armed_slot_rearms_and_clears() {
+        let slot: Armed<u32> = Armed::new();
+        assert!(slot.get().is_none());
+        slot.set(Some(Arc::new(1)));
+        assert_eq!(slot.get().as_deref(), Some(&1));
+        slot.set(None);
+        assert!(slot.get().is_none());
+        slot.set(Some(Arc::new(2)));
+        assert_eq!(slot.get().as_deref(), Some(&2));
     }
 }

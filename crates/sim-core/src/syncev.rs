@@ -23,6 +23,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::clock::Clock;
+use crate::sync::Armed;
 use crate::time::Nanos;
 
 /// Thread id used for sync events emitted from outside any logical thread
@@ -150,7 +151,8 @@ pub type SyncObserver = Arc<dyn Fn(&SyncEvent) + Send + Sync>;
 pub struct SyncBus {
     clock: Clock,
     next_object: AtomicU64,
-    observer: Mutex<Option<SyncObserver>>,
+    /// Read on every emission; with nothing attached that is one load.
+    observer: Armed<dyn Fn(&SyncEvent) + Send + Sync>,
 }
 
 impl std::fmt::Debug for SyncBus {
@@ -168,7 +170,7 @@ impl SyncBus {
         SyncBus {
             clock,
             next_object: AtomicU64::new(0),
-            observer: Mutex::new(None),
+            observer: Armed::new(),
         }
     }
 
@@ -179,7 +181,7 @@ impl SyncBus {
 
     /// Installs (or clears) the event observer.
     pub fn set_observer(&self, observer: Option<SyncObserver>) {
-        *self.observer.lock().unwrap() = observer;
+        self.observer.set(observer);
     }
 
     /// Publishes an event (stamped with the current virtual time) to the
@@ -193,8 +195,7 @@ impl SyncBus {
         aux: u64,
         label: &str,
     ) {
-        let observer = self.observer.lock().unwrap().clone();
-        if let Some(obs) = observer {
+        if let Some(obs) = self.observer.get() {
             obs(&SyncEvent {
                 thread,
                 op,
@@ -317,6 +318,25 @@ mod tests {
         assert_eq!(seen[0].target, Some(1));
         assert_eq!(seen[0].aux, 9);
         assert_eq!(seen[0].time, Nanos::from_nanos(42));
+    }
+
+    #[test]
+    fn a_cleared_observer_hears_nothing_until_one_is_attached_again() {
+        let bus = SyncBus::new(Clock::new());
+        let seen: Arc<Mutex<Vec<u64>>> = Arc::default();
+        let observer = |seen: &Arc<Mutex<Vec<u64>>>, id: u64| -> SyncObserver {
+            let sink = Arc::clone(seen);
+            Arc::new(move |ev: &SyncEvent| sink.lock().unwrap().push(id * 100 + ev.thread))
+        };
+        bus.set_observer(Some(observer(&seen, 1)));
+        bus.emit(1, SyncOp::LockAcquire, Some(1), None, 0, "");
+        bus.set_observer(None);
+        bus.emit(2, SyncOp::LockAcquire, Some(1), None, 0, "");
+        bus.set_observer(None);
+        bus.emit(3, SyncOp::LockAcquire, Some(1), None, 0, "");
+        bus.set_observer(Some(observer(&seen, 2)));
+        bus.emit(4, SyncOp::LockRelease, Some(1), None, 0, "");
+        assert_eq!(*seen.lock().unwrap(), [101, 204]);
     }
 
     #[test]

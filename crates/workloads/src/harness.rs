@@ -176,4 +176,30 @@ mod tests {
         assert_eq!(stats.throughput(), 0.0);
         assert_eq!(stats.per_op(), Nanos::ZERO);
     }
+
+    /// The logger's machine hook holds its recorder, and the recorder
+    /// holds the machine only weakly: once a logged harness and its
+    /// logger are dropped, nothing keeps the machine alive.
+    #[test]
+    fn dropping_a_logged_harness_frees_its_machine() {
+        use sgx_perf::{AexMode, Logger, LoggerConfig};
+        let traced = LoggerConfig {
+            aex: AexMode::Trace,
+            track_syncev: true,
+        };
+        for config in [LoggerConfig::default(), traced] {
+            let harness = Harness::new(HwProfile::Unpatched);
+            let logger = Logger::attach(harness.runtime(), config.clone());
+            crate::antipatterns::snc(&harness, 20).unwrap();
+            let (ecalls, ocalls) = logger.counts();
+            assert!(ecalls > 0 && ocalls > 0, "{config:?}");
+            let machine = Arc::downgrade(harness.machine());
+            drop(harness);
+            drop(logger);
+            assert!(
+                machine.upgrade().is_none(),
+                "{config:?}: the machine outlived its harness and logger"
+            );
+        }
+    }
 }
