@@ -50,14 +50,20 @@ struct FleetInner {
     next_stamp: u64,
 }
 
+/// What the driver hook needs to charge a paging event to its slot.
+struct PagingLedger {
+    /// Live enclave id -> slot, kept current across spin-ups and rebuilds.
+    eid_to_slot: IntMap<u32, usize>,
+    /// Per-slot (page-ins, page-outs).
+    counts: Vec<(u64, u64)>,
+}
+
 /// State shared with the machine's driver hook and the supervisors'
 /// restart gate (both fire while the manager itself is not on the stack).
 struct FleetShared {
     clock: Clock,
-    /// Live enclave id -> slot, kept current across spin-ups and rebuilds.
-    eid_to_slot: Mutex<IntMap<u32, usize>>,
-    /// Per-slot (page-ins, page-outs) charged by the driver hook.
-    paging: Mutex<Vec<(u64, u64)>>,
+    /// Behind one lock, so a paging event takes one.
+    paging: Mutex<PagingLedger>,
     /// Virtual time of the most recent rebuild (for spacing enforcement).
     last_rebuild: Mutex<Option<Nanos>>,
     /// Rebuild timestamps within the storm window, oldest first.
@@ -153,8 +159,10 @@ impl FleetManager {
         let clock = runtime.machine().clock().clone();
         let shared = Arc::new(FleetShared {
             clock,
-            eid_to_slot: Mutex::new(IntMap::default()),
-            paging: Mutex::new(vec![(0, 0); slots]),
+            paging: Mutex::new(PagingLedger {
+                eid_to_slot: IntMap::default(),
+                counts: vec![(0, 0); slots],
+            }),
             last_rebuild: Mutex::new(None),
             restart_log: Mutex::new(VecDeque::new()),
             breaker_until: Mutex::new(None),
@@ -170,12 +178,11 @@ impl FleetManager {
                 direction, enclave, ..
             } = ev
             {
-                let slot = hook_shared.eid_to_slot.lock().get(&enclave.0).copied();
-                if let Some(slot) = slot {
-                    let mut paging = hook_shared.paging.lock();
+                let mut paging = hook_shared.paging.lock();
+                if let Some(&slot) = paging.eid_to_slot.get(&enclave.0) {
                     match direction {
-                        PagingDirection::In => paging[slot].0 += 1,
-                        PagingDirection::Out => paging[slot].1 += 1,
+                        PagingDirection::In => paging.counts[slot].0 += 1,
+                        PagingDirection::Out => paging.counts[slot].1 += 1,
                     }
                 }
             }
@@ -240,7 +247,6 @@ impl FleetManager {
         data: &mut CallData,
         arrival: Nanos,
     ) -> SdkResult<Outcome> {
-        self.inner.lock().stats[slot].requests += 1;
         let Some((sup, table)) = self.ensure_live(slot)? else {
             self.inner.lock().stats[slot].shed += 1;
             return Ok(Outcome::Shed);
@@ -252,7 +258,7 @@ impl FleetManager {
                 if eid_after != eid_before {
                     // The supervisor rebuilt mid-call: re-point the paging
                     // attribution at the fresh enclave id.
-                    let mut map = self.shared.eid_to_slot.lock();
+                    let map = &mut self.shared.paging.lock().eid_to_slot;
                     map.remove(&eid_before);
                     map.insert(eid_after, slot);
                 }
@@ -272,12 +278,14 @@ impl FleetManager {
         }
     }
 
-    /// Returns the slot's supervisor and ocall table, spinning it up if
-    /// cold. `None` means the breaker shed the spin-up.
+    /// Counts a request to `slot` and returns the slot's supervisor and
+    /// ocall table, spinning it up if cold. A live slot costs one lock.
+    /// `None` means the breaker shed the spin-up.
     #[allow(clippy::type_complexity)]
     fn ensure_live(&self, slot: usize) -> SdkResult<Option<(Arc<Supervisor>, Arc<OcallTable>)>> {
         {
             let mut inner = self.inner.lock();
+            inner.stats[slot].requests += 1;
             if inner.slots[slot].sup.is_some() {
                 Self::touch_lru(&mut inner, slot);
                 let st = &inner.slots[slot];
@@ -312,8 +320,9 @@ impl FleetManager {
         sup.set_restart_gate(Some(Arc::clone(&self.gate)));
         let table = Arc::new(OcallTableBuilder::new(sup.enclave().spec()).build()?);
         self.shared
-            .eid_to_slot
+            .paging
             .lock()
+            .eid_to_slot
             .insert(sup.enclave_id().0, slot);
         let mut inner = self.inner.lock();
         inner.stats[slot].spin_ups += 1;
@@ -353,7 +362,7 @@ impl FleetManager {
         };
         if let Some(sup) = sup {
             let eid = sup.enclave_id();
-            self.shared.eid_to_slot.lock().remove(&eid.0);
+            self.shared.paging.lock().eid_to_slot.remove(&eid.0);
             // A lost enclave is still registered; destroying it frees the
             // id either way. Unknown ids (already destroyed) are fine too.
             let _ = self.runtime.destroy_enclave(eid);
@@ -373,6 +382,7 @@ impl FleetManager {
     pub fn snapshot(&self) -> Vec<SlotStats> {
         let inner = self.inner.lock();
         let paging = self.shared.paging.lock();
+        let paging = &paging.counts;
         inner
             .stats
             .iter()

@@ -3,12 +3,12 @@
 use std::collections::hash_map::Entry;
 use std::fmt;
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use sgx_edl::InterfaceSpec;
 use sgx_sim::{AccessKind, DriverEvent, EnclaveId, Machine, ThreadToken, TouchStats};
 use sim_core::fault::{FaultAction, FaultEvent, FaultKind, OcallFault};
-use sim_core::sync::{Mutex, RwLock};
+use sim_core::sync::Mutex;
 use sim_core::{IntMap, Nanos};
 
 use crate::args::CallData;
@@ -73,7 +73,7 @@ struct BoundThread {
 }
 
 /// What every ecall and ocall into one enclave reads and writes, behind
-/// one lock.
+/// one lock that each step of a transition takes once.
 #[derive(Debug)]
 struct CallState {
     free_tcs: Vec<usize>,
@@ -84,8 +84,33 @@ struct CallState {
     table: Option<Arc<OcallTable>>,
 }
 
+impl CallState {
+    /// Pushes `frame` on the thread's call stack, binding a free TCS on
+    /// its outermost entry. Returns the TCS index.
+    fn push(&mut self, eid: EnclaveId, token: ThreadToken, frame: Frame) -> SdkResult<usize> {
+        let thread = match self.bound.entry(token) {
+            Entry::Occupied(thread) => thread.into_mut(),
+            Entry::Vacant(slot) => slot.insert(BoundThread {
+                tcs_index: self.free_tcs.pop().ok_or(SdkError::OutOfTcs(eid))?,
+                frames: Vec::new(),
+            }),
+        };
+        thread.frames.push(frame);
+        Ok(thread.tcs_index)
+    }
+
+    fn saved_table(&self, eid: EnclaveId) -> SdkResult<Arc<OcallTable>> {
+        self.table
+            .clone()
+            .ok_or_else(|| SdkError::OcallOutsideEcall(format!("no ocall table saved for {eid}")))
+    }
+}
+
 /// A loaded enclave: interface, registered trusted functions, TCS pool,
 /// per-thread call stacks and the saved ocall table.
+///
+/// Each trusted function and the switchless subsystem are set once and
+/// then read without a lock.
 ///
 /// Created through [`Runtime::create_enclave`](crate::Runtime::create_enclave).
 pub struct Enclave {
@@ -94,9 +119,10 @@ pub struct Enclave {
     /// interface.
     spec: Arc<InterfaceSpec>,
     machine: Arc<Machine>,
-    ecalls: RwLock<Vec<Option<EcallFn>>>,
+    /// One slot per declared ecall, in index order.
+    ecalls: Box<[OnceLock<EcallFn>]>,
     calls: Mutex<CallState>,
-    switchless: RwLock<Option<Arc<Switchless>>>,
+    switchless: OnceLock<Arc<Switchless>>,
 }
 
 impl Enclave {
@@ -123,30 +149,35 @@ impl Enclave {
         machine: Arc<Machine>,
         tcs_count: usize,
     ) -> Enclave {
-        let ecall_count = spec.ecalls().len();
+        let ecalls = spec.ecalls().iter().map(|_| OnceLock::new()).collect();
         Enclave {
             id,
             spec,
             machine,
-            ecalls: RwLock::new(vec![None; ecall_count]),
+            ecalls,
             calls: Mutex::new(CallState {
                 free_tcs: (0..tcs_count).rev().collect(),
                 bound: IntMap::default(),
                 table: None,
             }),
-            switchless: RwLock::new(None),
+            switchless: OnceLock::new(),
         }
     }
 
     /// The enclave's switchless subsystem, if
     /// [`Runtime::enable_switchless`](crate::Runtime::enable_switchless)
     /// set one up.
-    pub fn switchless(&self) -> Option<Arc<Switchless>> {
-        self.switchless.read().clone()
+    pub fn switchless(&self) -> Option<&Arc<Switchless>> {
+        self.switchless.get()
     }
 
-    pub(crate) fn set_switchless(&self, sw: Arc<Switchless>) {
-        *self.switchless.write() = Some(sw);
+    /// Installs the switchless subsystem, once.
+    ///
+    /// # Errors
+    ///
+    /// [`SdkError::SwitchlessAlreadyEnabled`] if one is installed.
+    pub(crate) fn set_switchless(&self, sw: Arc<Switchless>) -> SdkResult<()> {
+        (self.switchless.set(sw)).map_err(|_| SdkError::SwitchlessAlreadyEnabled(self.id))
     }
 
     /// The enclave id.
@@ -160,11 +191,13 @@ impl Enclave {
         &self.spec
     }
 
-    /// Registers the trusted implementation of a declared ecall.
+    /// Registers the trusted implementation of a declared ecall. Each
+    /// ecall takes one implementation for the enclave's lifetime.
     ///
     /// # Errors
     ///
-    /// [`SdkError::BadEcall`] if the interface declares no such ecall.
+    /// [`SdkError::BadEcall`] if the interface declares no such ecall;
+    /// [`SdkError::EcallAlreadyRegistered`] if it has an implementation.
     pub fn register_ecall(
         &self,
         name: &str,
@@ -175,11 +208,12 @@ impl Enclave {
             .ecall_by_name(name)
             .ok_or_else(|| SdkError::BadEcall(name.to_string()))?
             .index;
-        self.ecalls.write()[index] = Some(Arc::new(f));
-        Ok(())
+        self.ecalls[index]
+            .set(Arc::new(f))
+            .map_err(|_| SdkError::EcallAlreadyRegistered(name.to_string()))
     }
 
-    pub(crate) fn ecall_impl(&self, index: usize) -> SdkResult<EcallFn> {
+    pub(crate) fn ecall_impl(&self, index: usize) -> SdkResult<&EcallFn> {
         let name = || {
             self.spec
                 .ecalls()
@@ -188,10 +222,9 @@ impl Enclave {
                 .unwrap_or_else(|| format!("#{index}"))
         };
         self.ecalls
-            .read()
             .get(index)
             .ok_or_else(|| SdkError::BadEcall(name()))?
-            .clone()
+            .get()
             .ok_or_else(|| SdkError::UnregisteredEcall(name()))
     }
 
@@ -203,9 +236,7 @@ impl Enclave {
     /// [`SdkError::OcallOutsideEcall`] before the first ecall, or once the
     /// enclave is destroyed.
     pub fn saved_table(&self) -> SdkResult<Arc<OcallTable>> {
-        self.calls.lock().table.clone().ok_or_else(|| {
-            SdkError::OcallOutsideEcall(format!("no ocall table saved for {}", self.id))
-        })
+        self.calls.lock().saved_table(self.id)
     }
 
     /// Saves the table an ecall passed "for later use"; every ecall
@@ -215,10 +246,13 @@ impl Enclave {
         self.calls.lock().table = table.cloned();
     }
 
-    /// The innermost frame of the calling thread's call stack.
-    pub(crate) fn last_frame(&self, token: ThreadToken) -> Option<Frame> {
-        self.calls
-            .lock()
+    /// An ecall's first look at the enclave, under one lock: saves the
+    /// table it passed (as [`Enclave::save_table`]) and returns the
+    /// innermost frame of the calling thread's call stack.
+    pub(crate) fn begin_ecall(&self, table: &Arc<OcallTable>, token: ThreadToken) -> Option<Frame> {
+        let mut calls = self.calls.lock();
+        calls.table = Some(Arc::clone(table));
+        calls
             .bound
             .get(&token)
             .and_then(|b| b.frames.last().copied())
@@ -232,19 +266,26 @@ impl Enclave {
     ///
     /// [`SdkError::OutOfTcs`] when every TCS is bound to another thread.
     pub(crate) fn enter(&self, token: ThreadToken, frame: Frame) -> SdkResult<usize> {
+        self.calls.lock().push(self.id, token, frame)
+    }
+
+    /// Starts synchronous ocall `index` under one lock: reads the saved
+    /// table, checks it has the entry and pushes the ocall's frame.
+    /// Returns the table, which holds the entry.
+    ///
+    /// # Errors
+    ///
+    /// [`SdkError::OcallOutsideEcall`] with no saved table,
+    /// [`SdkError::BadOcall`] when the table has no entry `index`, then
+    /// [`SdkError::OutOfTcs`] as [`Enclave::enter`].
+    fn enter_ocall(&self, token: ThreadToken, index: usize) -> SdkResult<Arc<OcallTable>> {
         let mut calls = self.calls.lock();
-        let CallState {
-            free_tcs, bound, ..
-        } = &mut *calls;
-        let thread = match bound.entry(token) {
-            Entry::Occupied(thread) => thread.into_mut(),
-            Entry::Vacant(slot) => slot.insert(BoundThread {
-                tcs_index: free_tcs.pop().ok_or(SdkError::OutOfTcs(self.id))?,
-                frames: Vec::new(),
-            }),
-        };
-        thread.frames.push(frame);
-        Ok(thread.tcs_index)
+        let table = calls.saved_table(self.id)?;
+        if table.entry(index).is_none() {
+            return Err(SdkError::BadOcall(format!("#{index}")));
+        }
+        calls.push(self.id, token, Frame::Ocall(index))?;
+        Ok(table)
     }
 
     /// Pops the thread's innermost frame; leaving the outermost one frees
@@ -421,11 +462,9 @@ impl<'a> EcallCtx<'a> {
     fn ocall_index_sync(&mut self, index: usize, data: &mut CallData) -> SdkResult<()> {
         let machine = self.urts.machine();
         let cm = machine.cost_model();
-        let table = self.enclave.saved_table()?;
-        let entry = table
-            .entry(index)
-            .ok_or_else(|| SdkError::BadOcall(format!("#{index}")))?;
-        self.enclave.enter(self.thread.token, Frame::Ocall(index))?;
+        let table = self.enclave.enter_ocall(self.thread.token, index)?;
+        // `enter_ocall` checked the index.
+        let entry = &table.entries()[index];
         // EEXIT + dispatch + marshalling of [in] buffers out of the enclave.
         machine
             .clock()

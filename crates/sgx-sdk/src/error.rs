@@ -21,6 +21,12 @@ pub enum SdkError {
     UnregisteredEcall(String),
     /// An untrusted function was never registered for a declared ocall.
     UnregisteredOcall(String),
+    /// A trusted function was registered a second time for the same
+    /// ecall; the first registration stays.
+    EcallAlreadyRegistered(String),
+    /// The switchless subsystem was enabled a second time on the same
+    /// enclave; the first one stays.
+    SwitchlessAlreadyEnabled(EnclaveId),
     /// A private ecall was called while no ocall was in progress
     /// (`SGX_ERROR_ECALL_NOT_ALLOWED`).
     PrivateEcall(String),
@@ -77,6 +83,12 @@ impl fmt::Display for SdkError {
             }
             SdkError::UnregisteredOcall(name) => {
                 write!(f, "ocall `{name}` declared but not registered")
+            }
+            SdkError::EcallAlreadyRegistered(name) => {
+                write!(f, "ecall `{name}` already has a trusted function")
+            }
+            SdkError::SwitchlessAlreadyEnabled(eid) => {
+                write!(f, "switchless calls are already enabled on {eid}")
             }
             SdkError::PrivateEcall(name) => write!(
                 f,

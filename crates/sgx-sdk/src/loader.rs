@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use sgx_sim::EnclaveId;
-use sim_core::sync::RwLock;
+use sim_core::sync::{AppendList, Mutex};
 
 use crate::args::CallData;
 use crate::error::SdkResult;
@@ -36,7 +36,11 @@ pub trait EcallDispatcher: Send + Sync {
 
 /// The process's symbol-resolution state for the SDK entry points.
 pub struct Loader {
-    top: RwLock<Arc<dyn EcallDispatcher>>,
+    /// The URTS, then each preloaded library in load order; the last one
+    /// is the top. Read without a lock.
+    chain: AppendList<Arc<dyn EcallDispatcher>>,
+    /// Serialises preloads, so each wraps the one before it.
+    preloading: Mutex<()>,
 }
 
 impl std::fmt::Debug for Loader {
@@ -47,18 +51,24 @@ impl std::fmt::Debug for Loader {
 
 impl Loader {
     pub(crate) fn new(urts: Arc<Urts>) -> Loader {
+        let chain = AppendList::new();
+        chain.push(urts as Arc<dyn EcallDispatcher>);
         Loader {
-            top: RwLock::new(urts),
+            chain,
+            preloading: Mutex::new(()),
         }
+    }
+
+    fn top(&self) -> &Arc<dyn EcallDispatcher> {
+        self.chain.last().expect("the chain starts with the URTS")
     }
 
     /// Preloads an interposition library: `wrap` receives the current top
     /// of the chain (what `dlsym(RTLD_NEXT, "sgx_ecall")` would return) and
     /// produces the new top.
     pub fn preload(&self, wrap: impl FnOnce(Arc<dyn EcallDispatcher>) -> Arc<dyn EcallDispatcher>) {
-        let mut top = self.top.write();
-        let next = Arc::clone(&*top);
-        *top = wrap(next);
+        let _preloading = self.preloading.lock();
+        self.chain.push(wrap(Arc::clone(self.top())));
     }
 
     /// The application-facing `sgx_ecall` symbol: resolves to the top of
@@ -76,7 +86,6 @@ impl Loader {
         table: &Arc<OcallTable>,
         data: &mut CallData,
     ) -> SdkResult<()> {
-        let top = Arc::clone(&*self.top.read());
-        top.sgx_ecall(tcx, eid, index, table, data)
+        self.top().sgx_ecall(tcx, eid, index, table, data)
     }
 }

@@ -139,21 +139,27 @@ impl Runtime {
 
     /// Sets up the switchless subsystem for a loaded enclave: resolves the
     /// config's force lists against its interface and installs the ring.
+    /// An enclave takes one switchless subsystem for its lifetime.
     /// Callers still need [`Switchless::spawn_workers`] on the workload's
     /// simulation (and [`Switchless::shutdown`] before it ends).
     ///
     /// # Errors
     ///
-    /// [`SdkError::UnknownEnclave`] plus the validation errors of the
-    /// force lists (unknown or private call names).
+    /// [`SdkError::UnknownEnclave`], [`SdkError::SwitchlessAlreadyEnabled`]
+    /// on an enclave that has one, plus the validation errors of the force
+    /// lists (unknown or private call names).
     pub fn enable_switchless(
         &self,
         eid: EnclaveId,
         config: SwitchlessConfig,
     ) -> SdkResult<Arc<Switchless>> {
         let enclave = self.urts.enclave(eid)?;
+        // Checked first, so a refused call allocates no sync-bus objects.
+        if enclave.switchless().is_some() {
+            return Err(SdkError::SwitchlessAlreadyEnabled(eid));
+        }
         let sw = Arc::new(Switchless::new(&enclave, &self.urts, config)?);
-        enclave.set_switchless(Arc::clone(&sw));
+        enclave.set_switchless(Arc::clone(&sw))?;
         Ok(sw)
     }
 
@@ -220,8 +226,12 @@ impl Runtime {
         // Switchless-eligible ecalls try the ring first. A `Some` result
         // means a trusted worker served the call: `sgx_ecall` (and any
         // library interposing on it) was bypassed — no transition happened.
-        // The table must still be saved so the trusted body can ocall.
-        if let Some(sw) = enclave.switchless() {
+        // The table must still be saved so the trusted body can ocall;
+        // other ecalls save it in `sgx_ecall`.
+        if let Some(sw) = enclave
+            .switchless()
+            .filter(|sw| sw.is_ecall_switchless(index))
+        {
             enclave.save_table(Some(table));
             if let Some(result) = sw.try_ecall(tcx, index, data) {
                 return result;

@@ -23,6 +23,7 @@
 //! [`DriverEvent::Lifecycle`] ([`sgx_sim::Machine::emit`]), so the logger
 //! can reconstruct restart counts and the virtual-time MTTR ledger.
 
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use sgx_sim::{DriverEvent, EnclaveId};
@@ -106,6 +107,11 @@ pub struct Supervisor {
     recipe: EnclaveRecipe,
     config: SupervisorConfig,
     state: Mutex<SupState>,
+    /// The id of `state.enclave`, read without the lock: stored
+    /// (`Release`) after the rebuilt enclave is registered with the
+    /// runtime and loaded (`Acquire`), so a reader that sees an id finds
+    /// its enclave registered.
+    live_id: AtomicU32,
     warmups: Mutex<Vec<(String, WarmupFn)>>,
     restart_gate: Mutex<Option<RestartGate>>,
 }
@@ -138,6 +144,7 @@ impl Supervisor {
             runtime: Arc::clone(runtime),
             recipe,
             config,
+            live_id: AtomicU32::new(enclave.id().0),
             state: Mutex::new(SupState {
                 enclave,
                 switchless: None,
@@ -158,7 +165,7 @@ impl Supervisor {
 
     /// The currently live enclave id (changes after every rebuild).
     pub fn enclave_id(&self) -> EnclaveId {
-        self.state.lock().enclave.id()
+        EnclaveId(self.live_id.load(Ordering::Acquire))
     }
 
     /// The currently live enclave.
@@ -184,15 +191,18 @@ impl Supervisor {
         self.warmups.lock().push((name.to_string(), Arc::new(f)));
     }
 
-    /// Enables the switchless subsystem on the live enclave. The caller
-    /// still spawns workers ([`Switchless::spawn_workers`]). After a loss
-    /// the supervisor shuts the rings down and recovered calls fall back
-    /// to the synchronous path — worker threads cannot be respawned from
-    /// inside a running simulation.
+    /// Enables the switchless subsystem on the live enclave, once per
+    /// enclave. The caller still spawns workers
+    /// ([`Switchless::spawn_workers`]). After a loss the supervisor shuts
+    /// the rings down and recovered calls fall back to the synchronous
+    /// path — worker threads cannot be respawned from inside a running
+    /// simulation.
     ///
     /// # Errors
     ///
-    /// Validation errors of the switchless config.
+    /// [`SdkError::SwitchlessAlreadyEnabled`] when the live enclave has a
+    /// switchless subsystem, and validation errors of the switchless
+    /// config.
     pub fn enable_switchless(&self, config: SwitchlessConfig) -> SdkResult<Arc<Switchless>> {
         let eid = self.enclave_id();
         let sw = self.runtime.enable_switchless(eid, config)?;
@@ -325,6 +335,7 @@ impl Supervisor {
             let enclave = (self.recipe)(&self.runtime)?;
             let new_eid = enclave.id();
             self.state.lock().enclave = enclave;
+            self.live_id.store(new_eid.0, Ordering::Release);
             machine.emit(&event(
                 LifecycleStage::Rebuild,
                 new_eid.0,
@@ -543,6 +554,69 @@ mod tests {
         machine.set_fault_plan(Some(&plan));
         sup.ecall(&tcx, "ecall_work", &table, &mut data).unwrap();
         assert_eq!(gate_hits.lock().len(), 2);
+    }
+
+    #[test]
+    fn switchless_is_enabled_once_per_live_enclave() {
+        let counter = Arc::new(AtomicU64::new(0));
+        let (_rt, sup, table) = supervisor_fixture(Arc::clone(&counter));
+        sup.enable_switchless(SwitchlessConfig::default()).unwrap();
+        let first = sup.enclave_id();
+        assert_eq!(
+            sup.enable_switchless(SwitchlessConfig::default()).map(drop),
+            Err(SdkError::SwitchlessAlreadyEnabled(first))
+        );
+        // A rebuilt enclave starts without one.
+        let plan: FaultPlan = "enclave_lost@call=1;seed=5".parse().unwrap();
+        sup.runtime().machine().set_fault_plan(Some(&plan));
+        let tcx = ThreadCtx::main();
+        sup.ecall(&tcx, "ecall_work", &table, &mut CallData::default())
+            .unwrap();
+        assert_ne!(sup.enclave_id(), first);
+        sup.enable_switchless(SwitchlessConfig::default()).unwrap();
+    }
+
+    #[test]
+    fn enclave_id_tracks_every_rebuild_under_a_chaos_plan() {
+        let counter = Arc::new(AtomicU64::new(0));
+        let (_rt, sup, table) = supervisor_fixture(Arc::clone(&counter));
+        sup.register_warmup("init-session", |tcx, rt, eid, table| {
+            rt.ecall(tcx, eid, "ecall_init", table, &mut CallData::default())
+        });
+        // At every lifecycle stage after the loss, the mirrored id is the
+        // live enclave's, and a rebuild reports it.
+        let checks = Arc::new(sim_core::sync::Mutex::new(Vec::new()));
+        let sink = Arc::clone(&checks);
+        let weak = Arc::downgrade(&sup);
+        sup.runtime().machine().add_driver_hook(Arc::new(move |ev| {
+            if let (DriverEvent::Lifecycle(ev), Some(sup)) = (ev, weak.upgrade()) {
+                let live = sup.enclave().id();
+                let rebuilt = ev.stage != LifecycleStage::Rebuild || ev.enclave == live.0;
+                sink.lock()
+                    .push((ev.stage, sup.enclave_id() == live && rebuilt));
+            }
+        }));
+        let plan: FaultPlan = "enclave_lost@call=2;epc_poison@call=5;enclave_lost@call=11;seed=3"
+            .parse()
+            .unwrap();
+        sup.runtime().machine().set_fault_plan(Some(&plan));
+        let tcx = ThreadCtx::main();
+        for _ in 0..10 {
+            sup.ecall(&tcx, "ecall_work", &table, &mut CallData::default())
+                .unwrap();
+            assert_eq!(sup.enclave_id(), sup.enclave().id());
+        }
+        assert_eq!(sup.restarts(), 3);
+        let checks = checks.lock();
+        let rebuilds = checks
+            .iter()
+            .filter(|(stage, _)| *stage == LifecycleStage::Rebuild)
+            .count();
+        assert_eq!(rebuilds, 3);
+        assert!(
+            checks.iter().all(|&(_, held)| held),
+            "lifecycle checks: {checks:?}"
+        );
     }
 
     #[test]

@@ -460,23 +460,20 @@ impl Switchless {
             .clock()
             .advance(cm.switchless_post + cm.copy_cost(data.in_bytes));
 
-        // Spin on the response slot, one bounded poll iteration at a time.
+        // Spin on the response slot, one bounded poll iteration (and one
+        // ring lock) at a time.
         let budget_iters = (SPIN_BUDGET.get() / cm.switchless_poll_iteration.get().max(1)).max(1);
         let mut spins: u64 = 0;
         loop {
-            let state = self.state.lock().slots[slot_id].state;
-            match state {
+            let mut st = self.state.lock();
+            match st.slots[slot_id].state {
                 SlotState::Done => {
-                    let (out, result) = {
-                        let mut st = self.state.lock();
-                        let slot = &mut st.slots[slot_id];
-                        let out = std::mem::take(&mut slot.data);
-                        let result = slot.result.take().unwrap_or(Ok(()));
-                        slot.state = SlotState::Free;
-                        st.free.push(slot_id);
-                        (out, result)
-                    };
-                    *data = out;
+                    let slot = &mut st.slots[slot_id];
+                    *data = std::mem::take(&mut slot.data);
+                    let result = slot.result.take().unwrap_or(Ok(()));
+                    slot.state = SlotState::Free;
+                    st.free.push(slot_id);
+                    drop(st);
                     // Reading the response + marshalling [out] buffers back.
                     machine
                         .clock()
@@ -498,28 +495,16 @@ impl Switchless {
                 SlotState::Queued if spins >= budget_iters => {
                     // Budget exhausted and no worker picked it up yet:
                     // withdraw the request and take the synchronous path.
-                    let withdrawn = {
-                        let mut st = self.state.lock();
-                        let slot = &mut st.slots[slot_id];
-                        if slot.state == SlotState::Queued {
-                            slot.state = SlotState::Free;
-                            st.queue(kind).retain(|&s| s != slot_id);
-                            st.free.push(slot_id);
-                            true
-                        } else {
-                            false
-                        }
-                    };
-                    if withdrawn {
-                        self.emit_fallback(kind, index, tcx.token, spins);
-                        return None;
-                    }
-                    // A worker claimed it between the check and the lock:
-                    // fall through and keep waiting for completion.
+                    st.slots[slot_id].state = SlotState::Free;
+                    st.queue(kind).retain(|&s| s != slot_id);
+                    st.free.push(slot_id);
+                    drop(st);
+                    self.emit_fallback(kind, index, tcx.token, spins);
+                    return None;
                 }
                 // Queued (budget left) or Claimed (a worker is executing —
                 // the call cannot be withdrawn any more): poll again.
-                _ => {}
+                _ => drop(st),
             }
             machine.clock().advance(cm.switchless_spin_cost(1));
             spins += 1;

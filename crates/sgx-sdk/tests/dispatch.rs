@@ -5,9 +5,10 @@ use std::sync::Arc;
 
 use sgx_sdk::{
     CallData, EcallDispatcher, OcallTable, OcallTableBuilder, Runtime, SdkError, SgxThreadMutex,
-    ThreadCtx,
+    SwitchlessConfig, ThreadCtx,
 };
-use sgx_sim::{EnclaveConfig, EnclaveId, Machine};
+use sgx_sim::{DriverEvent, EnclaveConfig, EnclaveId, Machine};
+use sim_core::fault::FaultPlan;
 use sim_core::sync::Mutex;
 use sim_core::{Clock, HwProfile, Nanos};
 use sim_threads::Simulation;
@@ -506,4 +507,208 @@ fn multiple_preloads_stack_in_lifo_order() {
     )
     .unwrap();
     assert_eq!(log.lock().as_slice(), &["second", "first"]);
+}
+
+#[test]
+fn an_ecall_keeps_its_first_trusted_function() {
+    let rt = runtime();
+    let spec = sgx_edl::parse("enclave { trusted { public void e(); }; };").unwrap();
+    let enclave = rt.create_enclave(&spec, &EnclaveConfig::default()).unwrap();
+    enclave
+        .register_ecall("e", |_, data| {
+            data.ret = 1;
+            Ok(())
+        })
+        .unwrap();
+    let again = enclave.register_ecall("e", |_, data| {
+        data.ret = 2;
+        Ok(())
+    });
+    assert_eq!(
+        again,
+        Err(SdkError::EcallAlreadyRegistered("e".to_string()))
+    );
+    assert!(matches!(
+        enclave.register_ecall("nope", |_, _| Ok(())),
+        Err(SdkError::BadEcall(_))
+    ));
+    let table = Arc::new(OcallTableBuilder::new(enclave.spec()).build().unwrap());
+    let mut data = CallData::default();
+    rt.ecall(&ThreadCtx::main(), enclave.id(), "e", &table, &mut data)
+        .unwrap();
+    assert_eq!(data.ret, 1, "the first registration stays");
+}
+
+#[test]
+fn switchless_is_enabled_once_per_enclave() {
+    let rt = runtime();
+    let spec = sgx_edl::parse("enclave { trusted { public void e(); }; };").unwrap();
+    let enclave = rt.create_enclave(&spec, &EnclaveConfig::default()).unwrap();
+    let first = rt
+        .enable_switchless(enclave.id(), SwitchlessConfig::default())
+        .unwrap();
+    let again = rt.enable_switchless(enclave.id(), SwitchlessConfig::default());
+    assert_eq!(
+        again.map(|_| ()),
+        Err(SdkError::SwitchlessAlreadyEnabled(enclave.id()))
+    );
+    let installed = enclave.switchless().expect("the first one stays");
+    assert!(Arc::ptr_eq(installed, &first));
+    // Another enclave of the same runtime takes its own.
+    let other = rt.create_enclave(&spec, &EnclaveConfig::default()).unwrap();
+    rt.enable_switchless(other.id(), SwitchlessConfig::default())
+        .unwrap();
+}
+
+/// The EENTER gate rejects a lost enclave before any transition cost is
+/// charged, and the interface rules are checked before the gate.
+#[test]
+fn the_eenter_gate_rejects_lost_and_poisoned_enclaves_after_the_interface_rules() {
+    let rt = runtime();
+    let spec = sgx_edl::parse(
+        "enclave { trusted { public void e(); public void unset(); void p(); }; \
+         untrusted { void o() allow(p); }; };",
+    )
+    .unwrap();
+    let tcx = ThreadCtx::main();
+    let call = |eid: EnclaveId, name: &str, table: &Arc<OcallTable>| {
+        rt.ecall(&tcx, eid, name, table, &mut CallData::default())
+    };
+    let build = || {
+        let enclave = rt.create_enclave(&spec, &EnclaveConfig::default()).unwrap();
+        enclave.register_ecall("e", |_, _| Ok(())).unwrap();
+        enclave.register_ecall("p", |_, _| Ok(())).unwrap();
+        let mut tb = OcallTableBuilder::new(enclave.spec());
+        tb.register("o", |_, _| Ok(())).unwrap();
+        (enclave.id(), Arc::new(tb.build().unwrap()))
+    };
+    let machine = Arc::clone(rt.machine());
+
+    // A loss at the first entry fails that entry and every later one.
+    let (eid, table) = build();
+    machine.set_fault_plan(Some(&"enclave_lost@call=1".parse::<FaultPlan>().unwrap()));
+    let before = machine.clock().now();
+    assert_eq!(call(eid, "e", &table), Err(SdkError::EnclaveLost(eid)));
+    assert_eq!(machine.clock().now(), before, "no transition is charged");
+    assert_eq!(call(eid, "e", &table), Err(SdkError::EnclaveLost(eid)));
+    // Calls that break an interface rule too report the rule.
+    assert_eq!(
+        call(eid, "p", &table),
+        Err(SdkError::PrivateEcall("p".to_string()))
+    );
+    assert_eq!(
+        call(eid, "unset", &table),
+        Err(SdkError::UnregisteredEcall("unset".to_string()))
+    );
+    assert_eq!(
+        rt.ecall_index(&tcx, eid, 99, &table, &mut CallData::default()),
+        Err(SdkError::BadEcall("#99".to_string()))
+    );
+
+    // A poisoning entry succeeds; the next one finds the enclave lost.
+    let (eid, table) = build();
+    machine.set_fault_plan(Some(&"epc_poison@call=1".parse::<FaultPlan>().unwrap()));
+    call(eid, "e", &table).unwrap();
+    let before = machine.clock().now();
+    assert_eq!(call(eid, "e", &table), Err(SdkError::EnclaveLost(eid)));
+    assert_eq!(machine.clock().now(), before);
+    assert_eq!(
+        call(eid, "p", &table),
+        Err(SdkError::PrivateEcall("p".to_string()))
+    );
+}
+
+/// FNV-1a 64 of `text`.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+/// Every `DriverEvent` of ecalls whose TCS page, stack page or both are
+/// evicted, or whose pages have stripped MMU permissions (the
+/// working-set estimator's path). The digest is that of two separate
+/// page touches, which EENTER's one-lock path must reproduce.
+#[test]
+fn entry_page_faults_and_access_faults_keep_their_event_stream() {
+    let machine = Arc::new(Machine::with_params(
+        Clock::new(),
+        HwProfile::Unpatched,
+        sgx_sim::MachineParams {
+            epc_pages: 96,
+            eviction: sgx_sim::EvictionPolicy::Lru,
+            ..sgx_sim::MachineParams::default()
+        },
+    ));
+    let rt = Runtime::new(Arc::clone(&machine));
+    let spec = sgx_edl::parse("enclave { trusted { public void e(); }; };").unwrap();
+    let config = EnclaveConfig {
+        heap_kib: 64,
+        tcs_count: 2,
+        ..EnclaveConfig::default()
+    };
+    let enclave = rt.create_enclave(&spec, &config).unwrap();
+    enclave
+        .register_ecall("e", |ctx, _| ctx.compute(Nanos::from_micros(1)).map(drop))
+        .unwrap();
+    let table = Arc::new(OcallTableBuilder::new(enclave.spec()).build().unwrap());
+    let eid = enclave.id();
+    let layout = sgx_sim::EnclaveLayout::new(&config);
+    let total = layout.total_pages();
+    // The main thread binds TCS 0.
+    let (tcs, stack) = (
+        layout.thread_pages()[0].tcs,
+        layout.thread_pages()[0].stack.start,
+    );
+    let events = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::clone(&events);
+    machine.add_driver_hook(Arc::new(move |ev: &DriverEvent| sink.lock().push(*ev)));
+    let faults = Arc::new(Mutex::new(Vec::new()));
+    let seen = Arc::clone(&faults);
+    // What one ecall emits.
+    let ecall = || {
+        events.lock().clear();
+        rt.ecall(
+            &ThreadCtx::main(),
+            eid,
+            "e",
+            &table,
+            &mut CallData::default(),
+        )
+        .unwrap();
+        std::mem::take(&mut *events.lock())
+    };
+    let all_but = |skip: usize| {
+        machine.evict_all(eid).unwrap();
+        machine.prefetch(eid, 0..skip).unwrap();
+        machine.prefetch(eid, skip + 1..total).unwrap();
+    };
+
+    let mut stream = ecall();
+    all_but(tcs);
+    stream.extend(ecall());
+    all_but(stack);
+    stream.extend(ecall());
+    machine.evict_all(eid).unwrap();
+    stream.extend(ecall());
+    machine.set_mmu_fault_handler(Some(Arc::new(move |f| seen.lock().push(f.page_index))));
+    machine.strip_mmu_perms(eid).unwrap();
+    stream.extend(ecall());
+    machine.strip_mmu_perms(eid).unwrap();
+    machine.evict_all(eid).unwrap();
+    stream.extend(ecall());
+    stream.extend(ecall());
+
+    let rendered = format!("{stream:#?}");
+    let got = (
+        stream.len(),
+        fnv1a(&rendered),
+        machine.clock().now().as_nanos(),
+    );
+    assert_eq!(
+        got,
+        (18, 0x41a7_8e5a_1368_69a4, 4_157_335),
+        "event stream changed; events:\n{rendered}"
+    );
+    assert_eq!(faults.lock().as_slice(), &[tcs, stack, tcs, stack]);
 }

@@ -9,11 +9,38 @@
 //! Poisoning is deliberately ignored: a panicking simulator thread should
 //! not cascade into unrelated test failures, which matches `parking_lot`
 //! semantics (it has no poisoning at all).
+//!
+//! Debug builds count every lock, read and write acquisition per thread
+//! ([`acquisitions`]), so a test can pin how many locks a simulated call
+//! takes; release builds count nothing.
+//!
+//! Handles that are set once and then only read need no lock at all:
+//! [`AppendList`] is an append-only list read with one atomic load per
+//! element, and `std::sync::OnceLock` covers a single handle.
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{self, Arc};
+use std::sync::{self, Arc, OnceLock};
+
+#[cfg(debug_assertions)]
+thread_local! {
+    static ACQUISITIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Lock, read and write acquisitions the calling thread has made through
+/// this module so far (a successful `try_lock` counts; a `Condvar` wake
+/// does not). Only debug builds count.
+#[cfg(debug_assertions)]
+pub fn acquisitions() -> u64 {
+    ACQUISITIONS.with(std::cell::Cell::get)
+}
+
+#[inline]
+fn acquired() {
+    #[cfg(debug_assertions)]
+    ACQUISITIONS.with(|n| n.set(n.get() + 1));
+}
 
 pub struct Mutex<T: ?Sized>(sync::Mutex<T>);
 
@@ -33,15 +60,18 @@ impl<T> Mutex<T> {
 
 impl<T: ?Sized> Mutex<T> {
     pub fn lock(&self) -> MutexGuard<'_, T> {
+        acquired();
         MutexGuard(Some(self.0.lock().unwrap_or_else(|e| e.into_inner())))
     }
 
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.0.try_lock() {
-            Ok(g) => Some(MutexGuard(Some(g))),
-            Err(sync::TryLockError::Poisoned(e)) => Some(MutexGuard(Some(e.into_inner()))),
-            Err(sync::TryLockError::WouldBlock) => None,
-        }
+        let guard = match self.0.try_lock() {
+            Ok(g) => g,
+            Err(sync::TryLockError::Poisoned(e)) => e.into_inner(),
+            Err(sync::TryLockError::WouldBlock) => return None,
+        };
+        acquired();
+        Some(MutexGuard(Some(guard)))
     }
 
     pub fn get_mut(&mut self) -> &mut T {
@@ -112,10 +142,12 @@ impl<T> RwLock<T> {
 
 impl<T: ?Sized> RwLock<T> {
     pub fn read(&self) -> RwLockReadGuard<'_, T> {
+        acquired();
         RwLockReadGuard(self.0.read().unwrap_or_else(|e| e.into_inner()))
     }
 
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
+        acquired();
         RwLockWriteGuard(self.0.write().unwrap_or_else(|e| e.into_inner()))
     }
 }
@@ -233,6 +265,73 @@ impl<T: ?Sized> fmt::Debug for Armed<T> {
     }
 }
 
+/// An append-only list whose links are set once: a push lands in the
+/// first empty link, and readers walk the list with one `Acquire` load
+/// per element and no lock or reference count. Elements stay in push
+/// order and live as long as the list.
+pub struct AppendList<T> {
+    head: OnceLock<Box<Node<T>>>,
+}
+
+struct Node<T> {
+    value: T,
+    next: OnceLock<Box<Node<T>>>,
+}
+
+impl<T> AppendList<T> {
+    /// An empty list.
+    pub const fn new() -> Self {
+        AppendList {
+            head: OnceLock::new(),
+        }
+    }
+
+    /// Appends `value` after the last element. Concurrent pushes each
+    /// land in the first empty link they find.
+    pub fn push(&self, value: T) {
+        let mut node = Box::new(Node {
+            value,
+            next: OnceLock::new(),
+        });
+        let mut link = &self.head;
+        loop {
+            match link.set(node) {
+                Ok(()) => return,
+                Err(back) => {
+                    node = back;
+                    link = &link.get().expect("a link that refused a node is set").next;
+                }
+            }
+        }
+    }
+
+    /// The elements in push order.
+    pub fn iter(&self) -> impl Iterator<Item = &T> {
+        std::iter::successors(self.head.get(), |node| node.next.get()).map(|node| &node.value)
+    }
+
+    /// The most recently pushed element.
+    pub fn last(&self) -> Option<&T> {
+        self.iter().last()
+    }
+}
+
+impl<T> Default for AppendList<T> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<T> Drop for AppendList<T> {
+    /// Unlinks the nodes one by one, so a long list does not recurse.
+    fn drop(&mut self) {
+        let mut next = self.head.take();
+        while let Some(mut node) = next {
+            next = node.next.take();
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,6 +401,61 @@ mod tests {
         })
         .join();
         assert_eq!(*m.lock(), 1);
+    }
+
+    #[test]
+    fn append_list_keeps_push_order_across_threads() {
+        let list = Arc::new(AppendList::new());
+        assert_eq!(list.last(), None);
+        list.push(0u32);
+        let handles: Vec<_> = (1..=4)
+            .map(|t| {
+                let list = Arc::clone(&list);
+                thread::spawn(move || {
+                    for i in 0..100 {
+                        list.push(t * 1_000 + i);
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        let all: Vec<u32> = list.iter().copied().collect();
+        assert_eq!(all.len(), 401);
+        assert_eq!(all[0], 0);
+        // Each thread's pushes keep their own order.
+        for t in 1..=4 {
+            let mine: Vec<u32> = all.iter().copied().filter(|v| v / 1_000 == t).collect();
+            assert_eq!(mine, (0..100).map(|i| t * 1_000 + i).collect::<Vec<_>>());
+        }
+        list.push(7);
+        assert_eq!(list.last(), Some(&7));
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn acquisitions_count_locks_reads_and_writes_per_thread() {
+        let m = Mutex::new(0u8);
+        let l = RwLock::new(0u8);
+        let before = acquisitions();
+        drop(m.lock());
+        drop(l.read());
+        drop(l.write());
+        let held = m.lock();
+        assert!(m.try_lock().is_none(), "a refused try_lock");
+        drop(held);
+        drop(m.try_lock());
+        assert_eq!(acquisitions() - before, 5);
+        // Another thread's acquisitions are its own.
+        thread::spawn(|| {
+            let base = acquisitions();
+            drop(Mutex::new(()).lock());
+            assert_eq!(acquisitions() - base, 1);
+        })
+        .join()
+        .unwrap();
+        assert_eq!(acquisitions() - before, 5);
     }
 
     #[test]

@@ -29,8 +29,11 @@
 //!   that exhausts its attempts is `broken`. Both classes surface in the
 //!   summary's quarantine ledger and in `summary.json`.
 //! * **Crash safety** — traces, summaries and a checksummed
-//!   `manifest.json` are written atomically (tmp file + rename), the
-//!   manifest after every cell; [`run`] with `resume` validates archived
+//!   `manifest.json` are written atomically (tmp file + rename). The
+//!   manifest is rewritten each time the executed cells have grown by an
+//!   eighth since its last write, and once at the end, so its total bytes
+//!   grow linearly with the matrix and a kill loses about an eighth of the
+//!   recorded cells at most; [`run`] with `resume` validates archived
 //!   traces against it and re-runs only missing or corrupt cells,
 //!   producing byte-identical summaries to an uninterrupted run.
 //! * **Exit contract** — 0 clean, [`REGRESSION_EXIT_CODE`] (3) when the
@@ -607,6 +610,25 @@ struct CellRecord {
     trace: Option<Vec<u8>>,
 }
 
+impl CellRecord {
+    /// The record without its trace: what `manifest.json` stores.
+    fn manifest_row(&self) -> CellRecord {
+        CellRecord {
+            file: self.file.clone(),
+            outcome: self.outcome.clone(),
+            trace: None,
+            ..*self
+        }
+    }
+}
+
+/// Whether the manifest, last written with `written` executed cells,
+/// is due a rewrite now that `executed` have run: once they have grown by
+/// an eighth (and by one at least).
+fn manifest_due(executed: usize, written: usize) -> bool {
+    executed > written && 8 * executed >= 9 * written
+}
+
 fn render_manifest<'r>(
     spec_checksum: u64,
     records: impl Iterator<Item = &'r CellRecord>,
@@ -922,23 +944,48 @@ pub fn run(
         (0, 0) => std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
         (0, n) | (n, _) => n,
     };
-    let records = Mutex::new(salvaged);
+    // The records, and how many cells this run executed.
+    let records = Mutex::new((salvaged, 0usize));
+    // How many executed cells the manifest on disk holds. Held while a
+    // manifest is written, so writes land in order.
+    let written = Mutex::new(0usize);
+    // Snapshots the records and writes them as the manifest; failure to
+    // persist it is non-fatal — only resumability degrades.
+    let write_manifest = |dir: &Path, written: &mut usize| {
+        let (rows, executed): (Vec<CellRecord>, usize) = {
+            let records = records.lock().unwrap();
+            let rows = records.0.iter().flatten().map(CellRecord::manifest_row);
+            (rows.collect(), records.1)
+        };
+        let manifest = render_manifest(spec_checksum, rows.iter());
+        let _ = write_atomic(&dir.join("manifest.json"), manifest.as_bytes());
+        *written = executed;
+    };
     par_map(jobs, cells.len(), |i| {
-        if records.lock().unwrap()[i].is_some() {
+        if records.lock().unwrap().0[i].is_some() {
             return; // salvaged from the interrupted run
         }
         let record = execute_cell(plan, engine, &cells[i], out_dir);
-        let mut slots = records.lock().unwrap();
-        slots[i] = Some(record);
+        let executed = {
+            let mut records = records.lock().unwrap();
+            records.0[i] = Some(record);
+            records.1 += 1;
+            records.1
+        };
         if let Some(dir) = out_dir {
-            // Rewrite the manifest after every executed cell (the lock
-            // keeps it consistent); failure to persist it is non-fatal —
-            // only resumability degrades.
-            let manifest = render_manifest(spec_checksum, slots.iter().flatten());
-            let _ = write_atomic(&dir.join("manifest.json"), manifest.as_bytes());
+            let mut written = written.lock().unwrap();
+            if manifest_due(executed, *written) {
+                write_manifest(dir, &mut written);
+            }
         }
     });
-    let records: Vec<CellRecord> = (records.into_inner().unwrap().into_iter())
+    if let Some(dir) = out_dir {
+        let mut written = written.lock().unwrap();
+        if *written < records.lock().unwrap().1 {
+            write_manifest(dir, &mut written);
+        }
+    }
+    let records: Vec<CellRecord> = (records.into_inner().unwrap().0.into_iter())
         .map(|r| r.expect("every cell visited"))
         .collect();
 
@@ -1250,6 +1297,27 @@ mod tests {
         let e = run(&plan, Engine::Fast, 2, None, true).unwrap_err();
         assert!(e.contains("output directory"), "{e}");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn the_manifest_is_rewritten_each_time_an_eighth_more_cells_ran() {
+        // 1,920 cells finishing one at a time.
+        let (mut written, mut writes) = (0, Vec::new());
+        for executed in 1..=1_920 {
+            if manifest_due(executed, written) {
+                writes.push(executed);
+                written = executed;
+            }
+        }
+        assert_eq!(&writes[..10], &[1, 2, 3, 4, 5, 6, 7, 8, 9, 11]);
+        // Each write comes as soon as an eighth more cells ran, so a kill
+        // loses no more than that.
+        for w in writes.windows(2) {
+            assert_eq!(w[1], (w[0] + w[0].div_ceil(8)).max(w[0] + 1), "{w:?}");
+        }
+        // The rows written stay linear in the cells (every-cell rewrites
+        // wrote 1,844,160).
+        assert_eq!((writes.len(), writes.iter().sum::<usize>()), (51, 16_658));
     }
 
     #[test]
