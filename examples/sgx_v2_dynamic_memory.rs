@@ -30,8 +30,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let runtime = Runtime::new(Arc::clone(&machine));
 
     // A deliberately tiny enclave: 16 KiB of heap.
-    let spec =
-        sgx_edl::parse("enclave { trusted { public uint64_t ecall_ingest(uint64_t pages); }; };")?;
+    let spec = sgx_edl::parse(
+        "enclave { trusted {
+            public uint64_t ecall_ingest(uint64_t pages);
+            public void ecall_long(void);
+        }; };",
+    )?;
     let enclave = runtime.create_enclave(
         &spec,
         &EnclaveConfig {
@@ -45,6 +49,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ctx.touch(fresh.clone(), AccessKind::Write)?;
         ctx.compute(Nanos::from_micros(20))?;
         data.ret = fresh.start as u64;
+        Ok(())
+    })?;
+    enclave.register_ecall("ecall_long", |ctx, _| {
+        ctx.compute(Nanos::from_millis(12))?;
         Ok(())
     })?;
     let table = Arc::new(OcallTableBuilder::new(enclave.spec()).build()?);
@@ -65,17 +73,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // A long call to gather AEXs whose causes are now visible (v2 + debug
     // enclave).
-    enclave.register_ecall("ecall_ingest", |ctx, data| {
-        ctx.compute(Nanos::from_millis(12))?;
-        data.ret = 0;
-        Ok(())
-    })?;
     runtime.ecall(
         &tcx,
         enclave.id(),
-        "ecall_ingest",
+        "ecall_long",
         &table,
-        &mut CallData::new(0),
+        &mut CallData::default(),
     )?;
 
     let trace = logger.finish();
