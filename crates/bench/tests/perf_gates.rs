@@ -25,10 +25,13 @@
 //!   enclave (a per-ecall scan of the logger's stub cache made it 5-8x).
 //! * `hostile_traces_analyse_in_near_linear_time`: a self-diff of one
 //!   ecall with n executions, n injected faults and n recovery windows,
-//!   and the race analysis of n lock holds with one ocall inside each,
-//!   must each cost under 16x more at n = 40,000 than at n = 5,000
-//!   (testing every fault or ocall against every window or hold made
-//!   them about 64x and 60x).
+//!   the race analysis of n lock holds with one ocall inside each, and
+//!   the instance view of n ecalls over n / 8 named calls that all share
+//!   one slot of the call table's memo must each cost under 16x more at
+//!   n = 40,000 than at n = 5,000 (testing every fault or ocall against
+//!   every window or hold made the first two about 64x and 60x; a memo
+//!   that probed or chained on collision would walk the colliding calls
+//!   on every row).
 //!
 //! A floor variable that is set but does not parse as a finite number
 //! fails the gate; an unset one means the default.
@@ -37,9 +40,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use sgx_perf::analysis::diff::{DiffConfig, TraceDiff};
-use sgx_perf::analysis::races;
+use sgx_perf::analysis::parents::call_memo_slot;
+use sgx_perf::analysis::{races, Instances};
 use sgx_perf::events::{EcallRow, FaultRow, LifecycleRow, OcallRow, SymbolRow, SyncEvRow};
-use sgx_perf::{Logger, LoggerConfig, TraceDb};
+use sgx_perf::{CallKind, CallRef, Logger, LoggerConfig, TraceDb};
 use sgx_perf_bench::scaled_count;
 use sgx_sdk::{CallData, Enclave, OcallTable, OcallTableBuilder, Runtime, ThreadCtx};
 use sgx_sim::{EnclaveConfig, EnclaveId, EvictionPolicy, Machine, MachineParams};
@@ -357,6 +361,49 @@ fn held_lock_trace(n: u64) -> TraceDb {
     trace
 }
 
+/// `n` ecalls over `n / 8` calls of one enclave that all share one slot
+/// of the call table's memo, each named by a symbol row and called in
+/// turn, so that every row's call evicts the one before it.
+fn memo_colliding_trace(n: u64) -> TraceDb {
+    let ecall = |index| CallRef {
+        enclave: 1,
+        kind: CallKind::Ecall,
+        index,
+    };
+    let slot = call_memo_slot(ecall(0));
+    let calls: Vec<CallRef> = (0..u32::MAX)
+        .map(ecall)
+        .filter(|&call| call_memo_slot(call) == slot)
+        .take((n / 8) as usize)
+        .collect();
+    let mut trace = TraceDb::default();
+    for call in &calls {
+        trace.symbols.insert(SymbolRow {
+            enclave: call.enclave,
+            kind_is_ecall: true,
+            index: call.index,
+            name: format!("ecall_{}", call.index),
+            public: true,
+            allowed_ecalls: vec![],
+            user_check_params: vec![],
+        });
+    }
+    for i in 0..n {
+        let call = calls[(i % calls.len() as u64) as usize];
+        trace.ecalls.insert(EcallRow {
+            thread: 0,
+            enclave: call.enclave,
+            call_index: call.index,
+            start_ns: i * 100,
+            end_ns: i * 100 + 50,
+            parent_ocall: None,
+            aex_count: 0,
+            failed: false,
+        });
+    }
+    trace
+}
+
 /// Best-of-3 real time of `work`, in nanoseconds. Each run starts after
 /// 64 MiB of other writes, so that a small input is not timed from a warm
 /// cache that a large one does not fit in.
@@ -391,9 +438,23 @@ fn hostile_traces_analyse_in_near_linear_time() {
             assert_eq!(report.findings.len(), 1, "{}", report.render());
         })
     };
+    let instances_ns = |n| {
+        let trace = memo_colliding_trace(n);
+        let cost = HwProfile::Unpatched.cost_model();
+        let first = CallRef {
+            enclave: 1,
+            kind: CallKind::Ecall,
+            index: 0,
+        };
+        best_of_3_ns(|| {
+            let instances = Instances::build(&trace, &cost);
+            assert_eq!(instances.of_call(first).len(), 8);
+        })
+    };
     for (label, time) in [
         ("self-diff", &diff_ns as &dyn Fn(u64) -> f64),
         ("races", &races_ns),
+        ("memo-colliding call table", &instances_ns),
     ] {
         let (t_small, t_large) = (time(small), time(large));
         let ratio = t_large / t_small;

@@ -142,10 +142,20 @@ impl Field for AexCauseCode {
 
     fn read(r: &mut Decoder<'_>) -> Result<Self, DbError> {
         let code = r.u8()?;
+        Self::from_code(code).ok_or_else(|| DbError::Corrupt(format!("bad AexCauseCode {code}")))
+    }
+
+    fn read_fast(r: &mut Decoder<'_>) -> Option<Self> {
+        u8::read_fast(r).and_then(Self::from_code)
+    }
+}
+
+impl AexCauseCode {
+    /// The cause a stored byte names, if any.
+    fn from_code(code: u8) -> Option<AexCauseCode> {
         [Self::Interrupt, Self::PageFault, Self::AccessFault]
             .into_iter()
             .find(|cause| *cause as u8 == code)
-            .ok_or_else(|| DbError::Corrupt(format!("bad AexCauseCode {code}")))
     }
 }
 

@@ -45,6 +45,36 @@ impl Presence {
             got => got,
         }
     }
+
+    /// [`Presence::get`] with every row read on the checked path alone.
+    #[cfg(test)]
+    fn get_checked<R: Record + Clone>(self, store: &StoreOf<'_>) -> Result<Table<R>, DbError> {
+        let table = self.get::<Checked<R>>(store)?;
+        Ok(table.iter().map(|row| row.0.clone()).collect())
+    }
+}
+
+/// A row whose fast path always declines, so that [`Table::decode`]
+/// reads each row with [`Record::decode`] alone.
+#[cfg(test)]
+struct Checked<R>(R);
+
+#[cfg(test)]
+impl<R: Record> Record for Checked<R> {
+    const TAG: &'static str = R::TAG;
+    const MIN_BYTES: usize = R::MIN_BYTES;
+
+    fn encode(&self, out: &mut eventdb::Encoder) {
+        self.0.encode(out);
+    }
+
+    fn decode(r: &mut eventdb::Decoder<'_>) -> Result<Self, DbError> {
+        R::decode(r).map(Checked)
+    }
+
+    fn decode_fast(_: &mut eventdb::Decoder<'_>) -> Option<Self> {
+        None
+    }
 }
 
 /// Declares the trace's tables in file order, one `field: Row = Presence`
@@ -104,6 +134,15 @@ macro_rules! trace_tables {
             /// Every table's tag and presence rule, in file order.
             const TABLES: &'static [(&'static str, Presence)] =
                 &[$((<$row as Record>::TAG, Presence::$presence)),*];
+
+            /// Parses a trace as [`TraceDb::from_store`] does, reading
+            /// every row on the checked path alone
+            /// ([`Record::decode`]): the model the fast path is held to.
+            pub(crate) fn from_store_checked(store: &StoreOf<'_>) -> Result<TraceDb, DbError> {
+                Ok(TraceDb {
+                    $($field: Presence::$presence.get_checked(store)?,)*
+                })
+            }
 
             /// The tag and encoded byte length of every table, in file
             /// order.

@@ -440,6 +440,34 @@ mod tests {
             prop_assert!(back.to_bytes() == bytes);
         }
 
+        /// Decoding through the fast path gives the same trace, or the
+        /// same error text, as the checked path alone, on a trace's bytes
+        /// and on single-byte mutations of them.
+        #[test]
+        fn the_fast_decode_path_agrees_with_the_checked_one(
+            trace in TRACES,
+            mutations in proptest::collection::vec((any::<u64>(), any::<u8>()), 16),
+        ) {
+            let bytes = trace.to_bytes();
+            let decode = |bytes: &[u8]| {
+                let checked = eventdb::Store::from_bytes(bytes)
+                    .and_then(|store| TraceDb::from_store_checked(&store));
+                [TraceDb::from_bytes(bytes), checked].map(|got| match got {
+                    Ok(trace) => format!("{trace:?}"),
+                    Err(e) => e.to_string(),
+                })
+            };
+            let [fast, checked] = decode(&bytes);
+            prop_assert_eq!(fast, checked);
+            for (at, value) in mutations {
+                let at = (at % bytes.len() as u64) as usize;
+                let mut bad = bytes.clone();
+                bad[at] = value;
+                let [fast, checked] = decode(&bad);
+                prop_assert_eq!(fast, checked, "byte {} set to {}", at, value);
+            }
+        }
+
         /// The one-pass encoder writes the bytes the store path writes,
         /// and each table's `encoded_len` is its section's byte length.
         #[test]

@@ -30,18 +30,31 @@ pub trait Record: Sized {
     /// Serialises the record.
     fn encode(&self, out: &mut Encoder);
 
-    /// Deserialises one record.
+    /// Deserialises one record: the checked path, whose error names
+    /// what is wrong and where.
     ///
     /// # Errors
     ///
     /// Implementations must return [`DbError::Corrupt`] (usually by
     /// propagating decoder errors) rather than panicking on bad input.
     fn decode(r: &mut Decoder<'_>) -> Result<Self, DbError>;
+
+    /// Deserialises one record on the fast path, which builds no error:
+    /// `None` wherever [`Record::decode`] fails, and otherwise its row
+    /// and position. [`Table::decode`] reads each row here first and
+    /// re-reads it from its start with [`Record::decode`] when this
+    /// declines. [`record!`](crate::record) reads each field with
+    /// [`Field::read_fast`](crate::Field::read_fast).
+    #[inline]
+    fn decode_fast(r: &mut Decoder<'_>) -> Option<Self> {
+        Self::decode(r).ok()
+    }
 }
 
 /// Declares a row struct with named fields and derives its [`Record`]
 /// impl: fields are written and read in declaration order, each through
-/// its [`Field`](crate::Field) impl, and the row's
+/// its [`Field`](crate::Field) impl (read on the fast path first, see
+/// [`Record::decode_fast`]), and the row's
 /// [`MIN_BYTES`](Record::MIN_BYTES) and
 /// [`encoded_len`](Record::encoded_len) are the sums of its fields'. The
 /// string after the struct name is the table tag. The [crate-level
@@ -74,6 +87,12 @@ macro_rules! record {
             ) -> ::core::result::Result<Self, $crate::DbError> {
                 ::core::result::Result::Ok($name {
                     $($field: $crate::Field::read(r)?,)*
+                })
+            }
+            #[inline]
+            fn decode_fast(r: &mut $crate::Decoder<'_>) -> ::core::option::Option<Self> {
+                ::core::option::Option::Some($name {
+                    $($field: $crate::Field::read_fast(r)?,)*
                 })
             }
         }
@@ -185,7 +204,10 @@ impl<R: Record> Table<R> {
         }
     }
 
-    /// Deserialises a table written by [`Table::encode`].
+    /// Deserialises a table written by [`Table::encode`]. Each row is
+    /// read on the fast path ([`Record::decode_fast`]); a row it declines
+    /// is read again from its start on the checked path
+    /// ([`Record::decode`]), which builds the located error.
     ///
     /// # Errors
     ///
@@ -203,7 +225,14 @@ impl<R: Record> Table<R> {
         }
         let mut rows = Vec::with_capacity(count);
         for _ in 0..count {
-            rows.push(R::decode(r)?);
+            let start = r.clone();
+            match R::decode_fast(r) {
+                Some(row) => rows.push(row),
+                None => {
+                    *r = start;
+                    rows.push(R::decode(r)?);
+                }
+            }
         }
         Ok(Table { rows })
     }
